@@ -54,6 +54,7 @@ from .geomsim import (
     canonical_validation_scenario,
     cloud_delay,
     delay_ks_statistic,
+    run_loads,
     run_trials,
     run_validation,
     sample_ppp,
@@ -111,6 +112,7 @@ __all__ = [
     "canonical_validation_scenario",
     "cloud_delay",
     "delay_ks_statistic",
+    "run_loads",
     "run_trials",
     "run_validation",
     "sample_ppp",

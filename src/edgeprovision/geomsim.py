@@ -5,10 +5,21 @@ transmitter per cell on the tagged resource block, and the delay-gated
 edge/cloud output selection. Serves as the independent oracle for the
 closed forms in ``analytic``.
 
+A trial runs five stages, each drawing from the trial's stream in turn:
+
+1. *deploy*: AP count and positions, then device count and positions;
+2. *associate*: shadowing of every device-AP pair (when enabled), then
+   minimum-pathloss association, which fixes every cell's load;
+3. *schedule*: one uniformly chosen transmitter per non-serving cell;
+4. *fill*: saturation-fill candidate batches (see ``full_buffer``);
+5. *link*: fading, then SINR, rate, delay and the output choice.
+
 Determinism contract: trial ``i`` always consumes the random stream keyed
-``(master_seed, i)``, drawing in a fixed order (AP count and positions,
-device count and positions, shadowing, scheduling choices, saturation-fill
-batches, fading), so results are bit-identical for any worker count.
+``(master_seed, i)``, drawing in that stage order, so results are
+bit-identical for any worker count. The draws that fix the load (AP count
+and positions, device count and positions, shadowing) all come before
+scheduling, so ``run_loads`` runs only deploy and associate and still
+returns the loads ``run_trials`` sees.
 
 Two simulation knobs deliberately default to the closed forms' own
 assumptions rather than to the literal finite-window system:
@@ -28,6 +39,7 @@ assumptions rather than to the literal finite-window system:
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -62,6 +74,7 @@ __all__ = [
     "cloud_delay",
     "select_output",
     "run_trials",
+    "run_loads",
     "simulate_trial",
     "canonical_validation_scenario",
     "delay_ks_statistic",
@@ -70,6 +83,8 @@ __all__ = [
 
 CANONICAL_SEED = 20260825
 _FILL_BATCHES = 6
+# fill candidates per AP associated between two early-exit checks
+_FILL_SLICE = 2
 _LN10 = math.log(10.0)
 
 
@@ -318,7 +333,12 @@ class SimSummary:
 
 
 class _Engine:
-    """Per-config precomputation plus the single-trial kernel."""
+    """Per-config precomputation plus the staged single-trial kernel.
+
+    Each stage takes and returns plain arrays; ``trial`` composes them in
+    stream order (deploy, associate, schedule, fill, link) and ``load``
+    stops after associate.
+    """
 
     def __init__(self, cfg: SimConfig):
         s = cfg.scenario
@@ -337,30 +357,30 @@ class _Engine:
             else cfg.shadowing_sigma_db * _LN10 / 10.0
         )
 
-    def _shadow(self, stream: RngStream, shape) -> np.ndarray:
-        return np.exp(self.sigma_scale * stream.normal(shape))
-
-    def _associate_batch(
-        self, stream: RngStream, points: np.ndarray, ap: np.ndarray, tree
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Serving index and own pathloss per point; also the pathloss matrix
-        row set when shadowing is on (needed for cross pathlosses)."""
+    def _shadow_normals(self, stream: RngStream, n_points: int, n_ap: int):
+        """Normals behind the shadowing gains of an (n_points, n_ap) pathloss
+        block; None (and no draw) without shadowing."""
         if self.sigma_scale is None:
+            return None
+        return stream.normal((n_points, n_ap))
+
+    def _serve(
+        self, points: np.ndarray, ap: np.ndarray, tree, normals: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Serving index and own pathloss per point; also the pathloss rows
+        when shadowed (needed for cross pathlosses). Draws nothing."""
+        if normals is None:
             dist, serving = tree.query(points)
             return serving, dist ** 4, None
         sq = _sq_dist_matrix(points, ap, self.side)
-        pathloss = sq * sq * self._shadow(stream, sq.shape)
+        pathloss = sq * sq * np.exp(self.sigma_scale * normals)
         serving = np.argmin(pathloss, axis=1)
         own = pathloss[np.arange(len(points)), serving]
         return serving, own, pathloss
 
-    def trial(self, index: int, collect: bool = False):
-        cfg = self.cfg
-        s = cfg.scenario
-        w = s.workload
-        stream = RngStream(cfg.master_seed, index)
-
-        # 1-2. deployment draw (typical device first, at the window center)
+    def deploy(self, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+        """AP and device positions, the typical device first at the window
+        center. An empty AP draw is redrawn."""
         n_ap = stream.poisson(self.expected_aps)
         while n_ap == 0:
             n_ap = stream.poisson(self.expected_aps)
@@ -369,88 +389,139 @@ class _Engine:
         dev = np.empty((n_dev + 1, 2))
         dev[0] = self.center
         dev[1:] = self.window.sample(stream, n_dev)
+        return ap, dev
 
-        # 3. association
+    def associate(self, stream: RngStream, ap: np.ndarray, dev: np.ndarray):
+        """Minimum-pathloss association of every device.
+
+        Returns the AP k-d tree (None when shadowed), the serving index and
+        own pathloss per device, the device count per AP, and each device's
+        cross pathloss to the typical device's AP when shadowed (else None).
+        """
         tree = None
         if self.sigma_scale is None:
             tree = cKDTree(ap, boxsize=self.side) if self.torus else cKDTree(ap)
-        serving, own_pl, pl_matrix = self._associate_batch(stream, dev, ap, tree)
-        a0 = int(serving[0])
-        counts = np.bincount(serving, minlength=n_ap)
-        load = int(counts[a0])
+        normals = self._shadow_normals(stream, len(dev), len(ap))
+        serving, own, pathloss = self._serve(dev, ap, tree, normals)
+        counts = np.bincount(serving, minlength=len(ap))
+        cross = None if pathloss is None else pathloss[:, serving[0]]
+        return tree, serving, own, counts, cross
 
-        # 4. scheduling: one uniformly chosen device per non-serving non-empty cell
+    def schedule(
+        self, stream: RngStream, serving: np.ndarray, counts: np.ndarray, a0: int
+    ) -> np.ndarray:
+        """Index of one uniformly chosen device per non-serving non-empty cell."""
         order = np.argsort(serving, kind="stable")
-        starts = np.searchsorted(serving[order], np.arange(n_ap))
+        starts = np.cumsum(counts) - counts
         cells = np.nonzero(counts)[0]
         cells = cells[cells != a0]
-        if cells.size:
-            offsets = stream.integers(0, counts[cells])
-            members = order[starts[cells] + offsets]
-        else:
-            members = np.empty(0, dtype=np.intp)
-        int_pts = dev[members]
-        int_own = own_pl[members]
-        int_cross = pl_matrix[members, a0] if pl_matrix is not None else None
+        if not cells.size:
+            return np.empty(0, dtype=np.intp)
+        return order[starts[cells] + stream.integers(0, counts[cells])]
 
-        # 5. saturation fill: one uniform device for every empty non-serving cell
-        fill_pts = []
-        fill_own = []
-        fill_cross = []
-        if cfg.full_buffer:
-            empty = counts == 0
-            empty[a0] = False
-            need = np.nonzero(empty)[0]
-            batch = 0
-            while need.size and batch < _FILL_BATCHES:
-                m = (8 << batch) * n_ap
-                batch += 1
-                cand = self.window.sample(stream, m)
-                cand_serving, cand_own, cand_pl = self._associate_batch(
-                    stream, cand, ap, tree
+    def fill(
+        self, stream: RngStream, ap: np.ndarray, tree, counts: np.ndarray, a0: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Saturation fill: one uniform device in every empty non-serving cell.
+
+        Rejection batches of ``8 * n_ap * 2**b`` candidates, at most
+        ``_FILL_BATCHES``. A batch and its shadowing normals are drawn whole,
+        then associated ``_FILL_SLICE * n_ap`` candidates at a time until no
+        cell is left empty. The first candidate to land in a cell fills it;
+        each batch's fills come in ascending cell order. Returns positions,
+        own pathlosses and cross pathlosses to AP ``a0`` (None unless
+        shadowed).
+        """
+        n_ap = len(ap)
+        step = _FILL_SLICE * n_ap
+        needed = counts == 0
+        needed[a0] = False
+        keys, pts = [np.empty(0, np.intp)], [np.empty((0, 2))]
+        own, cross = [np.empty(0)], [np.empty(0)]
+        batch = 0
+        while needed.any() and batch < _FILL_BATCHES:
+            m = (8 << batch) * n_ap
+            cand = self.window.sample(stream, m)
+            normals = self._shadow_normals(stream, m, n_ap)
+            for lo in range(0, m, step):
+                part = slice(lo, lo + step)
+                serving, part_own, pathloss = self._serve(
+                    cand[part], ap, tree, None if normals is None else normals[part]
                 )
-                hit = np.isin(cand_serving, need)
-                if hit.any():
-                    idx = np.nonzero(hit)[0]
-                    got, first = np.unique(cand_serving[idx], return_index=True)
-                    take = idx[first]
-                    fill_pts.append(cand[take])
-                    fill_own.append(cand_own[take])
-                    if cand_pl is not None:
-                        fill_cross.append(cand_pl[take, a0])
-                    need = np.setdiff1d(need, got, assume_unique=True)
+                hit = np.nonzero(needed[serving])[0]
+                if not hit.size:
+                    continue
+                got, first = np.unique(serving[hit], return_index=True)
+                take = hit[first]
+                needed[got] = False
+                keys.append(batch * n_ap + got)
+                pts.append(cand[lo + take])
+                own.append(part_own[take])
+                if pathloss is not None:
+                    cross.append(pathloss[take, a0])
+                if not needed.any():
+                    break
+            batch += 1
+        order = np.argsort(np.concatenate(keys))
+        return (
+            np.concatenate(pts)[order],
+            np.concatenate(own)[order],
+            None if self.sigma_scale is None else np.concatenate(cross)[order],
+        )
 
-        if fill_pts:
-            all_pts = np.vstack([int_pts] + fill_pts)
-            all_own = np.concatenate([int_own] + fill_own)
-        else:
-            all_pts = int_pts
-            all_own = int_own
+    def link(
+        self,
+        stream: RngStream,
+        tagged_ap: np.ndarray,
+        pts: np.ndarray,
+        own: np.ndarray,
+        cross: np.ndarray | None,
+        load: int,
+    ) -> tuple[float, float, float, bool]:
+        """Fading, SINR, rate, delay and output choice of the typical device.
 
-        # 6. cross pathloss from each interferer to the tagged AP
-        if pl_matrix is not None:
-            all_cross = (
-                np.concatenate([int_cross] + fill_cross) if fill_cross else int_cross
-            )
-        else:
+        ``cross`` is None on the k-d tree path, where the interferers' cross
+        pathlosses follow from their distances to ``tagged_ap``.
+        """
+        s = self.cfg.scenario
+        if cross is None:
             delta = (
-                _torus_delta(all_pts, ap[a0], self.side)
-                if self.torus
-                else all_pts - ap[a0]
+                _torus_delta(pts, tagged_ap, self.side) if self.torus else pts - tagged_ap
             )
             sq = delta[:, 0] ** 2 + delta[:, 1] ** 2
-            all_cross = sq * sq
-
-        # 7. fading, SINR, rate, delay, output
-        h = exponential_variate(stream, 1.0, size=len(all_own) + 1)
-        h = np.atleast_1d(h)
-        interference = float(np.dot(all_own / all_cross, h[1:]))
+            cross = sq * sq
+        h = np.atleast_1d(exponential_variate(stream, 1.0, size=len(own) + 1))
+        interference = float(np.dot(own / cross, h[1:]))
         denom = self.snr_inv + interference
         sinr = math.inf if denom == 0.0 else float(h[0]) / denom
-        share = self.mean_share if cfg.load_model == "mean_field" else float(load)
+        share = self.mean_share if self.cfg.load_model == "mean_field" else float(load)
         rate = uplink_rate(sinr, s.air.bandwidth, share)
-        delay = cloud_delay(rate, w)
-        used, _ = select_output(delay, w)
+        delay = cloud_delay(rate, s.workload)
+        used, _ = select_output(delay, s.workload)
+        return sinr, rate, delay, used
+
+    def load(self, index: int) -> int:
+        """Serving-cell load of trial ``index``: deploy and associate only."""
+        stream = RngStream(self.cfg.master_seed, index)
+        ap, dev = self.deploy(stream)
+        _, serving, _, counts, _ = self.associate(stream, ap, dev)
+        return int(counts[serving[0]])
+
+    def trial(self, index: int, collect: bool = False):
+        stream = RngStream(self.cfg.master_seed, index)
+        ap, dev = self.deploy(stream)
+        tree, serving, own, counts, cross = self.associate(stream, ap, dev)
+        a0 = int(serving[0])
+        load = int(counts[a0])
+        members = self.schedule(stream, serving, counts, a0)
+        pts, own = dev[members], own[members]
+        cross = None if cross is None else cross[members]
+        if self.cfg.full_buffer:
+            fill_pts, fill_own, fill_cross = self.fill(stream, ap, tree, counts, a0)
+            pts = np.concatenate([pts, fill_pts])
+            own = np.concatenate([own, fill_own])
+            cross = None if cross is None else np.concatenate([cross, fill_cross])
+        sinr, rate, delay, used = self.link(stream, ap[a0], pts, own, cross, load)
 
         if not collect:
             return delay, used, load
@@ -459,12 +530,33 @@ class _Engine:
             dev_points=dev - self.center,
             serving_ap=a0,
             load_nu=load,
-            interferer_set=all_pts - self.center,
+            interferer_set=pts - self.center,
             sinr_u=sinr,
             rate_u=rate,
             delay=delay,
             used_cloud=bool(used),
         )
+
+
+def _pool_size(workers: int, trials: int) -> int:
+    """Worker processes worth starting: at most one per trial and per CPU."""
+    return max(1, min(workers, trials, os.cpu_count() or 1))
+
+
+def _map_trials(fn, cfg: SimConfig, workers: int) -> list:
+    """``fn(cfg, lo, hi)`` over contiguous trial ranges that cover every
+    trial, results in trial order; the ranges run in a process pool of
+    ``_pool_size(workers, cfg.trials)`` when that is more than one."""
+    n = _pool_size(workers, cfg.trials)
+    if n == 1:
+        return [fn(cfg, 0, cfg.trials)]
+    bounds = np.linspace(0, cfg.trials, n + 1, dtype=int)
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        futures = [
+            pool.submit(fn, cfg, int(lo), int(hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        return [f.result() for f in futures]
 
 
 def _simulate_range(cfg: SimConfig, lo: int, hi: int):
@@ -476,6 +568,11 @@ def _simulate_range(cfg: SimConfig, lo: int, hi: int):
     for k in range(n):
         delays[k], used[k], loads[k] = engine.trial(lo + k)
     return delays, used, loads
+
+
+def _load_range(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
+    engine = _Engine(cfg)
+    return np.array([engine.load(i) for i in range(lo, hi)], dtype=np.int64)
 
 
 def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
@@ -491,23 +588,11 @@ def run_trials(cfg: SimConfig, workers: int = 1) -> SimSummary:
 
     Trial ``i`` uses stream ``(master_seed, i)`` whatever the worker count,
     and aggregation is performed in trial order, so the summary is
-    bit-identical for any ``workers`` value.
+    bit-identical for any ``workers`` value. At most one process per trial
+    and per CPU is started.
     """
-    if workers <= 1:
-        delays, used, loads = _simulate_range(cfg, 0, cfg.trials)
-    else:
-        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
-        parts = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_range, cfg, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            parts = [f.result() for f in futures]
-        delays = np.concatenate([p[0] for p in parts])
-        used = np.concatenate([p[1] for p in parts])
-        loads = np.concatenate([p[2] for p in parts])
+    parts = _map_trials(_simulate_range, cfg, workers)
+    delays, used, loads = (np.concatenate(p) for p in zip(*parts))
 
     w = cfg.scenario.workload
     cloud_n = int(np.count_nonzero(used))
@@ -519,6 +604,17 @@ def run_trials(cfg: SimConfig, workers: int = 1) -> SimSummary:
         mean_load=float(loads.mean()),
         trial_count=cfg.trials,
     )
+
+
+def run_loads(cfg: SimConfig, workers: int = 1) -> np.ndarray:
+    """Serving-cell load of every trial, in trial order (int64).
+
+    Runs only the deploy and associate stages, which make every draw that
+    fixes the load, so entry ``i`` equals ``simulate_trial(cfg, i).load_nu``
+    and the mean equals ``run_trials(cfg).mean_load`` bit for bit, for any
+    ``workers`` value.
+    """
+    return np.concatenate(_map_trials(_load_range, cfg, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +681,10 @@ def run_validation(
     empirical cloud-delay CDF and the closed form on (compute_delay,
     10*delay_budget], (b) the cloud-use fraction and implied MSE against
     the closed forms, and (c) the mean serving-cell load against
-    1 + 1.28/lambda_hat for each ratio in ``load_lambda_hats``. The report
-    is deterministic for a given seed, and serializes to identical JSON
-    across repeated runs.
+    1 + 1.28/lambda_hat for each ratio in ``load_lambda_hats``; those mean
+    loads come from ``run_loads``, which skips the stages the load does not
+    use. The report is deterministic for a given seed, and serializes to
+    identical JSON across repeated runs.
     """
     seed = CANONICAL_SEED if master_seed is None else int(master_seed)
     radius = math.sqrt(50.0) if window_radius is None else float(window_radius)
@@ -634,11 +731,11 @@ def run_validation(
             trials=trials,
             master_seed=seed,
         )
-        lsum = run_trials(lcfg, workers=workers)
+        mean_load = float(run_loads(lcfg, workers=workers).mean())
         target = mean_cell_load(dep)
-        rel = abs(lsum.mean_load - target) / target
+        rel = abs(mean_load - target) / target
         load_checks[f"lambda_hat_{lh:g}"] = {
-            "simulated": lsum.mean_load,
+            "simulated": mean_load,
             "analytic": target,
             "value": rel,
             "tolerance": 0.05,

@@ -1,11 +1,15 @@
 """Unit tests for the stochastic-geometry Monte Carlo engine."""
 
 import math
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from edgeprovision import geomsim
 from edgeprovision.analytic import (
     AirInterface,
     DeploymentConfig,
@@ -24,6 +28,7 @@ from edgeprovision.geomsim import (
     canonical_validation_scenario,
     cloud_delay,
     delay_ks_statistic,
+    run_loads,
     run_trials,
     sample_ppp,
     select_output,
@@ -304,6 +309,141 @@ def test_mean_load_tracks_density_ratio():
     cfg = SimConfig(scenario=s, window_radius=5.0, trials=400)
     out = run_trials(cfg)
     assert out.mean_load == pytest.approx(mean_cell_load(dep), rel=0.15)
+
+
+# ---------------------------------------------------------------------------
+# load-only path and worker pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lam_hat=st.floats(0.25, 4.0),
+    boundary=st.sampled_from(["torus", "disc"]),
+    sigma_db=st.sampled_from([None, 8.0]),
+    trials=st.integers(1, 5),
+    workers=st.just(1),
+)
+@example(seed=1, lam_hat=1.0, boundary="torus", sigma_db=None, trials=5, workers=2)
+@example(seed=2, lam_hat=0.5, boundary="disc", sigma_db=8.0, trials=4, workers=2)
+@example(seed=3, lam_hat=2.0, boundary="torus", sigma_db=8.0, trials=3, workers=2)
+def test_run_loads_matches_full_trials(seed, lam_hat, boundary, sigma_db, trials, workers):
+    dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=1.0 / lam_hat)
+    cfg = SimConfig(
+        scenario=replace(canonical_validation_scenario(), deployment=dep),
+        window_radius=4.0,
+        trials=trials,
+        master_seed=seed,
+        shadowing_sigma_db=sigma_db,
+        boundary=boundary,
+    )
+    loads = run_loads(cfg, workers=workers)
+    assert loads.dtype == np.int64
+    assert loads.tolist() == [simulate_trial(cfg, i).load_nu for i in range(trials)]
+    assert float(loads.mean()) == run_trials(cfg, workers=workers).mean_load
+
+
+def _full_batch_fill(engine, stream, ap, tree, counts, a0):
+    """The saturation-fill rule without early exit: every batch is
+    associated whole and its first hit per empty cell kept, by cell."""
+    n_ap = len(ap)
+    need = np.nonzero(counts == 0)[0]
+    need = need[need != a0]
+    pts, own, cross = [np.empty((0, 2))], [np.empty(0)], [np.empty(0)]
+    for batch in range(geomsim._FILL_BATCHES):
+        if not need.size:
+            break
+        m = (8 << batch) * n_ap
+        cand = engine.window.sample(stream, m)
+        serving, cand_own, pathloss = engine._serve(
+            cand, ap, tree, engine._shadow_normals(stream, m, n_ap)
+        )
+        idx = np.nonzero(np.isin(serving, need))[0]
+        got, first = np.unique(serving[idx], return_index=True)
+        pts.append(cand[idx[first]])
+        own.append(cand_own[idx[first]])
+        if pathloss is not None:
+            cross.append(pathloss[idx[first], a0])
+        need = np.setdiff1d(need, got, assume_unique=True)
+    return np.concatenate(pts), np.concatenate(own), np.concatenate(cross)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(),
+        dict(boundary="disc"),
+        dict(shadowing_sigma_db=8.0, window_radius=4.0),
+        dict(shadowing_sigma_db=8.0, window_radius=4.0, boundary="disc"),
+    ],
+)
+def test_early_exit_fill_matches_full_batch_rule(overrides):
+    engine = geomsim._Engine(small_cfg(trials=12, **overrides))
+    for index in range(12):
+        streams = [RngStream(CANONICAL_SEED, index) for _ in range(2)]
+        for stream in streams:
+            ap, dev = engine.deploy(stream)
+            tree, serving, _, counts, _ = engine.associate(stream, ap, dev)
+            a0 = int(serving[0])
+            engine.schedule(stream, serving, counts, a0)
+        pts, own, cross = engine.fill(streams[0], ap, tree, counts, a0)
+        want_pts, want_own, want_cross = _full_batch_fill(
+            engine, streams[1], ap, tree, counts, a0
+        )
+        assert np.array_equal(pts, want_pts)
+        assert np.array_equal(own, want_own)
+        if cross is not None:
+            assert np.array_equal(cross, want_cross)
+        # the stream continues from the same place
+        assert streams[0].uniform() == streams[1].uniform()
+
+
+class _InlinePool:
+    """ProcessPoolExecutor stand-in that records its size and runs each
+    submission in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_pool_size_bounded_by_trials_and_cpus(monkeypatch):
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 4)
+    assert geomsim._pool_size(500, 10) == 4
+    assert geomsim._pool_size(500, 3) == 3
+    assert geomsim._pool_size(10**9, 10**9) == 4
+    assert geomsim._pool_size(2, 10**6) == 2
+    assert geomsim._pool_size(1, 10**6) == 1
+    assert geomsim._pool_size(0, 10) == 1
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: None)
+    assert geomsim._pool_size(8, 100) == 1
+
+
+def test_large_worker_count_starts_bounded_pool(monkeypatch):
+    # no process is started: the pool is replaced by an inline stand-in
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = small_cfg(trials=5)
+    serial = run_trials(cfg)
+    assert run_trials(cfg, workers=500) == serial
+    assert np.array_equal(run_loads(cfg, workers=10**6), run_loads(cfg))
+    assert _InlinePool.sizes == [5, 5]
 
 
 # ---------------------------------------------------------------------------
