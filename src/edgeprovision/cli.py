@@ -37,7 +37,13 @@ from .errors import (
     SpecValidationError,
 )
 from .experiments import emit_csv, load_spec, run_sweep
-from .geomsim import CANONICAL_SEED, SimConfig, run_trials, run_validation
+from .geomsim import (
+    CANONICAL_SEED,
+    SimConfig,
+    _auto_radius,
+    run_trials,
+    run_validation,
+)
 
 __all__ = ["main"]
 
@@ -313,8 +319,7 @@ def _cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else 2000
     radius = args.window_radius
     if radius is None:
-        # ~150 expected APs keeps boundary bias and runtime both modest
-        radius = math.sqrt(150.0 / scenario.deployment.lambda_ap) / 2.0
+        radius = _auto_radius(scenario.deployment, "torus")
     cfg = SimConfig(
         scenario=scenario,
         window_radius=radius,

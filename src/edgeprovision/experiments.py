@@ -37,7 +37,13 @@ from .errors import (
     SpecFileError,
     SpecValidationError,
 )
-from .geomsim import CANONICAL_SEED, SimConfig, run_trials
+from .geomsim import (
+    _MAX_TRIALS,
+    CANONICAL_SEED,
+    SimConfig,
+    _auto_radius,
+    _run_many,
+)
 
 __all__ = [
     "AXES",
@@ -69,6 +75,11 @@ SIMULABLE_METRICS = frozenset({"avg_mse", "delay_cdf_at", "cloud_use_prob"})
 CSV_HEADER = "axis,axis_value,metric,analytic,simulated,sim_stderr,status"
 
 _CRITICAL_METRICS = frozenset({"critical_density", "critical_edge_mse"})
+# Upper limit on grid points (``sweep.grid`` length and ``sweep.range.n``).
+# Each point adds a row per metric and, when simulated, a Monte Carlo run;
+# 10**4 points resolve ten decades at 1,000 points per decade, finer than
+# any curve needs, while the result stays a few MB.
+_MAX_GRID_POINTS = 10_000
 
 
 def _log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -132,6 +143,13 @@ class SweepSpec:
             problems.append(f"sweep.axis must be one of {AXES} (got {self.axis!r})")
         if not self.grid:
             problems.append("sweep.grid must be non-empty")
+        elif len(self.grid) > _MAX_GRID_POINTS:
+            problems.append(
+                f"sweep.grid must hold at most {_MAX_GRID_POINTS} points "
+                f"(got {len(self.grid)})"
+            )
+        elif not all(math.isfinite(v) for v in self.grid):
+            problems.append("sweep.grid values must be finite")
         elif any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             problems.append("sweep.grid must be strictly increasing")
         else:
@@ -212,13 +230,6 @@ def _scenario_at(spec: SweepSpec, value: float) -> Scenario:
     return base  # mse_target axis leaves the scenario untouched
 
 
-def _auto_radius(dep: DeploymentConfig, boundary: str, target_aps: float = 150.0) -> float:
-    area = target_aps / dep.lambda_ap
-    if boundary == "torus":
-        return math.sqrt(area) / 2.0
-    return math.sqrt(area / math.pi)
-
-
 def _analytic_value(spec: SweepSpec, scenario: Scenario, metric: str, value: float):
     target = value if spec.axis == "mse_target" else spec.mse_target
     if metric == "avg_mse":
@@ -250,25 +261,31 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     ``spec.simulate`` is set, each grid point runs one Monte Carlo
     experiment (same seed at every point, so consecutive points share
     common random numbers) and the simulable metrics gain estimates with
-    95% standard errors.
+    95% standard errors. The experiments of all points share at most one
+    pool of worker processes, and the rows do not depend on ``workers``.
     """
-    rows = []
-    for value in spec.grid:
-        scenario = _scenario_at(spec, value)
-        summary = None
-        if spec.simulate and SIMULABLE_METRICS.intersection(spec.outputs):
-            radius = spec.sim.window_radius
-            if radius is None:
-                radius = _auto_radius(scenario.deployment, spec.sim.boundary)
-            cfg = SimConfig(
+    scenarios = [_scenario_at(spec, value) for value in spec.grid]
+    summaries = [None] * len(scenarios)
+    if spec.simulate and SIMULABLE_METRICS.intersection(spec.outputs):
+        sim = spec.sim
+        cfgs = [
+            SimConfig(
                 scenario=scenario,
-                window_radius=radius,
-                trials=spec.sim.trials,
-                master_seed=spec.sim.seed,
-                shadowing_sigma_db=spec.sim.shadowing_sigma_db,
-                boundary=spec.sim.boundary,
+                window_radius=(
+                    _auto_radius(scenario.deployment, sim.boundary)
+                    if sim.window_radius is None
+                    else sim.window_radius
+                ),
+                trials=sim.trials,
+                master_seed=sim.seed,
+                shadowing_sigma_db=sim.shadowing_sigma_db,
+                boundary=sim.boundary,
             )
-            summary = run_trials(cfg, workers=workers)
+            for scenario in scenarios
+        ]
+        summaries = _run_many(cfgs, workers)
+    rows = []
+    for value, scenario, summary in zip(spec.grid, scenarios, summaries):
         for metric in spec.outputs:
             try:
                 analytic = _analytic_value(spec, scenario, metric, value)
@@ -417,7 +434,10 @@ def _as_number(x) -> float | None:
     if isinstance(x, bool):
         return None
     if isinstance(x, (int, float)):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:  # an int beyond the float range
+            return None
     if isinstance(x, str):
         try:
             return float(x)
@@ -484,6 +504,8 @@ def load_spec(path) -> SweepSpec:
             mark = getattr(e, "problem_mark", None)
             where = f" at line {mark.line + 1}" if mark is not None else ""
             raise SpecFileError(f"cannot parse {path}{where}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise SpecFileError(f"cannot parse {path}: not UTF-8 text ({e})") from e
     if not isinstance(doc, dict):
         raise SpecValidationError("spec document must be a mapping of sections")
     for key in doc:
@@ -547,8 +569,15 @@ def load_spec(path) -> SweepSpec:
             if lo is None or hi is None:
                 r.fail("fields sweep.range.lo and sweep.range.hi must be numbers")
                 ok = False
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                r.fail(f"field sweep.range.n must be an integer >= 1 (got {n!r})")
+            if (
+                not isinstance(n, int)
+                or isinstance(n, bool)
+                or not 1 <= n <= _MAX_GRID_POINTS
+            ):
+                r.fail(
+                    f"field sweep.range.n must be an integer in [1, {_MAX_GRID_POINTS}] "
+                    f"(got {n!r})"
+                )
                 ok = False
             if scale not in ("linear", "log"):
                 r.fail(f"field sweep.range.scale must be linear|log (got {scale!r})")
@@ -602,8 +631,15 @@ def load_spec(path) -> SweepSpec:
                 if key not in _SIM_KEYS:
                     r.fail(f"unknown field sweep.sim.{key}")
             trials = sim_sec.get("trials", 2000)
-            if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-                r.fail(f"field sweep.sim.trials must be an integer >= 1 (got {trials!r})")
+            if (
+                not isinstance(trials, int)
+                or isinstance(trials, bool)
+                or not 1 <= trials <= _MAX_TRIALS
+            ):
+                r.fail(
+                    f"field sweep.sim.trials must be an integer in [1, {_MAX_TRIALS}] "
+                    f"(got {trials!r})"
+                )
                 trials = 2000
             radius = sim_sec.get("window_radius")
             if radius is not None:

@@ -82,6 +82,18 @@ __all__ = [
 ]
 
 CANONICAL_SEED = 20260825
+# Upper limit on the trials of one run. Aggregation keeps about 25 bytes per
+# trial (17 for delay, cloud flag and load, 8 for the sorted delays), so
+# 10**7 trials stay near 250 MB; at about 6 ms per canonical trial they are
+# already some 17 CPU-hours, and more precision is better bought with
+# separate seeds.
+_MAX_TRIALS = 10**7
+# Expected AP count of an automatically sized window: about 150 keeps both
+# the boundary bias and the run time modest.
+_AUTO_WINDOW_APS = 150.0
+# Contiguous trial ranges submitted per pool worker and per config: more
+# than one, so the last configs of a sweep still spread over every worker.
+_RANGES_PER_WORKER = 2
 _FILL_BATCHES = 6
 # fill candidates per AP associated between two early-exit checks
 _FILL_SLICE = 2
@@ -268,8 +280,10 @@ class SimConfig:
             raise ModelDomainError(
                 f"load_model must be mean_field|realized (got {self.load_model!r})"
             )
-        if not (self.trials >= 1):
-            raise ModelDomainError(f"trials must be >= 1 (got {self.trials!r})")
+        if not (1 <= self.trials <= _MAX_TRIALS):
+            raise ModelDomainError(
+                f"trials must be in [1, {_MAX_TRIALS}] (got {self.trials!r})"
+            )
         if not (math.isfinite(self.window_radius) and self.window_radius > 0):
             raise ModelDomainError(
                 f"window_radius must be finite and > 0 (got {self.window_radius!r})"
@@ -293,6 +307,14 @@ class SimConfig:
         if self.boundary == "torus":
             return TorusWindow(self.window_radius)
         return DiscWindow(self.window_radius)
+
+
+def _auto_radius(dep: DeploymentConfig, boundary: str) -> float:
+    """Window radius holding ``_AUTO_WINDOW_APS`` expected APs."""
+    area = _AUTO_WINDOW_APS / dep.lambda_ap
+    if boundary == "torus":
+        return math.sqrt(area) / 2.0
+    return math.sqrt(area / math.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,20 +565,37 @@ def _pool_size(workers: int, trials: int) -> int:
     return max(1, min(workers, trials, os.cpu_count() or 1))
 
 
-def _map_trials(fn, cfg: SimConfig, workers: int) -> list:
+def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     """``fn(cfg, lo, hi)`` over contiguous trial ranges that cover every
-    trial, results in trial order; the ranges run in a process pool of
-    ``_pool_size(workers, cfg.trials)`` when that is more than one."""
-    n = _pool_size(workers, cfg.trials)
+    trial of every config; one list of results per config, in trial order.
+
+    When ``_pool_size(workers, total trials)`` is more than one, a single
+    process pool of that size runs every range of every config. All ranges
+    are submitted at once, ``_RANGES_PER_WORKER`` per worker and config, so
+    no config waits for the one before it to finish. If a range raises, the
+    ranges not yet started are cancelled.
+    """
+    n = _pool_size(workers, sum(cfg.trials for cfg in cfgs))
     if n == 1:
-        return [fn(cfg, 0, cfg.trials)]
-    bounds = np.linspace(0, cfg.trials, n + 1, dtype=int)
+        return [[fn(cfg, 0, cfg.trials)] for cfg in cfgs]
     with ProcessPoolExecutor(max_workers=n) as pool:
-        futures = [
-            pool.submit(fn, cfg, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        return [f.result() for f in futures]
+        futures = []
+        for cfg in cfgs:
+            parts = min(cfg.trials, n * _RANGES_PER_WORKER)
+            bounds = np.linspace(0, cfg.trials, parts + 1, dtype=int)
+            futures.append(
+                [
+                    pool.submit(fn, cfg, int(lo), int(hi))
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                ]
+            )
+        try:
+            return [[f.result() for f in per_cfg] for per_cfg in futures]
+        except BaseException:
+            for per_cfg in futures:
+                for f in per_cfg:
+                    f.cancel()
+            raise
 
 
 def _simulate_range(cfg: SimConfig, lo: int, hi: int):
@@ -583,17 +622,10 @@ def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
     return _Engine(cfg).trial(index, collect=True)
 
 
-def run_trials(cfg: SimConfig, workers: int = 1) -> SimSummary:
-    """Run the Monte Carlo experiment and aggregate into a SimSummary.
-
-    Trial ``i`` uses stream ``(master_seed, i)`` whatever the worker count,
-    and aggregation is performed in trial order, so the summary is
-    bit-identical for any ``workers`` value. At most one process per trial
-    and per CPU is started.
-    """
-    parts = _map_trials(_simulate_range, cfg, workers)
+def _summarize(cfg: SimConfig, parts: list) -> SimSummary:
+    """SimSummary of ``cfg`` from its ``_simulate_range`` results in trial
+    order."""
     delays, used, loads = (np.concatenate(p) for p in zip(*parts))
-
     w = cfg.scenario.workload
     cloud_n = int(np.count_nonzero(used))
     fraction = cloud_n / cfg.trials
@@ -606,6 +638,25 @@ def run_trials(cfg: SimConfig, workers: int = 1) -> SimSummary:
     )
 
 
+def _run_many(cfgs: list[SimConfig], workers: int) -> list[SimSummary]:
+    """``run_trials`` of every config, in order, sharing at most one pool
+    of ``_pool_size(workers, total trials)`` processes."""
+    parts = _map_ranges(_simulate_range, cfgs, workers)
+    return [_summarize(cfg, p) for cfg, p in zip(cfgs, parts)]
+
+
+def run_trials(cfg: SimConfig, workers: int = 1) -> SimSummary:
+    """Run the Monte Carlo experiment and aggregate into a SimSummary.
+
+    Trial ``i`` uses stream ``(master_seed, i)`` whatever the worker count,
+    and aggregation is performed in trial order, so the summary is
+    bit-identical for any ``workers`` value and any split of the trials
+    between processes. At most one pool is opened, with at most one process
+    per trial and per CPU.
+    """
+    return _run_many([cfg], workers)[0]
+
+
 def run_loads(cfg: SimConfig, workers: int = 1) -> np.ndarray:
     """Serving-cell load of every trial, in trial order (int64).
 
@@ -614,7 +665,7 @@ def run_loads(cfg: SimConfig, workers: int = 1) -> np.ndarray:
     and the mean equals ``run_trials(cfg).mean_load`` bit for bit, for any
     ``workers`` value.
     """
-    return np.concatenate(_map_trials(_load_range, cfg, workers))
+    return np.concatenate(_map_ranges(_load_range, [cfg], workers)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface (exit codes, formats, flags)."""
 
 import json
+import math
 import textwrap
 
 import pytest
@@ -183,6 +184,19 @@ def test_invalid_env_seed_exits_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "EDGEPROVISION_SEED" in err
+
+
+def test_trials_above_limit_exit_2(capsys):
+    for command in ("simulate", "validate"):
+        code, _, err = run_cli(capsys, command, "--trials", "10000001")
+        assert code == 2
+        assert "10000000" in err
+
+
+def test_simulate_auto_window_holds_150_aps(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--lambda-ap", "2", "--trials", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["window_radius"] == math.sqrt(150.0 / 2.0) / 2.0
 
 
 def test_simulate_deterministic_given_seed(capsys):

@@ -5,6 +5,9 @@ import math
 import textwrap
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from edgeprovision.analytic import (
     AirInterface,
@@ -22,7 +25,10 @@ from edgeprovision.experiments import (
     DEFAULT_RATE_GRID,
     METRICS,
     SimSettings,
+    SweepResult,
+    SweepRow,
     SweepSpec,
+    _round12,
     emit_csv,
     load_spec,
     parse_csv,
@@ -200,6 +206,23 @@ def test_run_sweep_deterministic():
     assert run_sweep(spec) == run_sweep(spec)
 
 
+def test_simulated_sweep_csv_independent_of_workers():
+    spec = SweepSpec(
+        base=base_scenario(rate=0.125),
+        axis="lambda_hat",
+        grid=(0.5, 1.0, 2.0),
+        outputs=("avg_mse", "cloud_use_prob", "delay_cdf_at"),
+        simulate=True,
+        sim=SimSettings(trials=30, window_radius=4.0, seed=13),
+    )
+    texts = []
+    for workers in (1, 2):
+        buf = io.StringIO()
+        emit_csv(run_sweep(spec, workers=workers), buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+
+
 def test_default_grids_shape():
     assert len(DEFAULT_LAMBDA_HAT_GRID) == 31
     assert DEFAULT_LAMBDA_HAT_GRID[0] == pytest.approx(0.1)
@@ -249,6 +272,31 @@ def test_csv_roundtrip_via_file(tmp_path):
     path = tmp_path / "sweep.csv"
     emit_csv(res, path)
     assert parse_csv(path) == res
+
+
+_CELL = st.floats(allow_nan=False).map(_round12)
+
+
+@st.composite
+def sweep_results(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        value = draw(_CELL)
+        metric = draw(st.sampled_from(METRICS))
+        if draw(st.booleans()):
+            rows.append(SweepRow(value, metric, None, None, None, "infeasible"))
+        else:
+            cells = [draw(st.none() | _CELL) for _ in range(3)]
+            rows.append(SweepRow(value, metric, *cells, "ok"))
+    return SweepResult(axis=draw(st.sampled_from(AXES)), rows=tuple(rows))
+
+
+@settings(max_examples=200)
+@given(res=sweep_results())
+def test_csv_roundtrip_identity_property(res):
+    buf = io.StringIO()
+    emit_csv(res, buf)
+    assert parse_csv(io.StringIO(buf.getvalue())) == res
 
 
 def test_parse_csv_rejects_bad_header():
@@ -416,3 +464,151 @@ def test_axes_and_metrics_vocabulary_is_pinned():
         "delay_cdf_at",
         "cloud_use_prob",
     )
+
+
+# ---------------------------------------------------------------------------
+# spec limits and fuzzed documents
+# ---------------------------------------------------------------------------
+
+
+def base_doc() -> dict:
+    return yaml.safe_load(textwrap.dedent(MINIMAL_SPEC))
+
+
+def dump_spec(tmp_path, doc) -> str:
+    path = tmp_path / "spec.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+def test_load_spec_rejects_integer_beyond_float_range(tmp_path):
+    doc = base_doc()
+    doc["deployment"]["lambda_ap"] = 10**400
+    with pytest.raises(SpecValidationError, match="deployment.lambda_ap"):
+        load_spec(dump_spec(tmp_path, doc))
+
+
+def test_load_spec_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "spec.yaml"
+    path.write_bytes(b"deployment: {lambda_ap: \xff}\n")
+    with pytest.raises(SpecFileError, match="UTF-8"):
+        load_spec(path)
+
+
+@pytest.mark.parametrize(
+    "sweep, field, limit",
+    [
+        ({"range": {"lo": 0.1, "hi": 10.0, "n": 10**11, "scale": "log"}}, "sweep.range.n", "10000"),
+        ({"range": {"lo": 0.1, "hi": 10.0, "n": 10_001}}, "sweep.range.n", "10000"),
+        ({"grid": [float(v) for v in range(1, 10_002)]}, "sweep.grid", "10000"),
+        ({"simulate": True, "sim": {"trials": 10**7 + 1}}, "sweep.sim.trials", "10000000"),
+    ],
+)
+def test_load_spec_size_limits(tmp_path, sweep, field, limit):
+    doc = base_doc()
+    if "range" in sweep:
+        del doc["sweep"]["grid"]
+    doc["sweep"].update(sweep)
+    with pytest.raises(SpecValidationError) as exc_info:
+        load_spec(dump_spec(tmp_path, doc))
+    assert field in str(exc_info.value) and limit in str(exc_info.value)
+
+
+def test_load_spec_accepts_sizes_at_the_limits(tmp_path):
+    doc = base_doc()
+    del doc["sweep"]["grid"]
+    doc["sweep"]["range"] = {"lo": 0.1, "hi": 10.0, "n": 10_000, "scale": "log"}
+    doc["sweep"]["sim"] = {"trials": 10**7}
+    spec = load_spec(dump_spec(tmp_path, doc))
+    assert len(spec.grid) == 10_000 and spec.sim.trials == 10**7
+
+
+@pytest.mark.parametrize(
+    "rng",
+    [
+        {"lo": 1.0, "hi": "inf", "n": 2},
+        {"lo": 1.0, "hi": "1e400", "n": 2, "scale": "log"},
+        {"lo": 5.0e-324, "hi": 1.0e300, "n": 2, "scale": "log"},
+    ],
+)
+def test_load_spec_rejects_non_finite_grid(tmp_path, rng):
+    doc = base_doc()
+    del doc["sweep"]["grid"]
+    doc["sweep"]["range"] = rng
+    with pytest.raises(SpecValidationError):
+        load_spec(dump_spec(tmp_path, doc))
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(
+        ["inf", "nan", "1e400", "log", "linear", "torus", "disc", "none",
+         "lambda_hat", "mse_target", "avg_mse", "critical_density", "delay_cdf_at"]
+    ),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _fields(names, **special):
+    optional = {name: _SCALARS | _VALUES for name in names}
+    optional.update(special)
+    optional["bogus"] = _VALUES
+    return st.fixed_dictionaries({}, optional=optional) | _VALUES
+
+
+_DOCUMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "deployment": _fields(["lambda_ap", "lambda_dev"]),
+        "workload": _fields(["q", "d_t", "d_c", "m_c", "m_d"]),
+        "air": _fields(["b", "snr"]),
+        "sweep": _fields(
+            ["axis", "grid", "outputs", "simulate", "mse_target", "delay_d"],
+            range=_fields(["lo", "hi", "n", "scale"]),
+            sim=_fields(
+                ["trials", "window_radius", "seed", "boundary"],
+                shadowing=_fields(["lognormal"]),
+            ),
+        ),
+        "extra": _VALUES,
+    },
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    doc=_DOCUMENTS.map(yaml.safe_dump)
+    | _VALUES.map(yaml.safe_dump)
+    | st.text(max_size=80)
+    | st.binary(max_size=40).map(lambda b: b.decode("latin-1")),
+    raw=st.booleans(),
+)
+@example(doc=yaml.safe_dump({"deployment": {"lambda_ap": 10**400}}), raw=False)
+@example(doc="sweep: {range: {lo: 1, hi: 2, n: 100000000000}}", raw=False)
+@example(doc="air: {b: \xff}", raw=True)
+def test_load_spec_fuzzed_documents_fail_cleanly(tmp_path, doc, raw):
+    path = tmp_path / "fuzz.yaml"
+    if raw:  # the text's code points as bytes, often not valid UTF-8
+        path.write_bytes(doc.encode("latin-1", errors="replace"))
+    else:
+        path.write_text(doc, encoding="utf-8")
+    try:
+        spec = load_spec(path)
+    except (SpecFileError, SpecValidationError, OSError):
+        return
+    assert 1 <= len(spec.grid) <= 10_000
+    assert all(math.isfinite(v) for v in spec.grid)

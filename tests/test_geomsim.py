@@ -19,6 +19,7 @@ from edgeprovision.analytic import (
     mean_cell_load,
 )
 from edgeprovision.errors import ModelDomainError
+from edgeprovision.experiments import SimSettings, SweepSpec, run_sweep
 from edgeprovision.geomsim import (
     CANONICAL_SEED,
     DiscWindow,
@@ -153,6 +154,8 @@ def test_cloud_delay_and_output_selection():
 def test_simconfig_validation():
     with pytest.raises(ModelDomainError):
         small_cfg(trials=0)
+    with pytest.raises(ModelDomainError, match="10000000"):
+        small_cfg(trials=10**7 + 1)
     with pytest.raises(ModelDomainError):
         small_cfg(window_radius=0.0)
     with pytest.raises(ModelDomainError):
@@ -422,6 +425,19 @@ class _InlinePool:
         return future
 
 
+class _PendingPool(_InlinePool):
+    """Stand-in whose first submission fails and whose others never start."""
+
+    futures: list[Future] = []
+
+    def submit(self, fn, *args):
+        future = Future()
+        if not self.futures:
+            future.set_exception(ValueError("range failed"))
+        self.futures.append(future)
+        return future
+
+
 def test_pool_size_bounded_by_trials_and_cpus(monkeypatch):
     monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 4)
     assert geomsim._pool_size(500, 10) == 4
@@ -482,3 +498,63 @@ def test_delay_ks_statistic_ignores_out_of_window_mass():
     )
     assert s2 != s1  # global normalization keeps the statistic honest
     assert 0.0 <= s2 <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# one pool per sweep
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@settings(max_examples=25, deadline=None)
+@given(
+    trials=st.integers(1, 12),
+    cuts=st.sets(st.integers(1, 11)),
+    boundary=st.sampled_from(["torus", "disc"]),
+    sigma_db=st.sampled_from([None, 8.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_range_splits_concatenate(trials, cuts, boundary, sigma_db, seed):
+    cfg = small_cfg(
+        trials=trials,
+        window_radius=4.0,
+        master_seed=seed,
+        boundary=boundary,
+        shadowing_sigma_db=sigma_db,
+    )
+    bounds = sorted({0, trials} | {c for c in cuts if c < trials})
+    parts = [geomsim._simulate_range(cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    whole = geomsim._simulate_range(cfg, 0, trials)
+    for got, want in zip(zip(*parts), whole):
+        assert np.array_equal(np.concatenate(got), want)
+
+
+def test_sweep_opens_one_bounded_pool(monkeypatch):
+    # no process is started: the pool is replaced by an inline stand-in
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    spec = SweepSpec(
+        base=canonical_validation_scenario(),
+        axis="lambda_hat",
+        grid=(0.5, 1.0, 2.0, 4.0),
+        outputs=("avg_mse", "cloud_use_prob", "delay_cdf_at"),
+        simulate=True,
+        sim=SimSettings(trials=5),
+    )
+    serial = run_sweep(spec)
+    assert _InlinePool.sizes == []
+    assert run_sweep(spec, workers=500) == serial
+    assert _InlinePool.sizes == [3]
+
+
+def test_failed_range_cancels_pending_ranges(monkeypatch):
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _PendingPool)
+    monkeypatch.setattr(_PendingPool, "sizes", [])
+    monkeypatch.setattr(_PendingPool, "futures", [])
+    with pytest.raises(ValueError, match="range failed"):
+        geomsim._run_many([small_cfg(trials=8), small_cfg(trials=8)], workers=2)
+    assert _PendingPool.sizes == [2]
+    assert len(_PendingPool.futures) == 8
+    assert all(f.cancelled() for f in _PendingPool.futures[1:])
