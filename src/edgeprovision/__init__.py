@@ -21,7 +21,6 @@ from .analytic import (
     critical_ap_density,
     critical_edge_mse,
     delay_cdf,
-    inference_rate,
     mean_cell_load,
     sinr_threshold,
 )
@@ -50,20 +49,17 @@ from .geomsim import (
     SimSummary,
     TorusWindow,
     TrialRealization,
-    associate,
     canonical_validation_scenario,
     cloud_delay,
     delay_ks_statistic,
     run_loads,
     run_trials,
     run_validation,
-    sample_ppp,
     select_output,
     simulate_trial,
     uplink_rate,
-    uplink_sinr,
 )
-from .numerics import EmpiricalCdf, RngStream, bisect_root, ks_distance
+from .numerics import EmpiricalCdf, RngStream, bisect_root
 
 __version__ = "0.1.0"
 
@@ -82,7 +78,6 @@ __all__ = [
     "critical_ap_density",
     "critical_edge_mse",
     "delay_cdf",
-    "inference_rate",
     "mean_cell_load",
     "sinr_threshold",
     # errors
@@ -108,21 +103,17 @@ __all__ = [
     "SimSummary",
     "TorusWindow",
     "TrialRealization",
-    "associate",
     "canonical_validation_scenario",
     "cloud_delay",
     "delay_ks_statistic",
     "run_loads",
     "run_trials",
     "run_validation",
-    "sample_ppp",
     "select_output",
     "simulate_trial",
     "uplink_rate",
-    "uplink_sinr",
     # numerics
     "EmpiricalCdf",
     "RngStream",
     "bisect_root",
-    "ks_distance",
 ]

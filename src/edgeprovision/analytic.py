@@ -30,7 +30,6 @@ __all__ = [
     "coverage_exponent",
     "sinr_threshold",
     "coverage_exponent_inverse",
-    "inference_rate",
     "mean_cell_load",
     "delay_cdf",
     "cloud_use_probability",
@@ -167,8 +166,17 @@ class Scenario:
     @property
     def inference_rate(self) -> float:
         """Normalized minimum rate (bit/s/Hz) for the cloud output to meet the budget."""
-        w = self.workload
-        return w.payload_bits / (self.air.bandwidth * (w.delay_budget - w.compute_delay))
+        return _rate(self.workload, self.air)
+
+
+def _rate(w: InferenceWorkload, air: AirInterface) -> float:
+    """payload / (bandwidth * (delay_budget - compute_delay)), in bit/s/Hz."""
+    return w.payload_bits / (air.bandwidth * (w.delay_budget - w.compute_delay))
+
+
+def _mix(w: InferenceWorkload, p: float) -> float:
+    """Average MSE when the cloud output is used with probability ``p``."""
+    return w.mse_edge - (w.mse_edge - w.mse_cloud) * p
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +247,6 @@ def _gate_probability(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def inference_rate(s: Scenario) -> float:
-    """payload / (bandwidth * (delay_budget - compute_delay)), in bit/s/Hz."""
-    return s.inference_rate
-
-
 def mean_cell_load(d: DeploymentConfig) -> float:
     """Mean number of devices sharing the typical device's serving AP,
     1 + 1.28/lambda_hat (the typical device included)."""
@@ -275,9 +278,7 @@ def cloud_use_probability(s: Scenario) -> float:
 def average_mse(s: Scenario) -> float:
     """Mean output MSE under delay-gated selection between cloud and edge
     models; always within [mse_cloud, mse_edge]."""
-    w = s.workload
-    p = cloud_use_probability(s)
-    return w.mse_edge - (w.mse_edge - w.mse_cloud) * p
+    return _mix(s.workload, cloud_use_probability(s))
 
 
 def asymptotic_mse(w: InferenceWorkload, air: AirInterface) -> float:
@@ -286,9 +287,7 @@ def asymptotic_mse(w: InferenceWorkload, air: AirInterface) -> float:
     Tends to mse_cloud as the inference rate vanishes and to mse_edge as it
     grows without bound.
     """
-    r = w.payload_bits / (air.bandwidth * (w.delay_budget - w.compute_delay))
-    p = _gate_probability(r)
-    return w.mse_edge - (w.mse_edge - w.mse_cloud) * p
+    return _mix(w, _gate_probability(_rate(w, air)))
 
 
 def critical_ap_density(
@@ -320,7 +319,7 @@ def critical_ap_density(
             f"{m_asy!r}; no finite AP density can reach it",
             asymptotic_mse=m_asy,
         )
-    r = w.payload_bits / (air.bandwidth * (w.delay_budget - w.compute_delay))
+    r = _rate(w, air)
     y = math.log((w.mse_edge - w.mse_cloud) / (w.mse_edge - mse_target))
     x = coverage_exponent_inverse(y)
     denom = math.log1p(x) / (_LN2 * r) - 1.0

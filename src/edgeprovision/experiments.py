@@ -38,11 +38,11 @@ from .errors import (
     SpecValidationError,
 )
 from .geomsim import (
-    _MAX_TRIALS,
     CANONICAL_SEED,
     SimConfig,
     _auto_radius,
     _run_many,
+    _sim_problems,
 )
 
 __all__ = [
@@ -114,7 +114,8 @@ class SimSettings:
     """Monte Carlo settings for simulated sweep columns.
 
     ``window_radius=None`` sizes the window automatically to hold about 150
-    expected APs at each grid point's density.
+    expected APs at each grid point's density. The fields obey the rules of
+    ``SimConfig``; errors name the spec keys (``sweep.sim.trials``, ...).
     """
 
     trials: int = 2000
@@ -122,6 +123,53 @@ class SimSettings:
     seed: int = CANONICAL_SEED
     shadowing_sigma_db: float | None = None
     boundary: str = "torus"
+
+    def __post_init__(self):
+        problems = _sim_problems(
+            {
+                "sweep.sim.trials": self.trials,
+                "sweep.sim.window_radius": self.window_radius,
+                "sweep.sim.seed": self.seed,
+                "sweep.sim.shadowing": self.shadowing_sigma_db,
+                "sweep.sim.boundary": self.boundary,
+            },
+            auto_radius=True,
+        )
+        if problems:
+            raise SpecValidationError("\n".join(problems))
+
+
+def _sweep_problems(axis, outputs, mse_target, delay_query, compute_delay) -> list[str]:
+    """Every broken rule on a sweep's axis, outputs and queries, one message
+    each. ``compute_delay`` None skips the ``delay_d`` lower bound."""
+    problems = []
+    if axis not in AXES:
+        problems.append(f"sweep.axis must be one of {AXES} (got {axis!r})")
+    unknown = [m for m in outputs if m not in METRICS]
+    if unknown:
+        problems.append(f"unknown metrics in sweep.outputs: {unknown}")
+    if len(set(outputs)) != len(outputs):
+        problems.append("sweep.outputs must not repeat metrics")
+    if mse_target is not None and not math.isfinite(mse_target):
+        problems.append(f"sweep.mse_target must be finite (got {mse_target!r})")
+    if (
+        axis != "mse_target"
+        and mse_target is None
+        and _CRITICAL_METRICS.intersection(outputs)
+    ):
+        problems.append(
+            "sweep.mse_target is required when critical_density or "
+            "critical_edge_mse is requested on a non-mse_target axis"
+        )
+    if delay_query is not None and not (
+        math.isfinite(delay_query)
+        and (compute_delay is None or delay_query > compute_delay)
+    ):
+        problems.append(
+            "sweep.delay_d must be finite and exceed workload.d_c "
+            f"(got {delay_query!r})"
+        )
+    return problems
 
 
 @dataclass(frozen=True)
@@ -139,8 +187,6 @@ class SweepSpec:
 
     def __post_init__(self):
         problems = []
-        if self.axis not in AXES:
-            problems.append(f"sweep.axis must be one of {AXES} (got {self.axis!r})")
         if not self.grid:
             problems.append("sweep.grid must be non-empty")
         elif len(self.grid) > _MAX_GRID_POINTS:
@@ -160,28 +206,13 @@ class SweepSpec:
                 problems.append("sweep.grid values must be >= 1 for axis mse_edge_ratio")
         if not self.outputs:
             problems.append("sweep.outputs must be non-empty")
-        unknown = [m for m in self.outputs if m not in METRICS]
-        if unknown:
-            problems.append(f"unknown metrics in sweep.outputs: {unknown}")
-        if len(set(self.outputs)) != len(self.outputs):
-            problems.append("sweep.outputs must not repeat metrics")
-        if (
-            self.axis != "mse_target"
-            and self.mse_target is None
-            and _CRITICAL_METRICS.intersection(self.outputs)
-        ):
-            problems.append(
-                "sweep.mse_target is required when critical_density or "
-                "critical_edge_mse is requested on a non-mse_target axis"
-            )
-        if (
-            self.delay_query is not None
-            and self.delay_query <= self.base.workload.compute_delay
-        ):
-            problems.append(
-                "sweep.delay_d must exceed workload.d_c "
-                f"(got {self.delay_query!r})"
-            )
+        problems += _sweep_problems(
+            self.axis,
+            self.outputs,
+            self.mse_target,
+            self.delay_query,
+            self.base.workload.compute_delay,
+        )
         if problems:
             raise SpecValidationError("\n".join(problems))
 
@@ -541,9 +572,6 @@ def load_spec(path) -> SweepSpec:
 
     # sweep section
     axis = sweep_sec.get("axis")
-    if not isinstance(axis, str):
-        r.fail(f"field sweep.axis must be a string (got {axis!r})")
-        axis = ""
     grid: tuple[float, ...] = ()
     if ("grid" in sweep_sec) == ("range" in sweep_sec):
         r.fail("sweep needs exactly one of sweep.grid or sweep.range")
@@ -597,9 +625,6 @@ def load_spec(path) -> SweepSpec:
                 else:
                     grid = _log_grid(float(lo), float(hi), n)
 
-    if axis and axis not in AXES:
-        r.fail(f"field sweep.axis must be one of {AXES} (got {axis!r})")
-
     outputs_raw = sweep_sec.get("outputs")
     outputs: tuple[str, ...] = ()
     if (
@@ -610,11 +635,6 @@ def load_spec(path) -> SweepSpec:
         r.fail(f"field sweep.outputs must be a non-empty list of metric names (got {outputs_raw!r})")
     else:
         outputs = tuple(outputs_raw)
-        unknown = [m for m in outputs if m not in METRICS]
-        if unknown:
-            r.fail(f"unknown metrics in sweep.outputs: {unknown}")
-        if len(set(outputs)) != len(outputs):
-            r.fail("sweep.outputs must not repeat metrics")
 
     simulate = sweep_sec.get("simulate", False)
     if not isinstance(simulate, bool):
@@ -630,30 +650,14 @@ def load_spec(path) -> SweepSpec:
             for key in sim_sec:
                 if key not in _SIM_KEYS:
                     r.fail(f"unknown field sweep.sim.{key}")
-            trials = sim_sec.get("trials", 2000)
-            if (
-                not isinstance(trials, int)
-                or isinstance(trials, bool)
-                or not 1 <= trials <= _MAX_TRIALS
-            ):
-                r.fail(
-                    f"field sweep.sim.trials must be an integer in [1, {_MAX_TRIALS}] "
-                    f"(got {trials!r})"
-                )
-                trials = 2000
             radius = sim_sec.get("window_radius")
             if radius is not None:
                 radius = _as_number(radius)
-                if radius is None or radius <= 0:
+                if radius is None:
                     r.fail(
-                        "field sweep.sim.window_radius must be > 0 or omitted "
-                        f"(got {sim_sec.get('window_radius')!r})"
+                        "field sweep.sim.window_radius must be a number or omitted "
+                        f"(got {sim_sec['window_radius']!r})"
                     )
-                    radius = None
-            seed = sim_sec.get("seed", CANONICAL_SEED)
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                r.fail(f"field sweep.sim.seed must be an integer (got {seed!r})")
-                seed = CANONICAL_SEED
             shadowing = sim_sec.get("shadowing", "none")
             sigma: float | None = None
             if shadowing in ("none", None):
@@ -671,17 +675,11 @@ def load_spec(path) -> SweepSpec:
                     'field sweep.sim.shadowing must be "none", a sigma in dB, or '
                     f"{{lognormal: sigma}} (got {shadowing!r})"
                 )
-            boundary = sim_sec.get("boundary", "torus")
-            if boundary not in ("torus", "disc"):
-                r.fail(f"field sweep.sim.boundary must be torus|disc (got {boundary!r})")
-                boundary = "torus"
-            sim = SimSettings(
-                trials=trials,
-                window_radius=float(radius) if radius is not None else None,
-                seed=seed,
-                shadowing_sigma_db=sigma,
-                boundary=boundary,
-            )
+            given = {k: sim_sec[k] for k in ("trials", "seed", "boundary") if k in sim_sec}
+            try:
+                sim = SimSettings(window_radius=radius, shadowing_sigma_db=sigma, **given)
+            except SpecValidationError as e:
+                r.fail(str(e))
 
     mse_target = None
     if "mse_target" in sweep_sec:
@@ -698,16 +696,7 @@ def load_spec(path) -> SweepSpec:
         else:
             delay_query = float(raw)
 
-    if (
-        axis in AXES
-        and axis != "mse_target"
-        and mse_target is None
-        and _CRITICAL_METRICS.intersection(outputs)
-    ):
-        r.fail(
-            "sweep.mse_target is required when critical_density or "
-            "critical_edge_mse is requested on a non-mse_target axis"
-        )
+    r.problems += _sweep_problems(axis, outputs, mse_target, delay_query, d_c)
 
     # Range checks run per section so one bad value does not mask another.
     dep = wl = ai = None

@@ -39,6 +39,7 @@ assumptions rather than to the literal finite-window system:
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +53,7 @@ from .analytic import (
     DeploymentConfig,
     InferenceWorkload,
     Scenario,
+    _finite,
     average_mse,
     cloud_use_probability,
     delay_cdf,
@@ -67,9 +69,6 @@ __all__ = [
     "SimConfig",
     "TrialRealization",
     "SimSummary",
-    "sample_ppp",
-    "associate",
-    "uplink_sinr",
     "uplink_rate",
     "cloud_delay",
     "select_output",
@@ -147,23 +146,6 @@ class DiscWindow:
         return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-def sample_ppp(stream: RngStream, density: float, window) -> np.ndarray:
-    """One draw of a homogeneous Poisson point process on ``window``.
-
-    Point count is Poisson(density * area); positions are i.i.d. uniform.
-    """
-    if not (density > 0) or not math.isfinite(density):
-        raise ModelDomainError(f"density must be finite and > 0 (got {density!r})")
-    n = stream.poisson(density * window.area)
-    return window.sample(stream, n)
-
-
-def _torus_delta(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
-    """Minimum-image coordinate differences on a torus of the given side."""
-    d = np.abs(a - b)
-    return np.minimum(d, side - d)
-
-
 def _sq_dist_matrix(a: np.ndarray, b: np.ndarray, side: float | None) -> np.ndarray:
     """Pairwise squared distances between point sets, optionally toroidal."""
     dx = np.abs(a[:, 0, None] - b[None, :, 0])
@@ -177,48 +159,6 @@ def _sq_dist_matrix(a: np.ndarray, b: np.ndarray, side: float | None) -> np.ndar
 # ---------------------------------------------------------------------------
 # Single-link primitives
 # ---------------------------------------------------------------------------
-
-
-def associate(
-    device: np.ndarray,
-    aps: np.ndarray,
-    shadowing_draws: np.ndarray | None = None,
-    torus_side: float | None = None,
-) -> tuple[int, float]:
-    """Serving AP of a device under minimum-pathloss association.
-
-    Pathloss to each AP is S * distance**4 with optional per-AP shadowing
-    gains S (default 1). Returns (serving index, pathloss); ties break to
-    the lowest index.
-    """
-    aps = np.asarray(aps, dtype=float)
-    if aps.ndim != 2 or aps.shape[0] == 0:
-        raise ModelDomainError("aps must be a non-empty (n, 2) array")
-    delta = (
-        _torus_delta(np.asarray(device, dtype=float), aps, torus_side)
-        if torus_side is not None
-        else np.asarray(device, dtype=float) - aps
-    )
-    sq = delta[:, 0] ** 2 + delta[:, 1] ** 2
-    pathloss = sq * sq
-    if shadowing_draws is not None:
-        pathloss = pathloss * np.asarray(shadowing_draws, dtype=float)
-    idx = int(np.argmin(pathloss))
-    return idx, float(pathloss[idx])
-
-
-def uplink_sinr(signal_fade: float, interferer_powers, snr: float) -> float:
-    """SINR on the tagged resource block.
-
-    Under pathloss inversion the received signal power is the fading gain
-    alone; ``interferer_powers`` are the received interference powers
-    (per-interferer transmit pathloss times fading over cross pathloss).
-    """
-    inv_snr = 0.0 if math.isinf(snr) else 1.0 / snr
-    denom = inv_snr + float(np.sum(interferer_powers))
-    if denom == 0.0:
-        return math.inf
-    return signal_fade / denom
 
 
 def uplink_rate(sinr: float, bandwidth: float, load: float) -> float:
@@ -254,6 +194,46 @@ def select_output(delay: float, w: InferenceWorkload) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 
 
+def _as_index(x) -> int | None:
+    """``operator.index(x)``, or None for bools and non-integers."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
+def _sim_problems(settings: dict, auto_radius: bool = False) -> list[str]:
+    """Every broken simulator-setting rule, one message each.
+
+    ``settings`` maps the names used in the messages to the trial count,
+    window radius, seed, shadowing sigma and boundary, in that order. A None
+    radius (window sized automatically) passes only with ``auto_radius``, a
+    None sigma (no shadowing) always.
+    """
+    trials_n, radius_n, seed_n, sigma_n, boundary_n = settings
+    trials, radius, seed, sigma, boundary = settings.values()
+    problems = []
+    n = _as_index(trials)
+    if n is None or not 1 <= n <= _MAX_TRIALS:
+        problems.append(
+            f"{trials_n} must be an integer in [1, {_MAX_TRIALS}] (got {trials!r})"
+        )
+    if not (auto_radius and radius is None or _finite(radius) and radius > 0):
+        problems.append(f"{radius_n} must be finite and > 0 (got {radius!r})")
+    # RngStream keys Philox with the seed as one 64-bit word; a seed outside
+    # it would wrap onto another seed's streams.
+    k = _as_index(seed)
+    if k is None or not 0 <= k < 2**64:
+        problems.append(f"{seed_n} must be an integer in [0, 2**64) (got {seed!r})")
+    if sigma is not None and not (_finite(sigma) and sigma >= 0):
+        problems.append(f"{sigma_n} must be finite and >= 0 (got {sigma!r})")
+    if boundary not in ("torus", "disc"):
+        problems.append(f"{boundary_n} must be torus|disc (got {boundary!r})")
+    return problems
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte Carlo experiment.
@@ -274,26 +254,21 @@ class SimConfig:
     full_buffer: bool = True
 
     def __post_init__(self):
-        if self.boundary not in ("torus", "disc"):
-            raise ModelDomainError(f"boundary must be torus|disc (got {self.boundary!r})")
+        problems = _sim_problems(
+            dict(
+                trials=self.trials,
+                window_radius=self.window_radius,
+                master_seed=self.master_seed,
+                shadowing_sigma_db=self.shadowing_sigma_db,
+                boundary=self.boundary,
+            )
+        )
         if self.load_model not in ("mean_field", "realized"):
-            raise ModelDomainError(
+            problems.append(
                 f"load_model must be mean_field|realized (got {self.load_model!r})"
             )
-        if not (1 <= self.trials <= _MAX_TRIALS):
-            raise ModelDomainError(
-                f"trials must be in [1, {_MAX_TRIALS}] (got {self.trials!r})"
-            )
-        if not (math.isfinite(self.window_radius) and self.window_radius > 0):
-            raise ModelDomainError(
-                f"window_radius must be finite and > 0 (got {self.window_radius!r})"
-            )
-        if self.shadowing_sigma_db is not None and not (
-            math.isfinite(self.shadowing_sigma_db) and self.shadowing_sigma_db >= 0
-        ):
-            raise ModelDomainError(
-                f"shadowing_sigma_db must be finite and >= 0 (got {self.shadowing_sigma_db!r})"
-            )
+        if problems:
+            raise ModelDomainError("\n".join(problems))
         expected_aps = self.scenario.deployment.lambda_ap * self.window.area
         if expected_aps < 100:
             warnings.warn(
@@ -507,10 +482,7 @@ class _Engine:
         """
         s = self.cfg.scenario
         if cross is None:
-            delta = (
-                _torus_delta(pts, tagged_ap, self.side) if self.torus else pts - tagged_ap
-            )
-            sq = delta[:, 0] ** 2 + delta[:, 1] ** 2
+            sq = _sq_dist_matrix(pts, tagged_ap[None], self.side)[:, 0]
             cross = sq * sq
         h = np.atleast_1d(exponential_variate(stream, 1.0, size=len(own) + 1))
         interference = float(np.dot(own / cross, h[1:]))
@@ -737,7 +709,7 @@ def run_validation(
     use. The report is deterministic for a given seed, and serializes to
     identical JSON across repeated runs.
     """
-    seed = CANONICAL_SEED if master_seed is None else int(master_seed)
+    seed = CANONICAL_SEED if master_seed is None else master_seed
     radius = math.sqrt(50.0) if window_radius is None else float(window_radius)
     scenario = canonical_validation_scenario()
     w = scenario.workload

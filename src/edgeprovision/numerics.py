@@ -1,5 +1,5 @@
 """Shared numerical utilities: deterministic counter-based random streams,
-bracketed bisection, and empirical-distribution statistics.
+bracketed bisection, and the empirical CDF.
 
 The random-stream contract is the backbone of reproducible parallel Monte
 Carlo: a stream is keyed by ``(master_seed, stream_id)`` and always yields
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -146,17 +146,3 @@ class EmpiricalCdf:
         out = idx / self.count
         return float(out) if np.ndim(x) == 0 else out
 
-
-def ks_distance(emp: EmpiricalCdf, model: Callable[[float], float]) -> float:
-    """Two-sided Kolmogorov-Smirnov distance between ``emp`` and a model CDF.
-
-    Standard step evaluation: at the i-th order statistic the empirical CDF
-    jumps from (i-1)/n to i/n, and the supremum over the real line is
-    attained against one of those two step levels.
-    """
-    xs = emp.sorted_samples
-    n = emp.count
-    model_vals = np.array([model(float(x)) for x in xs], dtype=float)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(np.max(np.maximum(hi - model_vals, model_vals - lo)))

@@ -4,6 +4,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from edgeprovision.analytic import (
     AirInterface,
@@ -18,7 +20,6 @@ from edgeprovision.analytic import (
     critical_ap_density,
     critical_edge_mse,
     delay_cdf,
-    inference_rate,
     mean_cell_load,
     sinr_threshold,
 )
@@ -165,7 +166,7 @@ def test_mean_cell_load():
 
 def test_inference_rate():
     w = InferenceWorkload(1e6, delay_budget=0.06, compute_delay=0.01, mse_cloud=1.0, mse_edge=1.5)
-    assert inference_rate(Scenario(DeploymentConfig(1.0, 1.0), w, AirInterface(1.6e8))) == pytest.approx(0.125, rel=1e-12)
+    assert Scenario(DeploymentConfig(1.0, 1.0), w, AirInterface(1.6e8)).inference_rate == pytest.approx(0.125, rel=1e-12)
 
 
 def test_delay_cdf_is_a_cdf():
@@ -294,3 +295,62 @@ def test_critical_edge_mse_ignores_configured_edge_model():
     s = unit_product_scenario()
     s2 = replace(s, workload=replace(s.workload, mse_edge=9.0))
     assert critical_edge_mse(s, 1.2) == critical_edge_mse(s2, 1.2)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+def property_scenario(lam_hat: float, rate: float, edge_ratio: float) -> Scenario:
+    return Scenario(
+        deployment=DeploymentConfig(lam_hat, 1.0),
+        workload=InferenceWorkload(rate, 2.0, 1.0, mse_cloud=1.0, mse_edge=edge_ratio),
+        air=AirInterface(1.0),
+    )
+
+
+@given(lam_hat=_log_uniform(-3, 4), rate=_log_uniform(-3, 1.5), edge_ratio=st.floats(1.0, 20.0))
+def test_average_mse_between_model_mses_property(lam_hat, rate, edge_ratio):
+    m_bar = average_mse(property_scenario(lam_hat, rate, edge_ratio))
+    assert 1.0 <= m_bar <= edge_ratio
+
+
+@given(
+    lam_hat=_log_uniform(-3, 4),
+    growth=_log_uniform(0, 3),
+    rate=_log_uniform(-3, 1.5),
+    edge_ratio=st.floats(1.0, 20.0),
+)
+def test_average_mse_does_not_increase_with_ap_density_property(lam_hat, growth, rate, edge_ratio):
+    sparse = average_mse(property_scenario(lam_hat, rate, edge_ratio))
+    dense = average_mse(property_scenario(lam_hat * growth, rate, edge_ratio))
+    assert dense <= sparse + 1e-12  # the slack of A2
+
+
+@given(
+    lambda_dev=_log_uniform(-2, 2),
+    rate=_log_uniform(-2, 0.7),
+    edge_ratio=st.floats(1.01, 20.0),
+    frac=st.floats(0.05, 0.95),
+)
+def test_critical_ap_density_round_trip_property(lambda_dev, rate, edge_ratio, frac):
+    w = InferenceWorkload(rate, 2.0, 1.0, mse_cloud=1.0, mse_edge=edge_ratio)
+    air = AirInterface(1.0)
+    m_asy = asymptotic_mse(w, air)
+    # strictly inside (asymptotic MSE, m_d), away from both ends as in A3
+    target = m_asy + frac * (edge_ratio - m_asy)
+    assume(m_asy < target < edge_ratio)
+    lc = critical_ap_density(w, air, lambda_dev, target)
+    achieved = average_mse(Scenario(DeploymentConfig(lc, lambda_dev), w, air))
+    assert achieved == pytest.approx(target, rel=1e-6)
+
+
+@given(y=st.just(0.0) | _log_uniform(-20, 8))
+def test_coverage_exponent_inverse_round_trip_property(y):
+    x = coverage_exponent_inverse(y)
+    assert coverage_exponent(x) == pytest.approx(y, rel=1e-10, abs=0.0)

@@ -186,6 +186,15 @@ def test_invalid_env_seed_exits_2(capsys, monkeypatch):
     assert "EDGEPROVISION_SEED" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_out_of_range_exit_2(capsys, seed):
+    # seeds are not wrapped to 64 bits: -1 would replay 2**64 - 1
+    for command in ("simulate", "validate"):
+        code, _, err = run_cli(capsys, command, "--trials", "2", "--seed", seed)
+        assert code == 2
+        assert "master_seed" in err and "2**64" in err
+
+
 def test_trials_above_limit_exit_2(capsys):
     for command in ("simulate", "validate"):
         code, _, err = run_cli(capsys, command, "--trials", "10000001")

@@ -107,6 +107,15 @@ def test_sweep_spec_requires_target_for_critical_metrics():
         grid=(1.3, 1.4),
         outputs=("critical_density",),
     )
+    for target in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SpecValidationError, match="sweep.mse_target"):
+            SweepSpec(
+                base=base_scenario(),
+                axis="lambda_hat",
+                grid=(1.0,),
+                outputs=("critical_density",),
+                mse_target=target,
+            )
 
 
 def test_sweep_spec_rejects_bad_delay_query():
@@ -118,6 +127,24 @@ def test_sweep_spec_rejects_bad_delay_query():
             outputs=("delay_cdf_at",),
             delay_query=0.5,  # not above compute_delay = 1.0
         )
+    for delay in (math.nan, math.inf):
+        with pytest.raises(SpecValidationError, match="sweep.delay_d"):
+            SweepSpec(
+                base=base_scenario(),
+                axis="r_min",
+                grid=(1.0,),
+                outputs=("delay_cdf_at",),
+                delay_query=delay,
+            )
+
+
+def test_sim_settings_rejects_every_broken_field():
+    with pytest.raises(SpecValidationError) as exc_info:
+        SimSettings(trials=0, boundary="x", window_radius=-1)
+    msg = str(exc_info.value)
+    for field in ("sweep.sim.trials", "sweep.sim.boundary", "sweep.sim.window_radius"):
+        assert field in msg
+    assert SimSettings(window_radius=None).window_radius is None  # auto-sized
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +548,49 @@ def test_load_spec_accepts_sizes_at_the_limits(tmp_path):
     doc["sweep"]["sim"] = {"trials": 10**7}
     spec = load_spec(dump_spec(tmp_path, doc))
     assert len(spec.grid) == 10_000 and spec.sim.trials == 10**7
+
+
+@pytest.mark.parametrize(
+    "sim, field",
+    [
+        ({"window_radius": math.nan}, "sweep.sim.window_radius"),
+        ({"window_radius": math.inf}, "sweep.sim.window_radius"),
+        ({"window_radius": -2.0}, "sweep.sim.window_radius"),
+        ({"shadowing": -3}, "sweep.sim.shadowing"),
+        ({"shadowing": {"lognormal": math.nan}}, "sweep.sim.shadowing"),
+        ({"trials": True}, "sweep.sim.trials"),
+        ({"seed": -1}, "sweep.sim.seed"),
+        ({"seed": 2**64}, "sweep.sim.seed"),
+        ({"seed": 2.5}, "sweep.sim.seed"),
+        ({"boundary": "sphere"}, "sweep.sim.boundary"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_load_spec_rejects_bad_sim_fields(tmp_path, sim, field):
+    # rejected whether or not the sweep simulates
+    doc = base_doc()
+    doc["sweep"]["sim"] = sim
+    with pytest.raises(SpecValidationError, match=field):
+        load_spec(dump_spec(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "key, field",
+    [
+        ({"mse_target": math.nan}, "sweep.mse_target"),
+        ({"mse_target": math.inf}, "sweep.mse_target"),
+        ({"delay_d": math.nan}, "sweep.delay_d"),
+        ({"delay_d": math.inf}, "sweep.delay_d"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_load_spec_rejects_non_finite_queries(tmp_path, key, field):
+    doc = base_doc()
+    doc["sweep"].update(key, outputs=["avg_mse", "delay_cdf_at", "critical_density"])
+    if "mse_target" not in key:
+        doc["sweep"]["mse_target"] = 1.2
+    with pytest.raises(SpecValidationError, match=field):
+        load_spec(dump_spec(tmp_path, doc))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from edgeprovision.analytic import (
     InferenceWorkload,
     Scenario,
     cloud_use_probability,
+    coverage_exponent_inverse,
     mean_cell_load,
 )
 from edgeprovision.errors import ModelDomainError
@@ -25,19 +26,16 @@ from edgeprovision.geomsim import (
     DiscWindow,
     SimConfig,
     TorusWindow,
-    associate,
     canonical_validation_scenario,
     cloud_delay,
     delay_ks_statistic,
     run_loads,
     run_trials,
-    sample_ppp,
     select_output,
     simulate_trial,
     uplink_rate,
-    uplink_sinr,
 )
-from edgeprovision.numerics import EmpiricalCdf, RngStream
+from edgeprovision.numerics import EmpiricalCdf, RngStream, exponential_variate
 
 
 def small_cfg(**overrides) -> SimConfig:
@@ -68,54 +66,97 @@ def test_disc_window_geometry():
     np.testing.assert_array_equal(win.center, [0.0, 0.0])
 
 
-def test_sample_ppp_count_moments():
-    win = TorusWindow(radius=5.0)
-    stream = RngStream(42, 0)
-    counts = [sample_ppp(stream, 1.0, win).shape[0] for _ in range(2000)]
+def test_deploy_ap_count_moments():
+    engine = geomsim._Engine(small_cfg(window_radius=5.0))
+    counts = [len(engine.deploy(RngStream(42, i))[0]) for i in range(2000)]
     # Poisson(100): mean sd is 10/sqrt(2000) ~ 0.224; allow 4 sigma
     assert abs(float(np.mean(counts)) - 100.0) < 0.9
 
 
-def test_sample_ppp_points_inside_window():
-    torus = TorusWindow(radius=5.0)
-    pts = sample_ppp(RngStream(1, 0), 2.0, torus)
-    assert np.all(pts >= 0.0) and np.all(pts < torus.side)
-    disc = DiscWindow(radius=3.0)
-    pts = sample_ppp(RngStream(1, 0), 2.0, disc)
-    assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 3.0)
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_deploy_points_inside_window():
+    for boundary in ("torus", "disc"):
+        engine = geomsim._Engine(small_cfg(window_radius=3.0, boundary=boundary))
+        for index in range(20):
+            ap, dev = engine.deploy(RngStream(1, index))
+            np.testing.assert_array_equal(dev[0], engine.center)
+            pts = np.concatenate([ap, dev])
+            if boundary == "torus":
+                assert np.all(pts >= 0.0) and np.all(pts < 6.0)
+            else:
+                assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 3.0)
 
 
-def test_sample_ppp_deterministic():
-    win = TorusWindow(radius=4.0)
-    a = sample_ppp(RngStream(7, 3), 1.0, win)
-    b = sample_ppp(RngStream(7, 3), 1.0, win)
-    np.testing.assert_array_equal(a, b)
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_deploy_deterministic():
+    engine = geomsim._Engine(small_cfg(window_radius=4.0))
+    streams = [RngStream(7, 3) for _ in range(2)]
+    (ap_a, dev_a), (ap_b, dev_b) = (engine.deploy(s) for s in streams)
+    np.testing.assert_array_equal(ap_a, ap_b)
+    np.testing.assert_array_equal(dev_a, dev_b)
+    assert streams[0].uniform() == streams[1].uniform()
 
 
-def test_associate_picks_min_pathloss():
-    aps = np.array([[1.0, 0.0], [2.0, 0.0]])
-    idx, pl = associate(np.array([0.0, 0.0]), aps)
-    assert idx == 0
-    assert pl == pytest.approx(1.0)  # distance 1 -> pathloss 1**4
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_deploy_never_returns_empty_ap_set():
+    # 0.49 expected APs: most first AP-count draws are 0 and get redrawn
+    engine = geomsim._Engine(small_cfg(window_radius=0.35))
+    first_draw_empty = 0
+    for index in range(50):
+        first_draw_empty += RngStream(3, index).poisson(engine.expected_aps) == 0
+        ap, _ = engine.deploy(RngStream(3, index))
+        assert len(ap) >= 1
+    assert first_draw_empty > 10
 
 
-def test_associate_shadowing_can_flip_choice():
-    # distances 1 and 2 give bare pathloss 1 and 16; gains (20, 1) flip it
-    aps = np.array([[1.0, 0.0], [2.0, 0.0]])
-    idx, pl = associate(np.array([0.0, 0.0]), aps, shadowing_draws=np.array([20.0, 1.0]))
-    assert idx == 1
-    assert pl == pytest.approx(16.0)
+def test_associate_stage_picks_min_pathloss():
+    engine = geomsim._Engine(small_cfg(boundary="disc"))
+    ap = np.array([[1.0, 0.0], [2.0, 0.0]])
+    _, serving, own, counts, cross = engine.associate(RngStream(0, 0), ap, np.zeros((1, 2)))
+    assert serving.tolist() == [0]
+    assert own.tolist() == [1.0]  # distance 1 -> pathloss 1**4
+    assert counts.tolist() == [1, 0]
+    assert cross is None  # unshadowed: cross pathlosses follow from distances
 
 
-def test_associate_torus_wraparound():
-    aps = np.array([[9.5, 0.5], [4.0, 0.5]])
-    idx, _ = associate(np.array([0.5, 0.5]), aps, torus_side=10.0)
-    assert idx == 0  # wrapped distance 1 beats distance 3.5
+def test_serve_shadowing_can_flip_choice():
+    # distances 1 and 2 give bare pathloss 1 and 16; at 10 dB a unit normal
+    # is a factor 10, so normals (log10 20, 0) are gains (20, 1) and flip it
+    engine = geomsim._Engine(small_cfg(boundary="disc", shadowing_sigma_db=10.0))
+    ap = np.array([[1.0, 0.0], [2.0, 0.0]])
+    origin = np.zeros((1, 2))
+    serving, own, rows = engine._serve(origin, ap, None, np.zeros((1, 2)))
+    assert serving.tolist() == [0] and own.tolist() == [1.0]
+    serving, own, rows = engine._serve(origin, ap, None, np.array([[math.log10(20.0), 0.0]]))
+    assert serving.tolist() == [1]
+    assert own.tolist() == [16.0]
+    assert rows[0].tolist() == pytest.approx([20.0, 16.0], rel=1e-12)
 
 
-def test_associate_rejects_empty():
-    with pytest.raises(ModelDomainError):
-        associate(np.array([0.0, 0.0]), np.empty((0, 2)))
+def _min_image_sq(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
+    d = np.abs(a[:, None, :] - b[None, :, :])
+    d = np.minimum(d, side - d)
+    return (d * d).sum(axis=2)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_trial_association_uses_minimum_image_distance():
+    # On the torus, devices and fill points near an edge are served across
+    # it: each must go to its minimum-image nearest AP.
+    cfg = small_cfg(trials=12, window_radius=3.0)
+    side = 2.0 * cfg.window_radius
+    wrapped = 0
+    for index in range(12):
+        tr = simulate_trial(cfg, index)
+        nearest = np.argmin(_min_image_sq(tr.dev_points, tr.ap_points, side), axis=1)
+        assert nearest[0] == tr.serving_ap
+        assert tr.load_nu == np.count_nonzero(nearest == tr.serving_ap)
+        # one interferer in every other cell (full buffer)
+        cells = np.argmin(_min_image_sq(tr.interferer_set, tr.ap_points, side), axis=1)
+        assert sorted(cells.tolist()) == sorted(set(range(len(tr.ap_points))) - {tr.serving_ap})
+        plain = np.argmin(_min_image_sq(tr.interferer_set, tr.ap_points, np.inf), axis=1)
+        wrapped += np.count_nonzero(plain != cells)
+    assert wrapped > 0  # the wrap-around case does occur
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +164,24 @@ def test_associate_rejects_empty():
 # ---------------------------------------------------------------------------
 
 
-def test_uplink_sinr_examples():
-    assert uplink_sinr(1.0, [], snr=10.0) == pytest.approx(10.0)
-    assert uplink_sinr(1.0, [0.5], snr=math.inf) == pytest.approx(2.0)
-    assert uplink_sinr(2.0, [0.5, 0.5], snr=1.0) == pytest.approx(1.0)
-    assert math.isinf(uplink_sinr(1.0, [], snr=math.inf))
+def test_link_sinr_matches_formula():
+    base = canonical_validation_scenario()
+    engine = geomsim._Engine(small_cfg(scenario=replace(base, air=AirInterface(1.6e8, snr=4.0))))
+    own = np.array([1.0, 2.0])
+    # minimum-image distances 2 and 3 (the second across the torus edge),
+    # so cross pathlosses 16 and 81
+    tagged = np.array([0.5, 0.5])
+    pts = np.array([[2.5, 0.5], [0.5, engine.side - 2.5]])
+    sinr, rate, delay, used = engine.link(RngStream(5, 0), tagged, pts, own, None, 1)
+    h = exponential_variate(RngStream(5, 0), 1.0, size=3)
+    assert sinr == pytest.approx(h[0] / (0.25 + h[1] / 16.0 + 2.0 * h[2] / 81.0), rel=1e-12)
+    assert rate == uplink_rate(sinr, 1.6e8, engine.mean_share)
+    assert delay == cloud_delay(rate, base.workload)
+    assert used == (delay <= base.workload.delay_budget)
+    # no interferer and no noise: unbounded SINR
+    engine = geomsim._Engine(small_cfg())
+    sinr, *_ = engine.link(RngStream(5, 0), np.zeros(2), np.empty((0, 2)), np.empty(0), None, 1)
+    assert math.isinf(sinr)
 
 
 def test_uplink_rate_examples():
@@ -162,6 +216,27 @@ def test_simconfig_validation():
         small_cfg(boundary="sphere")
     with pytest.raises(ModelDomainError):
         small_cfg(load_model="typo")
+    # trials and seeds are honoured exactly or rejected, never truncated,
+    # wrapped to 64 bits or read from a bool
+    for field, value in [
+        ("trials", True),
+        ("trials", 2.0),
+        ("master_seed", 2.7),
+        ("master_seed", True),
+        ("master_seed", -1),
+        ("master_seed", 2**64),
+        ("master_seed", 2**64 + 5),
+        ("master_seed", "5"),
+        ("window_radius", math.nan),
+        ("window_radius", math.inf),
+        ("shadowing_sigma_db", -3.0),
+        ("shadowing_sigma_db", math.nan),
+    ]:
+        with pytest.raises(ModelDomainError, match=field):
+            small_cfg(**{field: value})
+    assert small_cfg(master_seed=0).master_seed == 0
+    assert small_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
+    assert small_cfg(master_seed=np.uint64(5), trials=np.int64(3)).trials == 3
 
 
 def test_simconfig_warns_on_small_window():
@@ -483,6 +558,40 @@ def test_delay_ks_statistic_matches_bruteforce():
     )
     assert stat == pytest.approx(brute, abs=2e-4)
     assert stat >= brute - 1e-12  # sup over steps dominates any grid scan
+
+
+# 1% two-sided Kolmogorov-Smirnov critical coefficient sqrt(-ln(0.005)/2)
+KS_COEFF_1PCT = 1.6276
+
+
+def model_delay_quantile(scenario, q: float) -> float:
+    """The delay d with delay_cdf(scenario, d) = q, for q in (0, 1)."""
+    w = scenario.workload
+    x = math.log2(1.0 + coverage_exponent_inverse(-math.log(q)))
+    nu_r = mean_cell_load(scenario.deployment) * scenario.inference_rate
+    return w.compute_delay + (w.delay_budget - w.compute_delay) * nu_r / x
+
+
+def _validation_ks(samples) -> float:
+    scenario = canonical_validation_scenario()
+    w = scenario.workload
+    ecdf = EmpiricalCdf.from_samples([model_delay_quantile(scenario, q) for q in samples])
+    return delay_ks_statistic(ecdf, scenario, w.compute_delay, 10.0 * w.delay_budget)
+
+
+def test_delay_ks_statistic_quartile_sample():
+    # the model quartiles: the empirical steps miss the model CDF by 0.25
+    assert _validation_ks([0.25, 0.5, 0.75]) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_delay_ks_statistic_single_median():
+    assert _validation_ks([0.5]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_delay_ks_statistic_glivenko_cantelli():
+    # 10**4 delays drawn from the model law itself
+    n = 10_000
+    assert _validation_ks(RngStream(4, 0).uniform(n)) <= KS_COEFF_1PCT / math.sqrt(n)
 
 
 def test_delay_ks_statistic_ignores_out_of_window_mass():

@@ -12,11 +12,7 @@ from edgeprovision.numerics import (
     bisect_root,
     exponential_inverse_cdf,
     exponential_variate,
-    ks_distance,
 )
-
-# 1% two-sided Kolmogorov-Smirnov critical coefficient sqrt(-ln(0.005)/2)
-KS_COEFF_1PCT = 1.6276
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +62,7 @@ def test_bisect_interval_shrinks_to_tol():
 
 
 # ---------------------------------------------------------------------------
-# EmpiricalCdf / ks_distance
+# EmpiricalCdf
 # ---------------------------------------------------------------------------
 
 
@@ -97,24 +93,6 @@ def test_empirical_cdf_equality():
     c = EmpiricalCdf.from_samples([1.0, 3.0])
     assert a == b
     assert a != c
-
-
-def test_ks_distance_quartile_sample():
-    # {0.25, 0.5, 0.75} against U[0,1]: sup gap is exactly 0.25
-    ecdf = EmpiricalCdf.from_samples([0.25, 0.5, 0.75])
-    assert ks_distance(ecdf, lambda x: x) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_ks_distance_single_median():
-    ecdf = EmpiricalCdf.from_samples([0.5])
-    assert ks_distance(ecdf, lambda x: x) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_ks_distance_glivenko_cantelli():
-    n = 10_000
-    u = RngStream(4, 0).uniform(n)
-    ecdf = EmpiricalCdf.from_samples(u)
-    assert ks_distance(ecdf, lambda x: min(max(x, 0.0), 1.0)) <= KS_COEFF_1PCT / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
