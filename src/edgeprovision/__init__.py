@@ -6,114 +6,84 @@ Closed-form accuracy/delay metrics and their inversions live in
 :mod:`edgeprovision.geomsim`; parameter sweeps and file formats in
 :mod:`edgeprovision.experiments`; shared numeric helpers in
 :mod:`edgeprovision.numerics`.
+
+Exports and submodules are imported on first access (PEP 562), so
+``import edgeprovision`` and the closed forms load only the standard
+library; NumPy, SciPy and YAML load with the simulator and the spec reader.
 """
 
-from .analytic import (
-    AirInterface,
-    DeploymentConfig,
-    InferenceWorkload,
-    Scenario,
-    asymptotic_mse,
-    average_mse,
-    cloud_use_probability,
-    coverage_exponent,
-    coverage_exponent_inverse,
-    critical_ap_density,
-    critical_edge_mse,
-    delay_cdf,
-    mean_cell_load,
-    sinr_threshold,
-)
-from .errors import (
-    BracketError,
-    EdgeProvisionError,
-    InfeasibleTargetError,
-    ModelDomainError,
-    SpecFileError,
-    SpecValidationError,
-)
-from .experiments import (
-    SimSettings,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    emit_csv,
-    load_spec,
-    parse_csv,
-    run_sweep,
-)
-from .geomsim import (
-    CANONICAL_SEED,
-    DiscWindow,
-    SimConfig,
-    SimSummary,
-    TorusWindow,
-    TrialRealization,
-    canonical_validation_scenario,
-    cloud_delay,
-    delay_ks_statistic,
-    run_loads,
-    run_trials,
-    run_validation,
-    select_output,
-    simulate_trial,
-    uplink_rate,
-)
-from .numerics import EmpiricalCdf, RngStream, bisect_root
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # analytic
-    "AirInterface",
-    "DeploymentConfig",
-    "InferenceWorkload",
-    "Scenario",
-    "asymptotic_mse",
-    "average_mse",
-    "cloud_use_probability",
-    "coverage_exponent",
-    "coverage_exponent_inverse",
-    "critical_ap_density",
-    "critical_edge_mse",
-    "delay_cdf",
-    "mean_cell_load",
-    "sinr_threshold",
-    # errors
-    "BracketError",
-    "EdgeProvisionError",
-    "InfeasibleTargetError",
-    "ModelDomainError",
-    "SpecFileError",
-    "SpecValidationError",
-    # experiments
-    "SimSettings",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "emit_csv",
-    "load_spec",
-    "parse_csv",
-    "run_sweep",
-    # geomsim
-    "CANONICAL_SEED",
-    "DiscWindow",
-    "SimConfig",
-    "SimSummary",
-    "TorusWindow",
-    "TrialRealization",
-    "canonical_validation_scenario",
-    "cloud_delay",
-    "delay_ks_statistic",
-    "run_loads",
-    "run_trials",
-    "run_validation",
-    "select_output",
-    "simulate_trial",
-    "uplink_rate",
-    # numerics
-    "EmpiricalCdf",
-    "RngStream",
-    "bisect_root",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "analytic": (
+        "AirInterface",
+        "DeploymentConfig",
+        "InferenceWorkload",
+        "Scenario",
+        "asymptotic_mse",
+        "average_mse",
+        "cloud_use_probability",
+        "coverage_exponent",
+        "coverage_exponent_inverse",
+        "critical_ap_density",
+        "critical_edge_mse",
+        "delay_cdf",
+        "mean_cell_load",
+        "sinr_threshold",
+    ),
+    "errors": (
+        "BracketError",
+        "EdgeProvisionError",
+        "InfeasibleTargetError",
+        "ModelDomainError",
+        "SpecFileError",
+        "SpecValidationError",
+    ),
+    "experiments": (
+        "SimSettings",
+        "SweepResult",
+        "SweepRow",
+        "SweepSpec",
+        "emit_csv",
+        "load_spec",
+        "parse_csv",
+        "run_sweep",
+    ),
+    "geomsim": (
+        "CANONICAL_SEED",
+        "DiscWindow",
+        "SimConfig",
+        "SimSummary",
+        "TorusWindow",
+        "TrialRealization",
+        "canonical_validation_scenario",
+        "cloud_delay",
+        "delay_ks_statistic",
+        "run_loads",
+        "run_trials",
+        "run_validation",
+        "select_output",
+        "simulate_trial",
+        "uplink_rate",
+    ),
+    "numerics": ("EmpiricalCdf", "RngStream", "bisect_root"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli"})
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import InfeasibleTargetError, ModelDomainError
-from .numerics import bisect_root
+from .errors import BracketError, InfeasibleTargetError, ModelDomainError
 
 __all__ = [
     "DeploymentConfig",
@@ -45,6 +45,9 @@ _LN2 = math.log(2.0)
 _EXP2_OVERFLOW = 1024.0
 # Mean-load coefficient: mean cell load of the typical device is 1 + 1.28/lambda_hat.
 _LOAD_COEFF = 1.28
+# Below this y, coverage_exponent_inverse returns the series y + y**2/3,
+# whose next term (y**3/45) is far below double precision there.
+_SERIES_MAX_Y = 1e-20
 
 
 def _require(cond: bool, message: str) -> None:
@@ -174,6 +177,12 @@ def _rate(w: InferenceWorkload, air: AirInterface) -> float:
     return w.payload_bits / (air.bandwidth * (w.delay_budget - w.compute_delay))
 
 
+def _payload(r_min: float, bandwidth: float, delay_budget: float, compute_delay: float) -> float:
+    """r_min * bandwidth * (delay_budget - compute_delay): the payload in bits
+    whose inference rate is ``r_min`` (the inverse of ``_rate``)."""
+    return r_min * bandwidth * (delay_budget - compute_delay)
+
+
 def _mix(w: InferenceWorkload, p: float) -> float:
     """Average MSE when the cloud output is used with probability ``p``."""
     return w.mse_edge - (w.mse_edge - w.mse_cloud) * p
@@ -182,6 +191,46 @@ def _mix(w: InferenceWorkload, p: float) -> float:
 # ---------------------------------------------------------------------------
 # Auxiliary functions and their inverse
 # ---------------------------------------------------------------------------
+
+
+def bisect_root(
+    f: Callable[[float], float], lo: float, hi: float, tol: float
+) -> float:
+    """Find a root of monotone ``f`` on [lo, hi] by bracketed bisection.
+
+    Returns the bracket midpoint once the bracket width is <= tol. Raises
+    BracketError when f(lo) and f(hi) have the same (nonzero) sign. Never
+    exceeds ceil(log2((hi-lo)/tol)) + 2 iterations.
+    """
+    if not (tol > 0):
+        raise ModelDomainError(f"tol must be > 0 (got {tol!r})")
+    if not (lo < hi):
+        raise ModelDomainError(f"need lo < hi (got {lo!r}, {hi!r})")
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise BracketError(
+            f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} do not bracket a root"
+        )
+    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def coverage_exponent(x: float) -> float:
@@ -213,11 +262,13 @@ def coverage_exponent_inverse(y: float) -> float:
     Bracketed bisection on u*arctan(u) = y with u = sqrt(x) (initial bracket
     [0, max(10, y+2)], grown geometrically until it brackets, 1e-13 absolute
     tolerance on u), then a few Newton steps to polish the root to machine
-    precision so the round-trip holds in relative terms even for tiny y.
+    precision. Below y = 1e-20, where the bisection leaves u too far from
+    sqrt(y) for Newton to close the gap, the series y + y**2/3 is exact to
+    double precision, so the round trip holds in relative terms for every y.
     """
     _require(_finite(y) and y >= 0, f"y must be finite and >= 0 (got {y!r})")
-    if y == 0.0:
-        return 0.0
+    if y < _SERIES_MAX_Y:
+        return y + y * y / 3.0
 
     def g(u: float) -> float:
         return u * math.atan(u) - y

@@ -8,6 +8,10 @@ simulation-vs-model agreement checks.
 Exit codes: 0 success, 2 bad usage or invalid parameters, 3 infeasible
 accuracy target, 4 I/O failure. ``validate`` exits 1 when any agreement
 check fails.
+
+The closed-form subcommands load only the standard library: the simulator
+(NumPy, SciPy) and the spec reader (YAML) are imported by the subcommands
+that run them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .analytic import (
     DeploymentConfig,
     InferenceWorkload,
     Scenario,
+    _payload,
     asymptotic_mse,
     average_mse,
     cloud_use_probability,
@@ -35,14 +40,6 @@ from .errors import (
     ModelDomainError,
     SpecFileError,
     SpecValidationError,
-)
-from .experiments import emit_csv, load_spec, run_sweep
-from .geomsim import (
-    CANONICAL_SEED,
-    SimConfig,
-    _auto_radius,
-    run_trials,
-    run_validation,
 )
 
 __all__ = ["main"]
@@ -214,7 +211,7 @@ def _resolve_scenario(args) -> Scenario:
     md = args.md if args.md is not None else 1.5 * mc
     snr = args.snr if args.snr is not None else math.inf
     if args.q is not None and args.rmin is not None:
-        implied = args.rmin * b * (dt - dc)
+        implied = _payload(args.rmin, b, dt, dc)
         if _mismatch(args.q, implied):
             raise ModelDomainError(
                 f"--q {args.q:g} conflicts with --rmin {args.rmin:g} "
@@ -225,7 +222,7 @@ def _resolve_scenario(args) -> Scenario:
         q = args.q
     else:
         rmin = args.rmin if args.rmin is not None else 1.0
-        q = rmin * b * (dt - dc)
+        q = _payload(rmin, b, dt, dc)
     return Scenario(
         deployment=dep,
         workload=InferenceWorkload(
@@ -240,6 +237,8 @@ def _resolve_scenario(args) -> Scenario:
 
 
 def _resolve_seed(args) -> int:
+    from .geomsim import CANONICAL_SEED
+
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("EDGEPROVISION_SEED")
@@ -315,6 +314,8 @@ def _quantile(sorted_vals, q: float) -> float:
 
 
 def _cmd_simulate(args) -> int:
+    from .geomsim import SimConfig, _auto_radius, run_trials
+
     scenario = _resolve_scenario(args)
     trials = args.trials if args.trials is not None else 2000
     radius = args.window_radius
@@ -367,6 +368,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .experiments import emit_csv, load_spec, run_sweep
+
     spec = load_spec(args.spec)
     result = run_sweep(spec, workers=args.workers)
     if args.json:
@@ -406,6 +409,8 @@ def _jsonable(obj):
 
 
 def _cmd_validate(args) -> int:
+    from .geomsim import run_validation
+
     kwargs = {}
     if args.trials is not None:
         kwargs["trials"] = args.trials

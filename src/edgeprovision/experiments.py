@@ -24,6 +24,7 @@ from .analytic import (
     DeploymentConfig,
     InferenceWorkload,
     Scenario,
+    _payload,
     asymptotic_mse,
     average_mse,
     cloud_use_probability,
@@ -251,7 +252,7 @@ def _scenario_at(spec: SweepSpec, value: float) -> Scenario:
         return replace(base, deployment=dep)
     if spec.axis == "r_min":
         w = base.workload
-        payload = value * base.air.bandwidth * (w.delay_budget - w.compute_delay)
+        payload = _payload(value, base.air.bandwidth, w.delay_budget, w.compute_delay)
         return replace(base, workload=replace(w, payload_bits=payload))
     if spec.axis == "mse_edge_ratio":
         w = base.workload

@@ -39,14 +39,12 @@ assumptions rather than to the literal finite-window system:
 from __future__ import annotations
 
 import math
-import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .analytic import (
     AirInterface,
@@ -60,7 +58,13 @@ from .analytic import (
     mean_cell_load,
 )
 from .errors import ModelDomainError
-from .numerics import EmpiricalCdf, RngStream, exponential_variate
+from .numerics import (
+    EmpiricalCdf,
+    RngStream,
+    _as_index,
+    _as_key,
+    exponential_variate,
+)
 
 __all__ = [
     "CANONICAL_SEED",
@@ -194,16 +198,6 @@ def select_output(delay: float, w: InferenceWorkload) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 
 
-def _as_index(x) -> int | None:
-    """``operator.index(x)``, or None for bools and non-integers."""
-    if isinstance(x, bool):
-        return None
-    try:
-        return operator.index(x)
-    except TypeError:
-        return None
-
-
 def _sim_problems(settings: dict, auto_radius: bool = False) -> list[str]:
     """Every broken simulator-setting rule, one message each.
 
@@ -222,10 +216,7 @@ def _sim_problems(settings: dict, auto_radius: bool = False) -> list[str]:
         )
     if not (auto_radius and radius is None or _finite(radius) and radius > 0):
         problems.append(f"{radius_n} must be finite and > 0 (got {radius!r})")
-    # RngStream keys Philox with the seed as one 64-bit word; a seed outside
-    # it would wrap onto another seed's streams.
-    k = _as_index(seed)
-    if k is None or not 0 <= k < 2**64:
+    if _as_key(seed) is None:
         problems.append(f"{seed_n} must be an integer in [0, 2**64) (got {seed!r})")
     if sigma is not None and not (_finite(sigma) and sigma >= 0):
         problems.append(f"{sigma_n} must be finite and >= 0 (got {sigma!r})")
@@ -397,6 +388,8 @@ class _Engine:
         """
         tree = None
         if self.sigma_scale is None:
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(ap, boxsize=self.side) if self.torus else cKDTree(ap)
         normals = self._shadow_normals(stream, len(dev), len(ap))
         serving, own, pathloss = self._serve(dev, ap, tree, normals)
@@ -546,10 +539,15 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     are submitted at once, ``_RANGES_PER_WORKER`` per worker and config, so
     no config waits for the one before it to finish. If a range raises, the
     ranges not yet started are cancelled.
+
+    SciPy's k-d tree is imported here, before the pool opens, so forked
+    workers inherit it instead of each importing it again.
     """
     n = _pool_size(workers, sum(cfg.trials for cfg in cfgs))
     if n == 1:
         return [[fn(cfg, 0, cfg.trials)] for cfg in cfgs]
+    import scipy.spatial  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=n) as pool:
         futures = []
         for cfg in cfgs:

@@ -1,5 +1,8 @@
 """Shared numerical utilities: deterministic counter-based random streams,
-bracketed bisection, and the empirical CDF.
+the stream-key rule, exponential variates, and the empirical CDF. The
+bracketed bisection ``bisect_root`` lives in :mod:`edgeprovision.analytic`,
+whose closed forms are its only caller and which loads no NumPy; it is
+re-exported here as the same object.
 
 The random-stream contract is the backbone of reproducible parallel Monte
 Carlo: a stream is keyed by ``(master_seed, stream_id)`` and always yields
@@ -10,14 +13,31 @@ stream ``i`` regardless of which worker executes it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, ModelDomainError
+from .analytic import bisect_root  # noqa: F401  (re-export)
+from .errors import ModelDomainError
 
-_UINT64_MASK = 0xFFFFFFFFFFFFFFFF
+
+def _as_index(x) -> int | None:
+    """``operator.index(x)``, or None for bools and non-integers."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
+def _as_key(x) -> int | None:
+    """``x`` as one 64-bit Philox key word, or None unless it is an integer
+    in [0, 2**64); outside that range a key would wrap onto another's
+    stream."""
+    k = _as_index(x)
+    return k if k is not None and 0 <= k < 2**64 else None
 
 
 class RngStream:
@@ -25,16 +45,19 @@ class RngStream:
 
     Backed by the counter-based Philox generator, so identical keys give
     bit-identical sequences across runs and platforms, and distinct
-    stream ids give statistically independent streams.
+    stream ids give statistically independent streams. Both key words must
+    be integers in [0, 2**64).
     """
 
     def __init__(self, master_seed: int, stream_id: int):
-        self.master_seed = int(master_seed)
-        self.stream_id = int(stream_id)
-        key = np.array(
-            [self.master_seed & _UINT64_MASK, self.stream_id & _UINT64_MASK],
-            dtype=np.uint64,
-        )
+        seed, sid = _as_key(master_seed), _as_key(stream_id)
+        if seed is None or sid is None:
+            raise ModelDomainError(
+                "master_seed and stream_id must be integers in [0, 2**64) "
+                f"(got {master_seed!r}, {stream_id!r})"
+            )
+        self.master_seed, self.stream_id = seed, sid
+        key = np.array([seed, sid], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def uniform(self, size=None):
@@ -69,46 +92,6 @@ def exponential_variate(stream: RngStream, mean: float, size=None):
     variate fixed, which is what makes counter-based streams reproducible.
     """
     return exponential_inverse_cdf(stream.uniform(size), mean)
-
-
-def bisect_root(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Find a root of monotone ``f`` on [lo, hi] by bracketed bisection.
-
-    Returns the bracket midpoint once the bracket width is <= tol. Raises
-    BracketError when f(lo) and f(hi) have the same (nonzero) sign. Never
-    exceeds ceil(log2((hi-lo)/tol)) + 2 iterations.
-    """
-    if not (tol > 0):
-        raise ModelDomainError(f"tol must be > 0 (got {tol!r})")
-    if not (lo < hi):
-        raise ModelDomainError(f"need lo < hi (got {lo!r}, {hi!r})")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(
-            f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} do not bracket a root"
-        )
-    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, eq=False)

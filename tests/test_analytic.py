@@ -350,7 +350,21 @@ def test_critical_ap_density_round_trip_property(lambda_dev, rate, edge_ratio, f
     assert achieved == pytest.approx(target, rel=1e-6)
 
 
-@given(y=st.just(0.0) | _log_uniform(-20, 8))
+@given(
+    lam_hat=_log_uniform(-3, 4),
+    rate=_log_uniform(-3, 1.5),
+    edge_ratio=st.floats(1.0, 20.0),
+    target_ratio=st.just(1.0) | st.floats(1.0, 20.0),
+)
+def test_critical_edge_mse_round_trip_property(lam_hat, rate, edge_ratio, target_ratio):
+    s = property_scenario(lam_hat, rate, edge_ratio)
+    assume(cloud_use_probability(s) < 1.0)
+    m_e = critical_edge_mse(s, target_ratio)
+    at_critical = replace(s, workload=replace(s.workload, mse_edge=m_e))
+    assert average_mse(at_critical) == pytest.approx(target_ratio, rel=1e-9)
+
+
+@given(y=st.just(0.0) | _log_uniform(-300, 8))
 def test_coverage_exponent_inverse_round_trip_property(y):
     x = coverage_exponent_inverse(y)
     assert coverage_exponent(x) == pytest.approx(y, rel=1e-10, abs=0.0)

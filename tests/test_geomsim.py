@@ -1,6 +1,7 @@
 """Unit tests for the stochastic-geometry Monte Carlo engine."""
 
 import math
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -513,6 +514,16 @@ class _PendingPool(_InlinePool):
         return future
 
 
+class _ImportRecordingPool(_InlinePool):
+    """Stand-in that records whether ``scipy.spatial`` is loaded when it opens."""
+
+    spatial_loaded: list[bool] = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.spatial_loaded.append("scipy.spatial" in sys.modules)
+
+
 def test_pool_size_bounded_by_trials_and_cpus(monkeypatch):
     monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 4)
     assert geomsim._pool_size(500, 10) == 4
@@ -667,3 +678,20 @@ def test_failed_range_cancels_pending_ranges(monkeypatch):
     assert _PendingPool.sizes == [2]
     assert len(_PendingPool.futures) == 8
     assert all(f.cancelled() for f in _PendingPool.futures[1:])
+
+
+def test_pool_opens_with_kd_tree_module_loaded(monkeypatch):
+    # forked workers inherit the parent's modules: with SciPy's k-d tree
+    # imported before the pool opens, no worker imports it again
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.spatial")
+    monkeypatch.delattr(scipy, "spatial")
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _ImportRecordingPool)
+    monkeypatch.setattr(_ImportRecordingPool, "sizes", [])
+    monkeypatch.setattr(_ImportRecordingPool, "spatial_loaded", [])
+    cfg = small_cfg(trials=4)
+    assert run_trials(cfg, workers=2) == run_trials(cfg)
+    assert _ImportRecordingPool.sizes == [2]
+    assert _ImportRecordingPool.spatial_loaded == [True]

@@ -148,3 +148,28 @@ def test_stream_integers_respects_array_bounds():
     draws = RngStream(9, 3).integers(0, highs, size=4)
     assert np.all(draws >= 0)
     assert np.all(draws < highs)
+
+
+@pytest.mark.parametrize("key", [-1, 2**64, 2**64 + 3, 2.5, True])
+def test_stream_rejects_key_outside_one_uint64_word(key):
+    # reduced modulo 2**64, -1 would replay 2**64 - 1 and 2**64 + 3 replay 3
+    with pytest.raises(ModelDomainError):
+        RngStream(key, 0)
+    with pytest.raises(ModelDomainError):
+        RngStream(0, key)
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id, first_two",
+    [
+        (0, 0, [0.011546754286331562, 0.24154919656271812]),
+        (2**64 - 1, 0, [0.23494158814525556, 0.7173107484541781]),
+        (0, 2**64 - 1, [0.44858458875223994, 0.8035864253312377]),
+        (np.uint64(2**64 - 1), np.uint64(5), [0.05541565898515444, 0.5121345734389258]),
+    ],
+)
+def test_stream_accepts_every_uint64_key_with_unchanged_draws(seed, stream_id, first_two):
+    stream = RngStream(seed, stream_id)
+    assert stream.uniform(2).tolist() == first_two
+    assert (stream.master_seed, stream.stream_id) == (int(seed), int(stream_id))
+    assert type(stream.master_seed) is int
