@@ -35,8 +35,7 @@ spec = SweepSpec(
     axis="r_min",
     grid=(0.05, 0.1, 0.2, 0.4, 0.8, 1.6),
     outputs=("avg_mse", "cloud_use_prob"),
-    simulate=True,
-    sim=SimSettings(trials=500),
+    sim=SimSettings(trials=500),  # simulate every grid point with these settings
 )
 
 result = run_sweep(spec)

@@ -43,7 +43,6 @@ _EXPORTS = {
         "SpecValidationError",
     ),
     "experiments": (
-        "SimSettings",
         "SweepResult",
         "SweepRow",
         "SweepSpec",
@@ -56,6 +55,7 @@ _EXPORTS = {
         "CANONICAL_SEED",
         "DiscWindow",
         "SimConfig",
+        "SimSettings",
         "SimSummary",
         "TorusWindow",
         "TrialRealization",

@@ -396,10 +396,16 @@ def critical_edge_mse(s: Scenario, mse_target: float) -> float:
         _finite(mse_target) and mse_target >= mc,
         f"mse_target must be finite and >= mse_cloud={mc!r} (got {mse_target!r})",
     )
-    p = cloud_use_probability(s)
-    if p >= 1.0:
+    # q = 1 - p, the probability that the cloud output misses the budget,
+    # through expm1 so that it keeps its relative precision as p nears 1
+    x = mean_cell_load(s.deployment) * s.inference_rate
+    if x >= _EXP2_OVERFLOW:
+        q = 1.0
+    else:
+        q = -math.expm1(-coverage_exponent(math.expm1(x * _LN2)))
+    if q <= 0.0:
         raise ModelDomainError(
             "cloud output always meets the budget (cloud-use probability 1); "
             "any edge MSE is acceptable, so no finite maximum exists"
         )
-    return (mse_target - mc * p) / (1.0 - p)
+    return mc + (mse_target - mc) / q

@@ -17,6 +17,7 @@ that run them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -157,10 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.set_defaults(func=_cmd_simulate)
 
-    s = sub.add_parser("sweep", parents=[output], help="run a sweep from a spec file")
+    s = sub.add_parser("sweep", help="run a sweep from a spec file")
     s.add_argument("--spec", required=True, help="path to the sweep spec file (YAML)")
     s.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    s.add_argument("--csv", action="store_true", help="emit CSV (the default)")
+    fmt = s.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true", help="emit CSV (the default)")
+    fmt.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     s.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
     s.set_defaults(func=_cmd_sweep)
 
@@ -314,17 +317,13 @@ def _quantile(sorted_vals, q: float) -> float:
 
 
 def _cmd_simulate(args) -> int:
-    from .geomsim import SimConfig, _auto_radius, run_trials
+    from .geomsim import SimConfig, SimSettings, run_trials
 
     scenario = _resolve_scenario(args)
-    trials = args.trials if args.trials is not None else 2000
-    radius = args.window_radius
-    if radius is None:
-        radius = _auto_radius(scenario.deployment, "torus")
     cfg = SimConfig(
         scenario=scenario,
-        window_radius=radius,
-        trials=trials,
+        window_radius=args.window_radius,
+        trials=SimSettings.trials if args.trials is None else args.trials,
         master_seed=_resolve_seed(args),
     )
     summary = run_trials(cfg, workers=args.workers)
@@ -373,21 +372,7 @@ def _cmd_sweep(args) -> int:
     spec = load_spec(args.spec)
     result = run_sweep(spec, workers=args.workers)
     if args.json:
-        payload = {
-            "axis": result.axis,
-            "rows": [
-                {
-                    "axis_value": r.axis_value,
-                    "metric": r.metric,
-                    "analytic": r.analytic,
-                    "simulated": r.simulated,
-                    "sim_stderr": r.sim_stderr,
-                    "status": r.status,
-                }
-                for r in result.rows
-            ],
-        }
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(dataclasses.asdict(result), sort_keys=True)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

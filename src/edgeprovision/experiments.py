@@ -1,9 +1,12 @@
 """Parameter-sweep engine and serialization layer.
 
 A sweep evaluates a set of model metrics on a grid along one axis
-(``lambda_hat``, ``r_min``, ``mse_target`` or ``mse_edge_ratio``),
-optionally attaching Monte Carlo estimates with 95% normal-approximation
-standard errors, and emits the table as CSV.
+(``lambda_hat``, ``r_min``, ``mse_target`` or ``mse_edge_ratio``) and emits
+the table as CSV. A sweep that carries simulator settings
+(``SweepSpec.sim``, a ``geomsim.SimSettings``) also runs one Monte Carlo
+experiment per grid point and attaches its estimates, each with the
+half-width of its 95% normal-approximation confidence interval (1.96
+standard errors; the ``sim_stderr`` column).
 
 All numeric values stored in a ``SweepResult`` are quantized to 12
 significant digits at construction time, so the emitted CSV (which prints
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import yaml
 
@@ -38,13 +41,7 @@ from .errors import (
     SpecFileError,
     SpecValidationError,
 )
-from .geomsim import (
-    CANONICAL_SEED,
-    SimConfig,
-    _auto_radius,
-    _run_many,
-    _sim_problems,
-)
+from .geomsim import _MAX_TRIALS, SimConfig, SimSettings, _run_many, _sim_problems
 
 __all__ = [
     "AXES",
@@ -53,7 +50,6 @@ __all__ = [
     "DEFAULT_LAMBDA_HAT_GRID",
     "DEFAULT_RATE_GRID",
     "CSV_HEADER",
-    "SimSettings",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -110,36 +106,6 @@ def _fmt(v: float | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimSettings:
-    """Monte Carlo settings for simulated sweep columns.
-
-    ``window_radius=None`` sizes the window automatically to hold about 150
-    expected APs at each grid point's density. The fields obey the rules of
-    ``SimConfig``; errors name the spec keys (``sweep.sim.trials``, ...).
-    """
-
-    trials: int = 2000
-    window_radius: float | None = None
-    seed: int = CANONICAL_SEED
-    shadowing_sigma_db: float | None = None
-    boundary: str = "torus"
-
-    def __post_init__(self):
-        problems = _sim_problems(
-            {
-                "sweep.sim.trials": self.trials,
-                "sweep.sim.window_radius": self.window_radius,
-                "sweep.sim.seed": self.seed,
-                "sweep.sim.shadowing": self.shadowing_sigma_db,
-                "sweep.sim.boundary": self.boundary,
-            },
-            auto_radius=True,
-        )
-        if problems:
-            raise SpecValidationError("\n".join(problems))
-
-
 def _sweep_problems(axis, outputs, mse_target, delay_query, compute_delay) -> list[str]:
     """Every broken rule on a sweep's axis, outputs and queries, one message
     each. ``compute_delay`` None skips the ``delay_d`` lower bound."""
@@ -175,14 +141,19 @@ def _sweep_problems(axis, outputs, mse_target, delay_query, compute_delay) -> li
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a base scenario, an axis with its grid, and the outputs."""
+    """One sweep: a base scenario, an axis with its grid, and the outputs.
+
+    ``sim`` None computes the closed forms only; a ``SimSettings`` also
+    simulates every grid point with those settings (see ``run_sweep``). It
+    must not be a ``SimConfig``, whose scenario the sweep would drop, and the
+    whole sweep runs at most ``geomsim._MAX_TRIALS`` trials.
+    """
 
     base: Scenario
     axis: str
     grid: tuple[float, ...]
     outputs: tuple[str, ...]
-    simulate: bool = False
-    sim: SimSettings = field(default_factory=SimSettings)
+    sim: SimSettings | None = None
     mse_target: float | None = None
     delay_query: float | None = None
 
@@ -205,6 +176,16 @@ class SweepSpec:
                 problems.append(f"sweep.grid values must be > 0 for axis {self.axis}")
             if self.axis == "mse_edge_ratio" and lo < 1.0:
                 problems.append("sweep.grid values must be >= 1 for axis mse_edge_ratio")
+        if self.sim is not None and type(self.sim) is not SimSettings:
+            problems.append(
+                f"sweep.sim must be a SimSettings or None (got {type(self.sim).__name__}); "
+                "the sweep sets the scenario at each grid point"
+            )
+        elif self.sim is not None and len(self.grid) * self.sim.trials > _MAX_TRIALS:
+            problems.append(
+                f"sweep.sim.trials ({self.sim.trials}) times the grid size "
+                f"({len(self.grid)}) must be at most {_MAX_TRIALS}"
+            )
         if not self.outputs:
             problems.append("sweep.outputs must be non-empty")
         problems += _sweep_problems(
@@ -221,7 +202,9 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepRow:
     """One (grid point, metric) cell; numeric fields hold 12-significant-digit
-    values, empty on infeasible points."""
+    values, empty on infeasible points. ``sim_stderr`` is the half-width of
+    the simulated value's 95% normal-approximation confidence interval
+    (1.96 standard errors), not the standard error itself."""
 
     axis_value: float
     metric: str
@@ -262,6 +245,19 @@ def _scenario_at(spec: SweepSpec, value: float) -> Scenario:
     return base  # mse_target axis leaves the scenario untouched
 
 
+def _delay_at(spec: SweepSpec, scenario: Scenario) -> float:
+    """The ``delay_cdf_at`` query point: ``delay_d``, else the budget."""
+    if spec.delay_query is None:
+        return scenario.workload.delay_budget
+    return spec.delay_query
+
+
+def _half_width(p: float, n: int, scale: float = 1.0) -> float:
+    """Half-width, 1.96 standard errors, of the 95% normal-approximation
+    confidence interval of ``scale`` times a fraction ``p`` of ``n`` trials."""
+    return 1.96 * scale * math.sqrt(p * (1.0 - p) / n)
+
+
 def _analytic_value(spec: SweepSpec, scenario: Scenario, metric: str, value: float):
     target = value if spec.axis == "mse_target" else spec.mse_target
     if metric == "avg_mse":
@@ -271,10 +267,7 @@ def _analytic_value(spec: SweepSpec, scenario: Scenario, metric: str, value: flo
     if metric == "cloud_use_prob":
         return cloud_use_probability(scenario)
     if metric == "delay_cdf_at":
-        d = spec.delay_query
-        if d is None:
-            d = scenario.workload.delay_budget
-        return delay_cdf(scenario, d)
+        return delay_cdf(scenario, _delay_at(spec, scenario))
     if metric == "critical_density":
         return critical_ap_density(
             scenario.workload, scenario.air, spec.base.deployment.lambda_dev, target
@@ -289,32 +282,19 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     Points where a metric is undefined (e.g. a target below the asymptotic
     MSE in a critical-density sweep) produce rows with empty numeric cells
-    and status ``infeasible`` instead of failing the sweep. When
-    ``spec.simulate`` is set, each grid point runs one Monte Carlo
-    experiment (same seed at every point, so consecutive points share
-    common random numbers) and the simulable metrics gain estimates with
-    95% standard errors. The experiments of all points share at most one
-    pool of worker processes, and the rows do not depend on ``workers``.
+    and status ``infeasible`` instead of failing the sweep. When the spec
+    carries ``sim`` settings and asks for a simulable metric, each grid
+    point runs one Monte Carlo experiment, ``SimConfig(scenario=point,
+    **vars(spec.sim))`` (same seed at every point, so consecutive points
+    share common random numbers), and the simulable metrics gain estimates
+    with 95% confidence half-widths. The experiments of all points share at
+    most one pool of worker processes, and the rows do not depend on
+    ``workers``.
     """
     scenarios = [_scenario_at(spec, value) for value in spec.grid]
     summaries = [None] * len(scenarios)
-    if spec.simulate and SIMULABLE_METRICS.intersection(spec.outputs):
-        sim = spec.sim
-        cfgs = [
-            SimConfig(
-                scenario=scenario,
-                window_radius=(
-                    _auto_radius(scenario.deployment, sim.boundary)
-                    if sim.window_radius is None
-                    else sim.window_radius
-                ),
-                trials=sim.trials,
-                master_seed=sim.seed,
-                shadowing_sigma_db=sim.shadowing_sigma_db,
-                boundary=sim.boundary,
-            )
-            for scenario in scenarios
-        ]
+    if spec.sim is not None and SIMULABLE_METRICS.intersection(spec.outputs):
+        cfgs = [SimConfig(scenario=s, **vars(spec.sim)) for s in scenarios]
         summaries = _run_many(cfgs, workers)
     rows = []
     for value, scenario, summary in zip(spec.grid, scenarios, summaries):
@@ -332,23 +312,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                 n = summary.trial_count
                 p = summary.cloud_use_fraction
                 if metric == "avg_mse":
-                    simulated = summary.mse_estimate
                     w = scenario.workload
-                    stderr = (
-                        1.96
-                        * (w.mse_edge - w.mse_cloud)
-                        * math.sqrt(p * (1.0 - p) / n)
-                    )
-                elif metric == "cloud_use_prob":
-                    simulated = p
-                    stderr = 1.96 * math.sqrt(p * (1.0 - p) / n)
+                    simulated = summary.mse_estimate
+                    stderr = _half_width(p, n, w.mse_edge - w.mse_cloud)
                 else:
-                    d = spec.delay_query
-                    if d is None:
-                        d = scenario.workload.delay_budget
-                    f = summary.delay_samples.evaluate(d)
-                    simulated = f
-                    stderr = 1.96 * math.sqrt(f * (1.0 - f) / n)
+                    if metric == "delay_cdf_at":
+                        p = summary.delay_samples.evaluate(_delay_at(spec, scenario))
+                    simulated = p
+                    stderr = _half_width(p, n)
             rows.append(
                 SweepRow(
                     _round12(value),
@@ -454,7 +425,15 @@ _SECTION_KEYS = {
         "delay_d",
     },
 }
-_SIM_KEYS = {"trials", "window_radius", "seed", "shadowing", "boundary"}
+# sweep.sim key -> SimSettings field; load_model and full_buffer have no key
+_SIM_KEYS = {
+    "trials": "trials",
+    "window_radius": "window_radius",
+    "seed": "master_seed",
+    "shadowing": "shadowing_sigma_db",
+    "boundary": "boundary",
+}
+_SIM_NAMES = {field: f"sweep.sim.{key}" for key, field in _SIM_KEYS.items()}
 
 
 def _as_number(x) -> float | None:
@@ -525,9 +504,11 @@ def load_spec(path) -> SweepSpec:
     ``workload{q, d_t, d_c, m_c, m_d?}``, ``air{b, snr|"inf"}`` and
     ``sweep{axis, grid|range{lo,hi,n,scale}, outputs[], simulate, sim{...},
     mse_target?, delay_d?}``. Omitted ``m_d`` defaults to ``1.5 * m_c``;
-    omitted ``snr`` to infinite (interference-limited). Raises
-    SpecFileError on unparseable documents and SpecValidationError listing
-    every schema violation.
+    omitted ``snr`` to infinite (interference-limited). The ``sim`` keys
+    are checked whether or not the sweep simulates, and errors name them
+    by their spec keys; the spec's ``sim`` is None unless ``simulate`` is
+    true. Raises SpecFileError on unparseable documents and
+    SpecValidationError listing every schema violation.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -676,11 +657,14 @@ def load_spec(path) -> SweepSpec:
                     'field sweep.sim.shadowing must be "none", a sigma in dB, or '
                     f"{{lognormal: sigma}} (got {shadowing!r})"
                 )
-            given = {k: sim_sec[k] for k in ("trials", "seed", "boundary") if k in sim_sec}
-            try:
-                sim = SimSettings(window_radius=radius, shadowing_sigma_db=sigma, **given)
-            except SpecValidationError as e:
-                r.fail(str(e))
+            values = vars(sim) | {"window_radius": radius, "shadowing_sigma_db": sigma}
+            values |= {
+                _SIM_KEYS[k]: sim_sec[k] for k in ("trials", "seed", "boundary") if k in sim_sec
+            }
+            problems = _sim_problems(values, _SIM_NAMES)
+            r.problems += problems
+            if not problems:
+                sim = SimSettings(**values)
 
     mse_target = None
     if "mse_target" in sweep_sec:
@@ -731,8 +715,7 @@ def load_spec(path) -> SweepSpec:
         axis=axis,
         grid=grid,
         outputs=outputs,
-        simulate=simulate,
-        sim=sim,
+        sim=sim if simulate else None,
         mse_target=mse_target,
         delay_query=delay_query,
     )

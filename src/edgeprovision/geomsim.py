@@ -5,6 +5,11 @@ transmitter per cell on the tagged resource block, and the delay-gated
 edge/cloud output selection. Serves as the independent oracle for the
 closed forms in ``analytic``.
 
+``SimSettings`` declares every simulator setting that does not depend on
+the scenario, with its default and its rules; ``SimConfig`` is those
+settings plus a scenario. A sweep carries one ``SimSettings`` and builds a
+``SimConfig`` at each grid point.
+
 A trial runs five stages, each drawing from the trial's stream in turn:
 
 1. *deploy*: AP count and positions, then device count and positions;
@@ -21,7 +26,7 @@ and positions, device count and positions, shadowing) all come before
 scheduling, so ``run_loads`` runs only deploy and associate and still
 returns the loads ``run_trials`` sees.
 
-Two simulation knobs deliberately default to the closed forms' own
+Two settings deliberately default to the closed forms' own
 assumptions rather than to the literal finite-window system:
 
 * ``full_buffer=True`` places one uniformly-positioned extra device in every
@@ -52,6 +57,7 @@ from .analytic import (
     InferenceWorkload,
     Scenario,
     _finite,
+    _mix,
     average_mse,
     cloud_use_probability,
     delay_cdf,
@@ -70,6 +76,7 @@ __all__ = [
     "CANONICAL_SEED",
     "TorusWindow",
     "DiscWindow",
+    "SimSettings",
     "SimConfig",
     "TrialRealization",
     "SimSummary",
@@ -186,11 +193,10 @@ def cloud_delay(rate: float, w: InferenceWorkload) -> float:
     return w.payload_bits / rate + w.compute_delay
 
 
-def select_output(delay: float, w: InferenceWorkload) -> tuple[bool, float]:
-    """Delay-gated output selection: the cloud result is used iff it meets
-    the budget (inclusive); returns (used_cloud, mse_contribution)."""
-    used = delay <= w.delay_budget
-    return used, (w.mse_cloud if used else w.mse_edge)
+def select_output(delay: float, w: InferenceWorkload) -> bool:
+    """Delay-gated output selection: whether the cloud result is used, which
+    it is iff it meets the budget (inclusive)."""
+    return delay <= w.delay_budget
 
 
 # ---------------------------------------------------------------------------
@@ -198,46 +204,50 @@ def select_output(delay: float, w: InferenceWorkload) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 
 
-def _sim_problems(settings: dict, auto_radius: bool = False) -> list[str]:
+def _sim_problems(values: dict, names: dict | None = None) -> list[str]:
     """Every broken simulator-setting rule, one message each.
 
-    ``settings`` maps the names used in the messages to the trial count,
-    window radius, seed, shadowing sigma and boundary, in that order. A None
-    radius (window sized automatically) passes only with ``auto_radius``, a
-    None sigma (no shadowing) always.
+    ``values`` maps every ``SimSettings`` field name to its value; other
+    keys are ignored. A message names its field by ``names[field]`` when
+    given (a spec key, say), else by the field itself. A None window radius
+    (sized automatically) and a None sigma (no shadowing) pass.
     """
-    trials_n, radius_n, seed_n, sigma_n, boundary_n = settings
-    trials, radius, seed, sigma, boundary = settings.values()
+    names = names or {}
     problems = []
-    n = _as_index(trials)
-    if n is None or not 1 <= n <= _MAX_TRIALS:
-        problems.append(
-            f"{trials_n} must be an integer in [1, {_MAX_TRIALS}] (got {trials!r})"
-        )
-    if not (auto_radius and radius is None or _finite(radius) and radius > 0):
-        problems.append(f"{radius_n} must be finite and > 0 (got {radius!r})")
-    if _as_key(seed) is None:
-        problems.append(f"{seed_n} must be an integer in [0, 2**64) (got {seed!r})")
-    if sigma is not None and not (_finite(sigma) and sigma >= 0):
-        problems.append(f"{sigma_n} must be finite and >= 0 (got {sigma!r})")
-    if boundary not in ("torus", "disc"):
-        problems.append(f"{boundary_n} must be torus|disc (got {boundary!r})")
+
+    def check(field: str, ok: bool, rule: str) -> None:
+        if not ok:
+            name = names.get(field, field)
+            problems.append(f"{name} must be {rule} (got {values[field]!r})")
+
+    n = _as_index(values["trials"])
+    check("trials", n is not None and 1 <= n <= _MAX_TRIALS, f"an integer in [1, {_MAX_TRIALS}]")
+    radius = values["window_radius"]
+    check("window_radius", radius is None or _finite(radius) and radius > 0, "finite and > 0")
+    check("master_seed", _as_key(values["master_seed"]) is not None, "an integer in [0, 2**64)")
+    sigma = values["shadowing_sigma_db"]
+    check("shadowing_sigma_db", sigma is None or _finite(sigma) and sigma >= 0, "finite and >= 0")
+    check("boundary", values["boundary"] in ("torus", "disc"), "torus|disc")
+    check("load_model", values["load_model"] in ("mean_field", "realized"), "mean_field|realized")
+    check("full_buffer", isinstance(values["full_buffer"], (bool, np.bool_)), "True or False")
     return problems
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """One Monte Carlo experiment.
+class SimSettings:
+    """Monte Carlo settings that do not depend on the scenario.
 
     ``window_radius`` is the half-side of the square window in torus mode
-    and the disc radius in disc mode. ``shadowing_sigma_db`` enables
-    lognormal shadowing (i.i.d. per device-AP pair); None disables it.
-    See the module docstring for ``full_buffer`` and ``load_model``.
+    and the disc radius in disc mode; None sizes the window to hold about
+    ``_AUTO_WINDOW_APS`` = 150 expected APs at the scenario's AP density.
+    ``shadowing_sigma_db`` enables lognormal shadowing (i.i.d. per
+    device-AP pair); None disables it. See the module docstring for
+    ``full_buffer`` and ``load_model``. Every broken field is listed in
+    one ``ModelDomainError``.
     """
 
-    scenario: Scenario
-    window_radius: float
-    trials: int
+    trials: int = 2000
+    window_radius: float | None = None
     master_seed: int = CANONICAL_SEED
     shadowing_sigma_db: float | None = None
     boundary: str = "torus"
@@ -245,21 +255,26 @@ class SimConfig:
     full_buffer: bool = True
 
     def __post_init__(self):
-        problems = _sim_problems(
-            dict(
-                trials=self.trials,
-                window_radius=self.window_radius,
-                master_seed=self.master_seed,
-                shadowing_sigma_db=self.shadowing_sigma_db,
-                boundary=self.boundary,
-            )
-        )
-        if self.load_model not in ("mean_field", "realized"):
-            problems.append(
-                f"load_model must be mean_field|realized (got {self.load_model!r})"
-            )
+        problems = _sim_problems(vars(self))
         if problems:
             raise ModelDomainError("\n".join(problems))
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimConfig(SimSettings):
+    """One Monte Carlo experiment: ``SimSettings`` for one scenario.
+
+    A None ``window_radius`` is replaced by the automatically sized radius.
+    """
+
+    scenario: Scenario
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.window_radius is None:
+            object.__setattr__(
+                self, "window_radius", _auto_radius(self.scenario.deployment, self.boundary)
+            )
         expected_aps = self.scenario.deployment.lambda_ap * self.window.area
         if expected_aps < 100:
             warnings.warn(
@@ -484,8 +499,7 @@ class _Engine:
         share = self.mean_share if self.cfg.load_model == "mean_field" else float(load)
         rate = uplink_rate(sinr, s.air.bandwidth, share)
         delay = cloud_delay(rate, s.workload)
-        used, _ = select_output(delay, s.workload)
-        return sinr, rate, delay, used
+        return sinr, rate, delay, select_output(delay, s.workload)
 
     def load(self, index: int) -> int:
         """Serving-cell load of trial ``index``: deploy and associate only."""
@@ -596,13 +610,11 @@ def _summarize(cfg: SimConfig, parts: list) -> SimSummary:
     """SimSummary of ``cfg`` from its ``_simulate_range`` results in trial
     order."""
     delays, used, loads = (np.concatenate(p) for p in zip(*parts))
-    w = cfg.scenario.workload
-    cloud_n = int(np.count_nonzero(used))
-    fraction = cloud_n / cfg.trials
+    fraction = int(np.count_nonzero(used)) / cfg.trials
     return SimSummary(
         delay_samples=EmpiricalCdf(np.sort(delays)),
         cloud_use_fraction=fraction,
-        mse_estimate=fraction * w.mse_cloud + (1.0 - fraction) * w.mse_edge,
+        mse_estimate=_mix(cfg.scenario.workload, fraction),
         mean_load=float(loads.mean()),
         trial_count=cfg.trials,
     )

@@ -32,7 +32,6 @@ from edgeprovision.cli import main as cli_main
 from edgeprovision.experiments import (
     DEFAULT_LAMBDA_HAT_GRID,
     DEFAULT_RATE_GRID,
-    SimSettings,
     SweepSpec,
     emit_csv,
     parse_csv,
@@ -40,6 +39,7 @@ from edgeprovision.experiments import (
 )
 from edgeprovision.geomsim import (
     SimConfig,
+    SimSettings,
     canonical_validation_scenario,
     delay_ks_statistic,
     run_loads,
@@ -308,8 +308,7 @@ def test_a9_roundtrips(tmp_path):
         axis="mse_target",
         grid=(1.05, 1.3, 1.55),
         outputs=("critical_density", "avg_mse"),
-        simulate=True,
-        sim=SimSettings(trials=50, window_radius=4.0, seed=3),
+        sim=SimSettings(trials=50, window_radius=4.0, master_seed=3),
     )
     res = run_sweep(spec)
     assert any(r.status == "infeasible" for r in res.rows)

@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from edgeprovision.analytic import (
@@ -362,6 +362,27 @@ def test_critical_edge_mse_round_trip_property(lam_hat, rate, edge_ratio, target
     m_e = critical_edge_mse(s, target_ratio)
     at_critical = replace(s, workload=replace(s.workload, mse_edge=m_e))
     assert average_mse(at_critical) == pytest.approx(target_ratio, rel=1e-9)
+
+
+@given(
+    lam_hat=_log_uniform(-3, 4),
+    rate=_log_uniform(-12, 1.5),
+    target_ratio=st.just(1.0) | st.floats(1.0, 20.0),
+)
+@example(lam_hat=1.0, rate=1e-12, target_ratio=1.2)
+@example(lam_hat=1.0, rate=1e-9, target_ratio=1.2)
+@example(lam_hat=1.0, rate=1e-3, target_ratio=1.2)
+def test_critical_edge_mse_matches_high_precision_property(lam_hat, rate, target_ratio):
+    # as the rate vanishes the cloud-use probability p nears 1 and 1 - p
+    # must not cancel; compare with 50-digit arithmetic on the same inputs
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    s = property_scenario(lam_hat, rate, 1.5)
+    x = (1 + mp.mpf(1.28) / mp.mpf(lam_hat)) * mp.mpf(rate)
+    threshold = mp.expm1(x * mp.log(2))
+    miss = -mp.expm1(-mp.sqrt(threshold) * mp.atan(mp.sqrt(threshold)))
+    want = 1 + (mp.mpf(target_ratio) - 1) / miss
+    assert critical_edge_mse(s, target_ratio) == pytest.approx(float(want), rel=1e-14)
 
 
 @given(y=st.just(0.0) | _log_uniform(-300, 8))

@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from edgeprovision.cli import main
-from edgeprovision.experiments import CSV_HEADER, parse_csv
+from edgeprovision.experiments import CSV_HEADER, load_spec, parse_csv, run_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore:window holds only")
 
@@ -255,6 +255,35 @@ def test_sweep_json_rows(capsys, tmp_path):
     assert payload["axis"] == "lambda_hat"
     assert len(payload["rows"]) == 6
     assert {r["status"] for r in payload["rows"]} == {"ok"}
+
+
+def test_sweep_json_keeps_its_row_format(capsys, tmp_path):
+    spec_path = write_sweep_spec(tmp_path, simulate="true")
+    code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec_path), "--json")
+    assert code == 0
+    result = run_sweep(load_spec(spec_path))
+    rows = [
+        {
+            "axis_value": r.axis_value,
+            "metric": r.metric,
+            "analytic": r.analytic,
+            "simulated": r.simulated,
+            "sim_stderr": r.sim_stderr,
+            "status": r.status,
+        }
+        for r in result.rows
+    ]
+    assert out == json.dumps({"axis": result.axis, "rows": rows}, sort_keys=True) + "\n"
+
+
+def test_sweep_csv_and_json_together_exit_2(capsys, tmp_path):
+    spec = str(write_sweep_spec(tmp_path))
+    code, out, err = run_cli(capsys, "sweep", "--spec", spec, "--csv", "--json")
+    assert code == 2 and out == ""
+    assert "--csv" in err and "--json" in err
+    assert run_cli(capsys, "sweep", "--spec", spec, "--csv") == run_cli(
+        capsys, "sweep", "--spec", spec
+    )
 
 
 def test_validate_json_passes_and_is_deterministic(capsys):

@@ -17,14 +17,13 @@ from edgeprovision.analytic import (
     asymptotic_mse,
     average_mse,
 )
-from edgeprovision.errors import SpecFileError, SpecValidationError
+from edgeprovision.errors import ModelDomainError, SpecFileError, SpecValidationError
 from edgeprovision.experiments import (
     AXES,
     CSV_HEADER,
     DEFAULT_LAMBDA_HAT_GRID,
     DEFAULT_RATE_GRID,
     METRICS,
-    SimSettings,
     SweepResult,
     SweepRow,
     SweepSpec,
@@ -34,6 +33,7 @@ from edgeprovision.experiments import (
     parse_csv,
     run_sweep,
 )
+from edgeprovision.geomsim import SimConfig, SimSettings, run_trials
 
 
 # sweep tests use deliberately tiny simulation windows for speed
@@ -138,13 +138,65 @@ def test_sweep_spec_rejects_bad_delay_query():
             )
 
 
-def test_sim_settings_rejects_every_broken_field():
-    with pytest.raises(SpecValidationError) as exc_info:
-        SimSettings(trials=0, boundary="x", window_radius=-1)
+def test_sim_settings_rejects_every_broken_field(tmp_path):
+    with pytest.raises(ModelDomainError) as exc_info:
+        SimSettings(
+            trials=0, boundary="x", window_radius=-1, load_model="y", full_buffer="no"
+        )
     msg = str(exc_info.value)
-    for field in ("sweep.sim.trials", "sweep.sim.boundary", "sweep.sim.window_radius"):
-        assert field in msg
+    for field in ("trials", "boundary", "window_radius", "load_model", "full_buffer"):
+        assert f"{field} must be" in msg
     assert SimSettings(window_radius=None).window_radius is None  # auto-sized
+    # a spec file's sim section is checked by the same rules, under its keys
+    doc = base_doc()
+    doc["sweep"]["sim"] = {"trials": 0, "boundary": "x", "window_radius": -1, "seed": -1}
+    with pytest.raises(SpecValidationError) as exc_info:
+        load_spec(dump_spec(tmp_path, doc))
+    msg = str(exc_info.value)
+    for key in ("trials", "boundary", "window_radius", "seed"):
+        assert f"sweep.sim.{key} must be" in msg
+
+
+def test_sweep_spec_rejects_sim_config():
+    # the sweep sets the scenario at each point; a SimConfig's would be dropped
+    cfg = SimConfig(scenario=base_scenario(), window_radius=4.0, trials=10)
+    with pytest.raises(SpecValidationError, match="sweep.sim must be a SimSettings"):
+        SweepSpec(
+            base=base_scenario(),
+            axis="lambda_hat",
+            grid=(1.0,),
+            outputs=("cloud_use_prob",),
+            sim=cfg,
+        )
+
+
+@pytest.mark.parametrize("points, trials", [(1, 10**7), (1000, 10**4), (7, 1428571)])
+def test_sweep_spec_accepts_total_trials_at_the_limit(points, trials):
+    spec = SweepSpec(
+        base=base_scenario(),
+        axis="lambda_hat",
+        grid=tuple(float(i) for i in range(1, points + 1)),
+        outputs=("avg_mse",),
+        sim=SimSettings(trials=trials),
+    )
+    assert len(spec.grid) * spec.sim.trials <= 10**7
+
+
+@pytest.mark.parametrize("points, trials", [(2, 5 * 10**6 + 1), (1001, 10**4), (10_000, 10**7)])
+def test_sweep_spec_rejects_total_trials_past_the_limit(points, trials):
+    grid = tuple(float(i) for i in range(1, points + 1))
+    with pytest.raises(SpecValidationError) as exc_info:
+        SweepSpec(
+            base=base_scenario(),
+            axis="lambda_hat",
+            grid=grid,
+            outputs=("avg_mse",),
+            sim=SimSettings(trials=trials),
+        )
+    msg = str(exc_info.value)
+    assert "sweep.sim.trials" in msg and f"({points})" in msg and "10000000" in msg
+    # without settings nothing is simulated and the grid alone is checked
+    assert SweepSpec(base=base_scenario(), axis="lambda_hat", grid=grid, outputs=("avg_mse",))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +258,7 @@ def test_run_sweep_simulated_columns():
         axis="lambda_hat",
         grid=(1.0, 2.0),
         outputs=("cloud_use_prob", "avg_mse", "asymptotic_mse"),
-        simulate=True,
-        sim=SimSettings(trials=200, window_radius=4.0, seed=11),
+        sim=SimSettings(trials=200, window_radius=4.0, master_seed=11),
     )
     res = run_sweep(spec)
     by_metric = {(r.axis_value, r.metric): r for r in res.rows}
@@ -227,10 +278,37 @@ def test_run_sweep_deterministic():
         axis="lambda_hat",
         grid=(1.0, 2.0),
         outputs=("cloud_use_prob",),
-        simulate=True,
-        sim=SimSettings(trials=120, window_radius=4.0, seed=5),
+        sim=SimSettings(trials=120, window_radius=4.0, master_seed=5),
     )
     assert run_sweep(spec) == run_sweep(spec)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"load_model": "realized"}, {"full_buffer": False}, {"load_model": "realized", "full_buffer": False}],
+)
+def test_sweep_honours_every_sim_setting(settings):
+    sim = SimSettings(trials=40, window_radius=4.0, master_seed=21, **settings)
+    spec = SweepSpec(
+        base=base_scenario(rate=0.125),
+        axis="lambda_hat",
+        grid=(0.5, 2.0),
+        outputs=("cloud_use_prob",),
+        sim=sim,
+    )
+    rows = run_sweep(spec).rows
+    for row, value in zip(rows, spec.grid):
+        point = Scenario(
+            deployment=DeploymentConfig(lambda_ap=value, lambda_dev=1.0),
+            workload=spec.base.workload,
+            air=spec.base.air,
+        )
+        cfg = SimConfig(
+            scenario=point, trials=40, window_radius=4.0, master_seed=21, **settings
+        )
+        assert row.simulated == _round12(run_trials(cfg).cloud_use_fraction)
+    default = SimSettings(trials=40, window_radius=4.0, master_seed=21)
+    assert rows != run_sweep(SweepSpec(**{**vars(spec), "sim": default})).rows
 
 
 def test_simulated_sweep_csv_independent_of_workers():
@@ -239,8 +317,7 @@ def test_simulated_sweep_csv_independent_of_workers():
         axis="lambda_hat",
         grid=(0.5, 1.0, 2.0),
         outputs=("avg_mse", "cloud_use_prob", "delay_cdf_at"),
-        simulate=True,
-        sim=SimSettings(trials=30, window_radius=4.0, seed=13),
+        sim=SimSettings(trials=30, window_radius=4.0, master_seed=13),
     )
     texts = []
     for workers in (1, 2):
@@ -269,8 +346,7 @@ def make_mixed_result():
         axis="mse_target",
         grid=(1.05, 1.3, 1.55),
         outputs=("critical_density", "avg_mse"),
-        simulate=True,
-        sim=SimSettings(trials=50, window_radius=4.0, seed=3),
+        sim=SimSettings(trials=50, window_radius=4.0, master_seed=3),
     )
     return run_sweep(spec)
 
@@ -347,10 +423,9 @@ def test_load_spec_minimal_defaults(tmp_path):
     assert spec.axis == "lambda_hat"
     assert spec.grid == (0.5, 1.0, 2.0)
     assert spec.outputs == ("avg_mse",)
-    assert spec.simulate is False
+    assert spec.sim is None  # simulate defaults to false
     assert spec.base.workload.mse_edge == pytest.approx(1.5)  # 1.5 * m_c default
     assert math.isinf(spec.base.air.snr)
-    assert spec.sim == SimSettings()
     assert spec.base.inference_rate == pytest.approx(0.125)
 
 
@@ -374,10 +449,12 @@ def test_load_spec_full_document(tmp_path):
     assert spec.base.air.snr == 15.0
     assert spec.base.workload.mse_edge == 2.0
     assert spec.grid == pytest.approx((1.3, 1.5, 1.7, 1.9))
-    assert spec.sim == SimSettings(
-        trials=77, window_radius=6.0, seed=9, shadowing_sigma_db=4.0, boundary="disc"
-    )
+    assert spec.sim is None  # checked, but this sweep does not simulate
     assert spec.delay_query == 1.5
+    path.write_text(path.read_text().replace("simulate: false", "simulate: true"))
+    assert load_spec(path).sim == SimSettings(
+        trials=77, window_radius=6.0, master_seed=9, shadowing_sigma_db=4.0, boundary="disc"
+    )
 
 
 def test_load_spec_log_range(tmp_path):
@@ -547,7 +624,18 @@ def test_load_spec_accepts_sizes_at_the_limits(tmp_path):
     doc["sweep"]["range"] = {"lo": 0.1, "hi": 10.0, "n": 10_000, "scale": "log"}
     doc["sweep"]["sim"] = {"trials": 10**7}
     spec = load_spec(dump_spec(tmp_path, doc))
-    assert len(spec.grid) == 10_000 and spec.sim.trials == 10**7
+    assert len(spec.grid) == 10_000 and spec.sim is None
+    # a simulated sweep runs at most 10**7 trials over all its points
+    doc["sweep"]["simulate"] = True
+    doc["sweep"]["range"]["n"] = 1
+    assert load_spec(dump_spec(tmp_path, doc)).sim.trials == 10**7
+    doc["sweep"]["range"]["n"] = 1000
+    doc["sweep"]["sim"] = {"trials": 10**4}
+    spec = load_spec(dump_spec(tmp_path, doc))
+    assert len(spec.grid) == 1000 and spec.sim.trials == 10**4
+    doc["sweep"]["range"]["n"] = 1001
+    with pytest.raises(SpecValidationError, match=r"sweep.sim.trials \(10000\) times the grid size \(1001\)"):
+        load_spec(dump_spec(tmp_path, doc))
 
 
 @pytest.mark.parametrize(

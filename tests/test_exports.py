@@ -1,7 +1,8 @@
-"""Every exported name resolves, and the demos import only names that exist.
+"""Every exported name resolves, the demos import only names that exist,
+and README's sweep-spec example loads.
 
-The demos are not run by the suite, so this is what notices a public name
-removed from under them.
+The demos and README are not run by the suite, so this is what notices a
+public name or a spec rule changed from under them.
 """
 
 import ast
@@ -11,9 +12,12 @@ from pathlib import Path
 import pytest
 
 import edgeprovision
+from edgeprovision.experiments import load_spec
+from edgeprovision.geomsim import SimSettings
 
 MODULES = ("analytic", "cli", "errors", "experiments", "geomsim", "numerics")
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,3 +46,15 @@ def test_demos_import_existing_names():
                 module = importlib.import_module(node.module)
                 missing = [a.name for a in node.names if not hasattr(module, a.name)]
                 assert not missing, f"{path.name} imports {missing} from {node.module}"
+
+
+def test_readme_sweep_spec_example_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Sweep spec files", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "sweep.yaml"
+    path.write_text(example, encoding="utf-8")
+    spec = load_spec(path)
+    assert spec.axis == "lambda_hat" and len(spec.grid) == 31
+    assert spec.outputs == ("avg_mse", "cloud_use_prob", "critical_density")
+    assert spec.sim == SimSettings(trials=2000, master_seed=20260825)

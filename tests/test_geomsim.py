@@ -21,11 +21,12 @@ from edgeprovision.analytic import (
     mean_cell_load,
 )
 from edgeprovision.errors import ModelDomainError
-from edgeprovision.experiments import SimSettings, SweepSpec, run_sweep
+from edgeprovision.experiments import SweepSpec, run_sweep
 from edgeprovision.geomsim import (
     CANONICAL_SEED,
     DiscWindow,
     SimConfig,
+    SimSettings,
     TorusWindow,
     canonical_validation_scenario,
     cloud_delay,
@@ -197,8 +198,8 @@ def test_cloud_delay_and_output_selection():
     w = InferenceWorkload(1e6, delay_budget=0.06, compute_delay=0.01, mse_cloud=1.0, mse_edge=1.5)
     assert cloud_delay(2e7, w) == pytest.approx(0.06)
     assert math.isinf(cloud_delay(0.0, w))
-    assert select_output(0.06, w) == (True, 1.0)  # budget is inclusive
-    assert select_output(0.0600001, w) == (False, 1.5)
+    assert select_output(0.06, w) is True  # budget is inclusive
+    assert select_output(0.0600001, w) is False
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +233,42 @@ def test_simconfig_validation():
         ("window_radius", math.inf),
         ("shadowing_sigma_db", -3.0),
         ("shadowing_sigma_db", math.nan),
+        ("full_buffer", 1),
+        ("full_buffer", "no"),
     ]:
         with pytest.raises(ModelDomainError, match=field):
             small_cfg(**{field: value})
+    assert small_cfg(full_buffer=np.bool_(False)).full_buffer == False  # noqa: E712
     assert small_cfg(master_seed=0).master_seed == 0
     assert small_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
     assert small_cfg(master_seed=np.uint64(5), trials=np.int64(3)).trials == 3
+
+
+def test_simconfig_is_settings_plus_scenario():
+    settings = SimSettings(
+        trials=7,
+        window_radius=7.0,
+        master_seed=9,
+        shadowing_sigma_db=4.0,
+        boundary="disc",
+        load_model="realized",
+        full_buffer=False,
+    )
+    scenario = canonical_validation_scenario()
+    cfg = SimConfig(scenario=scenario, **vars(settings))
+    assert isinstance(cfg, SimSettings)
+    assert {**vars(settings), "scenario": scenario} == vars(cfg)
+    assert SimSettings() == SimSettings(2000, None, CANONICAL_SEED, None, "torus")
+
+
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_simconfig_sizes_an_unset_window(boundary):
+    dep = DeploymentConfig(lambda_ap=2.0, lambda_dev=1.0)
+    scenario = replace(canonical_validation_scenario(), deployment=dep)
+    cfg = SimConfig(scenario=scenario, boundary=boundary)
+    assert cfg.trials == 2000
+    assert dep.lambda_ap * cfg.window.area == pytest.approx(150.0, rel=1e-12)
+    assert replace(cfg, trials=3).window_radius == cfg.window_radius
 
 
 def test_simconfig_warns_on_small_window():
@@ -659,7 +690,6 @@ def test_sweep_opens_one_bounded_pool(monkeypatch):
         axis="lambda_hat",
         grid=(0.5, 1.0, 2.0, 4.0),
         outputs=("avg_mse", "cloud_use_prob", "delay_cdf_at"),
-        simulate=True,
         sim=SimSettings(trials=5),
     )
     serial = run_sweep(spec)
