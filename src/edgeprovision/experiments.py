@@ -106,9 +106,12 @@ def _fmt(v: float | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_problems(axis, outputs, mse_target, delay_query, compute_delay) -> list[str]:
+def _sweep_problems(
+    axis, outputs, mse_target, delay_query, compute_delay, simulate
+) -> list[str]:
     """Every broken rule on a sweep's axis, outputs and queries, one message
-    each. ``compute_delay`` None skips the ``delay_d`` lower bound."""
+    each. ``compute_delay`` None skips the ``delay_d`` lower bound; a sweep
+    that ``simulate``s must ask for a simulable metric."""
     problems = []
     if axis not in AXES:
         problems.append(f"sweep.axis must be one of {AXES} (got {axis!r})")
@@ -117,6 +120,11 @@ def _sweep_problems(axis, outputs, mse_target, delay_query, compute_delay) -> li
         problems.append(f"unknown metrics in sweep.outputs: {unknown}")
     if len(set(outputs)) != len(outputs):
         problems.append("sweep.outputs must not repeat metrics")
+    if simulate and outputs and not SIMULABLE_METRICS.intersection(outputs):
+        problems.append(
+            "sweep.simulate needs a simulable metric in sweep.outputs "
+            f"(one of {sorted(SIMULABLE_METRICS)}; got {list(outputs)})"
+        )
     if mse_target is not None and not math.isfinite(mse_target):
         problems.append(f"sweep.mse_target must be finite (got {mse_target!r})")
     if (
@@ -145,8 +153,9 @@ class SweepSpec:
 
     ``sim`` None computes the closed forms only; a ``SimSettings`` also
     simulates every grid point with those settings (see ``run_sweep``). It
-    must not be a ``SimConfig``, whose scenario the sweep would drop, and the
-    whole sweep runs at most ``geomsim._MAX_TRIALS`` trials.
+    must not be a ``SimConfig``, whose scenario the sweep would drop, the
+    outputs must then hold a simulable metric, and the whole sweep runs at
+    most ``geomsim._MAX_TRIALS`` trials.
     """
 
     base: Scenario
@@ -194,6 +203,7 @@ class SweepSpec:
             self.mse_target,
             self.delay_query,
             self.base.workload.compute_delay,
+            self.sim is not None,
         )
         if problems:
             raise SpecValidationError("\n".join(problems))
@@ -283,8 +293,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     Points where a metric is undefined (e.g. a target below the asymptotic
     MSE in a critical-density sweep) produce rows with empty numeric cells
     and status ``infeasible`` instead of failing the sweep. When the spec
-    carries ``sim`` settings and asks for a simulable metric, each grid
-    point runs one Monte Carlo experiment, ``SimConfig(scenario=point,
+    carries ``sim`` settings (it then asks for a simulable metric), each
+    grid point runs one Monte Carlo experiment, ``SimConfig(scenario=point,
     **vars(spec.sim))`` (same seed at every point, so consecutive points
     share common random numbers), and the simulable metrics gain estimates
     with 95% confidence half-widths. The experiments of all points share at
@@ -293,7 +303,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """
     scenarios = [_scenario_at(spec, value) for value in spec.grid]
     summaries = [None] * len(scenarios)
-    if spec.sim is not None and SIMULABLE_METRICS.intersection(spec.outputs):
+    if spec.sim is not None:
         cfgs = [SimConfig(scenario=s, **vars(spec.sim)) for s in scenarios]
         summaries = _run_many(cfgs, workers)
     rows = []
@@ -507,8 +517,9 @@ def load_spec(path) -> SweepSpec:
     omitted ``snr`` to infinite (interference-limited). The ``sim`` keys
     are checked whether or not the sweep simulates, and errors name them
     by their spec keys; the spec's ``sim`` is None unless ``simulate`` is
-    true. Raises SpecFileError on unparseable documents and
-    SpecValidationError listing every schema violation.
+    true, which needs a simulable metric among the outputs. Raises
+    SpecFileError on unparseable documents and SpecValidationError listing
+    every schema violation.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -681,7 +692,7 @@ def load_spec(path) -> SweepSpec:
         else:
             delay_query = float(raw)
 
-    r.problems += _sweep_problems(axis, outputs, mse_target, delay_query, d_c)
+    r.problems += _sweep_problems(axis, outputs, mse_target, delay_query, d_c, simulate)
 
     # Range checks run per section so one bad value does not mask another.
     dep = wl = ai = None

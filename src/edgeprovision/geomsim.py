@@ -16,7 +16,7 @@ A trial runs five stages, each drawing from the trial's stream in turn:
 2. *associate*: shadowing of every device-AP pair (when enabled), then
    minimum-pathloss association, which fixes every cell's load;
 3. *schedule*: one uniformly chosen transmitter per non-serving cell;
-4. *fill*: saturation-fill candidate batches (see ``full_buffer``);
+4. *fill*: the saturation fill (see ``full_buffer``);
 5. *link*: fading, then SINR, rate, delay and the output choice.
 
 Determinism contract: trial ``i`` always consumes the random stream keyed
@@ -33,6 +33,21 @@ assumptions rather than to the literal finite-window system:
   empty non-serving cell, realizing the saturated network (every AP has a
   transmitter) that the analytic interference model assumes. Without it the
   simulated coverage exceeds the model by up to ~0.2 at unit density ratio.
+
+  The fill draws one global batch of ``8 * n_ap`` window-uniform candidates;
+  the first candidate to land in an empty cell fills it. That leaves about
+  two small cells empty per canonical trial. Without shadowing, each is then
+  filled locally: its ten nearest APs' bisectors cut out a polygon that
+  holds the cell, a disc of radius rho around the AP holds the polygon, and
+  the first disc-uniform candidate that lies in the window and has that AP
+  as its nearest is kept. Rejection from a superset of the cell leaves the
+  point exactly uniform in the cell, as the global batch's would be. A cell
+  whose neighbours leave an angular gap of pi or more has an unbounded
+  polygon; it (like a torus cell with rho of half the side or more) falls
+  back to further global batches, at most ``_FILL_BATCHES`` in all. With
+  shadowing, cells are not Voronoi cells, so the shadowed path uses global
+  batches only. Seeded simulated values changed when the local step
+  replaced global batches 2+ (same law, different draws).
 * ``load_model="mean_field"`` gives the typical device the mean bandwidth
   share ``bandwidth / mean_cell_load`` rather than its realized per-trial
   share. The closed forms replace the random load by its mean; validating
@@ -107,6 +122,11 @@ _RANGES_PER_WORKER = 2
 _FILL_BATCHES = 6
 # fill candidates per AP associated between two early-exit checks
 _FILL_SLICE = 2
+# nearest APs whose bisectors bound a cell in the local fill, and their pairs
+_FILL_NEIGHBOURS = 10
+_NEIGHBOUR_PAIRS = np.triu_indices(_FILL_NEIGHBOURS, 1)
+# local fill candidates per cell and round
+_LOCAL_DRAWS = 16
 _LN10 = math.log(10.0)
 
 
@@ -158,13 +178,21 @@ class DiscWindow:
 
 
 def _sq_dist_matrix(a: np.ndarray, b: np.ndarray, side: float | None) -> np.ndarray:
-    """Pairwise squared distances between point sets, optionally toroidal."""
-    dx = np.abs(a[:, 0, None] - b[None, :, 0])
-    dy = np.abs(a[:, 1, None] - b[None, :, 1])
+    """Pairwise squared distances between point sets, optionally toroidal.
+
+    Computed in place: the fill calls this once per candidate slice, and
+    each extra slice-sized temporary costs freshly mapped memory."""
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    np.abs(dx, out=dx)
+    np.abs(dy, out=dy)
     if side is not None:
-        dx = np.minimum(dx, side - dx)
-        dy = np.minimum(dy, side - dy)
-    return dx * dx + dy * dy
+        np.minimum(dx, side - dx, out=dx)
+        np.minimum(dy, side - dy, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +308,7 @@ class SimConfig(SimSettings):
             warnings.warn(
                 f"window holds only {expected_aps:.1f} expected APs; "
                 "boundary effects may be visible below ~100",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass-generated __init__
             )
 
     @property
@@ -375,8 +403,10 @@ class _Engine:
         if normals is None:
             dist, serving = tree.query(points)
             return serving, dist ** 4, None
-        sq = _sq_dist_matrix(points, ap, self.side)
-        pathloss = sq * sq * np.exp(self.sigma_scale * normals)
+        pathloss = _sq_dist_matrix(points, ap, self.side)
+        pathloss *= pathloss
+        gain = self.sigma_scale * normals
+        pathloss *= np.exp(gain, out=gain)
         serving = np.argmin(pathloss, axis=1)
         own = pathloss[np.arange(len(points)), serving]
         return serving, own, pathloss
@@ -429,50 +459,130 @@ class _Engine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Saturation fill: one uniform device in every empty non-serving cell.
 
-        Rejection batches of ``8 * n_ap * 2**b`` candidates, at most
-        ``_FILL_BATCHES``. A batch and its shadowing normals are drawn whole,
-        then associated ``_FILL_SLICE * n_ap`` candidates at a time until no
-        cell is left empty. The first candidate to land in a cell fills it;
-        each batch's fills come in ascending cell order. Returns positions,
-        own pathlosses and cross pathlosses to AP ``a0`` (None unless
-        shadowed).
+        Global rejection batches of ``8 * n_ap * 2**b`` window-uniform
+        candidates, at most ``_FILL_BATCHES``, each drawn (with its
+        shadowing normals) and associated ``_FILL_SLICE * n_ap`` candidates
+        at a time until no cell is left empty; the first candidate to land
+        in a cell fills it. Without shadowing, the cells the first batch
+        leaves empty are then filled locally (``_local_fill``), and only
+        the cells that step cannot bound go on to batches 2+. Fills come in
+        ascending cell order; a cell still empty at the batch cap gets
+        none. Returns positions, own pathlosses and cross pathlosses to AP
+        ``a0`` (None unless shadowed).
         """
         n_ap = len(ap)
         step = _FILL_SLICE * n_ap
         needed = counts == 0
         needed[a0] = False
-        keys, pts = [np.empty(0, np.intp)], [np.empty((0, 2))]
-        own, cross = [np.empty(0)], [np.empty(0)]
-        batch = 0
-        while needed.any() and batch < _FILL_BATCHES:
-            m = (8 << batch) * n_ap
-            cand = self.window.sample(stream, m)
-            normals = self._shadow_normals(stream, m, n_ap)
-            for lo in range(0, m, step):
-                part = slice(lo, lo + step)
-                serving, part_own, pathloss = self._serve(
-                    cand[part], ap, tree, None if normals is None else normals[part]
+        cells = np.nonzero(needed)[0]
+        pts, own, cross = np.empty((n_ap, 2)), np.empty(n_ap), np.empty(n_ap)
+        for batch in range(_FILL_BATCHES):
+            if not needed.any():
+                break
+            if batch == 1 and tree is not None:
+                left = np.nonzero(needed)[0]
+                done, local_pts, local_own = self._local_fill(stream, ap, tree, left)
+                got = left[done]
+                needed[got] = False
+                pts[got], own[got] = local_pts[done], local_own[done]
+            for _ in range((8 << batch) // _FILL_SLICE):
+                if not needed.any():
+                    break
+                cand = self.window.sample(stream, step)
+                serving, cand_own, pathloss = self._serve(
+                    cand, ap, tree, self._shadow_normals(stream, step, n_ap)
                 )
                 hit = np.nonzero(needed[serving])[0]
-                if not hit.size:
-                    continue
                 got, first = np.unique(serving[hit], return_index=True)
                 take = hit[first]
                 needed[got] = False
-                keys.append(batch * n_ap + got)
-                pts.append(cand[lo + take])
-                own.append(part_own[take])
+                pts[got], own[got] = cand[take], cand_own[take]
                 if pathloss is not None:
-                    cross.append(pathloss[take, a0])
-                if not needed.any():
-                    break
-            batch += 1
-        order = np.argsort(np.concatenate(keys))
-        return (
-            np.concatenate(pts)[order],
-            np.concatenate(own)[order],
-            None if self.sigma_scale is None else np.concatenate(cross)[order],
-        )
+                    cross[got] = pathloss[take, a0]
+        cells = cells[~needed[cells]]
+        return pts[cells], own[cells], None if self.sigma_scale is None else cross[cells]
+
+    def _cell_radius(self, ap: np.ndarray, tree, cells: np.ndarray) -> np.ndarray:
+        """Radius around each AP in ``cells`` that holds its whole cell; nan
+        where the local geometry does not bound the cell.
+
+        The cell lies inside the polygon cut out by the bisector half-planes
+        ``x . d <= |d|**2 / 2`` of its ``_FILL_NEIGHBOURS`` nearest APs
+        (displacements ``d`` from the AP, minimum image on the torus): a
+        point of the cell is no farther from the AP than from any
+        neighbour, and on the torus no farther than from the neighbour's
+        image at ``d``. The polygon is bounded exactly when the neighbour
+        directions leave no angular gap of pi or more, and a bounded convex
+        polygon is farthest from the AP at a vertex, so the radius is the
+        largest norm among the pairwise bisector intersections that satisfy
+        every half-plane. On the torus it must also stay below half the
+        side, so that the disc around the AP does not wrap onto itself.
+        """
+        if len(ap) <= _FILL_NEIGHBOURS:
+            return np.full(len(cells), np.nan)
+        _, nb = tree.query(ap[cells], k=_FILL_NEIGHBOURS + 1)
+        d = ap[nb[:, 1:]] - ap[cells, None]
+        if self.torus:
+            d -= self.side * np.round(d / self.side)
+        angle = np.sort(np.arctan2(d[..., 1], d[..., 0]), axis=1)
+        gap = np.diff(angle, axis=1, append=angle[:, :1] + 2.0 * math.pi)
+        half = 0.5 * (d * d).sum(axis=-1)
+        # the bisectors of neighbours i < j meet at v with d_i . v = half_i
+        # and d_j . v = half_j: v = (half_i perp(d_j) - half_j perp(d_i)) / det
+        i, j = _NEIGHBOUR_PAIRS
+        perp = d[..., ::-1] * (1.0, -1.0)
+        det = (d[:, i] * perp[:, j]).sum(axis=-1, keepdims=True)
+        with np.errstate(all="ignore"):
+            v = (half[:, i, None] * perp[:, j] - half[:, j, None] * perp[:, i]) / det
+            lhs = v @ d.transpose(0, 2, 1)
+            # relative slack, so rounding never drops a true vertex
+            inside = (lhs - half[:, None] <= 1e-9 * (half[:, None] + np.abs(lhs))).all(-1)
+            sq = np.where(inside, (v * v).sum(axis=-1), 0.0).max(axis=1)
+        rho = np.sqrt(sq) * (1.0 + 1e-9)
+        ok = (gap.max(axis=1) < math.pi) & (rho > 0.0) & np.isfinite(rho)
+        if self.torus:
+            ok &= rho < 0.5 * self.side
+        return np.where(ok, rho, np.nan)
+
+    def _local_fill(
+        self, stream: RngStream, ap: np.ndarray, tree, cells: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One point uniform in the cell of each AP in ``cells`` (which may
+        repeat), with its own pathloss; unshadowed association only.
+
+        Candidates are uniform in the disc of radius ``_cell_radius`` around
+        the AP, ``_LOCAL_DRAWS`` per cell and round, for at most
+        ``_FILL_BATCHES`` rounds; the first to lie in the window and have
+        that AP as its nearest is kept. Since the disc holds the whole cell,
+        the kept point is exactly uniform in the cell. Returns a mask of
+        the cells that got a point (False where the cell is not bounded or
+        no round hit it), the points and their own pathlosses.
+        """
+        rho = self._cell_radius(ap, tree, cells)
+        todo = np.nonzero(np.isfinite(rho))[0]
+        done = np.zeros(len(cells), dtype=bool)
+        pts, own = np.empty((len(cells), 2)), np.empty(len(cells))
+        for _ in range(_FILL_BATCHES):
+            if not todo.size:
+                break
+            u = stream.uniform((todo.size, _LOCAL_DRAWS, 2))
+            r = rho[todo, None] * np.sqrt(u[..., 0])
+            theta = 2.0 * math.pi * u[..., 1]
+            cand = ap[cells[todo], None] + np.stack([r * np.cos(theta), r * np.sin(theta)], -1)
+            if self.torus:
+                cand %= self.side
+                in_window = True
+            else:
+                in_window = (cand * cand).sum(axis=-1) <= self.window.radius**2
+            serving, cand_own, _ = self._serve(cand.reshape(-1, 2), ap, tree, None)
+            hit = in_window & (serving.reshape(r.shape) == cells[todo, None])
+            first = hit.argmax(axis=1)
+            rows = np.nonzero(hit[np.arange(todo.size), first])[0]
+            done[todo[rows]] = True
+            pts[todo[rows]] = cand[rows, first[rows]]
+            own[todo[rows]] = cand_own.reshape(r.shape)[rows, first[rows]]
+            todo = np.delete(todo, rows)
+        return done, pts, own
 
     def link(
         self,

@@ -289,15 +289,18 @@ def test_run_sweep_deterministic():
 )
 def test_sweep_honours_every_sim_setting(settings):
     sim = SimSettings(trials=40, window_radius=4.0, master_seed=21, **settings)
+    # a delay-CDF value in mid-range next to the cloud-use fraction, so that
+    # 40 trials tell every setting from the defaults
     spec = SweepSpec(
         base=base_scenario(rate=0.125),
         axis="lambda_hat",
         grid=(0.5, 2.0),
-        outputs=("cloud_use_prob",),
+        outputs=("cloud_use_prob", "delay_cdf_at"),
         sim=sim,
+        delay_query=1.2,
     )
     rows = run_sweep(spec).rows
-    for row, value in zip(rows, spec.grid):
+    for cloud, delay, value in zip(rows[::2], rows[1::2], spec.grid):
         point = Scenario(
             deployment=DeploymentConfig(lambda_ap=value, lambda_dev=1.0),
             workload=spec.base.workload,
@@ -306,7 +309,9 @@ def test_sweep_honours_every_sim_setting(settings):
         cfg = SimConfig(
             scenario=point, trials=40, window_radius=4.0, master_seed=21, **settings
         )
-        assert row.simulated == _round12(run_trials(cfg).cloud_use_fraction)
+        summary = run_trials(cfg)
+        assert cloud.simulated == _round12(summary.cloud_use_fraction)
+        assert delay.simulated == _round12(summary.delay_samples.evaluate(1.2))
     default = SimSettings(trials=40, window_radius=4.0, master_seed=21)
     assert rows != run_sweep(SweepSpec(**{**vars(spec), "sim": default})).rows
 
@@ -451,10 +456,27 @@ def test_load_spec_full_document(tmp_path):
     assert spec.grid == pytest.approx((1.3, 1.5, 1.7, 1.9))
     assert spec.sim is None  # checked, but this sweep does not simulate
     assert spec.delay_query == 1.5
-    path.write_text(path.read_text().replace("simulate: false", "simulate: true"))
+    simulated = path.read_text().replace("simulate: false", "simulate: true")
+    path.write_text(simulated.replace("critical_edge_mse]", "critical_edge_mse, avg_mse]"))
     assert load_spec(path).sim == SimSettings(
         trials=77, window_radius=6.0, master_seed=9, shadowing_sigma_db=4.0, boundary="disc"
     )
+
+
+def test_simulated_sweep_needs_a_simulable_output(tmp_path):
+    # settings without a simulable metric would run nothing and exit 0
+    text = MINIMAL_SPEC.replace("outputs: [avg_mse]", "outputs: [asymptotic_mse]")
+    path = write_spec(tmp_path, text + "      simulate: true\n")
+    with pytest.raises(SpecValidationError) as exc_info:
+        load_spec(path)
+    assert "sweep.simulate" in str(exc_info.value) and "sweep.outputs" in str(exc_info.value)
+    assert load_spec(write_spec(tmp_path, text)).sim is None  # not simulated: fine
+    kwargs = dict(base=base_scenario(), axis="lambda_hat", grid=(1.0,))
+    with pytest.raises(SpecValidationError, match=r"sweep\.simulate.*sweep\.outputs"):
+        SweepSpec(outputs=("asymptotic_mse", "critical_density"), mse_target=1.3,
+                  sim=SimSettings(trials=10), **kwargs)
+    for metric in ("avg_mse", "cloud_use_prob", "delay_cdf_at"):
+        assert SweepSpec(outputs=("asymptotic_mse", metric), sim=SimSettings(), **kwargs).sim
 
 
 def test_load_spec_log_range(tmp_path):

@@ -272,8 +272,11 @@ def test_simconfig_sizes_an_unset_window(boundary):
 
 
 def test_simconfig_warns_on_small_window():
-    with pytest.warns(UserWarning):
-        small_cfg(window_radius=1.0)  # 4 expected APs
+    with pytest.warns(UserWarning) as record:
+        SimConfig(scenario=canonical_validation_scenario(), window_radius=1.0)  # 4 APs
+    # the warning names the line that built the config
+    assert record[0].filename == __file__
+    assert record[0].lineno == sys._getframe().f_lineno - 3
 
 
 def test_canonical_scenario_frozen_parameters():
@@ -455,9 +458,78 @@ def test_run_loads_matches_full_trials(seed, lam_hat, boundary, sigma_db, trials
     assert float(loads.mean()) == run_trials(cfg, workers=workers).mean_load
 
 
+def _staged(engine, stream):
+    """Deploy, associate and schedule one trial: the fill stage's inputs."""
+    ap, dev = engine.deploy(stream)
+    tree, serving, _, counts, _ = engine.associate(stream, ap, dev)
+    a0 = int(serving[0])
+    engine.schedule(stream, serving, counts, a0)
+    return ap, tree, counts, a0
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(),
+        dict(boundary="disc"),
+        dict(shadowing_sigma_db=8.0, window_radius=4.0),
+        dict(shadowing_sigma_db=8.0, window_radius=4.0, boundary="disc"),
+    ],
+)
+def test_early_exit_fill_matches_full_batch_rule(overrides):
+    # One point per empty non-serving cell, served by that cell, in
+    # ascending cell order, replayed exactly. On the shadowed path every
+    # candidate the engine associates is recorded, so each point's cell is
+    # known; without shadowing the k-d tree gives it. On the unshadowed
+    # torus the first global batch is the full-batch rule's first batch
+    # (the same draws), so the cells it fills get the same points.
+    engine = geomsim._Engine(small_cfg(trials=12, **overrides))
+    serve, served = engine._serve, {}
+
+    def recording_serve(points, ap, tree, normals):
+        serving, own, pathloss = serve(points, ap, tree, normals)
+        for k, point in enumerate(points):
+            row = None if pathloss is None else pathloss[k]
+            served[tuple(point)] = (serving[k], own[k], row)
+        return serving, own, pathloss
+
+    engine._serve = recording_serve
+    for index in range(12):
+        streams = [RngStream(CANONICAL_SEED, index) for _ in range(4)]
+        ap, tree, counts, a0 = _staged(engine, streams[0])
+        for stream in streams[1:]:
+            _staged(engine, stream)
+        served.clear()
+        pts, own, cross = engine.fill(streams[0], ap, tree, counts, a0)
+        empty = np.nonzero(counts == 0)[0]
+        empty = empty[empty != a0]
+        if tree is not None:
+            dist, cells = tree.query(pts)
+            assert np.array_equal(own, dist**4)
+            assert cross is None
+        else:
+            cells = [served[tuple(p)][0] for p in pts]
+            assert np.array_equal(own, [served[tuple(p)][1] for p in pts])
+            assert np.array_equal(cross, [served[tuple(p)][2][a0] for p in pts])
+        assert np.array_equal(cells, empty)
+        # replay: the same fill, and the stream continues from the same place
+        again = engine.fill(streams[1], ap, tree, counts, a0)
+        assert np.array_equal(pts, again[0]) and np.array_equal(own, again[1])
+        assert cross is None or np.array_equal(cross, again[2])
+        assert streams[0].uniform() == streams[1].uniform()
+        if not overrides:
+            first = engine.window.sample(streams[2], 8 * len(ap))
+            old = _full_batch_fill(engine, streams[3], ap, tree, counts, a0)[0]
+            old = old[np.argsort(tree.query(old)[1])]
+            batch1 = (pts[:, None] == first[None]).all(-1).any(-1)
+            assert np.array_equal(batch1, (old[:, None] == first[None]).all(-1).any(-1))
+            assert np.array_equal(pts[batch1], old[batch1])
+
+
 def _full_batch_fill(engine, stream, ap, tree, counts, a0):
-    """The saturation-fill rule without early exit: every batch is
-    associated whole and its first hit per empty cell kept, by cell."""
+    """The earlier saturation-fill rule: global batches only, each drawn and
+    associated whole, its first hit per empty cell kept, by cell."""
     n_ap = len(ap)
     need = np.nonzero(counts == 0)[0]
     need = need[need != a0]
@@ -481,34 +553,100 @@ def _full_batch_fill(engine, stream, ap, tree, counts, a0):
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        dict(),
-        dict(boundary="disc"),
-        dict(shadowing_sigma_db=8.0, window_radius=4.0),
-        dict(shadowing_sigma_db=8.0, window_radius=4.0, boundary="disc"),
-    ],
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    boundary=st.sampled_from(["torus", "disc"]),
+    lam_ap=st.floats(0.5, 2.0),
 )
-def test_early_exit_fill_matches_full_batch_rule(overrides):
-    engine = geomsim._Engine(small_cfg(trials=12, **overrides))
-    for index in range(12):
-        streams = [RngStream(CANONICAL_SEED, index) for _ in range(2)]
-        for stream in streams:
-            ap, dev = engine.deploy(stream)
-            tree, serving, _, counts, _ = engine.associate(stream, ap, dev)
-            a0 = int(serving[0])
-            engine.schedule(stream, serving, counts, a0)
-        pts, own, cross = engine.fill(streams[0], ap, tree, counts, a0)
-        want_pts, want_own, want_cross = _full_batch_fill(
-            engine, streams[1], ap, tree, counts, a0
-        )
-        assert np.array_equal(pts, want_pts)
-        assert np.array_equal(own, want_own)
-        if cross is not None:
-            assert np.array_equal(cross, want_cross)
-        # the stream continues from the same place
-        assert streams[0].uniform() == streams[1].uniform()
+@example(seed=0, boundary="torus", lam_ap=1.0)
+@example(seed=0, boundary="disc", lam_ap=1.0)
+def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_ap):
+    dep = DeploymentConfig(lambda_ap=lam_ap, lambda_dev=1.0)
+    cfg = small_cfg(
+        scenario=replace(canonical_validation_scenario(), deployment=dep),
+        window_radius=5.0,
+        boundary=boundary,
+        master_seed=seed,
+    )
+    engine = geomsim._Engine(cfg)
+    stream = RngStream(seed, 0)
+    ap, dev = engine.deploy(stream)
+    tree = engine.associate(stream, ap, dev)[0]
+    cells = np.arange(len(ap))
+    rho = engine._cell_radius(ap, tree, cells)
+    bounded = np.isfinite(rho)
+    if len(ap) > geomsim._FILL_NEIGHBOURS:
+        assert bounded.mean() > 0.5
+    # containment: no probe point of a bounded cell lies beyond its radius
+    dist, near = tree.query(engine.window.sample(RngStream(seed, 1), 40_000))
+    inner = bounded[near]
+    assert np.all(dist[inner] <= rho[near[inner]])
+    # own cell: every local point is in the window and served by its AP
+    done, pts, own = engine._local_fill(RngStream(seed, 2), ap, tree, cells)
+    assert np.all(bounded[done]) and done.any()
+    pts, own = pts[done], own[done]
+    dist, near = tree.query(pts)
+    assert np.array_equal(near, cells[done])
+    assert np.array_equal(own, dist**4)
+    if boundary == "torus":
+        assert np.all((pts >= 0.0) & (pts < engine.side))
+    else:
+        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= cfg.window_radius)
+
+
+def test_local_fill_matches_rejection_sampling_in_law():
+    from scipy.stats import ks_2samp
+
+    engine = geomsim._Engine(small_cfg())
+    stream = RngStream(CANONICAL_SEED, 0)
+    ap, dev = engine.deploy(stream)
+    tree = engine.associate(stream, ap, dev)[0]
+    bounded = np.isfinite(engine._cell_radius(ap, tree, np.arange(len(ap))))
+    # the bounded cell with the largest share of its area beyond 90% of its
+    # farthest point from the AP, as a dense probe sees them
+    dist, near = tree.query(engine.window.sample(RngStream(1, 0), 100_000))
+    far = np.zeros(len(ap))
+    np.maximum.at(far, near, dist)
+    beyond = np.bincount(near, weights=dist > 0.9 * far[near], minlength=len(ap))
+    share = np.where(bounded, beyond / np.bincount(near, minlength=len(ap)), 0.0)
+    cell = int(np.argmax(share))
+    assert share[cell] > 0.05
+    # rejection sampling: the window-uniform points that land in the cell
+    dist, near = tree.query(engine.window.sample(RngStream(2, 0), 1_200_000))
+    reference = dist[near == cell] ** 4
+    assert reference.size > 5000
+    done, _, own = engine._local_fill(RngStream(3, 0), ap, tree, np.full(8000, cell))
+    assert done.all()
+    assert ks_2samp(own, reference).pvalue > 1e-3
+
+
+def test_fill_interference_matches_full_batch_rule():
+    # Per-trial interference at the tagged AP from the fill points of the
+    # cells the first global batch leaves empty: local draws under the new
+    # rule, batches 2+ under the earlier one. On the torus both rules draw
+    # the same first batch, so a fill point is a later one exactly when it
+    # is none of the first batch's candidates. The new rule runs on trials
+    # [0, n) and the earlier one on [n, 2n), so the samples are independent.
+    from scipy.stats import ks_2samp
+
+    engine = geomsim._Engine(small_cfg(window_radius=5.0))
+    n = 400
+
+    def interference(fill, index):
+        stream, replay = (RngStream(CANONICAL_SEED, index) for _ in range(2))
+        ap, tree, counts, a0 = _staged(engine, stream)
+        _staged(engine, replay)
+        first = engine.window.sample(replay, 8 * len(ap))
+        pts, own, _ = fill(stream, ap, tree, counts, a0)
+        later = ~(pts[:, None] == first[None]).all(-1).any(-1)
+        sq = geomsim._sq_dist_matrix(pts[later], ap[a0][None], engine.side)[:, 0]
+        return float(np.sum(own[later] / (sq * sq)))
+
+    new = [interference(engine.fill, i) for i in range(n)]
+    old = [interference(lambda *a: _full_batch_fill(engine, *a), i) for i in range(n, 2 * n)]
+    assert np.count_nonzero(new) > n // 2
+    assert ks_2samp(new, old).pvalue > 0.01
 
 
 class _InlinePool:
