@@ -50,9 +50,14 @@ _LOAD_COEFF = 1.28
 _SERIES_MAX_Y = 1e-20
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, template: str, *values) -> None:
+    """Raise ModelDomainError(template.format(*values)) unless ``cond``.
+
+    The message is built only on failure: formatting float reprs on every
+    passing check was a sizeable share of a closed-form call.
+    """
     if not cond:
-        raise ModelDomainError(message)
+        raise ModelDomainError(template.format(*values))
 
 
 def _finite(x: float) -> bool:
@@ -74,11 +79,13 @@ class DeploymentConfig:
     def __post_init__(self):
         _require(
             _finite(self.lambda_ap) and self.lambda_ap > 0,
-            f"lambda_ap must be finite and > 0 (got {self.lambda_ap!r})",
+            "lambda_ap must be finite and > 0 (got {!r})",
+            self.lambda_ap,
         )
         _require(
             _finite(self.lambda_dev) and self.lambda_dev > 0,
-            f"lambda_dev must be finite and > 0 (got {self.lambda_dev!r})",
+            "lambda_dev must be finite and > 0 (got {!r})",
+            self.lambda_dev,
         )
 
     @property
@@ -106,26 +113,32 @@ class InferenceWorkload:
     def __post_init__(self):
         _require(
             _finite(self.payload_bits) and self.payload_bits > 0,
-            f"payload_bits must be finite and > 0 (got {self.payload_bits!r})",
+            "payload_bits must be finite and > 0 (got {!r})",
+            self.payload_bits,
         )
         _require(
             _finite(self.compute_delay) and self.compute_delay >= 0,
-            f"compute_delay must be finite and >= 0 (got {self.compute_delay!r})",
+            "compute_delay must be finite and >= 0 (got {!r})",
+            self.compute_delay,
         )
         _require(
             _finite(self.delay_budget) and self.delay_budget > self.compute_delay,
             "delay_budget must be finite and exceed compute_delay, otherwise "
-            f"cloud inference is never usable (got {self.delay_budget!r} "
-            f"vs {self.compute_delay!r})",
+            "cloud inference is never usable (got {!r} vs {!r})",
+            self.delay_budget,
+            self.compute_delay,
         )
         _require(
             _finite(self.mse_cloud) and self.mse_cloud > 0,
-            f"mse_cloud must be finite and > 0 (got {self.mse_cloud!r})",
+            "mse_cloud must be finite and > 0 (got {!r})",
+            self.mse_cloud,
         )
         _require(
             _finite(self.mse_edge) and self.mse_edge >= self.mse_cloud,
             "mse_edge must be finite and >= mse_cloud (cloud model is the "
-            f"more accurate one; got {self.mse_edge!r} vs {self.mse_cloud!r})",
+            "more accurate one; got {!r} vs {!r})",
+            self.mse_edge,
+            self.mse_cloud,
         )
 
 
@@ -143,11 +156,13 @@ class AirInterface:
     def __post_init__(self):
         _require(
             _finite(self.bandwidth) and self.bandwidth > 0,
-            f"bandwidth must be finite and > 0 (got {self.bandwidth!r})",
+            "bandwidth must be finite and > 0 (got {!r})",
+            self.bandwidth,
         )
         _require(
             not math.isnan(self.snr) and self.snr > 0,
-            f"snr must be > 0 (math.inf allowed; got {self.snr!r})",
+            "snr must be > 0 (math.inf allowed; got {!r})",
+            self.snr,
         )
 
 
@@ -163,7 +178,8 @@ class Scenario:
         r = self.inference_rate
         _require(
             math.isfinite(r) and r > 0,
-            f"derived inference rate must be finite and > 0 (got {r!r})",
+            "derived inference rate must be finite and > 0 (got {!r})",
+            r,
         )
 
     @property
@@ -240,7 +256,7 @@ def coverage_exponent(x: float) -> float:
     exp(-coverage_exponent(x)) under the model assumptions; strictly
     increasing from 0 with unbounded range.
     """
-    _require(_finite(x) and x >= 0, f"x must be finite and >= 0 (got {x!r})")
+    _require(_finite(x) and x >= 0, "x must be finite and >= 0 (got {!r})", x)
     u = math.sqrt(x)
     return u * math.atan(u)
 
@@ -250,7 +266,7 @@ def sinr_threshold(x: float) -> float:
 
     Saturates to math.inf once 2**x exceeds the float64 range.
     """
-    _require(_finite(x) and x >= 0, f"x must be finite and >= 0 (got {x!r})")
+    _require(_finite(x) and x >= 0, "x must be finite and >= 0 (got {!r})", x)
     if x >= _EXP2_OVERFLOW:
         return math.inf
     return 2.0 ** x - 1.0
@@ -266,7 +282,7 @@ def coverage_exponent_inverse(y: float) -> float:
     sqrt(y) for Newton to close the gap, the series y + y**2/3 is exact to
     double precision, so the round trip holds in relative terms for every y.
     """
-    _require(_finite(y) and y >= 0, f"y must be finite and >= 0 (got {y!r})")
+    _require(_finite(y) and y >= 0, "y must be finite and >= 0 (got {!r})", y)
     if y < _SERIES_MAX_Y:
         return y + y * y / 3.0
 
@@ -313,7 +329,9 @@ def delay_cdf(s: Scenario, d: float) -> float:
     w = s.workload
     _require(
         not math.isnan(d) and d > w.compute_delay,
-        f"d must exceed compute_delay={w.compute_delay!r} (got {d!r})",
+        "d must exceed compute_delay={!r} (got {!r})",
+        w.compute_delay,
+        d,
     )
     nu = mean_cell_load(s.deployment)
     stretch = (w.delay_budget - w.compute_delay) / (d - w.compute_delay)
@@ -355,11 +373,13 @@ def critical_ap_density(
     """
     _require(
         _finite(lambda_dev) and lambda_dev > 0,
-        f"lambda_dev must be finite and > 0 (got {lambda_dev!r})",
+        "lambda_dev must be finite and > 0 (got {!r})",
+        lambda_dev,
     )
     _require(
         _finite(mse_target) and mse_target > 0,
-        f"mse_target must be finite and > 0 (got {mse_target!r})",
+        "mse_target must be finite and > 0 (got {!r})",
+        mse_target,
     )
     if mse_target >= w.mse_edge:
         return 0.0
@@ -394,7 +414,9 @@ def critical_edge_mse(s: Scenario, mse_target: float) -> float:
     mc = s.workload.mse_cloud
     _require(
         _finite(mse_target) and mse_target >= mc,
-        f"mse_target must be finite and >= mse_cloud={mc!r} (got {mse_target!r})",
+        "mse_target must be finite and >= mse_cloud={!r} (got {!r})",
+        mc,
+        mse_target,
     )
     # q = 1 - p, the probability that the cloud output misses the budget,
     # through expm1 so that it keeps its relative precision as p nears 1

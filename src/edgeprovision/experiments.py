@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import yaml
 
@@ -41,7 +42,11 @@ from .errors import (
     SpecFileError,
     SpecValidationError,
 )
-from .geomsim import _MAX_TRIALS, SimConfig, SimSettings, _run_many, _sim_problems
+
+# The simulator, and NumPy with it, is imported only where a sweep carries
+# simulator settings, so an analytic-only sweep loads neither.
+if TYPE_CHECKING:
+    from .geomsim import SimSettings
 
 __all__ = [
     "AXES",
@@ -185,16 +190,19 @@ class SweepSpec:
                 problems.append(f"sweep.grid values must be > 0 for axis {self.axis}")
             if self.axis == "mse_edge_ratio" and lo < 1.0:
                 problems.append("sweep.grid values must be >= 1 for axis mse_edge_ratio")
-        if self.sim is not None and type(self.sim) is not SimSettings:
-            problems.append(
-                f"sweep.sim must be a SimSettings or None (got {type(self.sim).__name__}); "
-                "the sweep sets the scenario at each grid point"
-            )
-        elif self.sim is not None and len(self.grid) * self.sim.trials > _MAX_TRIALS:
-            problems.append(
-                f"sweep.sim.trials ({self.sim.trials}) times the grid size "
-                f"({len(self.grid)}) must be at most {_MAX_TRIALS}"
-            )
+        if self.sim is not None:
+            from .geomsim import _MAX_TRIALS, SimSettings
+
+            if type(self.sim) is not SimSettings:
+                problems.append(
+                    f"sweep.sim must be a SimSettings or None (got {type(self.sim).__name__}); "
+                    "the sweep sets the scenario at each grid point"
+                )
+            elif len(self.grid) * self.sim.trials > _MAX_TRIALS:
+                problems.append(
+                    f"sweep.sim.trials ({self.sim.trials}) times the grid size "
+                    f"({len(self.grid)}) must be at most {_MAX_TRIALS}"
+                )
         if not self.outputs:
             problems.append("sweep.outputs must be non-empty")
         problems += _sweep_problems(
@@ -304,6 +312,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     scenarios = [_scenario_at(spec, value) for value in spec.grid]
     summaries = [None] * len(scenarios)
     if spec.sim is not None:
+        from .geomsim import SimConfig, _run_many
+
         cfgs = [SimConfig(scenario=s, **vars(spec.sim)) for s in scenarios]
         summaries = _run_many(cfgs, workers)
     rows = []
@@ -435,13 +445,15 @@ _SECTION_KEYS = {
         "delay_d",
     },
 }
-# sweep.sim key -> SimSettings field; load_model and full_buffer have no key
+# sweep.sim key -> SimSettings field
 _SIM_KEYS = {
     "trials": "trials",
     "window_radius": "window_radius",
     "seed": "master_seed",
     "shadowing": "shadowing_sigma_db",
     "boundary": "boundary",
+    "load_model": "load_model",
+    "full_buffer": "full_buffer",
 }
 _SIM_NAMES = {field: f"sweep.sim.{key}" for key, field in _SIM_KEYS.items()}
 
@@ -520,10 +532,17 @@ def load_spec(path) -> SweepSpec:
     true, which needs a simulable metric among the outputs. Raises
     SpecFileError on unparseable documents and SpecValidationError listing
     every schema violation.
+
+    The document is parsed by libyaml when PyYAML was built with it, else
+    by PyYAML's pure-Python parser. They build the same document from the
+    same text, except that libyaml also takes a tab as the space between
+    tokens on a line, which the pure-Python parser rejects, and words its
+    parse errors differently (the type and line stay).
     """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as e:
             mark = getattr(e, "problem_mark", None)
             where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -634,7 +653,11 @@ def load_spec(path) -> SweepSpec:
         r.fail(f"field sweep.simulate must be a boolean (got {simulate!r})")
         simulate = False
 
-    sim = SimSettings()
+    sim = None
+    if simulate or "sim" in sweep_sec:
+        from .geomsim import SimSettings, _sim_problems
+
+        sim = SimSettings()
     if "sim" in sweep_sec:
         sim_sec = sweep_sec["sim"]
         if not isinstance(sim_sec, dict):
@@ -670,7 +693,9 @@ def load_spec(path) -> SweepSpec:
                 )
             values = vars(sim) | {"window_radius": radius, "shadowing_sigma_db": sigma}
             values |= {
-                _SIM_KEYS[k]: sim_sec[k] for k in ("trials", "seed", "boundary") if k in sim_sec
+                _SIM_KEYS[k]: sim_sec[k]
+                for k in ("trials", "seed", "boundary", "load_model", "full_buffer")
+                if k in sim_sec
             }
             problems = _sim_problems(values, _SIM_NAMES)
             r.problems += problems

@@ -389,3 +389,95 @@ def test_critical_edge_mse_matches_high_precision_property(lam_hat, rate, target
 def test_coverage_exponent_inverse_round_trip_property(y):
     x = coverage_exponent_inverse(y)
     assert coverage_exponent(x) == pytest.approx(y, rel=1e-10, abs=0.0)
+
+
+# Each domain check's message for one bad input, as the checks word them.
+_UNIT = Scenario(
+    DeploymentConfig(1.0, 1.0),
+    InferenceWorkload(1.0, 2.0, 1.0, mse_cloud=1.0, mse_edge=1.5),
+    AirInterface(1.0),
+)
+_DOMAIN_MESSAGES = {
+    "coverage_exponent": (
+        lambda: coverage_exponent(-1.0),
+        "x must be finite and >= 0 (got -1.0)",
+    ),
+    "sinr_threshold": (
+        lambda: sinr_threshold(math.nan),
+        "x must be finite and >= 0 (got nan)",
+    ),
+    "coverage_exponent_inverse": (
+        lambda: coverage_exponent_inverse(-1.0),
+        "y must be finite and >= 0 (got -1.0)",
+    ),
+    "delay_cdf": (
+        lambda: delay_cdf(_UNIT, 1.0),
+        "d must exceed compute_delay=1.0 (got 1.0)",
+    ),
+    "critical_ap_density.lambda_dev": (
+        lambda: critical_ap_density(_UNIT.workload, _UNIT.air, 0, 1.2),
+        "lambda_dev must be finite and > 0 (got 0)",
+    ),
+    "critical_ap_density.mse_target": (
+        lambda: critical_ap_density(_UNIT.workload, _UNIT.air, 1.0, 0),
+        "mse_target must be finite and > 0 (got 0)",
+    ),
+    "critical_edge_mse": (
+        lambda: critical_edge_mse(_UNIT, 0.5),
+        "mse_target must be finite and >= mse_cloud=1.0 (got 0.5)",
+    ),
+    "DeploymentConfig.lambda_ap": (
+        lambda: DeploymentConfig(-1.0, 1.0),
+        "lambda_ap must be finite and > 0 (got -1.0)",
+    ),
+    "DeploymentConfig.lambda_dev": (
+        lambda: DeploymentConfig(1.0, math.inf),
+        "lambda_dev must be finite and > 0 (got inf)",
+    ),
+    "InferenceWorkload.payload_bits": (
+        lambda: InferenceWorkload(0.0, 2.0, 1.0, 1.0, 1.5),
+        "payload_bits must be finite and > 0 (got 0.0)",
+    ),
+    "InferenceWorkload.compute_delay": (
+        lambda: InferenceWorkload(1.0, 2.0, -1.0, 1.0, 1.5),
+        "compute_delay must be finite and >= 0 (got -1.0)",
+    ),
+    "InferenceWorkload.delay_budget": (
+        lambda: InferenceWorkload(1.0, 1.0, 1.0, 1.0, 1.5),
+        "delay_budget must be finite and exceed compute_delay, otherwise cloud "
+        "inference is never usable (got 1.0 vs 1.0)",
+    ),
+    "InferenceWorkload.mse_cloud": (
+        lambda: InferenceWorkload(1.0, 2.0, 1.0, 0.0, 1.5),
+        "mse_cloud must be finite and > 0 (got 0.0)",
+    ),
+    "InferenceWorkload.mse_edge": (
+        lambda: InferenceWorkload(1.0, 2.0, 1.0, 1.0, 0.5),
+        "mse_edge must be finite and >= mse_cloud (cloud model is the more "
+        "accurate one; got 0.5 vs 1.0)",
+    ),
+    "AirInterface.bandwidth": (
+        lambda: AirInterface("wide"),
+        "bandwidth must be finite and > 0 (got 'wide')",
+    ),
+    "AirInterface.snr": (
+        lambda: AirInterface(1.0, snr=math.nan),
+        "snr must be > 0 (math.inf allowed; got nan)",
+    ),
+    "Scenario.inference_rate": (
+        lambda: Scenario(
+            _UNIT.deployment,
+            replace(_UNIT.workload, payload_bits=1e-320),
+            AirInterface(1e300),
+        ),
+        "derived inference rate must be finite and > 0 (got 0.0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_DOMAIN_MESSAGES))
+def test_domain_check_messages_are_pinned(check):
+    call, message = _DOMAIN_MESSAGES[check]
+    with pytest.raises(ModelDomainError) as exc_info:
+        call()
+    assert str(exc_info.value) == message

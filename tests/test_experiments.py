@@ -287,7 +287,7 @@ def test_run_sweep_deterministic():
     "settings",
     [{"load_model": "realized"}, {"full_buffer": False}, {"load_model": "realized", "full_buffer": False}],
 )
-def test_sweep_honours_every_sim_setting(settings):
+def test_sweep_honours_every_sim_setting(tmp_path, settings):
     sim = SimSettings(trials=40, window_radius=4.0, master_seed=21, **settings)
     # a delay-CDF value in mid-range next to the cloud-use fraction, so that
     # 40 trials tell every setting from the defaults
@@ -299,6 +299,21 @@ def test_sweep_honours_every_sim_setting(settings):
         sim=sim,
         delay_query=1.2,
     )
+    # the spec file's sweep.sim keys (named as the fields) reach the same settings
+    doc = {
+        "deployment": {"lambda_ap": 1.0, "lambda_dev": 1.0},
+        "workload": {"q": 0.125, "d_t": 2.0, "d_c": 1.0, "m_c": 1.0, "m_d": 1.5},
+        "air": {"b": 1.0},
+        "sweep": {
+            "axis": "lambda_hat",
+            "grid": [0.5, 2.0],
+            "outputs": ["cloud_use_prob", "delay_cdf_at"],
+            "delay_d": 1.2,
+            "simulate": True,
+            "sim": {"trials": 40, "window_radius": 4.0, "seed": 21, **settings},
+        },
+    }
+    assert load_spec(dump_spec(tmp_path, doc)) == spec
     rows = run_sweep(spec).rows
     for cloud, delay, value in zip(rows[::2], rows[1::2], spec.grid):
         point = Scenario(
@@ -673,6 +688,10 @@ def test_load_spec_accepts_sizes_at_the_limits(tmp_path):
         ({"seed": 2**64}, "sweep.sim.seed"),
         ({"seed": 2.5}, "sweep.sim.seed"),
         ({"boundary": "sphere"}, "sweep.sim.boundary"),
+        ({"load_model": "exact"}, "sweep.sim.load_model"),
+        ({"full_buffer": "no"}, "sweep.sim.full_buffer"),
+        ({"full_buffer": 1}, "sweep.sim.full_buffer"),
+        ({"load_model": None}, "sweep.sim.load_model"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -680,7 +699,8 @@ def test_load_spec_rejects_bad_sim_fields(tmp_path, sim, field):
     # rejected whether or not the sweep simulates
     doc = base_doc()
     doc["sweep"]["sim"] = sim
-    with pytest.raises(SpecValidationError, match=field):
+    # the field's own rule, not "unknown field"
+    with pytest.raises(SpecValidationError, match=f"^{field} must be"):
         load_spec(dump_spec(tmp_path, doc))
 
 
@@ -756,13 +776,97 @@ _DOCUMENTS = st.fixed_dictionaries(
             ["axis", "grid", "outputs", "simulate", "mse_target", "delay_d"],
             range=_fields(["lo", "hi", "n", "scale"]),
             sim=_fields(
-                ["trials", "window_radius", "seed", "boundary"],
+                ["trials", "window_radius", "seed", "boundary", "load_model", "full_buffer"],
                 shadowing=_fields(["lognormal"]),
             ),
         ),
         "extra": _VALUES,
     },
 )
+
+
+def load_with(path, pure: bool):
+    """``load_spec(path)`` through libyaml, or with ``pure`` through
+    PyYAML's pure-Python parser (the fallback when libyaml is missing)."""
+    with pytest.MonkeyPatch.context() as m:
+        if pure:
+            m.delattr(yaml, "CSafeLoader", raising=False)
+        return load_spec(path)
+
+
+def outcomes(path) -> list:
+    """What each parser makes of ``path``: the spec, or the error type with
+    the message of a validation error and the ``cannot parse <path>[ at
+    line N]`` head of a file error (whose detail text is the parser's)."""
+    found = []
+    for pure in (False, True):
+        try:
+            found.append(load_with(path, pure))
+        except SpecFileError as e:
+            found.append((SpecFileError, str(e).split(": ", 1)[0]))
+        except SpecValidationError as e:
+            found.append((SpecValidationError, str(e)))
+    return found
+
+
+def test_load_spec_parses_with_libyaml_when_pyyaml_has_it(tmp_path, monkeypatch):
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    used = []
+
+    class Recording(yaml.CSafeLoader):
+        def __init__(self, stream):
+            used.append(stream.name)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Recording)
+    path = write_spec(tmp_path, MINIMAL_SPEC)
+    load_spec(path)
+    assert used == [str(path)]
+
+
+ALIASED_SPEC = """
+deployment: {lambda_ap: &one 1.0, lambda_dev: *one}
+workload: {q: 1.0e6, d_t: 0.06, d_c: 0.01, m_c: *one}
+air: {b: 1.6e8}
+sweep: {axis: lambda_hat, grid: [0.5, *one], outputs: [avg_mse], sim: {<<: {trials: 9}, seed: 3}}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, loads",
+    [
+        (textwrap.dedent(MINIMAL_SPEC), True),
+        ("\ufeff" + textwrap.dedent(MINIMAL_SPEC), True),  # byte-order mark
+        (textwrap.dedent(MINIMAL_SPEC) + "  mse_target: 1.0e0\n", True),  # YAML 1.1: a string
+        (textwrap.dedent(MINIMAL_SPEC).replace("1.0e6", "9" * 400), False),  # beyond float
+        (ALIASED_SPEC, True),
+    ],
+    ids=["minimal", "bom", "yaml11-exponent", "huge-int", "aliases"],
+)
+def test_load_spec_is_the_same_under_both_parsers(tmp_path, text, loads):
+    path = tmp_path / "spec.yaml"
+    path.write_text(text, encoding="utf-8")
+    libyaml, pure = outcomes(path)
+    assert libyaml == pure
+    assert isinstance(libyaml, SweepSpec) == loads
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"deployment: {lambda_ap: [unclosed\n", 2),
+        (b"deployment:\n\tlambda_ap: 1.0\n", 2),  # tab indent
+        (b"sweep: !!python/object:os.system ls\n", 1),  # unsafe tag
+        (b"deployment: {lambda_ap: \xff}\n", None),  # not UTF-8
+    ],
+    ids=["broken", "tab-indent", "unsafe-tag", "not-utf8"],
+)
+def test_load_spec_parse_errors_agree_under_both_parsers(tmp_path, data, line):
+    path = tmp_path / "spec.yaml"
+    path.write_bytes(data)
+    head = f"cannot parse {path}" + (f" at line {line}" if line else "")
+    assert outcomes(path) == [(SpecFileError, head)] * 2
 
 
 @settings(
@@ -776,19 +880,35 @@ _DOCUMENTS = st.fixed_dictionaries(
     | st.text(max_size=80)
     | st.binary(max_size=40).map(lambda b: b.decode("latin-1")),
     raw=st.booleans(),
+    pure=st.booleans(),
 )
-@example(doc=yaml.safe_dump({"deployment": {"lambda_ap": 10**400}}), raw=False)
-@example(doc="sweep: {range: {lo: 1, hi: 2, n: 100000000000}}", raw=False)
-@example(doc="air: {b: \xff}", raw=True)
-def test_load_spec_fuzzed_documents_fail_cleanly(tmp_path, doc, raw):
+@example(doc=yaml.safe_dump({"deployment": {"lambda_ap": 10**400}}), raw=False, pure=False)
+@example(doc="sweep: {range: {lo: 1, hi: 2, n: 100000000000}}", raw=False, pure=False)
+@example(doc="air: {b: \xff}", raw=True, pure=False)
+def test_load_spec_fuzzed_documents_fail_cleanly(tmp_path, doc, raw, pure):
     path = tmp_path / "fuzz.yaml"
     if raw:  # the text's code points as bytes, often not valid UTF-8
         path.write_bytes(doc.encode("latin-1", errors="replace"))
     else:
         path.write_text(doc, encoding="utf-8")
     try:
-        spec = load_spec(path)
+        spec = load_with(path, pure)
     except (SpecFileError, SpecValidationError, OSError):
         return
     assert 1 <= len(spec.grid) <= 10_000
     assert all(math.isfinite(v) for v in spec.grid)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(doc=_DOCUMENTS | _VALUES)
+def test_load_spec_parsers_agree_on_fuzzed_documents(tmp_path, doc):
+    # documents as PyYAML's emitter writes them; on arbitrary text the
+    # parsers differ (libyaml accepts tabs as separation space, for one)
+    path = tmp_path / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    libyaml, pure = outcomes(path)
+    assert libyaml == pure

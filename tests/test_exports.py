@@ -10,6 +10,7 @@ import importlib
 from pathlib import Path
 
 import pytest
+import yaml
 
 import edgeprovision
 from edgeprovision.experiments import load_spec
@@ -48,7 +49,7 @@ def test_demos_import_existing_names():
                 assert not missing, f"{path.name} imports {missing} from {node.module}"
 
 
-def test_readme_sweep_spec_example_loads(tmp_path):
+def test_readme_sweep_spec_example_loads(tmp_path, monkeypatch):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Sweep spec files", 1)[1]
     example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
@@ -58,3 +59,6 @@ def test_readme_sweep_spec_example_loads(tmp_path):
     assert spec.axis == "lambda_hat" and len(spec.grid) == 31
     assert spec.outputs == ("avg_mse", "cloud_use_prob", "critical_density")
     assert spec.sim == SimSettings(trials=2000, master_seed=20260825)
+    # PyYAML's pure-Python parser, the fallback without libyaml, agrees
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_spec(path) == spec

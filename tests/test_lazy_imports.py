@@ -1,4 +1,5 @@
-"""The closed-form path loads only the standard library.
+"""The closed-form path loads only the standard library, and an analytic
+sweep only YAML besides.
 
 Each check runs in a fresh interpreter, since this suite itself has long
 loaded NumPy, SciPy and YAML by the time it gets here.
@@ -8,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,37 @@ def test_package_import_loads_no_numpy_scipy_or_yaml():
     )
     assert code == 0
     assert json.loads(last) == []
+
+
+ANALYTIC_SPEC = """
+    deployment: {lambda_ap: 1.0, lambda_dev: 1.0}
+    workload: {q: 1.0e6, d_t: 0.06, d_c: 0.01, m_c: 1.0}
+    air: {b: 1.6e8}
+    sweep:
+      axis: lambda_hat
+      range: {lo: 0.1, hi: 100, n: 4, scale: log}
+      outputs: [avg_mse, critical_density, delay_cdf_at]
+      mse_target: 1.05
+      simulate: false
+"""
+
+
+def test_analytic_sweep_loads_yaml_but_no_numpy_or_scipy(tmp_path):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(textwrap.dedent(ANALYTIC_SPEC), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    code, last = run_fresh(
+        "import json, sys\n"
+        "from edgeprovision.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(json.dumps(sorted({{m.partition('.')[0] for m in {HEAVY}}})))\n"
+        "sys.exit(code)\n",
+        "sweep",
+        "--spec",
+        str(spec),
+        "--out",
+        str(out),
+    )
+    assert code == 0
+    assert json.loads(last) == ["yaml"]
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4 * 3
