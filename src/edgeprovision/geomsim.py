@@ -34,20 +34,22 @@ assumptions rather than to the literal finite-window system:
   transmitter) that the analytic interference model assumes. Without it the
   simulated coverage exceeds the model by up to ~0.2 at unit density ratio.
 
-  The fill draws one global batch of ``8 * n_ap`` window-uniform candidates;
-  the first candidate to land in an empty cell fills it. That leaves about
-  two small cells empty per canonical trial. Without shadowing, each is then
-  filled locally: its ten nearest APs' bisectors cut out a polygon that
-  holds the cell, a disc of radius rho around the AP holds the polygon, and
-  the first disc-uniform candidate that lies in the window and has that AP
-  as its nearest is kept. Rejection from a superset of the cell leaves the
-  point exactly uniform in the cell, as the global batch's would be. A cell
-  whose neighbours leave an angular gap of pi or more has an unbounded
-  polygon; it (like a torus cell with rho of half the side or more) falls
-  back to further global batches, at most ``_FILL_BATCHES`` in all. With
-  shadowing, cells are not Voronoi cells, so the shadowed path uses global
-  batches only. Seeded simulated values changed when the local step
-  replaced global batches 2+ (same law, different draws).
+  The fill associates window-uniform candidates ``2 * n_ap`` at a time; the
+  first candidate to land in an empty cell fills it. Without shadowing it
+  stops once fewer than a tenth of the cells are empty (after one or two
+  slices on the canonical scenario), and each cell left is then filled
+  locally: its twelve nearest APs' bisectors cut out a polygon that holds
+  the cell (on a disc, three tangents of the window close the polygons of
+  edge cells), a disc of radius rho around the AP holds the polygon, and the
+  first disc-uniform candidate that lies in the window and has that AP as
+  its nearest is kept. Rejection from a superset of the cell leaves the
+  point exactly uniform in the cell, as a global candidate's would be. A
+  torus cell with rho of half the side or more, or one no local draw hit,
+  falls back to further global batches, at most ``_FILL_BATCHES`` in all.
+  With shadowing, cells are not Voronoi cells, so the shadowed path uses
+  global batches only. Seeded simulated values changed when the local step
+  replaced global batches 2+, and again when it took over once batch 1
+  stops early (same law, different draws).
 * ``load_model="mean_field"`` gives the typical device the mean bandwidth
   share ``bandwidth / mean_cell_load`` rather than its realized per-trial
   share. The closed forms replace the random load by its mean; validating
@@ -122,9 +124,20 @@ _RANGES_PER_WORKER = 2
 _FILL_BATCHES = 6
 # fill candidates per AP associated between two early-exit checks
 _FILL_SLICE = 2
-# nearest APs whose bisectors bound a cell in the local fill, and their pairs
-_FILL_NEIGHBOURS = 10
-_NEIGHBOUR_PAIRS = np.triu_indices(_FILL_NEIGHBOURS, 1)
+# Without shadowing, batch 1 stops before a slice once fewer than
+# _FILL_STOP * n_ap non-serving cells are empty, and the local step fills the
+# rest. A slice associates 2 * n_ap candidates at about 0.9 us each (k-d tree
+# query and bookkeeping; 2 CPUs, about 190 APs), 1.8 us * n_ap in all, and
+# the local step costs about 30 us more per cell. A slice at E empty cells
+# fills a share f of them, so it pays while f * E * 30 us > 1.8 us * n_ap,
+# that is while E > 0.06 * n_ap / f. Cell areas are Gamma-distributed and the
+# cells left are the small ones, so f falls from 0.7-0.8 for the first slice
+# to about 0.6 for the second: E > n_ap / 10.
+_FILL_STOP = 0.1
+# nearest APs whose bisectors bound a cell in the local fill
+_FILL_NEIGHBOURS = 12
+# directions of the disc tangents mirroring an AP, relative to its own
+_DISC_TANGENTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
 # local fill candidates per cell and round
 _LOCAL_DRAWS = 16
 _LN10 = math.log(10.0)
@@ -463,10 +476,11 @@ class _Engine:
         candidates, at most ``_FILL_BATCHES``, each drawn (with its
         shadowing normals) and associated ``_FILL_SLICE * n_ap`` candidates
         at a time until no cell is left empty; the first candidate to land
-        in a cell fills it. Without shadowing, the cells the first batch
-        leaves empty are then filled locally (``_local_fill``), and only
-        the cells that step cannot bound go on to batches 2+. Fills come in
-        ascending cell order; a cell still empty at the batch cap gets
+        in a cell fills it. Without shadowing, the first batch stops before
+        a slice once fewer than ``_FILL_STOP * n_ap`` cells are empty, the
+        cells still empty are filled locally (``_local_fill``), and only
+        the cells that step does not fill go on to batches 2+. Fills come
+        in ascending cell order; a cell still empty at the batch cap gets
         none. Returns positions, own pathlosses and cross pathlosses to AP
         ``a0`` (None unless shadowed).
         """
@@ -476,6 +490,7 @@ class _Engine:
         needed[a0] = False
         cells = np.nonzero(needed)[0]
         pts, own, cross = np.empty((n_ap, 2)), np.empty(n_ap), np.empty(n_ap)
+        stop = _FILL_STOP * n_ap if tree is not None else 1
         for batch in range(_FILL_BATCHES):
             if not needed.any():
                 break
@@ -485,8 +500,9 @@ class _Engine:
                 got = left[done]
                 needed[got] = False
                 pts[got], own[got] = local_pts[done], local_own[done]
+                stop = 1
             for _ in range((8 << batch) // _FILL_SLICE):
-                if not needed.any():
+                if np.count_nonzero(needed) < stop:
                     break
                 cand = self.window.sample(stream, step)
                 serving, cand_own, pathloss = self._serve(
@@ -503,43 +519,53 @@ class _Engine:
         return pts[cells], own[cells], None if self.sigma_scale is None else cross[cells]
 
     def _cell_radius(self, ap: np.ndarray, tree, cells: np.ndarray) -> np.ndarray:
-        """Radius around each AP in ``cells`` that holds its whole cell; nan
-        where the local geometry does not bound the cell.
+        """Radius around each AP in ``cells`` that holds its whole cell (the
+        part in the window); nan where the local geometry does not bound it.
 
         The cell lies inside the polygon cut out by the bisector half-planes
         ``x . d <= |d|**2 / 2`` of its ``_FILL_NEIGHBOURS`` nearest APs
         (displacements ``d`` from the AP, minimum image on the torus): a
         point of the cell is no farther from the AP than from any
         neighbour, and on the torus no farther than from the neighbour's
-        image at ``d``. The polygon is bounded exactly when the neighbour
-        directions leave no angular gap of pi or more, and a bounded convex
-        polygon is farthest from the AP at a vertex, so the radius is the
-        largest norm among the pairwise bisector intersections that satisfy
-        every half-plane. On the torus it must also stay below half the
-        side, so that the disc around the AP does not wrap onto itself.
+        image at ``d``. On the disc the window adds three neighbours, the
+        AP's mirror images across the window's tangents at the AP's own
+        direction and at +-2pi/3 from it: their half-planes are the sides of
+        the tangents that hold the window, and together they bound every
+        polygon, edge cells included. A bounded convex polygon is farthest
+        from the AP at a vertex, that is at an end of one of its edges, so
+        the radius is the largest norm among the ends of the bisectors'
+        stretches that satisfy every half-plane; a polygon whose edge has
+        no end is unbounded. On the torus the radius must also stay below
+        half the side, so that the disc around the AP does not wrap onto
+        itself. (The AP's periodic images would bound a torus polygon too,
+        but only with a vertex on an image's bisector, at half the side or
+        more, so they would bound no cell that passes.)
         """
         if len(ap) <= _FILL_NEIGHBOURS:
             return np.full(len(cells), np.nan)
-        _, nb = tree.query(ap[cells], k=_FILL_NEIGHBOURS + 1)
-        d = ap[nb[:, 1:]] - ap[cells, None]
+        p = ap[cells]
+        _, nb = tree.query(p, k=_FILL_NEIGHBOURS + 1)
+        d = ap[nb[:, 1:]] - p[:, None]
         if self.torus:
             d -= self.side * np.round(d / self.side)
-        angle = np.sort(np.arctan2(d[..., 1], d[..., 0]), axis=1)
-        gap = np.diff(angle, axis=1, append=angle[:, :1] + 2.0 * math.pi)
+        else:
+            phi = np.arctan2(p[:, 1], p[:, 0])[:, None] + _DISC_TANGENTS
+            u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+            gap = self.window.radius - (u * p[:, None]).sum(axis=-1)
+            d = np.concatenate([d, 2.0 * gap[..., None] * u], axis=1)
         half = 0.5 * (d * d).sum(axis=-1)
-        # the bisectors of neighbours i < j meet at v with d_i . v = half_i
-        # and d_j . v = half_j: v = (half_i perp(d_j) - half_j perp(d_i)) / det
-        i, j = _NEIGHBOUR_PAIRS
-        perp = d[..., ::-1] * (1.0, -1.0)
-        det = (d[:, i] * perp[:, j]).sum(axis=-1, keepdims=True)
+        # bisector i is d_i / 2 + s perp(d_i), |.|**2 = half_i (1/2 + 2 s**2);
+        # half-plane j keeps s * det(d_i, d_j) <= half_j - d_i . d_j / 2
+        x, y = d[..., 0], d[..., 1]
+        det = x[..., :, None] * y[..., None, :] - y[..., :, None] * x[..., None, :]
+        room = half[:, None, :] - 0.5 * (d @ d.transpose(0, 2, 1))
         with np.errstate(all="ignore"):
-            v = (half[:, i, None] * perp[:, j] - half[:, j, None] * perp[:, i]) / det
-            lhs = v @ d.transpose(0, 2, 1)
-            # relative slack, so rounding never drops a true vertex
-            inside = (lhs - half[:, None] <= 1e-9 * (half[:, None] + np.abs(lhs))).all(-1)
-            sq = np.where(inside, (v * v).sum(axis=-1), 0.0).max(axis=1)
-        rho = np.sqrt(sq) * (1.0 + 1e-9)
-        ok = (gap.max(axis=1) < math.pi) & (rho > 0.0) & np.isfinite(rho)
+            s = room / det
+            hi = np.where(det > 0.0, s, np.inf).min(axis=-1)
+            lo = np.where(det < 0.0, s, -np.inf).max(axis=-1)
+            far = half * (0.5 + 2.0 * np.maximum(lo * lo, hi * hi))
+            rho = np.sqrt(np.where(lo <= hi, far, 0.0).max(axis=-1)) * (1.0 + 1e-9)
+        ok = (rho > 0.0) & np.isfinite(rho)
         if self.torus:
             ok &= rho < 0.5 * self.side
         return np.where(ok, rho, np.nan)

@@ -481,26 +481,37 @@ def test_early_exit_fill_matches_full_batch_rule(overrides):
     # One point per empty non-serving cell, served by that cell, in
     # ascending cell order, replayed exactly. On the shadowed path every
     # candidate the engine associates is recorded, so each point's cell is
-    # known; without shadowing the k-d tree gives it. On the unshadowed
-    # torus the first global batch is the full-batch rule's first batch
-    # (the same draws), so the cells it fills get the same points.
+    # known; without shadowing the k-d tree gives it, and batch 1 draws a
+    # slice only while at least _FILL_STOP * n_ap cells are empty. On the
+    # unshadowed torus the first slice is the start of the full-batch
+    # rule's first batch (the same draws), so the cells it fills get the
+    # same points.
     engine = geomsim._Engine(small_cfg(trials=12, **overrides))
-    serve, served = engine._serve, {}
+    serve, local_fill = engine._serve, engine._local_fill
+    served, slices, local = {}, [], []
 
     def recording_serve(points, ap, tree, normals):
         serving, own, pathloss = serve(points, ap, tree, normals)
         for k, point in enumerate(points):
             row = None if pathloss is None else pathloss[k]
             served[tuple(point)] = (serving[k], own[k], row)
+        if not local:
+            slices.append(serving)
         return serving, own, pathloss
 
-    engine._serve = recording_serve
+    def recording_local_fill(*args):
+        local.append(True)
+        return local_fill(*args)
+
+    engine._serve, engine._local_fill = recording_serve, recording_local_fill
     for index in range(12):
         streams = [RngStream(CANONICAL_SEED, index) for _ in range(4)]
         ap, tree, counts, a0 = _staged(engine, streams[0])
         for stream in streams[1:]:
             _staged(engine, stream)
         served.clear()
+        slices.clear()
+        local.clear()
         pts, own, cross = engine.fill(streams[0], ap, tree, counts, a0)
         empty = np.nonzero(counts == 0)[0]
         empty = empty[empty != a0]
@@ -508,6 +519,13 @@ def test_early_exit_fill_matches_full_batch_rule(overrides):
             dist, cells = tree.query(pts)
             assert np.array_equal(own, dist**4)
             assert cross is None
+            # the stop rule: batch 1 draws a slice only while enough cells
+            # are empty, and stops below that or at its four slices
+            hit = [np.empty(0, dtype=int)] + slices
+            left = [np.setdiff1d(empty, np.concatenate(hit[: k + 1])).size for k in range(len(hit))]
+            stop = geomsim._FILL_STOP * len(ap)
+            assert all(n >= stop for n in left[:-1])
+            assert left[-1] < stop or len(slices) == 8 // geomsim._FILL_SLICE
         else:
             cells = [served[tuple(p)][0] for p in pts]
             assert np.array_equal(own, [served[tuple(p)][1] for p in pts])
@@ -519,12 +537,14 @@ def test_early_exit_fill_matches_full_batch_rule(overrides):
         assert cross is None or np.array_equal(cross, again[2])
         assert streams[0].uniform() == streams[1].uniform()
         if not overrides:
-            first = engine.window.sample(streams[2], 8 * len(ap))
+            assert slices
+            first = engine.window.sample(streams[2], geomsim._FILL_SLICE * len(ap))
             old = _full_batch_fill(engine, streams[3], ap, tree, counts, a0)[0]
             old = old[np.argsort(tree.query(old)[1])]
-            batch1 = (pts[:, None] == first[None]).all(-1).any(-1)
-            assert np.array_equal(batch1, (old[:, None] == first[None]).all(-1).any(-1))
-            assert np.array_equal(pts[batch1], old[batch1])
+            assert len(old) == len(pts)
+            slice1 = (pts[:, None] == first[None]).all(-1).any(-1)
+            assert np.array_equal(slice1, (old[:, None] == first[None]).all(-1).any(-1))
+            assert np.array_equal(pts[slice1], old[slice1])
 
 
 def _full_batch_fill(engine, stream, ap, tree, counts, a0):
@@ -595,6 +615,104 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= cfg.window_radius)
 
 
+def _max_gap(d):
+    """Largest angle between angularly consecutive rows of ``d`` (..., K, 2)."""
+    angle = np.sort(np.arctan2(d[..., 1], d[..., 0]), axis=-1)
+    return np.diff(angle, axis=-1, append=angle[..., :1] + 2.0 * math.pi).max(axis=-1)
+
+
+def _vertex_radius(d):
+    """Reference for ``_Engine._cell_radius`` from a cell's bisector
+    displacements ``d`` (K, 2): the largest norm among the pairwise
+    bisector intersections that satisfy every half-plane, nan when the
+    directions leave an angular gap of pi or more (unbounded polygon)."""
+    if _max_gap(d) >= math.pi:
+        return math.nan
+    half = 0.5 * (d * d).sum(axis=1)
+    best = 0.0
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            det = d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]
+            if det == 0.0:
+                continue
+            v = np.linalg.solve(d[[i, j]], half[[i, j]])
+            if np.all(d @ v <= half + 1e-9 * (half + np.abs(d @ v))):
+                best = max(best, float(v @ v))
+    return math.sqrt(best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    boundary=st.sampled_from(["torus", "disc"]),
+    log_lam_hat=st.floats(-1.0, 3.0),
+)
+@example(seed=0, boundary="disc", log_lam_hat=0.0)
+@example(seed=1, boundary="disc", log_lam_hat=3.0)
+@example(seed=2, boundary="torus", log_lam_hat=-1.0)
+def test_fill_leaves_no_cell_empty_and_bounds_disc_edge_cells(seed, boundary, log_lam_hat):
+    # lambda_hat in [0.1, 1000], auto-sized window (about 150 APs)
+    dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=10.0**-log_lam_hat)
+    cfg = SimConfig(
+        scenario=replace(canonical_validation_scenario(), deployment=dep),
+        boundary=boundary,
+        master_seed=seed,
+        trials=1,
+    )
+    engine = geomsim._Engine(cfg)
+    stream = RngStream(seed, 0)
+    ap, tree, counts, a0 = _staged(engine, stream)
+    # completeness: every empty non-serving cell gets its point
+    pts = engine.fill(stream, ap, tree, counts, a0)[0]
+    empty = np.nonzero(counts == 0)[0]
+    assert np.array_equal(tree.query(pts)[1], empty[empty != a0])
+    if boundary == "torus" or len(ap) <= geomsim._FILL_NEIGHBOURS:
+        return
+    # boundedness: the window's tangents bound every disc cell, including
+    # the edge cells whose nearest APs all lie on one side of them
+    cells = np.arange(len(ap))
+    rho = engine._cell_radius(ap, tree, cells)
+    assert np.all(np.isfinite(rho))
+    _, nb = tree.query(ap, k=geomsim._FILL_NEIGHBOURS + 1)
+    edge = _max_gap(ap[nb[:, 1:]] - ap[:, None]) >= math.pi
+    assert edge.any()
+    # containment: no probe point of an edge cell lies beyond its radius
+    dist, near = tree.query(engine.window.sample(RngStream(seed, 1), 40_000))
+    probe = edge[near]
+    assert probe.any() and np.all(dist[probe] <= rho[near[probe]])
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_cell_radius_matches_pairwise_vertex_reference(boundary):
+    # The radius is the farthest vertex of the polygon, found from the ends
+    # of its edges; the reference tries every pair of bisectors. On the
+    # disc, the polygon also has the window's tangents at the AP's
+    # direction and at +-2pi/3 from it, as mirror images of the AP.
+    engine = geomsim._Engine(small_cfg(window_radius=3.0, boundary=boundary))
+    k = geomsim._FILL_NEIGHBOURS
+    for index in range(3):
+        stream = RngStream(CANONICAL_SEED, index)
+        ap, dev = engine.deploy(stream)
+        tree = engine.associate(stream, ap, dev)[0]
+        rho = engine._cell_radius(ap, tree, np.arange(len(ap)))
+        for cell, p in enumerate(ap):
+            d = ap[tree.query(p, k=k + 1)[1][1:]] - p
+            if boundary == "torus":
+                d -= engine.side * np.round(d / engine.side)
+            else:
+                phi = math.atan2(p[1], p[0]) + np.array([0.0, 2.0, -2.0]) * math.pi / 3.0
+                u = np.column_stack([np.cos(phi), np.sin(phi)])
+                d = np.vstack([d, 2.0 * (engine.window.radius - u @ p)[:, None] * u])
+            ref = _vertex_radius(d)
+            if boundary == "torus" and ref >= 0.5 * engine.side:
+                ref = math.nan
+            # the engine inflates its radius by 1e-9 against rounding
+            assert rho[cell] == pytest.approx(ref * (1.0 + 1e-9), rel=1e-12, nan_ok=True)
+        if boundary == "disc":
+            assert np.all(np.isfinite(rho))
+
+
 def test_local_fill_matches_rejection_sampling_in_law():
     from scipy.stats import ks_2samp
 
@@ -621,32 +739,30 @@ def test_local_fill_matches_rejection_sampling_in_law():
     assert ks_2samp(own, reference).pvalue > 1e-3
 
 
+@pytest.mark.filterwarnings("ignore:window holds only")
 def test_fill_interference_matches_full_batch_rule():
-    # Per-trial interference at the tagged AP from the fill points of the
-    # cells the first global batch leaves empty: local draws under the new
-    # rule, batches 2+ under the earlier one. On the torus both rules draw
-    # the same first batch, so a fill point is a later one exactly when it
-    # is none of the first batch's candidates. The new rule runs on trials
-    # [0, n) and the earlier one on [n, 2n), so the samples are independent.
+    # Per-trial total interference at the tagged AP from every fill point:
+    # global slices, local draws and fallback batches under the engine's
+    # rule, global batches only under the earlier one, on the torus and on
+    # the disc. Both place each point uniformly in its cell, so the totals
+    # share one law. The engine runs on trials [0, n) and the earlier rule
+    # on [n, 2n), so the samples are independent.
     from scipy.stats import ks_2samp
 
-    engine = geomsim._Engine(small_cfg(window_radius=5.0))
     n = 400
+    for boundary in ("torus", "disc"):
+        engine = geomsim._Engine(small_cfg(window_radius=5.0, boundary=boundary))
 
-    def interference(fill, index):
-        stream, replay = (RngStream(CANONICAL_SEED, index) for _ in range(2))
-        ap, tree, counts, a0 = _staged(engine, stream)
-        _staged(engine, replay)
-        first = engine.window.sample(replay, 8 * len(ap))
-        pts, own, _ = fill(stream, ap, tree, counts, a0)
-        later = ~(pts[:, None] == first[None]).all(-1).any(-1)
-        sq = geomsim._sq_dist_matrix(pts[later], ap[a0][None], engine.side)[:, 0]
-        return float(np.sum(own[later] / (sq * sq)))
+        def interference(fill, index):
+            stream = RngStream(CANONICAL_SEED, index)
+            ap, tree, counts, a0 = _staged(engine, stream)
+            pts, own, _ = fill(stream, ap, tree, counts, a0)
+            sq = geomsim._sq_dist_matrix(pts, ap[a0][None], engine.side)[:, 0]
+            return float(np.sum(own / (sq * sq)))
 
-    new = [interference(engine.fill, i) for i in range(n)]
-    old = [interference(lambda *a: _full_batch_fill(engine, *a), i) for i in range(n, 2 * n)]
-    assert np.count_nonzero(new) > n // 2
-    assert ks_2samp(new, old).pvalue > 0.01
+        new = [interference(engine.fill, i) for i in range(n)]
+        old = [interference(lambda *a: _full_batch_fill(engine, *a), i) for i in range(n, 2 * n)]
+        assert ks_2samp(new, old).pvalue > 0.01, boundary
 
 
 class _InlinePool:
