@@ -48,6 +48,9 @@ _LOAD_COEFF = 1.28
 # Below this y, coverage_exponent_inverse returns the series y + y**2/3,
 # whose next term (y**3/45) is far below double precision there.
 _SERIES_MAX_Y = 1e-20
+# Edge-model MSE as a multiple of the cloud model's where a spec or the CLI
+# leaves it out.
+_DEFAULT_EDGE_RATIO = 1.5
 
 
 def _require(cond: bool, template: str, *values) -> None:
@@ -431,3 +434,24 @@ def critical_edge_mse(s: Scenario, mse_target: float) -> float:
             "any edge MSE is acceptable, so no finite maximum exists"
         )
     return mc + (mse_target - mc) / q
+
+
+# ---------------------------------------------------------------------------
+# Metric table
+# ---------------------------------------------------------------------------
+
+# Each sweep metric, and the closed-form CLI command that answers it, as
+# (scenario, mse_target, delay) -> value; the ``critical_*`` metrics read
+# the target and ``delay_cdf_at`` the delay. The lambdas look each function
+# up in this module when called, so a wrapper put in its place (a tracer's
+# or a test's) is the one that runs.
+_CLOSED_FORMS = {
+    "avg_mse": lambda s, mt, d: average_mse(s),
+    "asymptotic_mse": lambda s, mt, d: asymptotic_mse(s.workload, s.air),
+    "critical_density": lambda s, mt, d: critical_ap_density(
+        s.workload, s.air, s.deployment.lambda_dev, mt
+    ),
+    "critical_edge_mse": lambda s, mt, d: critical_edge_mse(s, mt),
+    "delay_cdf_at": lambda s, mt, d: delay_cdf(s, d),
+    "cloud_use_prob": lambda s, mt, d: cloud_use_probability(s),
+}

@@ -28,13 +28,11 @@ from .analytic import (
     DeploymentConfig,
     InferenceWorkload,
     Scenario,
+    _CLOSED_FORMS,
+    _DEFAULT_EDGE_RATIO,
     _payload,
-    asymptotic_mse,
     average_mse,
     cloud_use_probability,
-    critical_ap_density,
-    critical_edge_mse,
-    delay_cdf,
 )
 from .errors import (
     InfeasibleTargetError,
@@ -46,6 +44,44 @@ from .errors import (
 __all__ = ["main"]
 
 _REL_TOL = 1e-9
+
+# Closed-form command -> (metric, help, query flag or None, JSON key). A
+# query flag is required; ``--mt`` is the metric's target MSE and ``--d``
+# its delay.
+_CLOSED_FORM_COMMANDS = {
+    "avg-mse": ("avg_mse", "average inference MSE of the deployment", None, "avg_mse"),
+    "asymptotic-mse": (
+        "asymptotic_mse",
+        "best MSE reachable by densifying APs without bound",
+        None,
+        "asymptotic_mse",
+    ),
+    "delay-cdf": (
+        "delay_cdf_at",
+        "probability that the end-to-end cloud delay is at most d",
+        "--d",
+        "delay_cdf_at",
+    ),
+    "cloud-prob": (
+        "cloud_use_prob",
+        "probability that cloud output meets the delay budget",
+        None,
+        "cloud_use_prob",
+    ),
+    "critical-density": (
+        "critical_density",
+        "minimum AP density achieving a target average MSE",
+        "--mt",
+        "lambda_c",
+    ),
+    "critical-edge-mse": (
+        "critical_edge_mse",
+        "worst edge-model MSE still achieving a target average MSE",
+        "--mt",
+        "critical_edge_mse",
+    ),
+}
+_QUERY_FLAG_HELP = {"--d": "delay value to query in s", "--mt": "target average MSE"}
 
 
 def _snr_type(s: str) -> float:
@@ -78,7 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="minimum spectral efficiency q/(b*(dt-dc)); alternative to --q",
     )
     g.add_argument("--mc", type=float, default=None, help="cloud-model MSE (default 1)")
-    g.add_argument("--md", type=float, default=None, help="edge-model MSE (default 1.5*mc)")
+    g.add_argument(
+        "--md",
+        type=float,
+        default=None,
+        help=f"edge-model MSE (default {_DEFAULT_EDGE_RATIO:g}*mc)",
+    )
     g.add_argument(
         "--snr",
         type=_snr_type,
@@ -108,48 +149,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    s = sub.add_parser(
-        "avg-mse", parents=[scenario, output], help="average inference MSE of the deployment"
-    )
-    s.set_defaults(func=_cmd_avg_mse)
-
-    s = sub.add_parser(
-        "asymptotic-mse",
-        parents=[scenario, output],
-        help="best MSE reachable by densifying APs without bound",
-    )
-    s.set_defaults(func=_cmd_asymptotic_mse)
-
-    s = sub.add_parser(
-        "delay-cdf",
-        parents=[scenario, output],
-        help="probability that the end-to-end cloud delay is at most d",
-    )
-    s.add_argument("--d", type=float, required=True, help="delay value to query in s")
-    s.set_defaults(func=_cmd_delay_cdf)
-
-    s = sub.add_parser(
-        "cloud-prob",
-        parents=[scenario, output],
-        help="probability that cloud output meets the delay budget",
-    )
-    s.set_defaults(func=_cmd_cloud_prob)
-
-    s = sub.add_parser(
-        "critical-density",
-        parents=[scenario, output],
-        help="minimum AP density achieving a target average MSE",
-    )
-    s.add_argument("--mt", type=float, required=True, help="target average MSE")
-    s.set_defaults(func=_cmd_critical_density)
-
-    s = sub.add_parser(
-        "critical-edge-mse",
-        parents=[scenario, output],
-        help="worst edge-model MSE still achieving a target average MSE",
-    )
-    s.add_argument("--mt", type=float, required=True, help="target average MSE")
-    s.set_defaults(func=_cmd_critical_edge)
+    for command, (_, help_text, flag, _) in _CLOSED_FORM_COMMANDS.items():
+        s = sub.add_parser(command, parents=[scenario, output], help=help_text)
+        if flag is not None:
+            s.add_argument(flag, type=float, required=True, help=_QUERY_FLAG_HELP[flag])
+        s.set_defaults(func=_cmd_closed_form)
 
     s = sub.add_parser(
         "simulate",
@@ -211,7 +215,7 @@ def _resolve_scenario(args) -> Scenario:
     dt = args.dt if args.dt is not None else 1.0
     dc = args.dc if args.dc is not None else 0.0
     mc = args.mc if args.mc is not None else 1.0
-    md = args.md if args.md is not None else 1.5 * mc
+    md = args.md if args.md is not None else _DEFAULT_EDGE_RATIO * mc
     snr = args.snr if args.snr is not None else math.inf
     if args.q is not None and args.rmin is not None:
         implied = _payload(args.rmin, b, dt, dc)
@@ -268,46 +272,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_avg_mse(args) -> int:
-    v = average_mse(_resolve_scenario(args))
-    _emit(args, {"avg_mse": v}, [f"avg_mse = {v:.10g}"])
-    return 0
-
-
-def _cmd_asymptotic_mse(args) -> int:
-    s = _resolve_scenario(args)
-    v = asymptotic_mse(s.workload, s.air)
-    _emit(args, {"asymptotic_mse": v}, [f"asymptotic_mse = {v:.10g}"])
-    return 0
-
-
-def _cmd_delay_cdf(args) -> int:
-    v = delay_cdf(_resolve_scenario(args), args.d)
-    _emit(
-        args,
-        {"d": args.d, "delay_cdf_at": v},
-        [f"P(delay <= {args.d:g}) = {v:.10g}"],
-    )
-    return 0
-
-
-def _cmd_cloud_prob(args) -> int:
-    v = cloud_use_probability(_resolve_scenario(args))
-    _emit(args, {"cloud_use_prob": v}, [f"cloud_use_prob = {v:.10g}"])
-    return 0
-
-
-def _cmd_critical_density(args) -> int:
-    s = _resolve_scenario(args)
-    v = critical_ap_density(s.workload, s.air, s.deployment.lambda_dev, args.mt)
-    _emit(args, {"lambda_c": v}, [f"lambda_c = {v:.10g}"])
-    return 0
-
-
-def _cmd_critical_edge(args) -> int:
-    s = _resolve_scenario(args)
-    v = critical_edge_mse(s, args.mt)
-    _emit(args, {"critical_edge_mse": v}, [f"critical_edge_mse = {v:.10g}"])
+def _cmd_closed_form(args) -> int:
+    metric, _, flag, key = _CLOSED_FORM_COMMANDS[args.command]
+    mt, d = getattr(args, "mt", None), getattr(args, "d", None)
+    v = _CLOSED_FORMS[metric](_resolve_scenario(args), mt, d)
+    if flag == "--d":
+        _emit(args, {"d": d, key: v}, [f"P(delay <= {d:g}) = {v:.10g}"])
+    else:
+        _emit(args, {key: v}, [f"{key} = {v:.10g}"])
     return 0
 
 
@@ -385,14 +357,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
-
-
 def _cmd_validate(args) -> int:
     from .geomsim import run_validation
 
@@ -405,7 +369,7 @@ def _cmd_validate(args) -> int:
         master_seed=_resolve_seed(args), workers=args.workers, **kwargs
     )
     if args.json:
-        print(json.dumps(_jsonable(report), sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
         checks = report["checks"]
         print(

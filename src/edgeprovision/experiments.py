@@ -28,13 +28,9 @@ from .analytic import (
     DeploymentConfig,
     InferenceWorkload,
     Scenario,
+    _CLOSED_FORMS,
+    _DEFAULT_EDGE_RATIO,
     _payload,
-    asymptotic_mse,
-    average_mse,
-    cloud_use_probability,
-    critical_ap_density,
-    critical_edge_mse,
-    delay_cdf,
 )
 from .errors import (
     InfeasibleTargetError,
@@ -65,14 +61,7 @@ __all__ = [
 ]
 
 AXES = ("lambda_hat", "r_min", "mse_target", "mse_edge_ratio")
-METRICS = (
-    "avg_mse",
-    "asymptotic_mse",
-    "critical_density",
-    "critical_edge_mse",
-    "delay_cdf_at",
-    "cloud_use_prob",
-)
+METRICS = tuple(_CLOSED_FORMS)
 SIMULABLE_METRICS = frozenset({"avg_mse", "delay_cdf_at", "cloud_use_prob"})
 CSV_HEADER = "axis,axis_value,metric,analytic,simulated,sim_stderr,status"
 
@@ -263,36 +252,10 @@ def _scenario_at(spec: SweepSpec, value: float) -> Scenario:
     return base  # mse_target axis leaves the scenario untouched
 
 
-def _delay_at(spec: SweepSpec, scenario: Scenario) -> float:
-    """The ``delay_cdf_at`` query point: ``delay_d``, else the budget."""
-    if spec.delay_query is None:
-        return scenario.workload.delay_budget
-    return spec.delay_query
-
-
 def _half_width(p: float, n: int, scale: float = 1.0) -> float:
     """Half-width, 1.96 standard errors, of the 95% normal-approximation
     confidence interval of ``scale`` times a fraction ``p`` of ``n`` trials."""
     return 1.96 * scale * math.sqrt(p * (1.0 - p) / n)
-
-
-def _analytic_value(spec: SweepSpec, scenario: Scenario, metric: str, value: float):
-    target = value if spec.axis == "mse_target" else spec.mse_target
-    if metric == "avg_mse":
-        return average_mse(scenario)
-    if metric == "asymptotic_mse":
-        return asymptotic_mse(scenario.workload, scenario.air)
-    if metric == "cloud_use_prob":
-        return cloud_use_probability(scenario)
-    if metric == "delay_cdf_at":
-        return delay_cdf(scenario, _delay_at(spec, scenario))
-    if metric == "critical_density":
-        return critical_ap_density(
-            scenario.workload, scenario.air, spec.base.deployment.lambda_dev, target
-        )
-    if metric == "critical_edge_mse":
-        return critical_edge_mse(scenario, target)
-    raise ModelDomainError(f"unknown metric {metric!r}")
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -318,9 +281,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         summaries = _run_many(cfgs, workers)
     rows = []
     for value, scenario, summary in zip(spec.grid, scenarios, summaries):
+        target = value if spec.axis == "mse_target" else spec.mse_target
+        # the delay_cdf_at query point: delay_d, else the budget
+        delay = spec.delay_query
+        if delay is None:
+            delay = scenario.workload.delay_budget
         for metric in spec.outputs:
             try:
-                analytic = _analytic_value(spec, scenario, metric, value)
+                analytic = _CLOSED_FORMS[metric](scenario, target, delay)
                 status = "ok"
             except (InfeasibleTargetError, ModelDomainError):
                 rows.append(
@@ -337,7 +305,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                     stderr = _half_width(p, n, w.mse_edge - w.mse_cloud)
                 else:
                     if metric == "delay_cdf_at":
-                        p = summary.delay_samples.evaluate(_delay_at(spec, scenario))
+                        p = summary.delay_samples.evaluate(delay)
                     simulated = p
                     stderr = _half_width(p, n)
             rows.append(
@@ -569,7 +537,7 @@ def load_spec(path) -> SweepSpec:
     m_c = r.number(wl_sec, "workload.m_c")
     m_d = r.number(wl_sec, "workload.m_d", required=False)
     if m_d is None and m_c is not None:
-        m_d = 1.5 * m_c  # default edge/cloud accuracy ratio
+        m_d = _DEFAULT_EDGE_RATIO * m_c
     b = r.number(air_sec, "air.b")
 
     snr = math.inf

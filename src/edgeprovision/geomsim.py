@@ -690,10 +690,15 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     no config waits for the one before it to finish. If a range raises, the
     ranges not yet started are cancelled.
 
-    SciPy's k-d tree is imported here, before the pool opens, so forked
-    workers inherit it instead of each importing it again.
+    ``workers`` must be an integer >= 1, else ModelDomainError is raised
+    before any trial runs. SciPy's k-d tree is imported here, before the
+    pool opens, so forked workers inherit it instead of each importing it
+    again.
     """
-    n = _pool_size(workers, sum(cfg.trials for cfg in cfgs))
+    w = _as_index(workers)
+    if w is None or w < 1:
+        raise ModelDomainError(f"workers must be an integer >= 1 (got {workers!r})")
+    n = _pool_size(w, sum(cfg.trials for cfg in cfgs))
     if n == 1:
         return [[fn(cfg, 0, cfg.trials)] for cfg in cfgs]
     import scipy.spatial  # noqa: F401
@@ -836,12 +841,16 @@ def delay_ks_statistic(
     return ks
 
 
+# The mean-load checks of ``run_validation``: their window radius and their
+# AP/device density ratios.
+_LOAD_WINDOW_RADIUS = 5.0
+_LOAD_LAMBDA_HATS = (0.5, 1.0, 2.0)
+
+
 def run_validation(
     trials: int = 10000,
     master_seed: int | None = None,
     window_radius: float | None = None,
-    load_window_radius: float = 5.0,
-    load_lambda_hats: tuple[float, ...] = (0.5, 1.0, 2.0),
     workers: int = 1,
 ) -> dict:
     """Simulator-vs-closed-form validation report.
@@ -850,7 +859,7 @@ def run_validation(
     empirical cloud-delay CDF and the closed form on (compute_delay,
     10*delay_budget], (b) the cloud-use fraction and implied MSE against
     the closed forms, and (c) the mean serving-cell load against
-    1 + 1.28/lambda_hat for each ratio in ``load_lambda_hats``; those mean
+    1 + 1.28/lambda_hat for each ratio in ``_LOAD_LAMBDA_HATS``; those mean
     loads come from ``run_loads``, which skips the stages the load does not
     use. The report is deterministic for a given seed, and serializes to
     identical JSON across repeated runs.
@@ -891,12 +900,12 @@ def run_validation(
     }
 
     load_checks = {}
-    for lh in load_lambda_hats:
+    for lh in _LOAD_LAMBDA_HATS:
         dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=1.0 / lh)
         sc = replace(scenario, deployment=dep)
         lcfg = SimConfig(
             scenario=sc,
-            window_radius=load_window_radius,
+            window_radius=_LOAD_WINDOW_RADIUS,
             trials=trials,
             master_seed=seed,
         )

@@ -1,14 +1,31 @@
 """Unit tests for the command-line interface (exit codes, formats, flags)."""
 
+import argparse
 import json
 import math
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from edgeprovision import geomsim
+from edgeprovision import cli, geomsim
+from edgeprovision.analytic import (
+    _CLOSED_FORMS,
+    AirInterface,
+    DeploymentConfig,
+    InferenceWorkload,
+    Scenario,
+)
 from edgeprovision.cli import main
-from edgeprovision.experiments import CSV_HEADER, load_spec, parse_csv, run_sweep
+from edgeprovision.experiments import (
+    CSV_HEADER,
+    METRICS,
+    SweepSpec,
+    load_spec,
+    parse_csv,
+    run_sweep,
+)
 from edgeprovision.geomsim import run_validation
 
 pytestmark = pytest.mark.filterwarnings("ignore:window holds only")
@@ -88,6 +105,61 @@ def test_asymptotic_mse_command(capsys):
     code, out, _ = run_cli(capsys, "asymptotic-mse", "--rmin", "1", "--json")
     assert code == 0
     assert json.loads(out)["asymptotic_mse"] == pytest.approx(1.2720309361170019, rel=1e-9)
+
+
+# (flags, scenario they resolve to, --mt, --d): two scenarios, every flag given
+CLOSED_FORM_CASES = [
+    (
+        ["--lambda-ap", "1", "--lambda-dev", "1", "--q", "1e6", "--bandwidth", "1.6e8",
+         "--dt", "0.06", "--dc", "0.01", "--mc", "1", "--md", "1.5"],
+        Scenario(
+            DeploymentConfig(1.0, 1.0),
+            InferenceWorkload(1e6, 0.06, 0.01, mse_cloud=1.0, mse_edge=1.5),
+            AirInterface(1.6e8),
+        ),
+        1.05,
+        0.03,
+    ),
+    (
+        ["--lambda-ap", "3", "--lambda-dev", "0.5", "--q", "0.6", "--bandwidth", "2",
+         "--dt", "2", "--dc", "0.5", "--mc", "1.2", "--md", "2", "--snr", "10"],
+        Scenario(
+            DeploymentConfig(3.0, 0.5),
+            InferenceWorkload(0.6, 2.0, 0.5, mse_cloud=1.2, mse_edge=2.0),
+            AirInterface(2.0, snr=10.0),
+        ),
+        1.6,
+        1.1,
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, scenario, mt, d", CLOSED_FORM_CASES)
+def test_closed_form_commands_match_metric_table_and_sweep(capsys, flags, scenario, mt, d):
+    # the mse_target axis leaves the scenario as it is
+    spec = SweepSpec(
+        base=scenario, axis="mse_target", grid=(mt,), outputs=METRICS, delay_query=d
+    )
+    swept = {row.metric: row.analytic for row in run_sweep(spec).rows}
+    commands = cli._CLOSED_FORM_COMMANDS
+    assert sorted(metric for metric, *_ in commands.values()) == sorted(METRICS)
+    for command, (metric, _, flag, key) in commands.items():
+        query = {None: [], "--mt": ["--mt", repr(mt)], "--d": ["--d", repr(d)]}[flag]
+        code, out, _ = run_cli(capsys, command, *flags, *query, "--json")
+        assert code == 0, command
+        value = json.loads(out)[key]
+        assert value == _CLOSED_FORMS[metric](scenario, mt, d), command
+        assert float(f"{value:.12g}") == swept[metric], command
+
+
+def test_readme_subcommand_table_matches_parser():
+    (subparsers,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Subcommands:", 1)[1].split("\n\n", 2)[1]
+    listed = re.findall(r"^\| `([a-z-]+)[^`]*` \|", table, flags=re.M)
+    assert listed == list(subparsers.choices)
 
 
 # ---------------------------------------------------------------------------

@@ -833,6 +833,39 @@ def test_large_worker_count_starts_bounded_pool(monkeypatch):
     assert _InlinePool.sizes == [5, 5]
 
 
+class _UnbuildablePool:
+    """Stand-in that fails if a pool is ever opened."""
+
+    def __init__(self, max_workers):
+        raise AssertionError(f"pool of {max_workers} opened")
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2", None], ids=repr)
+def test_invalid_worker_count_rejected_before_any_pool(monkeypatch, workers):
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _UnbuildablePool)
+    ran = []
+    monkeypatch.setattr(geomsim, "_Engine", lambda cfg: ran.append(cfg))
+    cfg = small_cfg(trials=5)
+    spec = SweepSpec(
+        base=canonical_validation_scenario(),
+        axis="lambda_hat",
+        grid=(0.5, 1.0),
+        outputs=("avg_mse",),
+        sim=SimSettings(trials=5),
+    )
+    calls = [
+        lambda: run_trials(cfg, workers=workers),
+        lambda: run_loads(cfg, workers=workers),
+        lambda: geomsim.run_validation(trials=5, workers=workers),
+        lambda: run_sweep(spec, workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(ModelDomainError, match="workers"):
+            call()
+    assert ran == []
+
+
 # ---------------------------------------------------------------------------
 # KS statistic plumbing
 # ---------------------------------------------------------------------------
