@@ -5,8 +5,7 @@ A sweep evaluates a set of model metrics on a grid along one axis
 the table as CSV. A sweep that carries simulator settings
 (``SweepSpec.sim``, a ``geomsim.SimSettings``) also runs one Monte Carlo
 experiment per grid point and attaches its estimates, each with the
-half-width of its 95% normal-approximation confidence interval (1.96
-standard errors; the ``sim_stderr`` column).
+half-width of its 95% Wilson score interval (the ``sim_stderr`` column).
 
 All numeric values stored in a ``SweepResult`` are quantized to 12
 significant digits at construction time, so the emitted CSV (which prints
@@ -210,8 +209,8 @@ class SweepSpec:
 class SweepRow:
     """One (grid point, metric) cell; numeric fields hold 12-significant-digit
     values, empty on infeasible points. ``sim_stderr`` is the half-width of
-    the simulated value's 95% normal-approximation confidence interval
-    (1.96 standard errors), not the standard error itself."""
+    the simulated value's 95% Wilson score interval, not the standard error
+    itself."""
 
     axis_value: float
     metric: str
@@ -253,9 +252,13 @@ def _scenario_at(spec: SweepSpec, value: float) -> Scenario:
 
 
 def _half_width(p: float, n: int, scale: float = 1.0) -> float:
-    """Half-width, 1.96 standard errors, of the 95% normal-approximation
-    confidence interval of ``scale`` times a fraction ``p`` of ``n`` trials."""
-    return 1.96 * scale * math.sqrt(p * (1.0 - p) / n)
+    """Half-width of the 95% Wilson score interval of a fraction ``p`` of
+    ``n`` trials, times ``scale``. Unlike the Wald half-width
+    ``1.96 * sqrt(p * (1 - p) / n)``, it stays positive at p = 0 and 1.
+    The interval is centred at ``(p + z**2 / (2 n)) / (1 + z**2 / n)``, not
+    at ``p``."""
+    z2 = 1.96 * 1.96
+    return scale * 1.96 / (1.0 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -268,7 +271,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     grid point runs one Monte Carlo experiment, ``SimConfig(scenario=point,
     **vars(spec.sim))`` (same seed at every point, so consecutive points
     share common random numbers), and the simulable metrics gain estimates
-    with 95% confidence half-widths. The experiments of all points share at
+    with 95% Wilson half-widths. The experiments of all points share at
     most one pool of worker processes, and the rows do not depend on
     ``workers``.
     """

@@ -47,9 +47,16 @@ assumptions rather than to the literal finite-window system:
   torus cell with rho of half the side or more, or one no local draw hit,
   falls back to further global batches, at most ``_FILL_BATCHES`` in all.
   With shadowing, cells are not Voronoi cells, so the shadowed path uses
-  global batches only. Seeded simulated values changed when the local step
-  replaced global batches 2+, and again when it took over once batch 1
-  stops early (same law, different draws).
+  global batches only, and screens them: while fewer than ``_SCREEN_MAX``
+  of the cells are empty, a candidate first gets shadowing normals only
+  for its pairs with the empty cells' APs and with its nearest AP, and is
+  dropped when that AP's cell is not empty and beats every empty cell's
+  AP, since its serving cell is then certainly not empty. The rest get a
+  full row and an exact association, so the fill keeps the same first hit
+  per cell as drawing every row would. Seeded simulated values changed
+  when the local step replaced global batches 2+, again when it took over
+  once batch 1 stops early, and, on the shadowed path only, when the
+  screen came in (same law, different draws).
 * ``load_model="mean_field"`` gives the typical device the mean bandwidth
   share ``bandwidth / mean_cell_load`` rather than its realized per-trial
   share. The closed forms replace the random load by its mean; validating
@@ -111,8 +118,9 @@ __all__ = [
 CANONICAL_SEED = 20260825
 # Upper limit on the trials of one run. Aggregation keeps about 25 bytes per
 # trial (17 for delay, cloud flag and load, 8 for the sorted delays), so
-# 10**7 trials stay near 250 MB; at about 6 ms per canonical trial they are
-# already some 17 CPU-hours, and more precision is better bought with
+# 10**7 trials stay near 250 MB; at about 2.2 ms per canonical trial
+# (unshadowed torus, window radius sqrt(50); 2 CPUs, one process) they are
+# already some 6 CPU-hours, and more precision is better bought with
 # separate seeds.
 _MAX_TRIALS = 10**7
 # Expected AP count of an automatically sized window: about 150 keeps both
@@ -134,6 +142,23 @@ _FILL_SLICE = 2
 # cells left are the small ones, so f falls from 0.7-0.8 for the first slice
 # to about 0.6 for the second: E > n_ap / 10.
 _FILL_STOP = 0.1
+# With shadowing, a fill slice screens its candidates against the empty
+# cells' APs and their _SCREEN_NEAR nearest APs (_Engine._screen) while fewer
+# than _SCREEN_MAX * n_ap cells are empty, and draws its whole block of
+# normals otherwise. A whole block costs about 1.9 ms (2 * n_ap candidates
+# times n_ap normals at about 20 ns each, with exponentials and distances;
+# 2 CPUs, about 150 APs). Timed against it on the same slices (8 dB, torus
+# and disc, lambda_hat 1-1000, 2,051 slices), a screened slice with a share
+# f of the cells empty costs about 0.27 + 1.9 f times as much (least squares
+# below f = 0.45): the k-d tree query and the empty cells' normals, then
+# full rows for the candidates that pass, about f + 0.1 of them at K = 1.
+# The ratio reads 0.95 at f in [0.3, 0.4), 1.01 in [0.4, 0.5) and 1.37 in
+# [0.6, 0.7), so the screen pays up to about f = 0.45. More neighbours pass
+# fewer candidates (f + 0.02 at K = 3) but cost more than they save where
+# most slices are: at f < 0.05 the ratio is 0.30 at K = 1 and 0.37 at
+# K = 3, and the whole fill is cheapest at K = 1.
+_SCREEN_NEAR = 1
+_SCREEN_MAX = 0.45
 # nearest APs whose bisectors bound a cell in the local fill
 _FILL_NEIGHBOURS = 12
 # directions of the disc tangents mirroring an AP, relative to its own
@@ -190,13 +215,14 @@ class DiscWindow:
         return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-def _sq_dist_matrix(a: np.ndarray, b: np.ndarray, side: float | None) -> np.ndarray:
-    """Pairwise squared distances between point sets, optionally toroidal.
+def _sq_dist(a: np.ndarray, b: np.ndarray, side: float | None) -> np.ndarray:
+    """Squared distances between the points of ``a`` and ``b`` (``(..., 2)``
+    arrays, broadcast against each other), optionally toroidal.
 
     Computed in place: the fill calls this once per candidate slice, and
     each extra slice-sized temporary costs freshly mapped memory."""
-    dx = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
     np.abs(dx, out=dx)
     np.abs(dy, out=dy)
     if side is not None:
@@ -408,6 +434,15 @@ class _Engine:
             return None
         return stream.normal((n_points, n_ap))
 
+    def _pathloss(self, points: np.ndarray, ap: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Shadowed pathlosses between ``points`` and ``ap`` (broadcast as in
+        ``_sq_dist``) from the pairs' shadowing normals."""
+        pathloss = _sq_dist(points, ap, self.side)
+        pathloss *= pathloss
+        gain = self.sigma_scale * normals
+        pathloss *= np.exp(gain, out=gain)
+        return pathloss
+
     def _serve(
         self, points: np.ndarray, ap: np.ndarray, tree, normals: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -416,10 +451,7 @@ class _Engine:
         if normals is None:
             dist, serving = tree.query(points)
             return serving, dist ** 4, None
-        pathloss = _sq_dist_matrix(points, ap, self.side)
-        pathloss *= pathloss
-        gain = self.sigma_scale * normals
-        pathloss *= np.exp(gain, out=gain)
+        pathloss = self._pathloss(points[:, None], ap[None], normals)
         serving = np.argmin(pathloss, axis=1)
         own = pathloss[np.arange(len(points)), serving]
         return serving, own, pathloss
@@ -440,15 +472,14 @@ class _Engine:
     def associate(self, stream: RngStream, ap: np.ndarray, dev: np.ndarray):
         """Minimum-pathloss association of every device.
 
-        Returns the AP k-d tree (None when shadowed), the serving index and
-        own pathloss per device, the device count per AP, and each device's
+        Returns the AP k-d tree (built on both paths: the shadowed fill
+        screens its candidates with it), the serving index and own pathloss
+        per device, the device count per AP, and each device's
         cross pathloss to the typical device's AP when shadowed (else None).
         """
-        tree = None
-        if self.sigma_scale is None:
-            from scipy.spatial import cKDTree
+        from scipy.spatial import cKDTree
 
-            tree = cKDTree(ap, boxsize=self.side) if self.torus else cKDTree(ap)
+        tree = cKDTree(ap, boxsize=self.side) if self.torus else cKDTree(ap)
         normals = self._shadow_normals(stream, len(dev), len(ap))
         serving, own, pathloss = self._serve(dev, ap, tree, normals)
         counts = np.bincount(serving, minlength=len(ap))
@@ -473,28 +504,36 @@ class _Engine:
         """Saturation fill: one uniform device in every empty non-serving cell.
 
         Global rejection batches of ``8 * n_ap * 2**b`` window-uniform
-        candidates, at most ``_FILL_BATCHES``, each drawn (with its
-        shadowing normals) and associated ``_FILL_SLICE * n_ap`` candidates
-        at a time until no cell is left empty; the first candidate to land
-        in a cell fills it. Without shadowing, the first batch stops before
-        a slice once fewer than ``_FILL_STOP * n_ap`` cells are empty, the
-        cells still empty are filled locally (``_local_fill``), and only
-        the cells that step does not fill go on to batches 2+. Fills come
-        in ascending cell order; a cell still empty at the batch cap gets
-        none. Returns positions, own pathlosses and cross pathlosses to AP
-        ``a0`` (None unless shadowed).
+        candidates, at most ``_FILL_BATCHES``, each drawn and associated
+        ``_FILL_SLICE * n_ap`` candidates at a time until no cell is left
+        empty; the first candidate to land in a cell fills it. Without
+        shadowing, the first batch stops before a slice once fewer than
+        ``_FILL_STOP * n_ap`` cells are empty, the cells still empty are
+        filled locally (``_local_fill``), and only the cells that step does
+        not fill go on to batches 2+. With shadowing, a slice in which
+        fewer than ``_SCREEN_MAX * n_ap`` cells are empty is screened
+        (``_screen``): only the candidates that may land in an empty cell
+        get a full row of shadowing normals, which picks the same hits as
+        drawing the whole block. Fills come in ascending cell order; a cell
+        still empty at the batch cap gets none. Returns positions, own
+        pathlosses and cross pathlosses to AP ``a0`` (None unless shadowed).
         """
         n_ap = len(ap)
         step = _FILL_SLICE * n_ap
+        shadowed = self.sigma_scale is not None
         needed = counts == 0
         needed[a0] = False
         cells = np.nonzero(needed)[0]
         pts, own, cross = np.empty((n_ap, 2)), np.empty(n_ap), np.empty(n_ap)
-        stop = _FILL_STOP * n_ap if tree is not None else 1
+        stop = 1 if shadowed else _FILL_STOP * n_ap
+
+        def drawn(rows, cols):
+            return stream.normal(np.broadcast_shapes(rows.shape, cols.shape))
+
         for batch in range(_FILL_BATCHES):
             if not needed.any():
                 break
-            if batch == 1 and tree is not None:
+            if batch == 1 and not shadowed:
                 left = np.nonzero(needed)[0]
                 done, local_pts, local_own = self._local_fill(stream, ap, tree, left)
                 got = left[done]
@@ -502,21 +541,65 @@ class _Engine:
                 pts[got], own[got] = local_pts[done], local_own[done]
                 stop = 1
             for _ in range((8 << batch) // _FILL_SLICE):
-                if np.count_nonzero(needed) < stop:
+                n_empty = np.count_nonzero(needed)
+                if n_empty < stop:
                     break
                 cand = self.window.sample(stream, step)
-                serving, cand_own, pathloss = self._serve(
-                    cand, ap, tree, self._shadow_normals(stream, step, n_ap)
-                )
+                if shadowed and n_empty < _SCREEN_MAX * n_ap:
+                    cand, (serving, cand_own, pathloss) = self._screen(
+                        cand, ap, tree, needed, drawn
+                    )
+                else:
+                    serving, cand_own, pathloss = self._serve(
+                        cand, ap, tree, self._shadow_normals(stream, step, n_ap)
+                    )
                 hit = np.nonzero(needed[serving])[0]
                 got, first = np.unique(serving[hit], return_index=True)
                 take = hit[first]
                 needed[got] = False
                 pts[got], own[got] = cand[take], cand_own[take]
-                if pathloss is not None:
+                if shadowed:
                     cross[got] = pathloss[take, a0]
         cells = cells[~needed[cells]]
-        return pts[cells], own[cells], None if self.sigma_scale is None else cross[cells]
+        return pts[cells], own[cells], cross[cells] if shadowed else None
+
+    def _screen(self, cand: np.ndarray, ap: np.ndarray, tree, needed: np.ndarray, normals):
+        """The candidates of a shadowed fill slice that may land in a cell
+        marked in ``needed``, in candidate order, and their ``_serve``
+        results (serving AP, own pathloss, pathloss rows).
+
+        ``normals(rows, cols)`` returns the shadowing normals of the
+        candidate-AP pairs ``(rows, cols)`` (index arrays, broadcast
+        against each other) as one block. A candidate first gets normals
+        for its pairs with every empty cell's AP, then for its pairs with
+        its ``_SCREEN_NEAR`` nearest APs (k-d tree). When a near AP whose
+        cell is not empty has a lower pathloss than every empty cell's AP,
+        the candidate is served by a cell that is not empty, whatever its
+        other normals, so it is dropped. The rest get a full row from a
+        third block, over every AP whose cell is not empty, and
+        ``_serve`` gives their exact serving AP. A pair in two blocks keeps
+        the normal of the first (the one the screen used); the later
+        block's draw for it goes unused, so every pair still has one
+        independent normal. Every dropped candidate would have been a miss,
+        so the slice keeps the same first hit per cell as the full-matrix
+        rule on the same normals.
+        """
+        rows = np.arange(len(cand))[:, None]
+        empty = np.nonzero(needed)[0]
+        z_empty = normals(rows, empty[None])
+        best_empty = self._pathloss(cand[:, None], ap[empty], z_empty).min(axis=1)
+        k = min(_SCREEN_NEAR, len(ap))
+        near = tree.query(cand, k=k)[1].reshape(len(cand), k)
+        z_near = normals(rows, near)
+        near_pl = self._pathloss(cand[:, None], ap[near], z_near)
+        near_pl[needed[near]] = np.inf
+        keep = np.nonzero(best_empty <= near_pl.min(axis=1))[0]
+        full = np.empty((keep.size, len(ap)))
+        others = np.nonzero(~needed)[0]
+        full[:, others] = normals(keep[:, None], others[None])
+        full[np.arange(keep.size)[:, None], near[keep]] = z_near[keep]
+        full[:, empty] = z_empty[keep]
+        return cand[keep], self._serve(cand[keep], ap, tree, full)
 
     def _cell_radius(self, ap: np.ndarray, tree, cells: np.ndarray) -> np.ndarray:
         """Radius around each AP in ``cells`` that holds its whole cell (the
@@ -626,7 +709,7 @@ class _Engine:
         """
         s = self.cfg.scenario
         if cross is None:
-            sq = _sq_dist_matrix(pts, tagged_ap[None], self.side)[:, 0]
+            sq = _sq_dist(pts, tagged_ap, self.side)
             cross = sq * sq
         h = np.atleast_1d(exponential_variate(stream, 1.0, size=len(own) + 1))
         interference = float(np.dot(own / cross, h[1:]))

@@ -4,6 +4,7 @@ import io
 import math
 import textwrap
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings
@@ -27,6 +28,7 @@ from edgeprovision.experiments import (
     SweepResult,
     SweepRow,
     SweepSpec,
+    _half_width,
     _round12,
     emit_csv,
     load_spec,
@@ -270,6 +272,36 @@ def test_run_sweep_simulated_columns():
         assert abs(cloud.simulated - cloud.analytic) < 5 * max(cloud.sim_stderr, 0.02)
         # analytic-only metrics carry no simulated estimate
         assert by_metric[(v, "asymptotic_mse")].simulated is None
+
+
+def test_sim_stderr_is_the_wilson_half_width():
+    # The Wald half-width 1.96 * sqrt(p * (1 - p) / n) reads 0 when every
+    # trial or none uses the cloud; the Wilson score half-width does not. A
+    # tiny spectral-efficiency demand makes every trial use the cloud, a
+    # huge one none.
+    n, z = 50, 1.96
+    spec = SweepSpec(
+        base=base_scenario(),
+        axis="r_min",
+        grid=(1e-6, 1e3),
+        outputs=("cloud_use_prob", "avg_mse"),
+        sim=SimSettings(trials=n, window_radius=4.0, master_seed=5),
+    )
+    rows = {(r.axis_value, r.metric): r for r in run_sweep(spec).rows}
+    edge = z * z / (2 * n) / (1 + z * z / n)
+    assert edge > 0.0
+    for value, p in ((1e-6, 1.0), (1e3, 0.0)):
+        cloud = rows[(value, "cloud_use_prob")]
+        assert cloud.simulated == p
+        assert cloud.sim_stderr == pytest.approx(edge, rel=1e-11)
+        # avg_mse scales it by m_d - m_c
+        assert rows[(value, "avg_mse")].sim_stderr == pytest.approx(0.5 * edge, rel=1e-11)
+    # a mid value: half the distance between the interval's ends, the roots
+    # of (p - pi)**2 = z**2 * pi * (1 - pi) / n
+    p, n = 0.3, 200
+    lo, hi = sorted(np.roots([1 + z * z / n, -(2 * p + z * z / n), p * p]))
+    assert _half_width(p, n) == pytest.approx((hi - lo) / 2, rel=1e-12)
+    assert _half_width(p, n, 0.5) == pytest.approx((hi - lo) / 4, rel=1e-12)
 
 
 def test_run_sweep_deterministic():

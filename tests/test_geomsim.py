@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgeprovision import geomsim
@@ -347,13 +347,13 @@ def test_run_trials_mse_identity():
 
 
 def test_run_trials_worker_invariance():
-    cfg = small_cfg()
-    one = run_trials(cfg, workers=1)
-    two = run_trials(cfg, workers=2)
-    assert one.delay_samples == two.delay_samples
-    assert one.cloud_use_fraction == two.cloud_use_fraction
-    assert one.mse_estimate == two.mse_estimate
-    assert one.mean_load == two.mean_load
+    for cfg in (small_cfg(), small_cfg(trials=60, shadowing_sigma_db=8.0, boundary="disc")):
+        one = run_trials(cfg, workers=1)
+        two = run_trials(cfg, workers=2)
+        assert one.delay_samples == two.delay_samples
+        assert one.cloud_use_fraction == two.cloud_use_fraction
+        assert one.mse_estimate == two.mse_estimate
+        assert one.mean_load == two.mean_load
 
 
 def test_run_trials_seed_sensitivity():
@@ -515,7 +515,7 @@ def test_early_exit_fill_matches_full_batch_rule(overrides):
         pts, own, cross = engine.fill(streams[0], ap, tree, counts, a0)
         empty = np.nonzero(counts == 0)[0]
         empty = empty[empty != a0]
-        if tree is not None:
+        if engine.sigma_scale is None:
             dist, cells = tree.query(pts)
             assert np.array_equal(own, dist**4)
             assert cross is None
@@ -682,6 +682,110 @@ def test_fill_leaves_no_cell_empty_and_bounds_disc_edge_cells(seed, boundary, lo
     assert probe.any() and np.all(dist[probe] <= rho[near[probe]])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    boundary=st.sampled_from(["torus", "disc"]),
+    sigma_db=st.sampled_from([4.0, 8.0]),
+    log_lam_hat=st.floats(-1.0, 3.0),
+)
+@example(seed=0, boundary="torus", sigma_db=8.0, log_lam_hat=-1.0)
+@example(seed=1, boundary="disc", sigma_db=8.0, log_lam_hat=0.0)
+@example(seed=2, boundary="disc", sigma_db=4.0, log_lam_hat=1.0)
+@example(seed=3, boundary="torus", sigma_db=8.0, log_lam_hat=3.0)
+def test_shadowed_fill_leaves_no_cell_empty(seed, boundary, sigma_db, log_lam_hat):
+    # lambda_hat in [0.1, 1000], auto-sized window (about 150 APs). Every
+    # candidate the fill associates passes through _serve, which records its
+    # serving AP; screened slices and whole blocks alike.
+    dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=10.0**-log_lam_hat)
+    cfg = SimConfig(
+        scenario=replace(canonical_validation_scenario(), deployment=dep),
+        boundary=boundary,
+        shadowing_sigma_db=sigma_db,
+        master_seed=seed,
+        trials=1,
+    )
+    engine = geomsim._Engine(cfg)
+    stream = RngStream(seed, 0)
+    ap, tree, counts, a0 = _staged(engine, stream)
+    serve, served = engine._serve, {}
+
+    def recording_serve(points, ap, tree, normals):
+        serving, own, pathloss = serve(points, ap, tree, normals)
+        served.update(zip(map(tuple, points), serving))
+        return serving, own, pathloss
+
+    engine._serve = recording_serve
+    pts, own, cross = engine.fill(stream, ap, tree, counts, a0)
+    empty = np.nonzero(counts == 0)[0]
+    empty = empty[empty != a0]
+    # one point per empty non-serving cell, in ascending cell order, each
+    # served by its own cell
+    assert len(pts) == len(own) == len(cross) == len(empty)
+    assert np.array_equal([served[tuple(p)] for p in pts], empty)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    boundary=st.sampled_from(["torus", "disc"]),
+    sigma_db=st.sampled_from([4.0, 8.0, 12.0]),
+    near=st.sampled_from([1, 2, 6]),
+    empty_share=st.sampled_from([None, 0.05, 0.3, 0.9]),
+)
+@example(seed=0, boundary="torus", sigma_db=12.0, near=1, empty_share=None)
+@example(seed=1, boundary="disc", sigma_db=12.0, near=1, empty_share=None)
+@example(seed=2, boundary="torus", sigma_db=4.0, near=1, empty_share=0.3)
+@example(seed=3, boundary="disc", sigma_db=8.0, near=1, empty_share=0.05)
+def test_screened_slice_matches_full_matrix_rule(seed, boundary, sigma_db, near, empty_share):
+    # One fixed (candidates x APs) matrix of normals feeds both rules: the
+    # screen asks for its pairs' entries, the full-matrix rule takes it
+    # whole. Both keep the same first hit per empty cell, with the same
+    # serving AP, own pathloss and cross pathloss to the tagged AP. The
+    # empty cells are the trial's own, or a random share of all cells. A
+    # pair the screen asks for again gets a normal of -10 instead, so a
+    # screen that used a second draw for a pair would pick other hits.
+    from unittest import mock
+
+    engine = geomsim._Engine(
+        small_cfg(window_radius=5.0, boundary=boundary, shadowing_sigma_db=sigma_db)
+    )
+    stream = RngStream(seed, 0)
+    ap, tree, counts, a0 = _staged(engine, stream)
+    needed = counts == 0 if empty_share is None else stream.uniform(len(ap)) < empty_share
+    needed[a0] = False
+    assume(needed.any())
+    m = geomsim._FILL_SLICE * len(ap)
+    cand = engine.window.sample(stream, m)
+    normals = stream.normal((m, len(ap)))
+
+    def first_hits(cand, serving, own, pathloss):
+        hit = np.nonzero(needed[serving])[0]
+        got, first = np.unique(serving[hit], return_index=True)
+        take = hit[first]
+        return got, cand[take], own[take], pathloss[take, a0]
+
+    asked = np.zeros(normals.shape, dtype=bool)
+
+    def once(rows, cols):
+        rows, cols = np.broadcast_arrays(rows, cols)
+        z = np.where(asked[rows, cols], -10.0, normals[rows, cols])
+        asked[rows, cols] = True
+        return z
+
+    full = first_hits(cand, *engine._serve(cand, ap, tree, normals))
+    with mock.patch.object(geomsim, "_SCREEN_NEAR", near):
+        kept, served = engine._screen(cand, ap, tree, needed, once)
+    screened = first_hits(kept, *served)
+    for a, b in zip(full, screened):
+        assert np.array_equal(a, b)
+    # the screen keeps candidates of the slice, in their order
+    match = (kept[:, None] == cand[None]).all(-1)
+    assert match.any(axis=1).all()
+    assert np.all(np.diff(match.argmax(axis=1)) > 0)
+
+
 @pytest.mark.filterwarnings("ignore:window holds only")
 @pytest.mark.parametrize("boundary", ["torus", "disc"])
 def test_cell_radius_matches_pairwise_vertex_reference(boundary):
@@ -743,26 +847,36 @@ def test_local_fill_matches_rejection_sampling_in_law():
 def test_fill_interference_matches_full_batch_rule():
     # Per-trial total interference at the tagged AP from every fill point:
     # global slices, local draws and fallback batches under the engine's
-    # rule, global batches only under the earlier one, on the torus and on
-    # the disc. Both place each point uniformly in its cell, so the totals
-    # share one law. The engine runs on trials [0, n) and the earlier rule
-    # on [n, 2n), so the samples are independent.
+    # rule (screened slices with 8 dB shadowing), global batches only under
+    # the earlier one, on the torus and on the disc. Both place each point
+    # uniformly in its cell, so the totals share one law. The engine runs on
+    # trials [0, n) and the earlier rule on [n, 2n), so the samples are
+    # independent. With shadowing, each rule's own cross pathlosses give
+    # the total.
     from scipy.stats import ks_2samp
 
     n = 400
-    for boundary in ("torus", "disc"):
-        engine = geomsim._Engine(small_cfg(window_radius=5.0, boundary=boundary))
+    for sigma_db in (None, 8.0):
+        for boundary in ("torus", "disc"):
+            engine = geomsim._Engine(
+                small_cfg(window_radius=5.0, boundary=boundary, shadowing_sigma_db=sigma_db)
+            )
 
-        def interference(fill, index):
-            stream = RngStream(CANONICAL_SEED, index)
-            ap, tree, counts, a0 = _staged(engine, stream)
-            pts, own, _ = fill(stream, ap, tree, counts, a0)
-            sq = geomsim._sq_dist_matrix(pts, ap[a0][None], engine.side)[:, 0]
-            return float(np.sum(own / (sq * sq)))
+            def interference(fill, index):
+                stream = RngStream(CANONICAL_SEED, index)
+                ap, tree, counts, a0 = _staged(engine, stream)
+                pts, own, cross = fill(stream, ap, tree, counts, a0)
+                if sigma_db is None:
+                    sq = geomsim._sq_dist(pts, ap[a0], engine.side)
+                    cross = sq * sq
+                return float(np.sum(own / cross))
 
-        new = [interference(engine.fill, i) for i in range(n)]
-        old = [interference(lambda *a: _full_batch_fill(engine, *a), i) for i in range(n, 2 * n)]
-        assert ks_2samp(new, old).pvalue > 0.01, boundary
+            new = [interference(engine.fill, i) for i in range(n)]
+            old = [
+                interference(lambda *a: _full_batch_fill(engine, *a), i)
+                for i in range(n, 2 * n)
+            ]
+            assert ks_2samp(new, old).pvalue > 0.01, (boundary, sigma_db)
 
 
 class _InlinePool:
