@@ -654,6 +654,590 @@ def dump_spec(tmp_path, doc) -> str:
     return path
 
 
+DROP = object()
+
+
+def spec_doc(changes: dict) -> dict:
+    """``base_doc()`` with each dotted path in ``changes`` set to its value,
+    or removed where the value is ``DROP``."""
+    doc = base_doc()
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        level = doc
+        for name in parents:
+            level = level.setdefault(name, {})
+        if value is DROP:
+            del level[key]
+        else:
+            level[key] = value
+    return doc
+
+
+# One document per message ``load_spec`` can raise, and documents with
+# several problems to pin their order; the texts were taken by running the
+# loader, not typed. Unreachable from a spec file: "sweep.grid must be
+# non-empty", "sweep.outputs must be non-empty" and the ``sweep.sim`` type
+# rule, since the reader passes on no empty grid or outputs and always
+# builds a ``SimSettings``.
+LOADER_MESSAGES = [
+    pytest.param(
+        [1, 2],
+        SpecValidationError,
+        "spec document must be a mapping of sections",
+        id="not-a-mapping",
+    ),
+    pytest.param(
+        spec_doc({"extras": {"a": 1}}),
+        SpecValidationError,
+        "unknown section 'extras'",
+        id="unknown-section",
+    ),
+    pytest.param(
+        spec_doc({"workload": DROP}),
+        SpecValidationError,
+        (
+            "missing required section 'workload'\n"
+            "missing required field workload.q\n"
+            "missing required field workload.d_t\n"
+            "missing required field workload.d_c\n"
+            "missing required field workload.m_c"
+        ),
+        id="missing-section",
+    ),
+    pytest.param(
+        spec_doc({"deployment": None}),
+        SpecValidationError,
+        (
+            "missing required section 'deployment'\n"
+            "missing required field deployment.lambda_ap\n"
+            "missing required field deployment.lambda_dev"
+        ),
+        id="null-section",
+    ),
+    pytest.param(
+        spec_doc({"air": 5}),
+        SpecValidationError,
+        (
+            "section 'air' must be a mapping\n"
+            "missing required field air.b"
+        ),
+        id="section-not-a-mapping",
+    ),
+    pytest.param(
+        spec_doc({"deployment.foo": 1}),
+        SpecValidationError,
+        "unknown field deployment.foo",
+        id="unknown-field",
+    ),
+    pytest.param(
+        spec_doc({"deployment.lambda_ap": DROP}),
+        SpecValidationError,
+        "missing required field deployment.lambda_ap",
+        id="missing-field",
+    ),
+    pytest.param(
+        spec_doc({"workload.q": "hello"}),
+        SpecValidationError,
+        "field workload.q must be a number (got 'hello')",
+        id="not-a-number",
+    ),
+    pytest.param(
+        spec_doc({"workload.m_d": [1]}),
+        SpecValidationError,
+        "field workload.m_d must be a number (got [1])",
+        id="optional-not-a-number",
+    ),
+    pytest.param(
+        spec_doc({"air.snr": "loud"}),
+        SpecValidationError,
+        'field air.snr must be a positive number or "inf" (got \'loud\')',
+        id="snr-not-a-number",
+    ),
+    pytest.param(
+        spec_doc({"sweep.range": {"lo": 1.0, "hi": 2.0, "n": 2}}),
+        SpecValidationError,
+        "sweep needs exactly one of sweep.grid or sweep.range",
+        id="grid-and-range",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": DROP}),
+        SpecValidationError,
+        "sweep needs exactly one of sweep.grid or sweep.range",
+        id="no-grid-or-range",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": []}),
+        SpecValidationError,
+        "field sweep.grid must be a non-empty list of numbers (got [])",
+        id="grid-empty",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": [1.0, "two"]}),
+        SpecValidationError,
+        "field sweep.grid must be a non-empty list of numbers (got [1.0, 'two'])",
+        id="grid-not-numbers",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": DROP, "sweep.range": 3}),
+        SpecValidationError,
+        "field sweep.range must be a mapping {lo, hi, n, scale}",
+        id="range-not-a-mapping",
+    ),
+    pytest.param(
+        spec_doc(
+            {
+                "sweep.grid": DROP,
+                "sweep.range": {"lo": 1.0, "hi": 2.0, "n": 2, "step": 1},
+            }
+        ),
+        SpecValidationError,
+        "unknown field sweep.range.step",
+        id="range-unknown-field",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": DROP, "sweep.range": {"lo": "a", "hi": 2.0, "n": 2}}),
+        SpecValidationError,
+        "fields sweep.range.lo and sweep.range.hi must be numbers",
+        id="range-lo-not-a-number",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": DROP, "sweep.range": {"lo": 1.0, "hi": 2.0, "n": 2.5}}),
+        SpecValidationError,
+        "field sweep.range.n must be an integer in [1, 10000] (got 2.5)",
+        id="range-n-not-an-integer",
+    ),
+    pytest.param(
+        spec_doc(
+            {
+                "sweep.grid": DROP,
+                "sweep.range": {"lo": 1.0, "hi": 2.0, "n": 2, "scale": "cubic"},
+            }
+        ),
+        SpecValidationError,
+        "field sweep.range.scale must be linear|log (got 'cubic')",
+        id="range-bad-scale",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": DROP, "sweep.range": {"lo": 2.0, "hi": 1.0, "n": 3}}),
+        SpecValidationError,
+        "sweep.range needs lo < hi",
+        id="range-inverted",
+    ),
+    pytest.param(
+        spec_doc(
+            {
+                "sweep.grid": DROP,
+                "sweep.range": {"lo": 0.0, "hi": 1.0, "n": 3, "scale": "log"},
+            }
+        ),
+        SpecValidationError,
+        "sweep.range with log scale needs lo > 0",
+        id="range-log-from-zero",
+    ),
+    pytest.param(
+        spec_doc({"sweep.outputs": DROP}),
+        SpecValidationError,
+        "field sweep.outputs must be a non-empty list of metric names (got None)",
+        id="outputs-missing",
+    ),
+    pytest.param(
+        spec_doc({"sweep.outputs": [1]}),
+        SpecValidationError,
+        "field sweep.outputs must be a non-empty list of metric names (got [1])",
+        id="outputs-not-names",
+    ),
+    pytest.param(
+        spec_doc({"sweep.simulate": "yes"}),
+        SpecValidationError,
+        "field sweep.simulate must be a boolean (got 'yes')",
+        id="simulate-not-a-boolean",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": 5}),
+        SpecValidationError,
+        "field sweep.sim must be a mapping",
+        id="sim-not-a-mapping",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"speed": 1}}),
+        SpecValidationError,
+        "unknown field sweep.sim.speed",
+        id="sim-unknown-field",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"window_radius": "wide"}}),
+        SpecValidationError,
+        "field sweep.sim.window_radius must be a number or omitted (got 'wide')",
+        id="sim-window-not-a-number",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"shadowing": "heavy"}}),
+        SpecValidationError,
+        (
+            'field sweep.sim.shadowing must be "none", a sigma in dB, or {lognormal: sigma}'
+            " (got 'heavy')"
+        ),
+        id="sim-shadowing-not-a-sigma",
+    ),
+    pytest.param(
+        spec_doc({"sweep.mse_target": "x"}),
+        SpecValidationError,
+        "field sweep.mse_target must be a number (got 'x')",
+        id="mse-target-not-a-number",
+    ),
+    pytest.param(
+        spec_doc({"sweep.delay_d": None}),
+        SpecValidationError,
+        "field sweep.delay_d must be a number (got None)",
+        id="delay-d-not-a-number",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"trials": 0}}),
+        SpecValidationError,
+        "sweep.sim.trials must be an integer in [1, 10000000] (got 0)",
+        id="sim-trials",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"window_radius": -2.0}}),
+        SpecValidationError,
+        "sweep.sim.window_radius must be finite and > 0 (got -2.0)",
+        id="sim-window-radius",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"seed": -1}}),
+        SpecValidationError,
+        "sweep.sim.seed must be an integer in [0, 2**64) (got -1)",
+        id="sim-seed",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"shadowing": {"lognormal": -3.0}}}),
+        SpecValidationError,
+        "sweep.sim.shadowing must be finite and >= 0 (got -3.0)",
+        id="sim-shadowing",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"boundary": "sphere"}}),
+        SpecValidationError,
+        "sweep.sim.boundary must be torus|disc (got 'sphere')",
+        id="sim-boundary",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"load_model": "exact"}}),
+        SpecValidationError,
+        "sweep.sim.load_model must be mean_field|realized (got 'exact')",
+        id="sim-load-model",
+    ),
+    pytest.param(
+        spec_doc({"sweep.sim": {"full_buffer": "no"}}),
+        SpecValidationError,
+        "sweep.sim.full_buffer must be True or False (got 'no')",
+        id="sim-full-buffer",
+    ),
+    pytest.param(
+        spec_doc({"sweep.axis": "bogus"}),
+        SpecValidationError,
+        (
+            "sweep.axis must be one of ('lambda_hat', 'r_min', 'mse_target',"
+            " 'mse_edge_ratio') (got 'bogus')"
+        ),
+        id="axis",
+    ),
+    pytest.param(
+        spec_doc({"sweep.outputs": ["avg_mse", "nope"]}),
+        SpecValidationError,
+        "unknown metrics in sweep.outputs: ['nope']",
+        id="unknown-metric",
+    ),
+    pytest.param(
+        spec_doc({"sweep.outputs": ["avg_mse", "avg_mse"]}),
+        SpecValidationError,
+        "sweep.outputs must not repeat metrics",
+        id="repeated-metric",
+    ),
+    pytest.param(
+        spec_doc({"sweep.simulate": True, "sweep.outputs": ["asymptotic_mse"]}),
+        SpecValidationError,
+        (
+            "sweep.simulate needs a simulable metric in sweep.outputs (one of ['avg_mse',"
+            " 'cloud_use_prob', 'delay_cdf_at']; got ['asymptotic_mse'])"
+        ),
+        id="simulate-without-simulable-metric",
+    ),
+    pytest.param(
+        spec_doc({"sweep.mse_target": math.inf}),
+        SpecValidationError,
+        "sweep.mse_target must be finite (got inf)",
+        id="mse-target-not-finite",
+    ),
+    pytest.param(
+        spec_doc({"sweep.outputs": ["critical_density"]}),
+        SpecValidationError,
+        (
+            "sweep.mse_target is required when critical_density or critical_edge_mse is"
+            " requested on a non-mse_target axis"
+        ),
+        id="mse-target-missing",
+    ),
+    pytest.param(
+        spec_doc({"sweep.delay_d": 0.005}),
+        SpecValidationError,
+        "sweep.delay_d must be finite and exceed workload.d_c (got 0.005)",
+        id="delay-d-below-d-c",
+    ),
+    pytest.param(
+        spec_doc({"deployment.lambda_ap": -1.0}),
+        SpecValidationError,
+        "deployment: lambda_ap must be finite and > 0 (got -1.0)",
+        id="lambda-ap",
+    ),
+    pytest.param(
+        spec_doc({"deployment.lambda_dev": 0}),
+        SpecValidationError,
+        "deployment: lambda_dev must be finite and > 0 (got 0.0)",
+        id="lambda-dev",
+    ),
+    pytest.param(
+        spec_doc({"workload.q": -1.0}),
+        SpecValidationError,
+        "workload: payload_bits must be finite and > 0 (got -1.0)",
+        id="payload-bits",
+    ),
+    pytest.param(
+        spec_doc({"workload.d_c": -1.0}),
+        SpecValidationError,
+        "workload: compute_delay must be finite and >= 0 (got -1.0)",
+        id="compute-delay",
+    ),
+    pytest.param(
+        spec_doc({"workload.d_t": 0.005}),
+        SpecValidationError,
+        (
+            "workload: delay_budget must be finite and exceed compute_delay, otherwise"
+            " cloud inference is never usable (got 0.005 vs 0.01)"
+        ),
+        id="delay-budget",
+    ),
+    pytest.param(
+        spec_doc({"workload.m_c": 0.0}),
+        SpecValidationError,
+        "workload: mse_cloud must be finite and > 0 (got 0.0)",
+        id="mse-cloud",
+    ),
+    pytest.param(
+        spec_doc({"workload.m_d": 0.5}),
+        SpecValidationError,
+        (
+            "workload: mse_edge must be finite and >= mse_cloud (cloud model is the more"
+            " accurate one; got 0.5 vs 1.0)"
+        ),
+        id="mse-edge",
+    ),
+    pytest.param(
+        spec_doc({"air.b": -1.0}),
+        SpecValidationError,
+        "air: bandwidth must be finite and > 0 (got -1.0)",
+        id="bandwidth",
+    ),
+    pytest.param(
+        spec_doc({"air.snr": -1.0}),
+        SpecValidationError,
+        "air: snr must be > 0 (math.inf allowed; got -1.0)",
+        id="snr",
+    ),
+    pytest.param(
+        spec_doc({"workload.q": 1.0e300, "air.b": 1.0e-300}),
+        ModelDomainError,
+        "derived inference rate must be finite and > 0 (got inf)",
+        id="inference-rate",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": [float(v) for v in range(1, 10_002)]}),
+        SpecValidationError,
+        "sweep.grid must hold at most 10000 points (got 10001)",
+        id="grid-too-long",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": [1.0, math.inf]}),
+        SpecValidationError,
+        "sweep.grid values must be finite",
+        id="grid-not-finite",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": [2.0, 1.0]}),
+        SpecValidationError,
+        "sweep.grid must be strictly increasing",
+        id="grid-not-increasing",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": [0.0, 1.0]}),
+        SpecValidationError,
+        "sweep.grid values must be > 0 for axis lambda_hat",
+        id="grid-not-positive",
+    ),
+    pytest.param(
+        spec_doc({"sweep.axis": "mse_edge_ratio", "sweep.grid": [0.5, 1.0]}),
+        SpecValidationError,
+        "sweep.grid values must be >= 1 for axis mse_edge_ratio",
+        id="grid-below-one",
+    ),
+    pytest.param(
+        spec_doc(
+            {
+                "sweep.axis": "mse_edge_ratio",
+                "sweep.grid": DROP,
+                "sweep.range": {"lo": -1.0e308, "hi": 1.0e308, "n": 3},
+            }
+        ),
+        SpecValidationError,
+        "sweep.grid values must be finite",
+        id="range-not-finite",
+    ),
+    pytest.param(
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"trials": 10**7}}),
+        SpecValidationError,
+        "sweep.sim.trials (10000000) times the grid size (3) must be at most 10000000",
+        id="total-trials",
+    ),
+    pytest.param(
+        spec_doc({"extras": 1, "deployment.lambda_ap": -1.0}),
+        SpecValidationError,
+        "unknown section 'extras'",
+        id="many-unknown-section",
+    ),
+    pytest.param(
+        spec_doc({"sweep.grid": [2.0, 1.0], "deployment.lambda_ap": -1.0}),
+        SpecValidationError,
+        "deployment: lambda_ap must be finite and > 0 (got -1.0)",
+        id="many-grid",
+    ),
+    pytest.param(
+        spec_doc(
+            {
+                "sweep.grid": DROP,
+                "sweep.range": {"lo": 1.0, "hi": 1.0e308, "n": 3, "scale": "log"},
+                "sweep.outputs": ["critical_density"],
+                "workload.m_c": -1.0,
+            }
+        ),
+        SpecValidationError,
+        (
+            "sweep.mse_target is required when critical_density or critical_edge_mse is"
+            " requested on a non-mse_target axis\n"
+            "workload: mse_cloud must be finite and > 0 (got -1.0)"
+        ),
+        id="many-range",
+    ),
+    pytest.param(
+        spec_doc(
+            {
+                "deployment": DROP,
+                "workload.q": "hello",
+                "workload.m_d": "x",
+                "workload.m_c": -1.0,
+                "workload.extra": 1,
+                "air": [],
+                "sweep.axis": "bogus",
+                "sweep.outputs": ["avg_mse", "avg_mse", "nope"],
+                "sweep.delay_d": 0.001,
+            }
+        ),
+        SpecValidationError,
+        (
+            "missing required section 'deployment'\n"
+            "unknown field workload.extra\n"
+            "section 'air' must be a mapping\n"
+            "missing required field deployment.lambda_ap\n"
+            "missing required field deployment.lambda_dev\n"
+            "field workload.q must be a number (got 'hello')\n"
+            "field workload.m_d must be a number (got 'x')\n"
+            "missing required field air.b\n"
+            "sweep.axis must be one of ('lambda_hat', 'r_min', 'mse_target',"
+            " 'mse_edge_ratio') (got 'bogus')\n"
+            "unknown metrics in sweep.outputs: ['nope']\n"
+            "sweep.outputs must not repeat metrics\n"
+            "sweep.delay_d must be finite and exceed workload.d_c (got 0.001)"
+        ),
+        id="many-sections",
+    ),
+    pytest.param(
+        spec_doc(
+            {
+                "air.snr": "loud",
+                "air.b": 0.0,
+                "air.band": 1,
+                "sweep.grid": DROP,
+                "sweep.range": {"lo": "x", "n": True, "scale": None, "by": 2},
+                "sweep.outputs": [],
+                "sweep.simulate": 1,
+                "sweep.sim.window_radius": "w",
+                "sweep.sim.shadowing": "s",
+                "sweep.sim.trials": 0,
+                "sweep.sim.seed": 2**64,
+                "sweep.sim.boundary": None,
+                "sweep.sim.load_model": "exact",
+                "sweep.sim.full_buffer": 1,
+                "sweep.sim.x": 0,
+                "sweep.mse_target": math.nan,
+                "sweep.delay_d": "late",
+                "sweep.axis": None,
+            }
+        ),
+        SpecValidationError,
+        (
+            "unknown field air.band\n"
+            'field air.snr must be a positive number or "inf" (got \'loud\')\n'
+            "unknown field sweep.range.by\n"
+            "fields sweep.range.lo and sweep.range.hi must be numbers\n"
+            "field sweep.range.n must be an integer in [1, 10000] (got True)\n"
+            "field sweep.range.scale must be linear|log (got None)\n"
+            "field sweep.outputs must be a non-empty list of metric names (got [])\n"
+            "field sweep.simulate must be a boolean (got 1)\n"
+            "unknown field sweep.sim.x\n"
+            "field sweep.sim.window_radius must be a number or omitted (got 'w')\n"
+            'field sweep.sim.shadowing must be "none", a sigma in dB, or {lognormal: sigma}'
+            " (got 's')\n"
+            "sweep.sim.trials must be an integer in [1, 10000000] (got 0)\n"
+            "sweep.sim.seed must be an integer in [0, 2**64) (got 18446744073709551616)\n"
+            "sweep.sim.boundary must be torus|disc (got None)\n"
+            "sweep.sim.load_model must be mean_field|realized (got 'exact')\n"
+            "sweep.sim.full_buffer must be True or False (got 1)\n"
+            "field sweep.delay_d must be a number (got 'late')\n"
+            "sweep.axis must be one of ('lambda_hat', 'r_min', 'mse_target',"
+            " 'mse_edge_ratio') (got None)\n"
+            "sweep.mse_target must be finite (got nan)\n"
+            "air: bandwidth must be finite and > 0 (got 0.0)"
+        ),
+        id="many-sweep",
+    ),
+    pytest.param(
+        spec_doc(
+            {
+                "sweep.simulate": True,
+                "sweep.sim": {"trials": 10**7, "seed": 2.5},
+                "sweep.outputs": ["asymptotic_mse"],
+                "sweep.grid": [0.0, 1.0],
+                "air.snr": "inf",
+            }
+        ),
+        SpecValidationError,
+        (
+            "sweep.sim.seed must be an integer in [0, 2**64) (got 2.5)\n"
+            "sweep.simulate needs a simulable metric in sweep.outputs (one of ['avg_mse',"
+            " 'cloud_use_prob', 'delay_cdf_at']; got ['asymptotic_mse'])"
+        ),
+        id="many-simulated",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, error, message", LOADER_MESSAGES)
+def test_load_spec_messages_are_pinned(tmp_path, doc, error, message):
+    with pytest.raises(error) as exc_info:
+        load_spec(dump_spec(tmp_path, doc))
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message
+
+
 def test_load_spec_rejects_integer_beyond_float_range(tmp_path):
     doc = base_doc()
     doc["deployment"]["lambda_ap"] = 10**400
