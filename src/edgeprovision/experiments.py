@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import yaml
 
@@ -75,6 +75,38 @@ _MAX_GRID_POINTS = 10_000
 def _log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     ratio = (hi / lo) ** (1.0 / (n - 1))
     return tuple(lo * ratio ** i for i in range(n))
+
+
+def _range_grid(rng: dict, path: str, problems: list) -> tuple[float, ...] | None:
+    """The grid of a spec's ``sweep.range`` mapping: ``n`` points from
+    ``lo`` to ``hi``, evenly or (``scale: log``) geometrically spaced; None
+    after appending every problem when the mapping is broken."""
+    lo = _as_number(rng.get("lo"))
+    hi = _as_number(rng.get("hi"))
+    n = rng.get("n")
+    scale = rng["scale"]
+    found = []
+    if lo is None or hi is None:
+        found.append(f"fields {path}.lo and {path}.hi must be numbers")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_GRID_POINTS:
+        found.append(
+            f"field {path}.n must be an integer in [1, {_MAX_GRID_POINTS}] (got {n!r})"
+        )
+    if scale not in ("linear", "log"):
+        found.append(f"field {path}.scale must be linear|log (got {scale!r})")
+    if not found and n > 1 and not lo < hi:
+        found.append(f"{path} needs lo < hi")
+    if not found and scale == "log" and lo <= 0:
+        found.append(f"{path} with log scale needs lo > 0")
+    problems += found
+    if found:
+        return None
+    if n == 1:
+        return (lo,)
+    if scale == "log":
+        return _log_grid(lo, hi, n)
+    step = (hi - lo) / (n - 1)
+    return tuple(lo + step * i for i in range(n))
 
 
 # Spans both limit regimes: load-dominated at small lambda_hat, saturated at
@@ -401,32 +433,24 @@ def parse_csv(src) -> SweepResult:
 # Spec-file loading (YAML; plain JSON parses too)
 # ---------------------------------------------------------------------------
 
-_SECTION_KEYS = {
-    "deployment": {"lambda_ap", "lambda_dev"},
-    "workload": {"q", "d_t", "d_c", "m_c", "m_d"},
-    "air": {"b", "snr"},
-    "sweep": {
-        "axis",
-        "grid",
-        "range",
-        "outputs",
-        "simulate",
-        "sim",
-        "mse_target",
-        "delay_d",
-    },
-}
-# sweep.sim key -> SimSettings field
-_SIM_KEYS = {
-    "trials": "trials",
-    "window_radius": "window_radius",
-    "seed": "master_seed",
-    "shadowing": "shadowing_sigma_db",
-    "boundary": "boundary",
-    "load_model": "load_model",
-    "full_buffer": "full_buffer",
-}
-_SIM_NAMES = {field: f"sweep.sim.{key}" for key, field in _SIM_KEYS.items()}
+_ABSENT = object()
+
+
+class _Key(NamedTuple):
+    """How ``load_spec`` reads one spec key into ``field``.
+
+    ``convert(raw, path, problems)`` returns the value, or None after
+    appending a problem, and the key then reads as its default; None keeps
+    the raw value. A mapping's converter gets the fields of its keys. An
+    absent key reads as ``default``, else fills nothing (a problem if
+    ``required``). Keys that fill one field are alternatives: exactly one
+    of them must be given.
+    """
+
+    convert: Callable | None
+    required: bool = False
+    default: object = _ABSENT
+    field: str | None = None
 
 
 def _as_number(x) -> float | None:
@@ -435,74 +459,209 @@ def _as_number(x) -> float | None:
     YAML 1.1 parses unsigned-exponent literals like ``1.0e6`` as strings,
     so numeric strings are accepted too.
     """
-    if isinstance(x, bool):
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         return None
-    if isinstance(x, (int, float)):
-        try:
-            return float(x)
-        except OverflowError:  # an int beyond the float range
-            return None
-    if isinstance(x, str):
-        try:
-            return float(x)
-        except ValueError:
-            return None
+    try:
+        return float(x)
+    except (OverflowError, ValueError):  # an int beyond the float range, or not a number
+        return None
+
+
+def _number(raw, path: str, problems: list) -> float | None:
+    value = _as_number(raw)
+    if value is None:
+        problems.append(f"field {path} must be a number (got {raw!r})")
+    return value
+
+
+def _snr(raw, path: str, problems: list) -> float | None:
+    if isinstance(raw, str) and raw.strip().lower() in ("inf", "infinite"):
+        return math.inf
+    value = _as_number(raw)
+    if value is None:
+        problems.append(f'field {path} must be a positive number or "inf" (got {raw!r})')
+    return value
+
+
+def _number_or_null(raw, path: str, problems: list) -> float | None:
+    if raw is None:
+        return None
+    value = _as_number(raw)
+    if value is None:
+        problems.append(f"field {path} must be a number or omitted (got {raw!r})")
+    return value
+
+
+def _shadowing(raw, path: str, problems: list) -> float | None:
+    """A lognormal sigma in dB, given bare or as ``{lognormal: sigma}``;
+    None for ``none`` or null."""
+    if raw in ("none", None):
+        return None
+    sigma = raw["lognormal"] if isinstance(raw, dict) and set(raw) == {"lognormal"} else raw
+    value = _as_number(sigma)
+    if value is None:
+        problems.append(
+            f'field {path} must be "none", a sigma in dB, or '
+            f"{{lognormal: sigma}} (got {raw!r})"
+        )
+    return value
+
+
+def _number_list(raw, path: str, problems: list) -> tuple[float, ...] | None:
+    values = [_as_number(v) for v in raw] if isinstance(raw, list) else []
+    if not values or None in values:
+        problems.append(f"field {path} must be a non-empty list of numbers (got {raw!r})")
+        return None
+    return tuple(values)
+
+
+def _metric_names(raw, path: str, problems: list) -> tuple[str, ...] | None:
+    if isinstance(raw, list) and raw and all(isinstance(m, str) for m in raw):
+        return tuple(raw)
+    problems.append(f"field {path} must be a non-empty list of metric names (got {raw!r})")
     return None
 
 
-def _is_number(x) -> bool:
-    return _as_number(x) is not None
+def _boolean(raw, path: str, problems: list) -> bool | None:
+    if isinstance(raw, bool):
+        return raw
+    problems.append(f"field {path} must be a boolean (got {raw!r})")
+    return None
 
 
-class _SpecReader:
-    """Walks the parsed document, collecting every problem before failing."""
+def _sim_settings(fields: dict, path: str, problems: list) -> SimSettings | None:
+    from .geomsim import SimSettings, _sim_problems
 
-    def __init__(self, doc):
-        self.doc = doc
-        self.problems: list[str] = []
+    values = vars(SimSettings()) | fields
+    names = {row.field: f"{path}.{key}" for key, row in _LEVELS[path].items()}
+    found = _sim_problems(values, names)
+    problems += found
+    return None if found else SimSettings(**values)
 
-    def fail(self, msg: str) -> None:
-        self.problems.append(msg)
 
-    def section(self, name: str) -> dict:
-        sec = self.doc.get(name)
-        if sec is None:
-            self.fail(f"missing required section {name!r}")
-            return {}
-        if not isinstance(sec, dict):
-            self.fail(f"section {name!r} must be a mapping")
-            return {}
-        for key in sec:
-            if key not in _SECTION_KEYS[name]:
-                self.fail(f"unknown field {name}.{key}")
-        return sec
+# Every spec key by dotted path, in the order its problems are reported:
+# the sections, then each section's keys. The fields are those of the
+# scenario dataclasses, SweepSpec (plus ``simulate``) and SimSettings,
+# whose own checks and ``_sweep_problems`` hold the value rules.
+_SPEC = {
+    "deployment": _Key(None, required=True),
+    "workload": _Key(None, required=True),
+    "air": _Key(None, required=True),
+    "sweep": _Key(None, required=True),
+    "deployment.lambda_ap": _Key(_number, required=True, field="lambda_ap"),
+    "deployment.lambda_dev": _Key(_number, required=True, field="lambda_dev"),
+    "workload.q": _Key(_number, required=True, field="payload_bits"),
+    "workload.d_t": _Key(_number, required=True, field="delay_budget"),
+    "workload.d_c": _Key(_number, required=True, field="compute_delay"),
+    "workload.m_c": _Key(_number, required=True, field="mse_cloud"),
+    # absent: _DEFAULT_EDGE_RATIO * m_c, set by load_spec
+    "workload.m_d": _Key(_number, field="mse_edge"),
+    "air.b": _Key(_number, required=True, field="bandwidth"),
+    "air.snr": _Key(_snr, default=math.inf, field="snr"),
+    "sweep.axis": _Key(None, field="axis"),
+    "sweep.grid": _Key(_number_list, required=True, field="grid"),
+    "sweep.range": _Key(_range_grid, required=True, field="grid"),
+    "sweep.range.lo": _Key(None, field="lo"),
+    "sweep.range.hi": _Key(None, field="hi"),
+    "sweep.range.n": _Key(None, field="n"),
+    "sweep.range.scale": _Key(None, default="linear", field="scale"),
+    # absent reads as null, which the converter rejects
+    "sweep.outputs": _Key(_metric_names, default=None, field="outputs"),
+    "sweep.simulate": _Key(_boolean, default=False, field="simulate"),
+    # SimSettings fills what the spec leaves out, and checks the values
+    "sweep.sim": _Key(_sim_settings, field="sim"),
+    "sweep.sim.trials": _Key(None, field="trials"),
+    "sweep.sim.window_radius": _Key(_number_or_null, field="window_radius"),
+    "sweep.sim.seed": _Key(None, field="master_seed"),
+    "sweep.sim.shadowing": _Key(_shadowing, field="shadowing_sigma_db"),
+    "sweep.sim.boundary": _Key(None, field="boundary"),
+    "sweep.sim.load_model": _Key(None, field="load_model"),
+    "sweep.sim.full_buffer": _Key(None, field="full_buffer"),
+    "sweep.mse_target": _Key(_number, field="mse_target"),
+    "sweep.delay_d": _Key(_number, field="delay_query"),
+}
+# mapping path ("" for the document) -> {key: _Key}, in table order
+_LEVELS: dict[str, dict[str, _Key]] = {}
+for _path, _row in _SPEC.items():
+    _parent, _, _key = _path.rpartition(".")
+    _LEVELS.setdefault(_parent, {})[_key] = _row
+# what a nested mapping's type error adds to "must be a mapping"
+_SHAPES = {"sweep.range": " {lo, hi, n, scale}"}
 
-    def number(self, sec: dict, path: str, required: bool = True, default=None):
-        name = path.split(".", 1)[1]
-        if name not in sec:
-            if required:
-                self.fail(f"missing required field {path}")
-            return default
-        v = _as_number(sec[name])
-        if v is None:
-            self.fail(f"field {path} must be a number (got {sec[name]!r})")
-            return default
-        return v
+
+def _unknown_keys(mapping: dict, path: str) -> list[str]:
+    known = _LEVELS[path]
+    return [f"unknown field {path}.{key}" for key in mapping if key not in known]
+
+
+def _read(mapping: dict, path: str, problems: list) -> dict:
+    """The fields that the keys of the mapping at ``path`` fill."""
+    alternatives: dict[str, list[str]] = {}
+    for key, row in _LEVELS[path].items():
+        alternatives.setdefault(row.field, []).append(key)
+    fields = {}
+    for field, keys in alternatives.items():
+        given = [key for key in keys if key in mapping]
+        if len(keys) > 1 and len(given) != 1:
+            names = " or ".join(f"{path}.{key}" for key in keys)
+            problems.append(f"{path} needs exactly one of {names}")
+            continue
+        key = (given or keys)[0]
+        sub = f"{path}.{key}"
+        row = _LEVELS[path][key]
+        if key in mapping:
+            raw = mapping[key]
+        elif row.required:
+            problems.append(f"missing required field {sub}")
+            continue
+        elif row.default is _ABSENT:
+            continue
+        else:
+            raw = row.default
+        if sub in _LEVELS:
+            if not isinstance(raw, dict):
+                problems.append(f"field {sub} must be a mapping{_SHAPES.get(sub, '')}")
+                fields[field] = None
+                continue
+            problems += _unknown_keys(raw, sub)
+            raw = _read(raw, sub, problems)
+        if row.convert is not None:
+            raw = row.convert(raw, sub, problems)
+            if raw is None and row.default is not _ABSENT:
+                raw = row.default
+        fields[field] = raw
+    return fields
+
+
+def _read_spec(doc: dict) -> tuple[dict, list[str]]:
+    """Each section's fields, and every problem in the order of ``_SPEC``.
+
+    Every section is checked before any key is read; a section that is
+    missing or not a mapping reads as empty.
+    """
+    problems: list[str] = []
+    sections = {}
+    for name, row in _LEVELS[""].items():
+        section = doc.get(name)
+        if section is None:
+            if row.required:
+                problems.append(f"missing required section {name!r}")
+        elif not isinstance(section, dict):
+            problems.append(f"section {name!r} must be a mapping")
+        else:
+            problems += _unknown_keys(section, name)
+            sections[name] = section
+    fields = {name: _read(sections.get(name, {}), name, problems) for name in _LEVELS[""]}
+    return fields, problems
 
 
 def load_spec(path) -> SweepSpec:
     """Load a sweep specification file.
 
-    The document has sections ``deployment{lambda_ap, lambda_dev}``,
-    ``workload{q, d_t, d_c, m_c, m_d?}``, ``air{b, snr|"inf"}`` and
-    ``sweep{axis, grid|range{lo,hi,n,scale}, outputs[], simulate, sim{...},
-    mse_target?, delay_d?}``. Omitted ``m_d`` defaults to ``1.5 * m_c``;
-    omitted ``snr`` to infinite (interference-limited). The ``sim`` keys
-    are checked whether or not the sweep simulates, and errors name them
-    by their spec keys; the spec's ``sim`` is None unless ``simulate`` is
-    true, which needs a simulable metric among the outputs. Raises
-    SpecFileError on unparseable documents and SpecValidationError listing
-    every schema violation.
+    ``_SPEC`` lists every key with its converter, whether it is required,
+    its default and the field it fills. The spec's ``sim`` is None unless
+    ``simulate`` is true. Raises SpecFileError on unparseable documents and
+    SpecValidationError listing every problem, each naming its spec key.
 
     The document is parsed by libyaml when PyYAML was built with it, else
     by PyYAML's pure-Python parser. They build the same document from the
@@ -523,206 +682,42 @@ def load_spec(path) -> SweepSpec:
     if not isinstance(doc, dict):
         raise SpecValidationError("spec document must be a mapping of sections")
     for key in doc:
-        if key not in _SECTION_KEYS:
+        if key not in _LEVELS[""]:
             raise SpecValidationError(f"unknown section {key!r}")
 
-    r = _SpecReader(doc)
-    dep_sec = r.section("deployment")
-    wl_sec = r.section("workload")
-    air_sec = r.section("air")
-    sweep_sec = r.section("sweep")
-
-    lambda_ap = r.number(dep_sec, "deployment.lambda_ap")
-    lambda_dev = r.number(dep_sec, "deployment.lambda_dev")
-    q = r.number(wl_sec, "workload.q")
-    d_t = r.number(wl_sec, "workload.d_t")
-    d_c = r.number(wl_sec, "workload.d_c")
-    m_c = r.number(wl_sec, "workload.m_c")
-    m_d = r.number(wl_sec, "workload.m_d", required=False)
-    if m_d is None and m_c is not None:
-        m_d = _DEFAULT_EDGE_RATIO * m_c
-    b = r.number(air_sec, "air.b")
-
-    snr = math.inf
-    if "snr" in air_sec:
-        raw = air_sec["snr"]
-        if isinstance(raw, str) and raw.strip().lower() in ("inf", "infinite"):
-            snr = math.inf
-        elif _is_number(raw):
-            snr = float(raw)
-        else:
-            r.fail(f'field air.snr must be a positive number or "inf" (got {raw!r})')
-
-    # sweep section
-    axis = sweep_sec.get("axis")
-    grid: tuple[float, ...] = ()
-    if ("grid" in sweep_sec) == ("range" in sweep_sec):
-        r.fail("sweep needs exactly one of sweep.grid or sweep.range")
-    elif "grid" in sweep_sec:
-        raw = sweep_sec["grid"]
-        if not isinstance(raw, list) or not raw or not all(_is_number(v) for v in raw):
-            r.fail(f"field sweep.grid must be a non-empty list of numbers (got {raw!r})")
-        else:
-            grid = tuple(float(v) for v in raw)
-    else:
-        rng = sweep_sec["range"]
-        if not isinstance(rng, dict):
-            r.fail("field sweep.range must be a mapping {lo, hi, n, scale}")
-        else:
-            for key in rng:
-                if key not in {"lo", "hi", "n", "scale"}:
-                    r.fail(f"unknown field sweep.range.{key}")
-            lo = _as_number(rng.get("lo"))
-            hi = _as_number(rng.get("hi"))
-            n = rng.get("n")
-            scale = rng.get("scale", "linear")
-            ok = True
-            if lo is None or hi is None:
-                r.fail("fields sweep.range.lo and sweep.range.hi must be numbers")
-                ok = False
-            if (
-                not isinstance(n, int)
-                or isinstance(n, bool)
-                or not 1 <= n <= _MAX_GRID_POINTS
-            ):
-                r.fail(
-                    f"field sweep.range.n must be an integer in [1, {_MAX_GRID_POINTS}] "
-                    f"(got {n!r})"
-                )
-                ok = False
-            if scale not in ("linear", "log"):
-                r.fail(f"field sweep.range.scale must be linear|log (got {scale!r})")
-                ok = False
-            if ok and n > 1 and not (lo < hi):
-                r.fail("sweep.range needs lo < hi")
-                ok = False
-            if ok and scale == "log" and lo <= 0:
-                r.fail("sweep.range with log scale needs lo > 0")
-                ok = False
-            if ok:
-                if n == 1:
-                    grid = (float(lo),)
-                elif scale == "linear":
-                    step = (hi - lo) / (n - 1)
-                    grid = tuple(float(lo + step * i) for i in range(n))
-                else:
-                    grid = _log_grid(float(lo), float(hi), n)
-
-    outputs_raw = sweep_sec.get("outputs")
-    outputs: tuple[str, ...] = ()
-    if (
-        not isinstance(outputs_raw, list)
-        or not outputs_raw
-        or not all(isinstance(m, str) for m in outputs_raw)
+    fields, problems = _read_spec(doc)
+    workload, sweep = fields["workload"], fields["sweep"]
+    if workload.get("mse_edge") is None and workload.get("mse_cloud") is not None:
+        workload["mse_edge"] = _DEFAULT_EDGE_RATIO * workload["mse_cloud"]
+    simulate = sweep.pop("simulate")
+    problems += _sweep_problems(
+        sweep.get("axis"),
+        sweep["outputs"] or (),
+        sweep.get("mse_target"),
+        sweep.get("delay_query"),
+        workload.get("compute_delay"),
+        simulate,
+    )
+    # Range checks run per section so one bad value does not mask another.
+    parts = {}
+    for name, cls in (
+        ("deployment", DeploymentConfig),
+        ("workload", InferenceWorkload),
+        ("air", AirInterface),
     ):
-        r.fail(f"field sweep.outputs must be a non-empty list of metric names (got {outputs_raw!r})")
-    else:
-        outputs = tuple(outputs_raw)
+        values = fields[name]
+        if len(values) == len(_LEVELS[name]) and None not in values.values():
+            try:
+                parts[name] = cls(**values)
+            except ModelDomainError as e:
+                problems.append(f"{name}: {e}")
+    if problems:
+        raise SpecValidationError("\n".join(problems))
 
-    simulate = sweep_sec.get("simulate", False)
-    if not isinstance(simulate, bool):
-        r.fail(f"field sweep.simulate must be a boolean (got {simulate!r})")
-        simulate = False
-
-    sim = None
-    if simulate or "sim" in sweep_sec:
-        from .geomsim import SimSettings, _sim_problems
+    sim = sweep.get("sim")
+    if simulate and sim is None:
+        from .geomsim import SimSettings
 
         sim = SimSettings()
-    if "sim" in sweep_sec:
-        sim_sec = sweep_sec["sim"]
-        if not isinstance(sim_sec, dict):
-            r.fail("field sweep.sim must be a mapping")
-        else:
-            for key in sim_sec:
-                if key not in _SIM_KEYS:
-                    r.fail(f"unknown field sweep.sim.{key}")
-            radius = sim_sec.get("window_radius")
-            if radius is not None:
-                radius = _as_number(radius)
-                if radius is None:
-                    r.fail(
-                        "field sweep.sim.window_radius must be a number or omitted "
-                        f"(got {sim_sec['window_radius']!r})"
-                    )
-            shadowing = sim_sec.get("shadowing", "none")
-            sigma: float | None = None
-            if shadowing in ("none", None):
-                sigma = None
-            elif _is_number(shadowing):
-                sigma = float(shadowing)
-            elif (
-                isinstance(shadowing, dict)
-                and set(shadowing) == {"lognormal"}
-                and _is_number(shadowing["lognormal"])
-            ):
-                sigma = float(shadowing["lognormal"])
-            else:
-                r.fail(
-                    'field sweep.sim.shadowing must be "none", a sigma in dB, or '
-                    f"{{lognormal: sigma}} (got {shadowing!r})"
-                )
-            values = vars(sim) | {"window_radius": radius, "shadowing_sigma_db": sigma}
-            values |= {
-                _SIM_KEYS[k]: sim_sec[k]
-                for k in ("trials", "seed", "boundary", "load_model", "full_buffer")
-                if k in sim_sec
-            }
-            problems = _sim_problems(values, _SIM_NAMES)
-            r.problems += problems
-            if not problems:
-                sim = SimSettings(**values)
-
-    mse_target = None
-    if "mse_target" in sweep_sec:
-        raw = sweep_sec["mse_target"]
-        if not _is_number(raw):
-            r.fail(f"field sweep.mse_target must be a number (got {raw!r})")
-        else:
-            mse_target = float(raw)
-    delay_query = None
-    if "delay_d" in sweep_sec:
-        raw = sweep_sec["delay_d"]
-        if not _is_number(raw):
-            r.fail(f"field sweep.delay_d must be a number (got {raw!r})")
-        else:
-            delay_query = float(raw)
-
-    r.problems += _sweep_problems(axis, outputs, mse_target, delay_query, d_c, simulate)
-
-    # Range checks run per section so one bad value does not mask another.
-    dep = wl = ai = None
-    if None not in (lambda_ap, lambda_dev):
-        try:
-            dep = DeploymentConfig(lambda_ap=lambda_ap, lambda_dev=lambda_dev)
-        except ModelDomainError as e:
-            r.fail(f"deployment: {e}")
-    if None not in (q, d_t, d_c, m_c, m_d):
-        try:
-            wl = InferenceWorkload(
-                payload_bits=q,
-                delay_budget=d_t,
-                compute_delay=d_c,
-                mse_cloud=m_c,
-                mse_edge=m_d,
-            )
-        except ModelDomainError as e:
-            r.fail(f"workload: {e}")
-    if b is not None:
-        try:
-            ai = AirInterface(bandwidth=b, snr=snr)
-        except ModelDomainError as e:
-            r.fail(f"air: {e}")
-    if r.problems:
-        raise SpecValidationError("\n".join(r.problems))
-    base = Scenario(deployment=dep, workload=wl, air=ai)
-
-    return SweepSpec(
-        base=base,
-        axis=axis,
-        grid=grid,
-        outputs=outputs,
-        sim=sim if simulate else None,
-        mse_target=mse_target,
-        delay_query=delay_query,
-    )
+    sweep["sim"] = sim if simulate else None
+    return SweepSpec(base=Scenario(**parts), **sweep)
