@@ -591,7 +591,11 @@ _SHAPES = {"sweep.range": " {lo, hi, n, scale}"}
 
 def _unknown_keys(mapping: dict, path: str) -> list[str]:
     known = _LEVELS[path]
-    return [f"unknown field {path}.{key}" for key in mapping if key not in known]
+    return [
+        f"unknown field {path}.{key}" if path else f"unknown section {key!r}"
+        for key in mapping
+        if key not in known
+    ]
 
 
 def _read(mapping: dict, path: str, problems: list) -> dict:
@@ -636,10 +640,10 @@ def _read(mapping: dict, path: str, problems: list) -> dict:
 def _read_spec(doc: dict) -> tuple[dict, list[str]]:
     """Each section's fields, and every problem in the order of ``_SPEC``.
 
-    Every section is checked before any key is read; a section that is
-    missing or not a mapping reads as empty.
+    Unknown sections come first, then every section is checked before any
+    key is read; a section that is missing or not a mapping reads as empty.
     """
-    problems: list[str] = []
+    problems = _unknown_keys(doc, "")
     sections = {}
     for name, row in _LEVELS[""].items():
         section = doc.get(name)
@@ -681,10 +685,6 @@ def load_spec(path) -> SweepSpec:
             raise SpecFileError(f"cannot parse {path}: not UTF-8 text ({e})") from e
     if not isinstance(doc, dict):
         raise SpecValidationError("spec document must be a mapping of sections")
-    for key in doc:
-        if key not in _LEVELS[""]:
-            raise SpecValidationError(f"unknown section {key!r}")
-
     fields, problems = _read_spec(doc)
     workload, sweep = fields["workload"], fields["sweep"]
     if workload.get("mse_edge") is None and workload.get("mse_cloud") is not None:

@@ -1101,7 +1101,10 @@ LOADER_MESSAGES = [
     pytest.param(
         spec_doc({"extras": 1, "deployment.lambda_ap": -1.0}),
         SpecValidationError,
-        "unknown section 'extras'",
+        (
+            "unknown section 'extras'\n"
+            "deployment: lambda_ap must be finite and > 0 (got -1.0)"
+        ),
         id="many-unknown-section",
     ),
     pytest.param(
