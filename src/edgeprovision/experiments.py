@@ -132,12 +132,49 @@ def _fmt(v: float | None) -> str:
 
 
 def _sweep_problems(
-    axis, outputs, mse_target, delay_query, compute_delay, simulate
+    axis, grid, outputs, sim, mse_target, delay_query, compute_delay, simulate
 ) -> list[str]:
-    """Every broken rule on a sweep's axis, outputs and queries, one message
-    each. ``compute_delay`` None skips the ``delay_d`` lower bound; a sweep
-    that ``simulate``s must ask for a simulable metric."""
+    """Every broken rule on a sweep, one message each.
+
+    The arguments are ``SweepSpec``'s fields, the workload's
+    ``compute_delay``, and whether the sweep ``simulate``s (then with the
+    settings ``sim``). A None ``grid``, ``outputs``, ``sim`` or
+    ``compute_delay`` is one the spec reader has already rejected (or, for
+    ``sim``, a sweep that does not simulate), and skips the rules on it.
+    """
     problems = []
+    if grid is not None:
+        if not grid:
+            problems.append("sweep.grid must be non-empty")
+        elif len(grid) > _MAX_GRID_POINTS:
+            problems.append(
+                f"sweep.grid must hold at most {_MAX_GRID_POINTS} points (got {len(grid)})"
+            )
+        elif not all(math.isfinite(v) for v in grid):
+            problems.append("sweep.grid values must be finite")
+        elif any(b <= a for a, b in zip(grid, grid[1:])):
+            problems.append("sweep.grid must be strictly increasing")
+        elif axis in ("lambda_hat", "r_min", "mse_target") and grid[0] <= 0:
+            problems.append(f"sweep.grid values must be > 0 for axis {axis}")
+        elif axis == "mse_edge_ratio" and grid[0] < 1.0:
+            problems.append("sweep.grid values must be >= 1 for axis mse_edge_ratio")
+    if sim is not None:
+        from .geomsim import _MAX_TRIALS, SimSettings
+
+        if type(sim) is not SimSettings:
+            problems.append(
+                f"sweep.sim must be a SimSettings or None (got {type(sim).__name__}); "
+                "the sweep sets the scenario at each grid point"
+            )
+        elif grid is not None and len(grid) * sim.trials > _MAX_TRIALS:
+            problems.append(
+                f"sweep.sim.trials ({sim.trials}) times the grid size "
+                f"({len(grid)}) must be at most {_MAX_TRIALS}"
+            )
+    if outputs is None:
+        outputs = ()
+    elif not outputs:
+        problems.append("sweep.outputs must be non-empty")
     if axis not in AXES:
         problems.append(f"sweep.axis must be one of {AXES} (got {axis!r})")
     unknown = [m for m in outputs if m not in METRICS]
@@ -192,42 +229,12 @@ class SweepSpec:
     delay_query: float | None = None
 
     def __post_init__(self):
-        problems = []
-        if not self.grid:
-            problems.append("sweep.grid must be non-empty")
-        elif len(self.grid) > _MAX_GRID_POINTS:
-            problems.append(
-                f"sweep.grid must hold at most {_MAX_GRID_POINTS} points "
-                f"(got {len(self.grid)})"
-            )
-        elif not all(math.isfinite(v) for v in self.grid):
-            problems.append("sweep.grid values must be finite")
-        elif any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            problems.append("sweep.grid must be strictly increasing")
-        else:
-            lo = self.grid[0]
-            if self.axis in ("lambda_hat", "r_min", "mse_target") and lo <= 0:
-                problems.append(f"sweep.grid values must be > 0 for axis {self.axis}")
-            if self.axis == "mse_edge_ratio" and lo < 1.0:
-                problems.append("sweep.grid values must be >= 1 for axis mse_edge_ratio")
-        if self.sim is not None:
-            from .geomsim import _MAX_TRIALS, SimSettings
-
-            if type(self.sim) is not SimSettings:
-                problems.append(
-                    f"sweep.sim must be a SimSettings or None (got {type(self.sim).__name__}); "
-                    "the sweep sets the scenario at each grid point"
-                )
-            elif len(self.grid) * self.sim.trials > _MAX_TRIALS:
-                problems.append(
-                    f"sweep.sim.trials ({self.sim.trials}) times the grid size "
-                    f"({len(self.grid)}) must be at most {_MAX_TRIALS}"
-                )
-        if not self.outputs:
-            problems.append("sweep.outputs must be non-empty")
-        problems += _sweep_problems(
+        problems = _sweep_problems(
             self.axis,
-            self.outputs,
+            # None here is a missing grid or outputs, not one the spec reader rejected
+            self.grid or (),
+            self.outputs or (),
+            self.sim,
             self.mse_target,
             self.delay_query,
             self.base.workload.compute_delay,
@@ -690,9 +697,17 @@ def load_spec(path) -> SweepSpec:
     if workload.get("mse_edge") is None and workload.get("mse_cloud") is not None:
         workload["mse_edge"] = _DEFAULT_EDGE_RATIO * workload["mse_cloud"]
     simulate = sweep.pop("simulate")
+    if not simulate:
+        sweep["sim"] = None
+    elif "sim" not in sweep:
+        from .geomsim import SimSettings
+
+        sweep["sim"] = SimSettings()
     problems += _sweep_problems(
         sweep.get("axis"),
-        sweep["outputs"] or (),
+        sweep.get("grid"),
+        sweep["outputs"],
+        sweep["sim"],
         sweep.get("mse_target"),
         sweep.get("delay_query"),
         workload.get("compute_delay"),
@@ -713,11 +728,4 @@ def load_spec(path) -> SweepSpec:
                 problems.append(f"{name}: {e}")
     if problems:
         raise SpecValidationError("\n".join(problems))
-
-    sim = sweep.get("sim")
-    if simulate and sim is None:
-        from .geomsim import SimSettings
-
-        sim = SimSettings()
-    sweep["sim"] = sim if simulate else None
     return SweepSpec(base=Scenario(**parts), **sweep)

@@ -1110,7 +1110,10 @@ LOADER_MESSAGES = [
     pytest.param(
         spec_doc({"sweep.grid": [2.0, 1.0], "deployment.lambda_ap": -1.0}),
         SpecValidationError,
-        "deployment: lambda_ap must be finite and > 0 (got -1.0)",
+        (
+            "sweep.grid must be strictly increasing\n"
+            "deployment: lambda_ap must be finite and > 0 (got -1.0)"
+        ),
         id="many-grid",
     ),
     pytest.param(
@@ -1225,6 +1228,7 @@ LOADER_MESSAGES = [
         SpecValidationError,
         (
             "sweep.sim.seed must be an integer in [0, 2**64) (got 2.5)\n"
+            "sweep.grid values must be > 0 for axis lambda_hat\n"
             "sweep.simulate needs a simulable metric in sweep.outputs (one of ['avg_mse',"
             " 'cloud_use_prob', 'delay_cdf_at']; got ['asymptotic_mse'])"
         ),
