@@ -80,7 +80,8 @@ def _log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
 def _range_grid(rng: dict, path: str, problems: list) -> tuple[float, ...] | None:
     """The grid of a spec's ``sweep.range`` mapping: ``n`` points from
     ``lo`` to ``hi``, evenly or (``scale: log``) geometrically spaced; None
-    after appending every problem when the mapping is broken."""
+    after appending every problem when the mapping is broken or a point
+    is not a finite float."""
     lo = _as_number(rng.get("lo"))
     hi = _as_number(rng.get("hi"))
     n = rng.get("n")
@@ -101,12 +102,20 @@ def _range_grid(rng: dict, path: str, problems: list) -> tuple[float, ...] | Non
     problems += found
     if found:
         return None
-    if n == 1:
-        return (lo,)
-    if scale == "log":
-        return _log_grid(lo, hi, n)
-    step = (hi - lo) / (n - 1)
-    return tuple(lo + step * i for i in range(n))
+    try:
+        if n == 1:
+            grid = (lo,)
+        elif scale == "log":
+            grid = _log_grid(lo, hi, n)
+        else:
+            step = (hi - lo) / (n - 1)
+            grid = tuple(lo + step * i for i in range(n))
+        if all(math.isfinite(v) for v in grid):
+            return grid
+    except OverflowError:  # a power of the log ratio beyond the float range
+        pass
+    problems.append(f"{path} must give finite grid values")
+    return None
 
 
 # Spans both limit regimes: load-dominated at small lambda_hat, saturated at

@@ -1089,7 +1089,7 @@ LOADER_MESSAGES = [
             }
         ),
         SpecValidationError,
-        "sweep.grid values must be finite",
+        "sweep.range must give finite grid values",
         id="range-not-finite",
     ),
     pytest.param(
@@ -1352,13 +1352,17 @@ def test_load_spec_rejects_non_finite_queries(tmp_path, key, field):
         {"lo": 1.0, "hi": "inf", "n": 2},
         {"lo": 1.0, "hi": "1e400", "n": 2, "scale": "log"},
         {"lo": 5.0e-324, "hi": 1.0e300, "n": 2, "scale": "log"},
+        {"lo": -1.0e308, "hi": 1.0e308, "n": 3},  # hi - lo overflows
+        # each point is finite, but a power of the ratio overflows
+        {"lo": 1.0e-10, "hi": 1.7976931348623157e298, "n": 10_000, "scale": "log"},
     ],
 )
 def test_load_spec_rejects_non_finite_grid(tmp_path, rng):
     doc = base_doc()
     del doc["sweep"]["grid"]
     doc["sweep"]["range"] = rng
-    with pytest.raises(SpecValidationError):
+    # the key the document holds, not the sweep.grid it never wrote
+    with pytest.raises(SpecValidationError, match="^sweep.range must give finite grid values$"):
         load_spec(dump_spec(tmp_path, doc))
 
 
