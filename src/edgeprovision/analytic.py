@@ -67,6 +67,32 @@ def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def _as_number(x) -> float | None:
+    """Coerce a scalar to float, or None if it is not numeric.
+
+    YAML 1.1 parses unsigned-exponent literals like ``1.0e6`` as strings,
+    so numeric strings are accepted too.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        return None
+    try:
+        return float(x)
+    except (OverflowError, ValueError):  # an int beyond the float range, or not a number
+        return None
+
+
+def _snr_type(x) -> float:
+    """An SNR as ``--snr`` or a spec's ``air.snr`` gives it: a number, or
+    "inf"/"infinite" (any case) for the interference-limited regime; else
+    ValueError. argparse names this function in its error for ``--snr``."""
+    if isinstance(x, str) and x.strip().lower() in ("inf", "infinite"):
+        return math.inf
+    snr = _as_number(x)
+    if snr is None:
+        raise ValueError('a positive number or "inf"')
+    return snr
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------

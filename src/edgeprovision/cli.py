@@ -31,6 +31,7 @@ from .analytic import (
     _CLOSED_FORMS,
     _DEFAULT_EDGE_RATIO,
     _payload,
+    _snr_type,
     average_mse,
     cloud_use_probability,
 )
@@ -82,12 +83,6 @@ _CLOSED_FORM_COMMANDS = {
     ),
 }
 _QUERY_FLAG_HELP = {"--d": "delay value to query in s", "--mt": "target average MSE"}
-
-
-def _snr_type(s: str) -> float:
-    if s.strip().lower() in ("inf", "infinite"):
-        return math.inf
-    return float(s)
 
 
 def _positive_int(s: str) -> int:

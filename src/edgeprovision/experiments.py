@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -29,7 +30,9 @@ from .analytic import (
     Scenario,
     _CLOSED_FORMS,
     _DEFAULT_EDGE_RATIO,
+    _as_number,
     _payload,
+    _snr_type,
 )
 from .errors import (
     InfeasibleTargetError,
@@ -110,7 +113,7 @@ def _range_grid(rng: dict, path: str, problems: list) -> tuple[float, ...] | Non
         else:
             step = (hi - lo) / (n - 1)
             grid = tuple(lo + step * i for i in range(n))
-        if all(math.isfinite(v) for v in grid):
+        if all(map(math.isfinite, grid)):
             return grid
     except OverflowError:  # a power of the log ratio beyond the float range
         pass
@@ -140,28 +143,31 @@ def _fmt(v: float | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_problems(
-    axis, grid, outputs, sim, mse_target, delay_query, compute_delay, simulate
-) -> list[str]:
+def _sweep_problems(sweep: dict, compute_delay, simulate) -> list[str]:
     """Every broken rule on a sweep, one message each.
 
-    The arguments are ``SweepSpec``'s fields, the workload's
-    ``compute_delay``, and whether the sweep ``simulate``s (then with the
-    settings ``sim``). A None ``grid``, ``outputs``, ``sim`` or
-    ``compute_delay`` is one the spec reader has already rejected (or, for
-    ``sim``, a sweep that does not simulate), and skips the rules on it.
+    ``sweep`` maps ``SweepSpec``'s field names to values. The spec reader
+    leaves out the values it has already rejected, which skips the rules
+    on them, as None ``compute_delay`` skips the ``delay_d`` lower bound.
+    A sweep that ``simulate``s must ask for a simulable metric.
     """
+    axis = sweep.get("axis")
+    grid = sweep.get("grid")
+    outputs = sweep.get("outputs") or ()
+    sim = sweep.get("sim")
+    mse_target = sweep.get("mse_target")
+    delay_query = sweep.get("delay_query")
     problems = []
-    if grid is not None:
+    if "grid" in sweep:
         if not grid:
             problems.append("sweep.grid must be non-empty")
         elif len(grid) > _MAX_GRID_POINTS:
             problems.append(
                 f"sweep.grid must hold at most {_MAX_GRID_POINTS} points (got {len(grid)})"
             )
-        elif not all(math.isfinite(v) for v in grid):
+        elif not all(map(math.isfinite, grid)):
             problems.append("sweep.grid values must be finite")
-        elif any(b <= a for a, b in zip(grid, grid[1:])):
+        elif any(map(operator.le, grid[1:], grid)):
             problems.append("sweep.grid must be strictly increasing")
         elif axis in ("lambda_hat", "r_min", "mse_target") and grid[0] <= 0:
             problems.append(f"sweep.grid values must be > 0 for axis {axis}")
@@ -175,14 +181,12 @@ def _sweep_problems(
                 f"sweep.sim must be a SimSettings or None (got {type(sim).__name__}); "
                 "the sweep sets the scenario at each grid point"
             )
-        elif grid is not None and len(grid) * sim.trials > _MAX_TRIALS:
+        elif grid and len(grid) * sim.trials > _MAX_TRIALS:
             problems.append(
                 f"sweep.sim.trials ({sim.trials}) times the grid size "
                 f"({len(grid)}) must be at most {_MAX_TRIALS}"
             )
-    if outputs is None:
-        outputs = ()
-    elif not outputs:
+    if "outputs" in sweep and not outputs:
         problems.append("sweep.outputs must be non-empty")
     if axis not in AXES:
         problems.append(f"sweep.axis must be one of {AXES} (got {axis!r})")
@@ -238,17 +242,8 @@ class SweepSpec:
     delay_query: float | None = None
 
     def __post_init__(self):
-        problems = _sweep_problems(
-            self.axis,
-            # None here is a missing grid or outputs, not one the spec reader rejected
-            self.grid or (),
-            self.outputs or (),
-            self.sim,
-            self.mse_target,
-            self.delay_query,
-            self.base.workload.compute_delay,
-            self.sim is not None,
-        )
+        compute_delay = self.base.workload.compute_delay
+        problems = _sweep_problems(vars(self), compute_delay, self.sim is not None)
         if problems:
             raise SpecValidationError("\n".join(problems))
 
@@ -455,12 +450,13 @@ _ABSENT = object()
 class _Key(NamedTuple):
     """How ``load_spec`` reads one spec key into ``field``.
 
-    ``convert(raw, path, problems)`` returns the value, or None after
-    appending a problem, and the key then reads as its default; None keeps
-    the raw value. A mapping's converter gets the fields of its keys. An
-    absent key reads as ``default``, else fills nothing (a problem if
-    ``required``). Keys that fill one field are alternatives: exactly one
-    of them must be given.
+    ``convert(raw)`` returns the field's value, or raises ValueError naming
+    the rule a rejected value breaks; the key then reads as its default
+    (None without one). None keeps the raw value. A mapping's converter
+    gets the fields of its keys, the mapping's path and the problem list,
+    and returns None after appending any problem. An absent key reads as
+    ``default``, else fills nothing (a problem if ``required``). Keys that
+    fill one field are alternatives: exactly one of them must be given.
     """
 
     convert: Callable | None
@@ -469,80 +465,49 @@ class _Key(NamedTuple):
     field: str | None = None
 
 
-def _as_number(x) -> float | None:
-    """Coerce a scalar to float, or None if it is not numeric.
-
-    YAML 1.1 parses unsigned-exponent literals like ``1.0e6`` as strings,
-    so numeric strings are accepted too.
-    """
-    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
-        return None
-    try:
-        return float(x)
-    except (OverflowError, ValueError):  # an int beyond the float range, or not a number
-        return None
-
-
-def _number(raw, path: str, problems: list) -> float | None:
+def _number(raw) -> float:
     value = _as_number(raw)
     if value is None:
-        problems.append(f"field {path} must be a number (got {raw!r})")
+        raise ValueError("a number")
     return value
 
 
-def _snr(raw, path: str, problems: list) -> float | None:
-    if isinstance(raw, str) and raw.strip().lower() in ("inf", "infinite"):
-        return math.inf
+def _number_or_null(raw) -> float | None:
     value = _as_number(raw)
-    if value is None:
-        problems.append(f'field {path} must be a positive number or "inf" (got {raw!r})')
+    if value is None and raw is not None:
+        raise ValueError("a number or omitted")
     return value
 
 
-def _number_or_null(raw, path: str, problems: list) -> float | None:
-    if raw is None:
-        return None
-    value = _as_number(raw)
-    if value is None:
-        problems.append(f"field {path} must be a number or omitted (got {raw!r})")
-    return value
-
-
-def _shadowing(raw, path: str, problems: list) -> float | None:
-    """A lognormal sigma in dB, given bare or as ``{lognormal: sigma}``;
-    None for ``none`` or null."""
+def _shadowing(raw) -> float | None:
+    """A lognormal sigma in dB, bare or as ``{lognormal: sigma}``; None for
+    ``none`` or null."""
     if raw in ("none", None):
         return None
     sigma = raw["lognormal"] if isinstance(raw, dict) and set(raw) == {"lognormal"} else raw
     value = _as_number(sigma)
     if value is None:
-        problems.append(
-            f'field {path} must be "none", a sigma in dB, or '
-            f"{{lognormal: sigma}} (got {raw!r})"
-        )
+        raise ValueError('"none", a sigma in dB, or {lognormal: sigma}')
     return value
 
 
-def _number_list(raw, path: str, problems: list) -> tuple[float, ...] | None:
+def _number_list(raw) -> tuple[float, ...]:
     values = [_as_number(v) for v in raw] if isinstance(raw, list) else []
     if not values or None in values:
-        problems.append(f"field {path} must be a non-empty list of numbers (got {raw!r})")
-        return None
+        raise ValueError("a non-empty list of numbers")
     return tuple(values)
 
 
-def _metric_names(raw, path: str, problems: list) -> tuple[str, ...] | None:
-    if isinstance(raw, list) and raw and all(isinstance(m, str) for m in raw):
-        return tuple(raw)
-    problems.append(f"field {path} must be a non-empty list of metric names (got {raw!r})")
-    return None
+def _metric_names(raw) -> tuple[str, ...]:
+    if not (isinstance(raw, list) and raw and all(isinstance(m, str) for m in raw)):
+        raise ValueError("a non-empty list of metric names")
+    return tuple(raw)
 
 
-def _boolean(raw, path: str, problems: list) -> bool | None:
-    if isinstance(raw, bool):
-        return raw
-    problems.append(f"field {path} must be a boolean (got {raw!r})")
-    return None
+def _boolean(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError("a boolean")
+    return raw
 
 
 def _sim_settings(fields: dict, path: str, problems: list) -> SimSettings | None:
@@ -573,7 +538,7 @@ _SPEC = {
     # absent: _DEFAULT_EDGE_RATIO * m_c, set by load_spec
     "workload.m_d": _Key(_number, field="mse_edge"),
     "air.b": _Key(_number, required=True, field="bandwidth"),
-    "air.snr": _Key(_snr, default=math.inf, field="snr"),
+    "air.snr": _Key(_snr_type, default=math.inf, field="snr"),
     "sweep.axis": _Key(None, field="axis"),
     "sweep.grid": _Key(_number_list, required=True, field="grid"),
     "sweep.range": _Key(_range_grid, required=True, field="grid"),
@@ -596,17 +561,22 @@ _SPEC = {
     "sweep.mse_target": _Key(_number, field="mse_target"),
     "sweep.delay_d": _Key(_number, field="delay_query"),
 }
-# mapping path ("" for the document) -> {key: _Key}, in table order
+# mapping path ("" for the document) -> {key: _Key}, and -> {field: [(key,
+# its path)]} for the keys that fill each field, in table order
 _LEVELS: dict[str, dict[str, _Key]] = {}
+_FIELDS: dict[str, dict[str, list[tuple[str, str]]]] = {}
 for _path, _row in _SPEC.items():
     _parent, _, _key = _path.rpartition(".")
     _LEVELS.setdefault(_parent, {})[_key] = _row
+    _FIELDS.setdefault(_parent, {}).setdefault(_row.field, []).append((_key, _path))
 # what a nested mapping's type error adds to "must be a mapping"
 _SHAPES = {"sweep.range": " {lo, hi, n, scale}"}
 
 
 def _unknown_keys(mapping: dict, path: str) -> list[str]:
     known = _LEVELS[path]
+    if mapping.keys() <= known.keys():
+        return []
     return [
         f"unknown field {path}.{key}" if path else f"unknown section {key!r}"
         for key in mapping
@@ -616,39 +586,35 @@ def _unknown_keys(mapping: dict, path: str) -> list[str]:
 
 def _read(mapping: dict, path: str, problems: list) -> dict:
     """The fields that the keys of the mapping at ``path`` fill."""
-    alternatives: dict[str, list[str]] = {}
-    for key, row in _LEVELS[path].items():
-        alternatives.setdefault(row.field, []).append(key)
     fields = {}
-    for field, keys in alternatives.items():
-        given = [key for key in keys if key in mapping]
-        if len(keys) > 1 and len(given) != 1:
-            names = " or ".join(f"{path}.{key}" for key in keys)
-            problems.append(f"{path} needs exactly one of {names}")
-            continue
-        key = (given or keys)[0]
-        sub = f"{path}.{key}"
-        row = _LEVELS[path][key]
-        if key in mapping:
-            raw = mapping[key]
-        elif row.required:
-            problems.append(f"missing required field {sub}")
-            continue
-        elif row.default is _ABSENT:
-            continue
-        else:
-            raw = row.default
-        if sub in _LEVELS:
-            if not isinstance(raw, dict):
-                problems.append(f"field {sub} must be a mapping{_SHAPES.get(sub, '')}")
-                fields[field] = None
+    for field, keys in _FIELDS[path].items():
+        key, sub = keys[0]
+        if len(keys) > 1:
+            given = [(key, sub) for key, sub in keys if key in mapping]
+            if len(given) != 1:
+                names = " or ".join(sub for _, sub in keys)
+                problems.append(f"{path} needs exactly one of {names}")
                 continue
-            problems += _unknown_keys(raw, sub)
-            raw = _read(raw, sub, problems)
-        if row.convert is not None:
-            raw = row.convert(raw, sub, problems)
-            if raw is None and row.default is not _ABSENT:
-                raw = row.default
+            key, sub = given[0]
+        row = _SPEC[sub]
+        raw = mapping.get(key, row.default)
+        if raw is _ABSENT:
+            if row.required:
+                problems.append(f"missing required field {sub}")
+            continue
+        if sub in _LEVELS:
+            if isinstance(raw, dict):
+                problems += _unknown_keys(raw, sub)
+                raw = row.convert(_read(raw, sub, problems), sub, problems)
+            else:
+                problems.append(f"field {sub} must be a mapping{_SHAPES.get(sub, '')}")
+                raw = None
+        elif row.convert is not None:
+            try:
+                raw = row.convert(raw)
+            except ValueError as e:
+                problems.append(f"field {sub} must be {e} (got {raw!r})")
+                raw = None if row.default is _ABSENT else row.default
         fields[field] = raw
     return fields
 
@@ -712,16 +678,8 @@ def load_spec(path) -> SweepSpec:
         from .geomsim import SimSettings
 
         sweep["sim"] = SimSettings()
-    problems += _sweep_problems(
-        sweep.get("axis"),
-        sweep.get("grid"),
-        sweep["outputs"],
-        sweep["sim"],
-        sweep.get("mse_target"),
-        sweep.get("delay_query"),
-        workload.get("compute_delay"),
-        simulate,
-    )
+    accepted = {field: value for field, value in sweep.items() if value is not None}
+    problems += _sweep_problems(accepted, workload.get("compute_delay"), simulate)
     # Range checks run per section so one bad value does not mask another.
     parts = {}
     for name, cls in (
