@@ -171,6 +171,18 @@ def test_unknown_flag_exits_2(capsys):
     assert run_cli(capsys, "avg-mse", "--no-such-flag")[0] == 2
 
 
+def test_snr_flag_rejects_what_is_not_an_snr(capsys):
+    code, _, err = run_cli(capsys, "avg-mse", "--snr", "loud")
+    assert code == 2
+    assert "argument --snr: invalid _snr_type value: 'loud'" in err
+
+
+@pytest.mark.parametrize("snr", ["inf", " INFINITE ", "1e400"])
+def test_snr_flag_reads_infinity_in_any_form(capsys, snr):
+    default = run_cli(capsys, "avg-mse", "--json")
+    assert run_cli(capsys, "avg-mse", "--json", "--snr", snr) == default
+
+
 def test_missing_command_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
 

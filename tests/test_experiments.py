@@ -3,6 +3,7 @@
 import io
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from edgeprovision.experiments import (
     SweepResult,
     SweepRow,
     SweepSpec,
+    _SPEC,
     _half_width,
     _round12,
     emit_csv,
@@ -674,8 +676,8 @@ def spec_doc(changes: dict) -> dict:
 
 
 # One document per message ``load_spec`` can raise, and documents with
-# several problems to pin their order; the texts were taken by running the
-# loader, not typed. Unreachable from a spec file: "sweep.grid must be
+# several problems to pin their order; each text is the loader's output,
+# copied verbatim. Unreachable from a spec file: "sweep.grid must be
 # non-empty", "sweep.outputs must be non-empty" and the ``sweep.sim`` type
 # rule, since the reader passes on no empty grid or outputs and always
 # builds a ``SimSettings``.
@@ -1243,6 +1245,12 @@ def test_load_spec_messages_are_pinned(tmp_path, doc, error, message):
         load_spec(dump_spec(tmp_path, doc))
     assert type(exc_info.value) is error
     assert str(exc_info.value) == message
+
+
+def test_readme_names_every_spec_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Sweep spec files", 1)[1].split("\n## ", 1)[0]
+    assert [path for path in _SPEC if f"`{path}`" not in section] == []
 
 
 def test_load_spec_rejects_integer_beyond_float_range(tmp_path):
