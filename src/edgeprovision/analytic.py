@@ -205,11 +205,7 @@ class Scenario:
 
     def __post_init__(self):
         r = self.inference_rate
-        _require(
-            math.isfinite(r) and r > 0,
-            "derived inference rate must be finite and > 0 (got {!r})",
-            r,
-        )
+        _require(_usable_rate(r), "derived inference rate must be finite and > 0 (got {!r})", r)
 
     @property
     def inference_rate(self) -> float:
@@ -220,6 +216,11 @@ class Scenario:
 def _rate(w: InferenceWorkload, air: AirInterface) -> float:
     """payload / (bandwidth * (delay_budget - compute_delay)), in bit/s/Hz."""
     return w.payload_bits / (air.bandwidth * (w.delay_budget - w.compute_delay))
+
+
+def _usable_rate(r: float) -> bool:
+    """Whether a derived inference rate is one a scenario may have."""
+    return math.isfinite(r) and r > 0
 
 
 def _payload(r_min: float, bandwidth: float, delay_budget: float, compute_delay: float) -> float:

@@ -32,7 +32,9 @@ from .analytic import (
     _DEFAULT_EDGE_RATIO,
     _as_number,
     _payload,
+    _rate,
     _snr_type,
+    _usable_rate,
 )
 from .errors import (
     InfeasibleTargetError,
@@ -641,6 +643,27 @@ def _read_spec(doc: dict) -> tuple[dict, list[str]]:
     return fields, problems
 
 
+def _rate_problems(workload: dict, air: AirInterface | None) -> list[str]:
+    """The derived inference rate's problem, once the keys it uses have
+    passed their own checks; it does not use ``m_c`` and ``m_d``, so their
+    problems do not hide it."""
+    used = {f: workload.get(f) for f in ("payload_bits", "delay_budget", "compute_delay")}
+    if air is None or None in used.values():
+        return []
+    try:
+        # MSEs of 1.0 pass their rules, so only the used keys are checked
+        w = InferenceWorkload(**used, mse_cloud=1.0, mse_edge=1.0)
+    except ModelDomainError:
+        return []  # reported under workload
+    r = _rate(w, air)
+    if _usable_rate(r):
+        return []
+    return [
+        "derived inference rate workload.q / (air.b * (workload.d_t - workload.d_c))"
+        f" must be finite and > 0 (got {r!r})"
+    ]
+
+
 def load_spec(path) -> SweepSpec:
     """Load a sweep specification file.
 
@@ -693,6 +716,7 @@ def load_spec(path) -> SweepSpec:
                 parts[name] = cls(**values)
             except ModelDomainError as e:
                 problems.append(f"{name}: {e}")
+    problems += _rate_problems(fields["workload"], parts.get("air"))
     if problems:
         raise SpecValidationError("\n".join(problems))
     return SweepSpec(base=Scenario(**parts), **sweep)

@@ -24,7 +24,10 @@ Determinism contract: trial ``i`` always consumes the random stream keyed
 bit-identical for any worker count. The draws that fix the load (AP count
 and positions, device count and positions, shadowing) all come before
 scheduling, so ``run_loads`` runs only deploy and associate and still
-returns the loads ``run_trials`` sees.
+returns the loads ``run_trials`` sees. Without shadowing it does not even
+associate every device: it counts the typical cell's devices for a block
+of trials at once, inside the polygon its neighbours' bisectors cut out
+(``_Engine.typical_loads``), and leaves only near-ties to the k-d tree.
 
 Two settings deliberately default to the closed forms' own
 assumptions rather than to the literal finite-window system:
@@ -36,16 +39,17 @@ assumptions rather than to the literal finite-window system:
 
   The fill associates window-uniform candidates ``2 * n_ap`` at a time; the
   first candidate to land in an empty cell fills it. Without shadowing it
-  stops once fewer than a tenth of the cells are empty (after one or two
-  slices on the canonical scenario), and each cell left is then filled
+  stops once fewer than a fifth of the cells are empty (after one slice or
+  none on the canonical scenario), and each cell left is then filled
   locally: its twelve nearest APs' bisectors cut out a polygon that holds
   the cell (on a disc, three tangents of the window close the polygons of
-  edge cells), a disc of radius rho around the AP holds the polygon, and the
-  first disc-uniform candidate that lies in the window and has that AP as
-  its nearest is kept. Rejection from a superset of the cell leaves the
-  point exactly uniform in the cell, as a global candidate's would be. A
-  torus cell with rho of half the side or more, or one no local draw hit,
-  falls back to further global batches, at most ``_FILL_BATCHES`` in all.
+  edge cells), and the first candidate drawn uniformly in the polygon
+  (a triangle of the fan between the AP and the polygon's edges, picked by
+  area) that lies in the window and has that AP as its nearest is kept.
+  Rejection from a superset of the cell leaves the point exactly uniform in
+  the cell, as a global candidate's would be. A torus cell whose polygon
+  reaches half the side or is unbounded, or one no local draw hit, falls
+  back to further global batches, at most ``_FILL_BATCHES`` in all.
   With shadowing, cells are not Voronoi cells, so the shadowed path uses
   global batches only, and screens them: while fewer than ``_SCREEN_MAX``
   of the cells are empty, a candidate first gets shadowing normals only
@@ -55,8 +59,10 @@ assumptions rather than to the literal finite-window system:
   full row and an exact association, so the fill keeps the same first hit
   per cell as drawing every row would. Seeded simulated values changed
   when the local step replaced global batches 2+, again when it took over
-  once batch 1 stops early, and, on the shadowed path only, when the
-  screen came in (same law, different draws).
+  once batch 1 stops early, on the shadowed path only when the screen came
+  in, and without shadowing when the local step began to draw from the
+  polygon instead of a disc around it and batch 1 began to stop at a fifth
+  (same law, different draws).
 * ``load_model="mean_field"`` gives the typical device the mean bandwidth
   share ``bandwidth / mean_cell_load`` rather than its realized per-trial
   share. The closed forms replace the random load by its mean; validating
@@ -163,9 +169,17 @@ _SCREEN_MAX = 0.45
 _FILL_NEIGHBOURS = 12
 # directions of the disc tangents mirroring an AP, relative to its own
 _DISC_TANGENTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
-# local fill candidates per cell and round
-_LOCAL_DRAWS = 16
+# local fill rounds, one candidate per cell still to fill in each
+_LOCAL_ROUNDS = 16
 _LN10 = math.log(10.0)
+# The load-only path counts the typical cell of a block of trials at once,
+# from (trials x devices x _FILL_NEIGHBOURS) arrays; a block holds about
+# this many expected APs and devices in all, so each such array stays near
+# 6 MB whatever the densities.
+_LOAD_BLOCK_POINTS = 2**16
+# relative margin on squared distances by which the block count decides a
+# device's cell; anything closer is left to the k-d tree
+_TIE_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +246,66 @@ def _sq_dist(a: np.ndarray, b: np.ndarray, side: float | None) -> np.ndarray:
     dy *= dy
     dx += dy
     return dx
+
+
+def _bisector_polygon(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The convex polygon around a point cut out by the half-planes
+    ``x . d_i <= |d_i|**2 / 2`` (positions ``x`` relative to the point),
+    that is by the bisectors between the point and its neighbours at
+    displacements ``d`` (..., K, 2).
+
+    Returns ``lo`` and ``hi`` (..., K) and ``rho`` (...). Bisector i is the
+    line ``d_i / 2 + s perp(d_i)`` with ``perp((x, y)) = (-y, x)``, and its
+    stretch ``lo_i <= s <= hi_i`` that satisfies every half-plane is an
+    edge of the polygon (none when ``lo_i > hi_i``). A bounded convex
+    polygon is farthest from the point at a vertex, that is at an end of
+    an edge, so ``rho`` is the largest norm among the edges' ends,
+    inflated by 1e-9 against rounding; a polygon with an edge that has no
+    end is unbounded, and its ``rho`` is nan.
+    """
+    half = 0.5 * (d * d).sum(axis=-1)
+    # |d_i / 2 + s perp(d_i)|**2 = half_i (1/2 + 2 s**2); half-plane j keeps
+    # s * det(d_i, d_j) <= half_j - d_i . d_j / 2, and another parallel one
+    # (det 0) keeps all of line i or none of it
+    x, y = d[..., 0], d[..., 1]
+    det = x[..., :, None] * y[..., None, :] - y[..., :, None] * x[..., None, :]
+    room = half[..., None, :] - 0.5 * (d @ np.swapaxes(d, -1, -2))
+    blocked = (det == 0.0) & (room < 0.0) & ~np.eye(d.shape[-2], dtype=bool)
+    with np.errstate(all="ignore"):
+        s = room / det
+        hi = np.where(det > 0.0, s, np.inf).min(axis=-1)
+        lo = np.where(det < 0.0, s, -np.inf).max(axis=-1)
+        lo[blocked.any(axis=-1)] = np.inf
+        far = half * (0.5 + 2.0 * np.maximum(lo * lo, hi * hi))
+        rho = np.sqrt(np.where(lo <= hi, far, 0.0).max(axis=-1)) * (1.0 + 1e-9)
+    rho[~((rho > 0.0) & np.isfinite(rho))] = np.nan
+    return lo, hi, rho
+
+
+def _polygon_points(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One point uniform in each bounded polygon of ``_bisector_polygon``
+    (``d`` (n, K, 2), ``lo`` and ``hi`` (n, K)), relative to its center,
+    from three uniforms per polygon (``u``, (n, 3)).
+
+    The polygon is convex and holds its center, so it is the disjoint
+    union of the triangles between the center and its edges. ``u[:, 0]``
+    picks an edge with probability proportional to its triangle's area,
+    ``(hi - lo) |d|**2 / 4`` (base ``(hi - lo) |d|``, height ``|d| / 2``),
+    and ``u[:, 1]`` and ``u[:, 2]`` a uniform point of that triangle: the
+    point at ``u[:, 1]`` along the edge, pulled toward the center to the
+    fraction ``sqrt(u[:, 2])``.
+    """
+    with np.errstate(invalid="ignore"):
+        area = np.where(lo < hi, (hi - lo) * (d * d).sum(axis=-1), 0.0)
+    cum = np.cumsum(area, axis=1)
+    # the last edge with an area takes a draw that rounds up to the total
+    last = area.shape[1] - 1 - np.argmax(area[:, ::-1] > 0.0, axis=1)
+    edge = np.minimum((cum <= u[:, :1] * cum[:, -1:]).sum(axis=1), last)
+    rows = np.arange(len(d))
+    e, e_lo = d[rows, edge], lo[rows, edge]
+    s = e_lo + u[:, 1] * (hi[rows, edge] - e_lo)
+    on_edge = 0.5 * e + s[:, None] * np.stack([-e[:, 1], e[:, 0]], axis=-1)
+    return np.sqrt(u[:, 2:]) * on_edge
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +525,13 @@ class _Engine:
         if normals is None:
             dist, serving = tree.query(points)
             return serving, dist ** 4, None
-        pathloss = self._pathloss(points[:, None], ap[None], normals)
+        return self._least(self._pathloss(points[:, None], ap[None], normals))
+
+    @staticmethod
+    def _least(pathloss: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_serve``'s shadowed result from the points' pathloss rows."""
         serving = np.argmin(pathloss, axis=1)
-        own = pathloss[np.arange(len(points)), serving]
-        return serving, own, pathloss
+        return serving, pathloss[np.arange(len(pathloss)), serving], pathloss
 
     def deploy(self, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
         """AP and device positions, the typical device first at the window
@@ -509,8 +586,10 @@ class _Engine:
         empty; the first candidate to land in a cell fills it. Without
         shadowing, the first batch stops before a slice once fewer than
         ``_FILL_STOP * n_ap`` cells are empty, the cells still empty are
-        filled locally (``_local_fill``), and only the cells that step does
-        not fill go on to batches 2+. With shadowing, a slice in which
+        filled locally (``_local_fill``: draws uniform in the polygon that
+        the bisectors of each cell's nearest APs cut out, kept when they
+        land in the cell), and only the cells that step does not fill go on
+        to batches 2+. With shadowing, a slice in which
         fewer than ``_SCREEN_MAX * n_ap`` cells are empty is screened
         (``_screen``): only the candidates that may land in an empty cell
         get a full row of shadowing normals, which picks the same hits as
@@ -575,57 +654,58 @@ class _Engine:
         its ``_SCREEN_NEAR`` nearest APs (k-d tree). When a near AP whose
         cell is not empty has a lower pathloss than every empty cell's AP,
         the candidate is served by a cell that is not empty, whatever its
-        other normals, so it is dropped. The rest get a full row from a
-        third block, over every AP whose cell is not empty, and
-        ``_serve`` gives their exact serving AP. A pair in two blocks keeps
-        the normal of the first (the one the screen used); the later
-        block's draw for it goes unused, so every pair still has one
-        independent normal. Every dropped candidate would have been a miss,
-        so the slice keeps the same first hit per cell as the full-matrix
-        rule on the same normals.
+        other normals, so it is dropped. The rest get the other columns of
+        their pathloss row from a third block of normals, over every AP
+        whose cell is not empty, and the least pathloss in the row is their
+        exact serving AP, as in ``_serve``. A pair in two blocks keeps the
+        pathloss of the first (the one the screen used); the later block's
+        draw for it goes unused, so every pair still has one independent
+        normal. Every dropped candidate would have been a miss, so the
+        slice keeps the same first hit per cell as the full-matrix rule on
+        the same normals.
         """
         rows = np.arange(len(cand))[:, None]
         empty = np.nonzero(needed)[0]
-        z_empty = normals(rows, empty[None])
-        best_empty = self._pathloss(cand[:, None], ap[empty], z_empty).min(axis=1)
+        empty_pl = self._pathloss(cand[:, None], ap[empty], normals(rows, empty[None]))
         k = min(_SCREEN_NEAR, len(ap))
         near = tree.query(cand, k=k)[1].reshape(len(cand), k)
-        z_near = normals(rows, near)
-        near_pl = self._pathloss(cand[:, None], ap[near], z_near)
-        near_pl[needed[near]] = np.inf
-        keep = np.nonzero(best_empty <= near_pl.min(axis=1))[0]
-        full = np.empty((keep.size, len(ap)))
+        near_pl = self._pathloss(cand[:, None], ap[near], normals(rows, near))
+        screen = np.where(needed[near], np.inf, near_pl).min(axis=1)
+        keep = np.nonzero(empty_pl.min(axis=1) <= screen)[0]
+        kept = cand[keep]
         others = np.nonzero(~needed)[0]
-        full[:, others] = normals(keep[:, None], others[None])
-        full[np.arange(keep.size)[:, None], near[keep]] = z_near[keep]
-        full[:, empty] = z_empty[keep]
-        return cand[keep], self._serve(cand[keep], ap, tree, full)
+        pathloss = np.empty((keep.size, len(ap)))
+        pathloss[:, others] = self._pathloss(
+            kept[:, None], ap[others], normals(keep[:, None], others[None])
+        )
+        pathloss[np.arange(keep.size)[:, None], near[keep]] = near_pl[keep]
+        pathloss[:, empty] = empty_pl[keep]
+        return kept, self._least(pathloss)
 
-    def _cell_radius(self, ap: np.ndarray, tree, cells: np.ndarray) -> np.ndarray:
-        """Radius around each AP in ``cells`` that holds its whole cell (the
-        part in the window); nan where the local geometry does not bound it.
+    def _cell_polygon(self, ap: np.ndarray, tree, cells: np.ndarray):
+        """The polygon around each AP in ``cells`` that holds its whole cell
+        (the part in the window): ``d``, ``lo``, ``hi`` and ``rho`` as
+        ``_bisector_polygon`` gives them.
 
-        The cell lies inside the polygon cut out by the bisector half-planes
-        ``x . d <= |d|**2 / 2`` of its ``_FILL_NEIGHBOURS`` nearest APs
-        (displacements ``d`` from the AP, minimum image on the torus): a
-        point of the cell is no farther from the AP than from any
-        neighbour, and on the torus no farther than from the neighbour's
-        image at ``d``. On the disc the window adds three neighbours, the
-        AP's mirror images across the window's tangents at the AP's own
-        direction and at +-2pi/3 from it: their half-planes are the sides of
-        the tangents that hold the window, and together they bound every
-        polygon, edge cells included. A bounded convex polygon is farthest
-        from the AP at a vertex, that is at an end of one of its edges, so
-        the radius is the largest norm among the ends of the bisectors'
-        stretches that satisfy every half-plane; a polygon whose edge has
-        no end is unbounded. On the torus the radius must also stay below
-        half the side, so that the disc around the AP does not wrap onto
-        itself. (The AP's periodic images would bound a torus polygon too,
-        but only with a vertex on an image's bisector, at half the side or
-        more, so they would bound no cell that passes.)
+        ``d`` holds the displacements of the AP's ``_FILL_NEIGHBOURS``
+        nearest APs (minimum image on the torus): a point of the cell is no
+        farther from the AP than from any neighbour, and on the torus no
+        farther than from the neighbour's image at ``d``. On the disc the
+        window adds three neighbours, the AP's mirror images across the
+        window's tangents at the AP's own direction and at +-2pi/3 from it:
+        their half-planes are the sides of the tangents that hold the
+        window, and together they bound every polygon, edge cells included.
+        On the torus ``rho`` is nan unless it is below half the side, so
+        that the polygon around the AP does not wrap onto itself. (The AP's
+        periodic images would bound a torus polygon too, but only with a
+        vertex on an image's bisector, at half the side or more, so they
+        would bound no cell that passes.) With ``_FILL_NEIGHBOURS`` APs or
+        fewer, no polygon is bounded.
         """
+        k = _FILL_NEIGHBOURS + (0 if self.torus else len(_DISC_TANGENTS))
         if len(ap) <= _FILL_NEIGHBOURS:
-            return np.full(len(cells), np.nan)
+            nothing = np.full((len(cells), k), np.nan)
+            return np.zeros((len(cells), k, 2)), nothing, nothing, nothing[:, 0]
         p = ap[cells]
         _, nb = tree.query(p, k=_FILL_NEIGHBOURS + 1)
         d = ap[nb[:, 1:]] - p[:, None]
@@ -636,22 +716,10 @@ class _Engine:
             u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
             gap = self.window.radius - (u * p[:, None]).sum(axis=-1)
             d = np.concatenate([d, 2.0 * gap[..., None] * u], axis=1)
-        half = 0.5 * (d * d).sum(axis=-1)
-        # bisector i is d_i / 2 + s perp(d_i), |.|**2 = half_i (1/2 + 2 s**2);
-        # half-plane j keeps s * det(d_i, d_j) <= half_j - d_i . d_j / 2
-        x, y = d[..., 0], d[..., 1]
-        det = x[..., :, None] * y[..., None, :] - y[..., :, None] * x[..., None, :]
-        room = half[:, None, :] - 0.5 * (d @ d.transpose(0, 2, 1))
-        with np.errstate(all="ignore"):
-            s = room / det
-            hi = np.where(det > 0.0, s, np.inf).min(axis=-1)
-            lo = np.where(det < 0.0, s, -np.inf).max(axis=-1)
-            far = half * (0.5 + 2.0 * np.maximum(lo * lo, hi * hi))
-            rho = np.sqrt(np.where(lo <= hi, far, 0.0).max(axis=-1)) * (1.0 + 1e-9)
-        ok = (rho > 0.0) & np.isfinite(rho)
+        lo, hi, rho = _bisector_polygon(d)
         if self.torus:
-            ok &= rho < 0.5 * self.side
-        return np.where(ok, rho, np.nan)
+            rho[rho >= 0.5 * self.side] = np.nan
+        return d, lo, hi, rho
 
     def _local_fill(
         self, stream: RngStream, ap: np.ndarray, tree, cells: np.ndarray
@@ -659,38 +727,39 @@ class _Engine:
         """One point uniform in the cell of each AP in ``cells`` (which may
         repeat), with its own pathloss; unshadowed association only.
 
-        Candidates are uniform in the disc of radius ``_cell_radius`` around
-        the AP, ``_LOCAL_DRAWS`` per cell and round, for at most
-        ``_FILL_BATCHES`` rounds; the first to lie in the window and have
-        that AP as its nearest is kept. Since the disc holds the whole cell,
-        the kept point is exactly uniform in the cell. Returns a mask of
-        the cells that got a point (False where the cell is not bounded or
-        no round hit it), the points and their own pathlosses.
+        Each round draws one candidate per cell still to fill, uniform in
+        the cell's polygon (``_cell_polygon``, ``_polygon_points``), from
+        three uniforms. The candidate is kept if it lies in the window and
+        has that AP as its nearest (k-d tree, which also gives its own
+        pathloss). Since the polygon holds the whole cell, the kept point
+        is exactly uniform in the cell. There are at most ``_LOCAL_ROUNDS``
+        rounds. Returns a mask of the cells that got a point (False where
+        the polygon is not bounded or no round hit the cell), the points
+        and their own pathlosses.
         """
-        rho = self._cell_radius(ap, tree, cells)
+        d, lo, hi, rho = self._cell_polygon(ap, tree, cells)
         todo = np.nonzero(np.isfinite(rho))[0]
         done = np.zeros(len(cells), dtype=bool)
         pts, own = np.empty((len(cells), 2)), np.empty(len(cells))
-        for _ in range(_FILL_BATCHES):
-            if not todo.size:
+        d, lo, hi = d[todo], lo[todo], hi[todo]
+        live = np.arange(todo.size)
+        for _ in range(_LOCAL_ROUNDS):
+            if not live.size:
                 break
-            u = stream.uniform((todo.size, _LOCAL_DRAWS, 2))
-            r = rho[todo, None] * np.sqrt(u[..., 0])
-            theta = 2.0 * math.pi * u[..., 1]
-            cand = ap[cells[todo], None] + np.stack([r * np.cos(theta), r * np.sin(theta)], -1)
+            owner = cells[todo[live]]
+            u = stream.uniform((live.size, 3))
+            cand = ap[owner] + _polygon_points(d[live], lo[live], hi[live], u)
             if self.torus:
                 cand %= self.side
                 in_window = True
             else:
                 in_window = (cand * cand).sum(axis=-1) <= self.window.radius**2
-            serving, cand_own, _ = self._serve(cand.reshape(-1, 2), ap, tree, None)
-            hit = in_window & (serving.reshape(r.shape) == cells[todo, None])
-            first = hit.argmax(axis=1)
-            rows = np.nonzero(hit[np.arange(todo.size), first])[0]
-            done[todo[rows]] = True
-            pts[todo[rows]] = cand[rows, first[rows]]
-            own[todo[rows]] = cand_own.reshape(r.shape)[rows, first[rows]]
-            todo = np.delete(todo, rows)
+            serving, cand_own, _ = self._serve(cand, ap, tree, None)
+            hit = np.nonzero(in_window & (serving == owner))[0]
+            got = todo[live[hit]]
+            done[got] = True
+            pts[got], own[got] = cand[hit], cand_own[hit]
+            live = np.delete(live, hit)
         return done, pts, own
 
     def link(
@@ -723,9 +792,99 @@ class _Engine:
     def load(self, index: int) -> int:
         """Serving-cell load of trial ``index``: deploy and associate only."""
         stream = RngStream(self.cfg.master_seed, index)
-        ap, dev = self.deploy(stream)
+        return self._tree_load(stream, *self.deploy(stream))
+
+    def _tree_load(self, stream: RngStream, ap: np.ndarray, dev: np.ndarray) -> int:
+        """Serving-cell load of a deployed trial, by associating every
+        device."""
         _, serving, _, counts, _ = self.associate(stream, ap, dev)
         return int(counts[serving[0]])
+
+    def typical_loads(self, indices: range) -> np.ndarray:
+        """Serving-cell loads of the trials in ``indices``, equal to
+        ``load`` of each; unshadowed only, where deploy makes every draw.
+
+        Each trial is deployed from its own stream, then the typical cell's
+        devices are counted for all of them at once. ``a0`` is the AP
+        nearest the window center, and the bisectors of its
+        ``_FILL_NEIGHBOURS`` nearest APs (minimum image) cut out a polygon
+        that holds its cell (``_bisector_polygon``); a device beyond the
+        polygon's radius is out. A device is in the cell if it is inside
+        every bisector and within half of ``r``, the farthest of those
+        neighbours' distances: every other AP is at least ``r`` from
+        ``a0``, so none is nearer. On the torus the neighbours' other
+        images are at least half the side from ``a0``, so ``r`` is capped
+        there. A device outside some bisector is out. Each of these holds
+        with a relative slack of ``_TIE_SLACK`` on the squared distances,
+        so rounding cannot make it disagree with the k-d tree. A device left
+        undecided is compared with every AP of its trial. A trial with a
+        device still undecided, or with ``_FILL_NEIGHBOURS`` APs or fewer,
+        is counted by associating every device, as ``load`` does. Two APs
+        that tie for the center leave the typical device itself undecided.
+        """
+        streams = [RngStream(self.cfg.master_seed, i) for i in indices]
+        return self._typical_counts(streams, [self.deploy(s) for s in streams])
+
+    def _typical_counts(self, streams: list, deployed: list) -> np.ndarray:
+        """``_tree_load`` of each deployed ``(ap, dev)`` trial, the typical
+        device first at the window center, decided for all of them at once
+        as ``typical_loads`` describes; ``streams`` are the trials' streams,
+        past deploy."""
+        k = _FILL_NEIGHBOURS
+        n_ap = np.array([len(ap) for ap, _ in deployed])
+        n_dev = np.array([len(dev) for _, dev in deployed])
+        fallback = n_ap <= k
+        if fallback.all():
+            return np.array([self._tree_load(*z) for z in zip(streams, *zip(*deployed))])
+        ap_ok = np.arange(n_ap.max()) < n_ap[:, None]
+        dev_ok = np.arange(n_dev.max()) < n_dev[:, None]
+        aps, devs = np.zeros(ap_ok.shape + (2,)), np.zeros(dev_ok.shape + (2,))
+        for t, (ap, dev) in enumerate(deployed):
+            aps[t, : len(ap)], devs[t, : len(dev)] = ap, dev
+        rows = np.arange(len(deployed))
+
+        def away(sq: np.ndarray, near: np.ndarray) -> np.ndarray:
+            # farther than ``near`` by more than the slack
+            return sq - near > _TIE_SLACK * (sq + near)
+
+        def displaced(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
+            x = points - origin
+            if self.torus:
+                x -= self.side * np.round(x / self.side)
+            return x
+
+        a0 = np.argmin(np.where(ap_ok, _sq_dist(aps, self.center, self.side), np.inf), axis=1)
+        origin = aps[rows, a0][:, None]
+        sq = np.where(ap_ok, _sq_dist(aps, origin, self.side), np.inf)
+        sq[rows, a0] = np.inf
+        nb = np.argpartition(sq, k - 1, axis=1)[:, :k]
+        reach = sq[rows[:, None], nb].max(axis=1)
+        if self.torus:
+            reach = np.minimum(reach, 0.25 * self.side**2)
+        d = displaced(aps[rows[:, None], nb], origin)
+        # an unbounded polygon keeps every device
+        rho = np.nan_to_num(_bisector_polygon(d)[2], nan=np.inf)
+        x = displaced(devs, origin)
+        sx = (x * x).sum(axis=-1)
+        count = np.zeros(len(deployed), dtype=np.int64)
+        # devices inside the polygon's radius: squared distances to a0 and
+        # to each neighbour
+        t, j = np.nonzero(dev_ok & (sx <= (rho * rho)[:, None]))
+        own = sx[t, j]
+        to_nb = own[:, None] + (d[t] * d[t]).sum(axis=-1) - 2.0 * (d[t] @ x[t, j, :, None])[..., 0]
+        inside = away(to_nb, own[:, None]).all(axis=1) & away(0.25 * reach[t], own)
+        undecided = ~inside & ~away(own[:, None], to_nb).any(axis=1)
+        np.add.at(count, t[inside], 1)
+        t, j, own = t[undecided], j[undecided], own[undecided]
+        if t.size:
+            to_all = np.where(ap_ok[t], _sq_dist(devs[t, j][:, None], aps[t], self.side), np.inf)
+            to_all[np.arange(t.size), a0[t]] = np.inf
+            nearest = to_all.min(axis=1)
+            np.add.at(count, t, away(nearest, own))
+            fallback[t[~away(nearest, own) & ~away(own, nearest)]] = True
+        for t in np.nonzero(fallback)[0]:
+            count[t] = self._tree_load(streams[t], *deployed[t])
+        return count
 
     def trial(self, index: int, collect: bool = False):
         stream = RngStream(self.cfg.master_seed, index)
@@ -818,8 +977,16 @@ def _simulate_range(cfg: SimConfig, lo: int, hi: int):
 
 
 def _load_range(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
+    """Loads of trials [lo, hi): ``_Engine.typical_loads`` in blocks of
+    about ``_LOAD_BLOCK_POINTS`` expected points without shadowing, where a
+    device's shadowing normals must be drawn in stream order otherwise."""
     engine = _Engine(cfg)
-    return np.array([engine.load(i) for i in range(lo, hi)], dtype=np.int64)
+    if engine.sigma_scale is not None:
+        return np.array([engine.load(i) for i in range(lo, hi)], dtype=np.int64)
+    size = max(1, int(_LOAD_BLOCK_POINTS / (1.0 + engine.expected_aps + engine.expected_devs)))
+    return np.concatenate(
+        [engine.typical_loads(range(i, min(i + size, hi))) for i in range(lo, hi, size)]
+    )
 
 
 def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:

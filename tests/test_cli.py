@@ -237,6 +237,25 @@ def test_bad_spec_exits_2(capsys, tmp_path):
     assert run_cli(capsys, "sweep", "--spec", str(path))[0] == 2
 
 
+def test_spec_with_unusable_inference_rate_exits_2_naming_its_keys(capsys, tmp_path):
+    path = tmp_path / "rate.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """\
+            deployment: {lambda_ap: 1.0, lambda_dev: 1.0}
+            workload: {q: 1.0e+300, d_t: 0.06, d_c: 0.01, m_c: 1.0, m_d: -1}
+            air: {b: 1.0e-300}
+            sweep: {axis: lambda_hat, grid: [1.0], outputs: [avg_mse]}
+            """
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "sweep", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert "workload: mse_edge must be finite" in err
+    assert "derived inference rate workload.q / (air.b *" in err
+
+
 # ---------------------------------------------------------------------------
 # seeds
 # ---------------------------------------------------------------------------

@@ -1048,8 +1048,11 @@ LOADER_MESSAGES = [
     ),
     pytest.param(
         spec_doc({"workload.q": 1.0e300, "air.b": 1.0e-300}),
-        ModelDomainError,
-        "derived inference rate must be finite and > 0 (got inf)",
+        SpecValidationError,
+        (
+            "derived inference rate workload.q / (air.b * (workload.d_t - workload.d_c))"
+            " must be finite and > 0 (got inf)"
+        ),
         id="inference-rate",
     ),
     pytest.param(
@@ -1235,6 +1238,17 @@ LOADER_MESSAGES = [
             " 'cloud_use_prob', 'delay_cdf_at']; got ['asymptotic_mse'])"
         ),
         id="many-simulated",
+    ),
+    pytest.param(
+        spec_doc({"workload.q": 1.0e300, "air.b": 1.0e-300, "workload.m_d": -1}),
+        SpecValidationError,
+        (
+            "workload: mse_edge must be finite and >= mse_cloud (cloud model is the more"
+            " accurate one; got -1.0 vs 1.0)\n"
+            "derived inference rate workload.q / (air.b * (workload.d_t - workload.d_c))"
+            " must be finite and > 0 (got inf)"
+        ),
+        id="many-inference-rate",
     ),
 ]
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from unittest import mock
 
 from edgeprovision import geomsim
 from edgeprovision.analytic import (
@@ -458,6 +459,169 @@ def test_run_loads_matches_full_trials(seed, lam_hat, boundary, sigma_db, trials
     assert float(loads.mean()) == run_trials(cfg, workers=workers).mean_load
 
 
+def _hard_layout(engine, seed, n_ap, kind, tie, spots):
+    """APs and devices, the typical device first at the window center.
+
+    The APs are ``n_ap`` uniform ones (``kind`` "uniform"), or the center
+    AP of a ring layout whose cell is smaller than its twelve nearest APs'
+    polygon (see ``_ring_layout``) plus uniform ones beyond 2.5 ("ring"),
+    or, on the torus, thirteen APs whose twelfth neighbour of the center
+    AP is beyond half the side, so that some device inside its polygon and
+    within half that distance is nearer another image of a neighbour
+    ("wrap"). With ``tie``, a further AP is as near the center as the
+    nearest. Beside uniform devices, ``spots`` puts devices on the typical
+    cell's bisectors ("bisector"), at its polygon's vertices ("vertex"),
+    at half its twelfth neighbour's distance ("half"), in the part of the
+    polygon outside the cell ("wedge", ring and wrap layouts) and on the
+    torus seam ("seam")."""
+    side, c = engine.side, engine.center
+    ap = engine.window.sample(RngStream(seed, 0), n_ap)
+    wedge = np.column_stack([np.linspace(-0.95, -0.6, 8), np.linspace(-0.2, 0.2, 8)])
+    if kind == "ring":
+        ap = np.vstack([_ring_layout(engine)[:14], ap[np.hypot(*(ap - c).T) > 2.5]])
+    elif kind == "wrap" and side is not None:
+        u = RngStream(seed, 2).uniform((11, 2))
+        angle = np.radians(45.0 + 90.0 * np.arange(11) + 10.0 * (u[:, 0] - 0.5))
+        far = side * (0.55 + 0.05 * u[:, 1])[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        ap = c + np.vstack([[0.0, 0.0], [0.4875 * side, 0.0], far])
+        wedge = np.column_stack([-side * np.linspace(0.252, 0.27, 8), np.linspace(-0.1, 0.1, 8)])
+    a0 = int(np.argmin(geomsim._sq_dist(ap, c, side)))
+    if tie:
+        ap = np.vstack([ap, 2.0 * c - ap[a0]])
+    d = ap - ap[a0]
+    if side is not None:
+        ap %= side
+        ap[ap >= side] = 0.0
+        d -= side * np.round(d / side)
+    d = np.delete(d, a0, axis=0)
+    d = d[np.argsort((d * d).sum(axis=1))][: geomsim._FILL_NEIGHBOURS]
+    perp = np.column_stack([-d[:, 1], d[:, 0]])
+    places = [engine.window.sample(RngStream(seed, 1), 40) - ap[a0]]
+    if "bisector" in spots:
+        places += [0.5 * d, 0.5 * d + 0.3 * perp, 0.5 * d - 0.3 * perp]
+    if "vertex" in spots and len(d) > 2:
+        lo, hi, _ = geomsim._bisector_polygon(d[None])
+        for end in (lo[0], hi[0]):
+            ok = np.isfinite(end) & (lo[0] <= hi[0])
+            places.append(0.5 * d[ok] + end[ok, None] * perp[ok])
+    if "half" in spots and len(d):
+        angle = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        half = 0.5 * np.sqrt((d[-1] ** 2).sum())
+        places.append(half * np.column_stack([np.cos(angle), np.sin(angle)]))
+    if "wedge" in spots:
+        places.append(wedge)
+    dev = np.vstack([c, ap[a0] + np.vstack(places)])
+    if side is None:
+        return ap, dev[np.hypot(dev[:, 0], dev[:, 1]) <= engine.window.radius]
+    seam = np.nextafter(side, 0.0)
+    return ap, np.vstack([dev % side] + ([[[0.0, c[1]], [seam, c[1]], [c[0], 0.0], [c[0], seam]]] if "seam" in spots else []))
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    boundary=st.sampled_from(["torus", "disc"]),
+    layouts=st.lists(
+        st.tuples(
+            st.integers(1, 70),
+            st.sampled_from(["uniform", "ring", "wrap"]),
+            st.booleans(),
+            st.sets(st.sampled_from(["bisector", "vertex", "half", "wedge", "seam"])),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@example(seed=0, boundary="torus", layouts=[(60, "uniform", True, set()), (5, "uniform", False, {"seam"})])
+@example(seed=1, boundary="disc", layouts=[(60, "ring", False, {"wedge", "half"}), (12, "uniform", False, set())])
+@example(seed=2, boundary="torus", layouts=[(60, "ring", False, {"wedge", "seam"}), (1, "wrap", False, {"wedge"})])
+@example(seed=3, boundary="disc", layouts=[(60, "uniform", False, {"bisector"}), (60, "uniform", False, {"half"})])
+def test_typical_counts_match_the_k_d_tree_on_hard_layouts(seed, boundary, layouts):
+    # The block count of the typical cell equals the k-d tree's count,
+    # bincount(serving)[a0], on layouts with devices on the cell's
+    # bisectors and polygon vertices, at half the twelfth neighbour's
+    # distance, in a polygon larger than the cell, nearer another image of a
+    # neighbour and on the torus seam, with two APs equidistant from the
+    # center, on the disc's edge cells, and with 12 or fewer APs.
+    from scipy.spatial import cKDTree
+
+    engine = geomsim._Engine(small_cfg(window_radius=4.0, boundary=boundary))
+    built = [_hard_layout(engine, seed + t, *layout) for t, layout in enumerate(layouts)]
+    streams = [RngStream(seed, t) for t in range(len(built))]
+    counts = engine._typical_counts(streams, built)
+    assert counts.dtype == np.int64
+    expected = []
+    for ap, dev in built:
+        serving = cKDTree(ap, boxsize=engine.side).query(dev)[1]
+        expected.append(np.bincount(serving, minlength=len(ap))[serving[0]])
+    assert counts.tolist() == expected
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_typical_loads_decide_most_trials_without_the_tree(boundary):
+    # loads of deployed trials equal load(i), and the polygon decides
+    # nearly all of them without associating every device
+    engine = geomsim._Engine(small_cfg(window_radius=5.0, boundary=boundary))
+    tree_load, slow = engine._tree_load, []
+
+    def counting_tree_load(*args):
+        slow.append(True)
+        return tree_load(*args)
+
+    engine._tree_load = counting_tree_load
+    loads = engine.typical_loads(range(200))
+    assert len(slow) <= 10
+    engine._tree_load = tree_load
+    assert loads.tolist() == [engine.load(i) for i in range(200)]
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_load_blocks_of_any_size_give_the_same_loads(monkeypatch, boundary):
+    # run_loads counts blocks of about _LOAD_BLOCK_POINTS expected points;
+    # blocks of 1, 7 and all 30 trials give the same array
+    cfg = small_cfg(window_radius=5.0, boundary=boundary, trials=30)
+    engine = geomsim._Engine(cfg)
+    points = 1.0 + engine.expected_aps + engine.expected_devs
+    typical_loads, sizes = geomsim._Engine.typical_loads, []
+
+    def recording(self, indices):
+        sizes.append(len(indices))
+        return typical_loads(self, indices)
+
+    monkeypatch.setattr(geomsim._Engine, "typical_loads", recording)
+    reference = [engine.load(i) for i in range(30)]
+    for size in (1, 7, 30):
+        sizes.clear()
+        monkeypatch.setattr(geomsim, "_LOAD_BLOCK_POINTS", (size + 0.5) * points)
+        assert run_loads(cfg).tolist() == reference
+        assert max(sizes) == size and sum(sizes) == 30
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_load_blocks_hold_a_bounded_number_of_points(monkeypatch):
+    # about 10,000 devices per trial: a block holds a few trials only
+    dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=100.0)
+    cfg = small_cfg(
+        scenario=replace(canonical_validation_scenario(), deployment=dep),
+        window_radius=5.0,
+        trials=12,
+    )
+    typical_loads, sizes = geomsim._Engine.typical_loads, []
+
+    def recording(self, indices):
+        sizes.append(len(indices))
+        return typical_loads(self, indices)
+
+    monkeypatch.setattr(geomsim._Engine, "typical_loads", recording)
+    run_loads(cfg)
+    engine = geomsim._Engine(cfg)
+    points = 1.0 + engine.expected_aps + engine.expected_devs
+    assert sum(sizes) == 12 and 1 <= max(sizes) * points <= geomsim._LOAD_BLOCK_POINTS
+
+
 def _staged(engine, stream):
     """Deploy, associate and schedule one trial: the fill stage's inputs."""
     ap, dev = engine.deploy(stream)
@@ -480,30 +644,39 @@ def _staged(engine, stream):
 def test_early_exit_fill_matches_full_batch_rule(overrides):
     # One point per empty non-serving cell, served by that cell, in
     # ascending cell order, replayed exactly. On the shadowed path every
-    # candidate the engine associates is recorded, so each point's cell is
-    # known; without shadowing the k-d tree gives it, and batch 1 draws a
-    # slice only while at least _FILL_STOP * n_ap cells are empty. On the
-    # unshadowed torus the first slice is the start of the full-batch
-    # rule's first batch (the same draws), so the cells it fills get the
-    # same points.
+    # candidate the engine associates is recorded (by _serve, or by _screen
+    # for a screened slice), so each point's cell is known; without
+    # shadowing the k-d tree gives it, and batch 1 draws a slice only while
+    # at least _FILL_STOP * n_ap cells are empty. On the unshadowed torus
+    # the first slice is the start of the full-batch rule's first batch
+    # (the same draws), so the cells it fills get the same points.
     engine = geomsim._Engine(small_cfg(trials=12, **overrides))
-    serve, local_fill = engine._serve, engine._local_fill
+    serve, screen, local_fill = engine._serve, engine._screen, engine._local_fill
     served, slices, local = {}, [], []
 
-    def recording_serve(points, ap, tree, normals):
-        serving, own, pathloss = serve(points, ap, tree, normals)
+    def record(points, serving, own, pathloss):
         for k, point in enumerate(points):
             row = None if pathloss is None else pathloss[k]
             served[tuple(point)] = (serving[k], own[k], row)
+
+    def recording_serve(points, ap, tree, normals):
+        serving, own, pathloss = serve(points, ap, tree, normals)
+        record(points, serving, own, pathloss)
         if not local:
             slices.append(serving)
         return serving, own, pathloss
+
+    def recording_screen(*args):
+        kept, result = screen(*args)
+        record(kept, *result)
+        return kept, result
 
     def recording_local_fill(*args):
         local.append(True)
         return local_fill(*args)
 
-    engine._serve, engine._local_fill = recording_serve, recording_local_fill
+    engine._serve, engine._screen = recording_serve, recording_screen
+    engine._local_fill = recording_local_fill
     for index in range(12):
         streams = [RngStream(CANONICAL_SEED, index) for _ in range(4)]
         ap, tree, counts, a0 = _staged(engine, streams[0])
@@ -594,7 +767,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     ap, dev = engine.deploy(stream)
     tree = engine.associate(stream, ap, dev)[0]
     cells = np.arange(len(ap))
-    rho = engine._cell_radius(ap, tree, cells)
+    rho = engine._cell_polygon(ap, tree, cells)[3]
     bounded = np.isfinite(rho)
     if len(ap) > geomsim._FILL_NEIGHBOURS:
         assert bounded.mean() > 0.5
@@ -602,17 +775,43 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     dist, near = tree.query(engine.window.sample(RngStream(seed, 1), 40_000))
     inner = bounded[near]
     assert np.all(dist[inner] <= rho[near[inner]])
-    # own cell: every local point is in the window and served by its AP
-    done, pts, own = engine._local_fill(RngStream(seed, 2), ap, tree, cells)
+    # every fan draw lies in the polygon it was drawn from
+    fan, drawn = geomsim._polygon_points, []
+
+    def recording_fan(d, lo, hi, u):
+        x = fan(d, lo, hi, u)
+        drawn.append((x, d))
+        return x
+
+    with mock.patch.object(geomsim, "_polygon_points", recording_fan):
+        done, pts, own = engine._local_fill(RngStream(seed, 2), ap, tree, cells)
+    assert drawn
+    for x, d in drawn:
+        assert np.all(_in_polygon(x, d))
+    # own cell: every local point is in its polygon and the window, and
+    # served by its AP
     assert np.all(bounded[done]) and done.any()
     pts, own = pts[done], own[done]
     dist, near = tree.query(pts)
     assert np.array_equal(near, cells[done])
     assert np.array_equal(own, dist**4)
+    d = engine._cell_polygon(ap, tree, cells[done])[0]
+    x = pts - ap[cells[done]]
     if boundary == "torus":
+        x -= engine.side * np.round(x / engine.side)
         assert np.all((pts >= 0.0) & (pts < engine.side))
     else:
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= cfg.window_radius)
+    assert np.all(_in_polygon(x, d))
+
+
+def _in_polygon(x, d):
+    """Whether each point ``x`` (n, 2) lies in the bisector polygon of its
+    row of displacements ``d`` (n, K, 2), up to rounding."""
+    dot = (x[:, None] * d).sum(axis=-1)
+    half = 0.5 * (d * d).sum(axis=-1)
+    scale = np.abs(dot) + half
+    return (dot <= half + 1e-9 * scale).all(axis=1)
 
 
 def _max_gap(d):
@@ -622,7 +821,7 @@ def _max_gap(d):
 
 
 def _vertex_radius(d):
-    """Reference for ``_Engine._cell_radius`` from a cell's bisector
+    """Reference for the radius of ``_Engine._cell_polygon`` from a cell's bisector
     displacements ``d`` (K, 2): the largest norm among the pairwise
     bisector intersections that satisfy every half-plane, nan when the
     directions leave an angular gap of pi or more (unbounded polygon)."""
@@ -671,7 +870,7 @@ def test_fill_leaves_no_cell_empty_and_bounds_disc_edge_cells(seed, boundary, lo
     # boundedness: the window's tangents bound every disc cell, including
     # the edge cells whose nearest APs all lie on one side of them
     cells = np.arange(len(ap))
-    rho = engine._cell_radius(ap, tree, cells)
+    rho = engine._cell_polygon(ap, tree, cells)[3]
     assert np.all(np.isfinite(rho))
     _, nb = tree.query(ap, k=geomsim._FILL_NEIGHBOURS + 1)
     edge = _max_gap(ap[nb[:, 1:]] - ap[:, None]) >= math.pi
@@ -695,8 +894,8 @@ def test_fill_leaves_no_cell_empty_and_bounds_disc_edge_cells(seed, boundary, lo
 @example(seed=3, boundary="torus", sigma_db=8.0, log_lam_hat=3.0)
 def test_shadowed_fill_leaves_no_cell_empty(seed, boundary, sigma_db, log_lam_hat):
     # lambda_hat in [0.1, 1000], auto-sized window (about 150 APs). Every
-    # candidate the fill associates passes through _serve, which records its
-    # serving AP; screened slices and whole blocks alike.
+    # candidate the fill associates passes through _serve (whole blocks) or
+    # _screen (screened slices), which record its serving AP.
     dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=10.0**-log_lam_hat)
     cfg = SimConfig(
         scenario=replace(canonical_validation_scenario(), deployment=dep),
@@ -708,14 +907,19 @@ def test_shadowed_fill_leaves_no_cell_empty(seed, boundary, sigma_db, log_lam_ha
     engine = geomsim._Engine(cfg)
     stream = RngStream(seed, 0)
     ap, tree, counts, a0 = _staged(engine, stream)
-    serve, served = engine._serve, {}
+    serve, screen, served = engine._serve, engine._screen, {}
 
     def recording_serve(points, ap, tree, normals):
         serving, own, pathloss = serve(points, ap, tree, normals)
         served.update(zip(map(tuple, points), serving))
         return serving, own, pathloss
 
-    engine._serve = recording_serve
+    def recording_screen(*args):
+        kept, result = screen(*args)
+        served.update(zip(map(tuple, kept), result[0]))
+        return kept, result
+
+    engine._serve, engine._screen = recording_serve, recording_screen
     pts, own, cross = engine.fill(stream, ap, tree, counts, a0)
     empty = np.nonzero(counts == 0)[0]
     empty = empty[empty != a0]
@@ -746,8 +950,6 @@ def test_screened_slice_matches_full_matrix_rule(seed, boundary, sigma_db, near,
     # empty cells are the trial's own, or a random share of all cells. A
     # pair the screen asks for again gets a normal of -10 instead, so a
     # screen that used a second draw for a pair would pick other hits.
-    from unittest import mock
-
     engine = geomsim._Engine(
         small_cfg(window_radius=5.0, boundary=boundary, shadowing_sigma_db=sigma_db)
     )
@@ -799,7 +1001,7 @@ def test_cell_radius_matches_pairwise_vertex_reference(boundary):
         stream = RngStream(CANONICAL_SEED, index)
         ap, dev = engine.deploy(stream)
         tree = engine.associate(stream, ap, dev)[0]
-        rho = engine._cell_radius(ap, tree, np.arange(len(ap)))
+        rho = engine._cell_polygon(ap, tree, np.arange(len(ap)))[3]
         for cell, p in enumerate(ap):
             d = ap[tree.query(p, k=k + 1)[1][1:]] - p
             if boundary == "torus":
@@ -824,7 +1026,7 @@ def test_local_fill_matches_rejection_sampling_in_law():
     stream = RngStream(CANONICAL_SEED, 0)
     ap, dev = engine.deploy(stream)
     tree = engine.associate(stream, ap, dev)[0]
-    bounded = np.isfinite(engine._cell_radius(ap, tree, np.arange(len(ap))))
+    bounded = np.isfinite(engine._cell_polygon(ap, tree, np.arange(len(ap)))[3])
     # the bounded cell with the largest share of its area beyond 90% of its
     # farthest point from the AP, as a dense probe sees them
     dist, near = tree.query(engine.window.sample(RngStream(1, 0), 100_000))
@@ -840,6 +1042,85 @@ def test_local_fill_matches_rejection_sampling_in_law():
     assert reference.size > 5000
     done, _, own = engine._local_fill(RngStream(3, 0), ap, tree, np.full(8000, cell))
     assert done.all()
+    assert ks_2samp(own, reference).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_polygon_points_are_uniform_in_their_polygon(seed):
+    # A bounded polygon of twelve random neighbours, sampled by the fan and
+    # by rejection from its bounding square: every fan point is in the
+    # polygon, and both coordinates follow the same law.
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(seed)
+    while True:
+        d = rng.uniform(-2.0, 2.0, (1, 12, 2))
+        lo, hi, rho = geomsim._bisector_polygon(d)
+        if np.isfinite(rho[0]):
+            break
+    n = 20_000
+    x = geomsim._polygon_points(np.repeat(d, n, 0), np.repeat(lo, n, 0), np.repeat(hi, n, 0), rng.uniform(size=(n, 3)))
+    assert np.all(_in_polygon(x, np.repeat(d, n, 0)))
+    assert np.all(np.hypot(x[:, 0], x[:, 1]) <= rho[0])
+    box = rng.uniform(-rho[0], rho[0], (20 * n, 2))
+    box = box[_in_polygon(box, np.repeat(d, len(box), 0))][:n]
+    assert len(box) > n // 2
+    for axis in (0, 1):
+        assert ks_2samp(x[:, axis], box[:, axis]).pvalue > 1e-3
+
+
+def _ring_layout(engine):
+    """A torus layout whose center AP's twelve nearest APs, on a unit ring
+    at -120..120 degrees, cut out a polygon reaching 1.0 toward 180 degrees,
+    while its thirteenth, at 1.1 and 180 degrees, cuts the cell at 0.55;
+    uniform APs beyond 2.5 fill the rest of the window."""
+    c = engine.center
+    angle = np.radians(np.linspace(-120.0, 120.0, 12))
+    ring = c + np.column_stack([np.cos(angle), np.sin(angle)])
+    rest = engine.window.sample(RngStream(7, 0), 400)
+    rest = rest[np.hypot(*(rest - c).T) > 2.5][:190]
+    return np.vstack([c, ring, c + [-1.1, 0.0], rest])
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("case", ["disc-edge", "larger-polygon"])
+def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(case):
+    # Two cells whose polygon holds more than the cell, so that some local
+    # draws are rejected: a disc edge cell, whose polygon reaches past the
+    # window, and a torus cell cut by an AP beyond its twelve nearest.
+    # Their own pathlosses follow those of window-uniform points in the
+    # cell.
+    from scipy.stats import ks_2samp
+
+    from scipy.spatial import cKDTree
+
+    if case == "disc-edge":
+        engine = geomsim._Engine(small_cfg(boundary="disc"))
+        stream = RngStream(CANONICAL_SEED, 0)
+        ap, dev = engine.deploy(stream)
+        tree = engine.associate(stream, ap, dev)[0]
+        rho = engine._cell_polygon(ap, tree, np.arange(len(ap)))[3]
+        cell = int(np.argmax(np.hypot(ap[:, 0], ap[:, 1]) + rho))
+        assert np.hypot(*ap[cell]) + rho[cell] > engine.window.radius
+    else:
+        engine = geomsim._Engine(small_cfg())
+        ap = _ring_layout(engine)
+        tree = cKDTree(ap, boxsize=engine.side)
+        cell = 0
+        assert np.array_equal(np.sort(tree.query(ap[0], k=13)[1][1:]), np.arange(1, 13))
+    dist, near = tree.query(engine.window.sample(RngStream(2, 0), 2_000_000))
+    reference = dist[near == cell] ** 4
+    assert reference.size > 5000
+    serve, drawn = engine._serve, []
+
+    def recording_serve(points, *args):
+        drawn.append(len(points))
+        return serve(points, *args)
+
+    engine._serve = recording_serve
+    done, _, own = engine._local_fill(RngStream(3, 0), ap, tree, np.full(8000, cell))
+    assert done.all()
+    assert sum(drawn) > 8000 * 1.05
     assert ks_2samp(own, reference).pvalue > 1e-3
 
 
