@@ -39,8 +39,8 @@ assumptions rather than to the literal finite-window system:
 
   The fill associates window-uniform candidates ``2 * n_ap`` at a time; the
   first candidate to land in an empty cell fills it. Without shadowing it
-  stops once fewer than a fifth of the cells are empty (after one slice or
-  none on the canonical scenario), and each cell left is then filled
+  stops once fewer than a fifth of the cells are empty (after one slice on
+  the canonical scenario), and each cell left is then filled
   locally: its twelve nearest APs' bisectors cut out a polygon that holds
   the cell (on a disc, three tangents of the window close the polygons of
   edge cells), and the first candidate drawn uniformly in the polygon
@@ -124,9 +124,9 @@ __all__ = [
 CANONICAL_SEED = 20260825
 # Upper limit on the trials of one run. Aggregation keeps about 25 bytes per
 # trial (17 for delay, cloud flag and load, 8 for the sorted delays), so
-# 10**7 trials stay near 250 MB; at about 2.2 ms per canonical trial
+# 10**7 trials stay near 250 MB; at about 1.9 ms per canonical trial
 # (unshadowed torus, window radius sqrt(50); 2 CPUs, one process) they are
-# already some 6 CPU-hours, and more precision is better bought with
+# already some 5 CPU-hours, and more precision is better bought with
 # separate seeds.
 _MAX_TRIALS = 10**7
 # Expected AP count of an automatically sized window: about 150 keeps both
@@ -140,14 +140,18 @@ _FILL_BATCHES = 6
 _FILL_SLICE = 2
 # Without shadowing, batch 1 stops before a slice once fewer than
 # _FILL_STOP * n_ap non-serving cells are empty, and the local step fills the
-# rest. A slice associates 2 * n_ap candidates at about 0.9 us each (k-d tree
-# query and bookkeeping; 2 CPUs, about 190 APs), 1.8 us * n_ap in all, and
-# the local step costs about 30 us more per cell. A slice at E empty cells
-# fills a share f of them, so it pays while f * E * 30 us > 1.8 us * n_ap,
-# that is while E > 0.06 * n_ap / f. Cell areas are Gamma-distributed and the
-# cells left are the small ones, so f falls from 0.7-0.8 for the first slice
-# to about 0.6 for the second: E > n_ap / 10.
-_FILL_STOP = 0.1
+# rest. A slice associates 2 * n_ap candidates, about 2 us * n_ap in all
+# (k-d tree query and bookkeeping; 1.5-2.3 us measured on 2 CPUs, about 200
+# APs), and the local step costs about 11 us more per cell (10-12 us: the
+# polygon, the fan draw and its k-d tree point). A slice at E empty cells
+# fills a share f of them, so it pays while f * E * 11 us > 2 us * n_ap,
+# that is while E > 0.18 * n_ap / f. Cell areas are Gamma-distributed and
+# the cells left are the small ones, so f falls from 0.72 for the first
+# slice to 0.6 for the second: E > 0.25-0.3 * n_ap. Timed end to end
+# (canonical torus; auto windows at lambda_hat 1 and 1000 on the torus, 1
+# and 10 on the disc), stops of 0.15-0.3 are within noise of each other,
+# 0.1 is 2-8% slower and 0.4 4-20% slower; 0.2 sits in the flat part.
+_FILL_STOP = 0.2
 # With shadowing, a fill slice screens its candidates against the empty
 # cells' APs and their _SCREEN_NEAR nearest APs (_Engine._screen) while fewer
 # than _SCREEN_MAX * n_ap cells are empty, and draws its whole block of
@@ -169,8 +173,6 @@ _SCREEN_MAX = 0.45
 _FILL_NEIGHBOURS = 12
 # directions of the disc tangents mirroring an AP, relative to its own
 _DISC_TANGENTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
-# local fill rounds, one candidate per cell still to fill in each
-_LOCAL_ROUNDS = 16
 _LN10 = math.log(10.0)
 # The load-only path counts the typical cell of a block of trials at once,
 # from (trials x devices x _FILL_NEIGHBOURS) arrays; a block holds about
@@ -265,17 +267,16 @@ def _bisector_polygon(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     half = 0.5 * (d * d).sum(axis=-1)
     # |d_i / 2 + s perp(d_i)|**2 = half_i (1/2 + 2 s**2); half-plane j keeps
-    # s * det(d_i, d_j) <= half_j - d_i . d_j / 2, and another parallel one
-    # (det 0) keeps all of line i or none of it
+    # s * det(d_i, d_j) <= half_j - d_i . d_j / 2. A parallel one (det 0)
+    # constrains nothing here; exactly parallel bisectors have probability
+    # zero.
     x, y = d[..., 0], d[..., 1]
     det = x[..., :, None] * y[..., None, :] - y[..., :, None] * x[..., None, :]
     room = half[..., None, :] - 0.5 * (d @ np.swapaxes(d, -1, -2))
-    blocked = (det == 0.0) & (room < 0.0) & ~np.eye(d.shape[-2], dtype=bool)
     with np.errstate(all="ignore"):
         s = room / det
         hi = np.where(det > 0.0, s, np.inf).min(axis=-1)
         lo = np.where(det < 0.0, s, -np.inf).max(axis=-1)
-        lo[blocked.any(axis=-1)] = np.inf
         far = half * (0.5 + 2.0 * np.maximum(lo * lo, hi * hi))
         rho = np.sqrt(np.where(lo <= hi, far, 0.0).max(axis=-1)) * (1.0 + 1e-9)
     rho[~((rho > 0.0) & np.isfinite(rho))] = np.nan
@@ -727,15 +728,17 @@ class _Engine:
         """One point uniform in the cell of each AP in ``cells`` (which may
         repeat), with its own pathloss; unshadowed association only.
 
-        Each round draws one candidate per cell still to fill, uniform in
-        the cell's polygon (``_cell_polygon``, ``_polygon_points``), from
-        three uniforms. The candidate is kept if it lies in the window and
-        has that AP as its nearest (k-d tree, which also gives its own
+        Candidates are uniform in the cell's polygon (``_cell_polygon``,
+        ``_polygon_points``), three uniforms each. Round ``r`` draws
+        ``2**r`` of them per cell still to fill, one in the first round,
+        for at most ``_FILL_BATCHES`` rounds, so a cell whose polygon is
+        much larger than the cell does not hold up the others for many
+        rounds. The first candidate that lies in the window and has that AP
+        as its nearest is kept (k-d tree, which also gives its own
         pathloss). Since the polygon holds the whole cell, the kept point
-        is exactly uniform in the cell. There are at most ``_LOCAL_ROUNDS``
-        rounds. Returns a mask of the cells that got a point (False where
-        the polygon is not bounded or no round hit the cell), the points
-        and their own pathlosses.
+        is exactly uniform in the cell. Returns a mask of the cells that
+        got a point (False where the polygon is not bounded or no round hit
+        the cell), the points and their own pathlosses.
         """
         d, lo, hi, rho = self._cell_polygon(ap, tree, cells)
         todo = np.nonzero(np.isfinite(rho))[0]
@@ -743,23 +746,28 @@ class _Engine:
         pts, own = np.empty((len(cells), 2)), np.empty(len(cells))
         d, lo, hi = d[todo], lo[todo], hi[todo]
         live = np.arange(todo.size)
-        for _ in range(_LOCAL_ROUNDS):
+        for r in range(_FILL_BATCHES):
             if not live.size:
                 break
-            owner = cells[todo[live]]
-            u = stream.uniform((live.size, 3))
-            cand = ap[owner] + _polygon_points(d[live], lo[live], hi[live], u)
+            m = 1 << r
+            rows = np.repeat(live, m)
+            owner = cells[todo[rows]]
+            u = stream.uniform((rows.size, 3))
+            cand = ap[owner] + _polygon_points(d[rows], lo[rows], hi[rows], u)
             if self.torus:
                 cand %= self.side
                 in_window = True
             else:
                 in_window = (cand * cand).sum(axis=-1) <= self.window.radius**2
             serving, cand_own, _ = self._serve(cand, ap, tree, None)
-            hit = np.nonzero(in_window & (serving == owner))[0]
-            got = todo[live[hit]]
+            hit = (in_window & (serving == owner)).reshape(live.size, m)
+            first = hit.argmax(axis=1)
+            won = np.nonzero(hit[np.arange(live.size), first])[0]
+            take = won * m + first[won]
+            got = todo[live[won]]
             done[got] = True
-            pts[got], own[got] = cand[hit], cand_own[hit]
-            live = np.delete(live, hit)
+            pts[got], own[got] = cand[take], cand_own[take]
+            live = np.delete(live, won)
         return done, pts, own
 
     def link(
