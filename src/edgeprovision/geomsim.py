@@ -843,7 +843,8 @@ class _Engine:
         n_dev = np.array([len(dev) for _, dev in deployed])
         fallback = n_ap <= k
         if fallback.all():
-            return np.array([self._tree_load(*z) for z in zip(streams, *zip(*deployed))])
+            loads = [self._tree_load(s, *z) for s, z in zip(streams, deployed)]
+            return np.array(loads, dtype=np.int64)
         ap_ok = np.arange(n_ap.max()) < n_ap[:, None]
         dev_ok = np.arange(n_dev.max()) < n_dev[:, None]
         aps, devs = np.zeros(ap_ok.shape + (2,)), np.zeros(dev_ok.shape + (2,))
@@ -985,9 +986,10 @@ def _simulate_range(cfg: SimConfig, lo: int, hi: int):
 
 
 def _load_range(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Loads of trials [lo, hi): ``_Engine.typical_loads`` in blocks of
-    about ``_LOAD_BLOCK_POINTS`` expected points without shadowing, where a
-    device's shadowing normals must be drawn in stream order otherwise."""
+    """Loads of trials [lo, hi). Without shadowing, ``_Engine.typical_loads``
+    counts blocks of trials holding about ``_LOAD_BLOCK_POINTS`` expected
+    APs and devices; with shadowing, each trial associates every device,
+    since its normals must be drawn in stream order."""
     engine = _Engine(cfg)
     if engine.sigma_scale is not None:
         return np.array([engine.load(i) for i in range(lo, hi)], dtype=np.int64)

@@ -482,8 +482,8 @@ def _hard_layout(engine, seed, n_ap, kind, tie, spots):
     elif kind == "wrap" and side is not None:
         u = RngStream(seed, 2).uniform((11, 2))
         angle = np.radians(45.0 + 90.0 * np.arange(11) + 10.0 * (u[:, 0] - 0.5))
-        far = side * (0.55 + 0.05 * u[:, 1])[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
-        ap = c + np.vstack([[0.0, 0.0], [0.4875 * side, 0.0], far])
+        far = (0.55 + 0.05 * u[:, 1])[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        ap = c + side * np.vstack([[0.0, 0.0], [0.4875, 0.0], far])
         wedge = np.column_stack([-side * np.linspace(0.252, 0.27, 8), np.linspace(-0.1, 0.1, 8)])
     a0 = int(np.argmin(geomsim._sq_dist(ap, c, side)))
     if tie:
@@ -513,8 +513,11 @@ def _hard_layout(engine, seed, n_ap, kind, tie, spots):
     dev = np.vstack([c, ap[a0] + np.vstack(places)])
     if side is None:
         return ap, dev[np.hypot(dev[:, 0], dev[:, 1]) <= engine.window.radius]
-    seam = np.nextafter(side, 0.0)
-    return ap, np.vstack([dev % side] + ([[[0.0, c[1]], [seam, c[1]], [c[0], 0.0], [c[0], seam]]] if "seam" in spots else []))
+    dev %= side
+    if "seam" in spots:
+        seam = np.nextafter(side, 0.0)
+        dev = np.vstack([dev, [[0.0, c[1]], [seam, c[1]], [c[0], 0.0], [c[0], seam]]])
+    return ap, dev
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -533,10 +536,26 @@ def _hard_layout(engine, seed, n_ap, kind, tie, spots):
         max_size=5,
     ),
 )
-@example(seed=0, boundary="torus", layouts=[(60, "uniform", True, set()), (5, "uniform", False, {"seam"})])
-@example(seed=1, boundary="disc", layouts=[(60, "ring", False, {"wedge", "half"}), (12, "uniform", False, set())])
-@example(seed=2, boundary="torus", layouts=[(60, "ring", False, {"wedge", "seam"}), (1, "wrap", False, {"wedge"})])
-@example(seed=3, boundary="disc", layouts=[(60, "uniform", False, {"bisector"}), (60, "uniform", False, {"half"})])
+@example(
+    seed=0,
+    boundary="torus",
+    layouts=[(60, "uniform", True, set()), (5, "uniform", False, {"seam"})],
+)
+@example(
+    seed=1,
+    boundary="disc",
+    layouts=[(60, "ring", False, {"wedge", "half"}), (12, "uniform", False, set())],
+)
+@example(
+    seed=2,
+    boundary="torus",
+    layouts=[(60, "ring", False, {"wedge", "seam"}), (1, "wrap", False, {"wedge"})],
+)
+@example(
+    seed=3,
+    boundary="disc",
+    layouts=[(60, "uniform", False, {"bisector"}), (60, "uniform", False, {"half"})],
+)
 def test_typical_counts_match_the_k_d_tree_on_hard_layouts(seed, boundary, layouts):
     # The block count of the typical cell equals the k-d tree's count,
     # bincount(serving)[a0], on layouts with devices on the cell's
@@ -1059,11 +1078,12 @@ def test_polygon_points_are_uniform_in_their_polygon(seed):
         if np.isfinite(rho[0]):
             break
     n = 20_000
-    x = geomsim._polygon_points(np.repeat(d, n, 0), np.repeat(lo, n, 0), np.repeat(hi, n, 0), rng.uniform(size=(n, 3)))
-    assert np.all(_in_polygon(x, np.repeat(d, n, 0)))
+    d, lo, hi = (np.repeat(a, n, axis=0) for a in (d, lo, hi))
+    x = geomsim._polygon_points(d, lo, hi, rng.uniform(size=(n, 3)))
+    assert np.all(_in_polygon(x, d))
     assert np.all(np.hypot(x[:, 0], x[:, 1]) <= rho[0])
     box = rng.uniform(-rho[0], rho[0], (20 * n, 2))
-    box = box[_in_polygon(box, np.repeat(d, len(box), 0))][:n]
+    box = box[_in_polygon(box, np.repeat(d[:1], len(box), axis=0))][:n]
     assert len(box) > n // 2
     for axis in (0, 1):
         assert ks_2samp(x[:, axis], box[:, axis]).pvalue > 1e-3
