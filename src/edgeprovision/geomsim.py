@@ -171,6 +171,8 @@ _SCREEN_NEAR = 1
 _SCREEN_MAX = 0.45
 # nearest APs whose bisectors bound a cell in the local fill
 _FILL_NEIGHBOURS = 12
+# perp((x, y)) = (-y, x) is (y, x) * _PERP
+_PERP = np.array([-1.0, 1.0])
 # directions of the disc tangents mirroring an AP, relative to its own
 _DISC_TANGENTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
 _LN10 = math.log(10.0)
@@ -294,19 +296,19 @@ def _polygon_points(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray
     ``(hi - lo) |d|**2 / 4`` (base ``(hi - lo) |d|``, height ``|d| / 2``),
     and ``u[:, 1]`` and ``u[:, 2]`` a uniform point of that triangle: the
     point at ``u[:, 1]`` along the edge, pulled toward the center to the
-    fraction ``sqrt(u[:, 2])``.
+    fraction ``sqrt(u[:, 2])``. (A bounded polygon has bisectors on both
+    sides of every line, so ``lo`` and ``hi`` are finite.)
     """
-    with np.errstate(invalid="ignore"):
-        area = np.where(lo < hi, (hi - lo) * (d * d).sum(axis=-1), 0.0)
+    area = np.maximum(hi - lo, 0.0) * (d * d).sum(axis=-1)
     cum = np.cumsum(area, axis=1)
-    # the last edge with an area takes a draw that rounds up to the total
-    last = area.shape[1] - 1 - np.argmax(area[:, ::-1] > 0.0, axis=1)
-    edge = np.minimum((cum <= u[:, :1] * cum[:, -1:]).sum(axis=1), last)
+    # the pick stays below the total, so it never falls past the last edge
+    total = cum[:, -1:]
+    pick = np.minimum(u[:, :1] * total, np.nextafter(total, 0.0))
+    edge = (cum <= pick).sum(axis=1)
     rows = np.arange(len(d))
     e, e_lo = d[rows, edge], lo[rows, edge]
     s = e_lo + u[:, 1] * (hi[rows, edge] - e_lo)
-    on_edge = 0.5 * e + s[:, None] * np.stack([-e[:, 1], e[:, 0]], axis=-1)
-    return np.sqrt(u[:, 2:]) * on_edge
+    return np.sqrt(u[:, 2:]) * (0.5 * e + s[:, None] * (e[:, ::-1] * _PERP))
 
 
 # ---------------------------------------------------------------------------
