@@ -177,10 +177,11 @@ _PERP = np.array([-1.0, 1.0])
 _DISC_TANGENTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
 _LN10 = math.log(10.0)
 # The load-only path counts the typical cell of a block of trials at once,
-# from (trials x devices x _FILL_NEIGHBOURS) arrays; a block holds about
-# this many expected APs and devices in all, so each such array stays near
-# 6 MB whatever the densities.
-_LOAD_BLOCK_POINTS = 2**16
+# from (trials x devices) arrays and smaller ones; a block holds about this
+# many expected APs and devices in all, so its arrays stay under 1 MB apiece
+# whatever the densities. (On the validate load checks, 2**16 cost about
+# 5 MB more peak memory for a 5% faster load path.)
+_LOAD_BLOCK_POINTS = 2**14
 # relative margin on squared distances by which the block count decides a
 # device's cell; anything closer is left to the k-d tree
 _TIE_SLACK = 1e-9
