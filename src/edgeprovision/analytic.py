@@ -17,10 +17,10 @@ with the delay-budget success probability as the weight.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import BracketError, InfeasibleTargetError, ModelDomainError
+from .errors import InfeasibleTargetError, ModelDomainError
 
 __all__ = [
     "DeploymentConfig",
@@ -45,9 +45,6 @@ _LN2 = math.log(2.0)
 _EXP2_OVERFLOW = 1024.0
 # Mean-load coefficient: mean cell load of the typical device is 1 + 1.28/lambda_hat.
 _LOAD_COEFF = 1.28
-# Below this y, coverage_exponent_inverse returns the series y + y**2/3,
-# whose next term (y**3/45) is far below double precision there.
-_SERIES_MAX_Y = 1e-20
 # Edge-model MSE as a multiple of the cloud model's where a spec or the CLI
 # leaves it out.
 _DEFAULT_EDGE_RATIO = 1.5
@@ -239,46 +236,6 @@ def _mix(w: InferenceWorkload, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bisect_root(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Find a root of monotone ``f`` on [lo, hi] by bracketed bisection.
-
-    Returns the bracket midpoint once the bracket width is <= tol. Raises
-    BracketError when f(lo) and f(hi) have the same (nonzero) sign. Never
-    exceeds ceil(log2((hi-lo)/tol)) + 2 iterations.
-    """
-    if not (tol > 0):
-        raise ModelDomainError(f"tol must be > 0 (got {tol!r})")
-    if not (lo < hi):
-        raise ModelDomainError(f"need lo < hi (got {lo!r}, {hi!r})")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise BracketError(
-            f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} do not bracket a root"
-        )
-    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def coverage_exponent(x: float) -> float:
     """sqrt(x)*arctan(sqrt(x)): the exponent of the uplink coverage probability.
 
@@ -302,33 +259,34 @@ def sinr_threshold(x: float) -> float:
     return 2.0 ** x - 1.0
 
 
+# Above this y, coverage_exponent(x) = y only for an x beyond the float64
+# range, and coverage_exponent_inverse returns math.inf.
+_INVERSE_MAX_Y = coverage_exponent(sys.float_info.max)
+
+
 def coverage_exponent_inverse(y: float) -> float:
     """Inverse of ``coverage_exponent``: the x with sqrt(x)*arctan(sqrt(x)) = y.
 
-    Bracketed bisection on u*arctan(u) = y with u = sqrt(x) (initial bracket
-    [0, max(10, y+2)], grown geometrically until it brackets, 1e-13 absolute
-    tolerance on u), then a few Newton steps to polish the root to machine
-    precision. Below y = 1e-20, where the bisection leaves u too far from
-    sqrt(y) for Newton to close the gap, the series y + y**2/3 is exact to
-    double precision, so the round trip holds in relative terms for every y.
+    Newton's method on g(u) = u*arctan(u) - y with u = sqrt(x), started at
+    u = sqrt(y) + y. g is increasing and convex for u >= 0 and g >= 0 at
+    the start (arctan(u) >= u/(1 + u)), so every step lowers u onto the
+    root; it stops at the first step that does not, at most seven steps
+    for any float y. Returns 0 for y = 0 and math.inf above
+    ``_INVERSE_MAX_Y``; below it no intermediate value overflows.
     """
     _require(_finite(y) and y >= 0, "y must be finite and >= 0 (got {!r})", y)
-    if y < _SERIES_MAX_Y:
-        return y + y * y / 3.0
-
-    def g(u: float) -> float:
-        return u * math.atan(u) - y
-
-    hi = max(10.0, y + 2.0)
-    while g(hi) < 0.0:
-        hi *= 2.0
-    u = bisect_root(g, 0.0, hi, tol=1e-13)
-    for _ in range(3):
-        slope = math.atan(u) + u / (1.0 + u * u)
-        if slope == 0.0:
-            break
-        u -= g(u) / slope
-    return u * u
+    if y == 0.0:
+        return 0.0
+    if y > _INVERSE_MAX_Y:
+        return math.inf
+    u = math.sqrt(y) + y
+    while True:
+        t = math.atan(u)
+        # g'(u) = arctan(u) + u/(1 + u*u), written so that u*u cannot overflow
+        nxt = u - (u * t - y) / (t + 1.0 / (u + 1.0 / u))
+        if not nxt < u:
+            return u * u
+        u = nxt
 
 
 def _gate_probability(x: float) -> float:

@@ -153,7 +153,7 @@ _FILL_SLICE = 2
 # 0.1 is 2-8% slower and 0.4 4-20% slower; 0.2 sits in the flat part.
 _FILL_STOP = 0.2
 # With shadowing, a fill slice screens its candidates against the empty
-# cells' APs and their _SCREEN_NEAR nearest APs (_Engine._screen) while fewer
+# cells' APs and their nearest AP (_Engine._screen) while fewer
 # than _SCREEN_MAX * n_ap cells are empty, and draws its whole block of
 # normals otherwise. A whole block costs about 1.9 ms (2 * n_ap candidates
 # times n_ap normals at about 20 ns each, with exponentials and distances;
@@ -161,13 +161,12 @@ _FILL_STOP = 0.2
 # and disc, lambda_hat 1-1000, 2,051 slices), a screened slice with a share
 # f of the cells empty costs about 0.27 + 1.9 f times as much (least squares
 # below f = 0.45): the k-d tree query and the empty cells' normals, then
-# full rows for the candidates that pass, about f + 0.1 of them at K = 1.
-# The ratio reads 0.95 at f in [0.3, 0.4), 1.01 in [0.4, 0.5) and 1.37 in
-# [0.6, 0.7), so the screen pays up to about f = 0.45. More neighbours pass
-# fewer candidates (f + 0.02 at K = 3) but cost more than they save where
-# most slices are: at f < 0.05 the ratio is 0.30 at K = 1 and 0.37 at
-# K = 3, and the whole fill is cheapest at K = 1.
-_SCREEN_NEAR = 1
+# full rows for the candidates that pass, about f + 0.1 of them. The ratio
+# reads 0.95 at f in [0.3, 0.4), 1.01 in [0.4, 0.5) and 1.37 in [0.6, 0.7),
+# so the screen pays up to about f = 0.45. Screening against the K nearest
+# APs instead passes fewer candidates (f + 0.02 at K = 3) but costs more
+# than it saves where most slices are: at f < 0.05 the ratio is 0.30 at
+# K = 1 and 0.37 at K = 3, and the whole fill is cheapest at K = 1.
 _SCREEN_MAX = 0.45
 # nearest APs whose bisectors bound a cell in the local fill
 _FILL_NEIGHBOURS = 12
@@ -654,9 +653,9 @@ class _Engine:
         ``normals(rows, cols)`` returns the shadowing normals of the
         candidate-AP pairs ``(rows, cols)`` (index arrays, broadcast
         against each other) as one block. A candidate first gets normals
-        for its pairs with every empty cell's AP, then for its pairs with
-        its ``_SCREEN_NEAR`` nearest APs (k-d tree). When a near AP whose
-        cell is not empty has a lower pathloss than every empty cell's AP,
+        for its pairs with every empty cell's AP, then for its pair with
+        its nearest AP (k-d tree). When the nearest AP's cell is not empty
+        and it has a lower pathloss than every empty cell's AP,
         the candidate is served by a cell that is not empty, whatever its
         other normals, so it is dropped. The rest get the other columns of
         their pathloss row from a third block of normals, over every AP
@@ -671,10 +670,9 @@ class _Engine:
         rows = np.arange(len(cand))[:, None]
         empty = np.nonzero(needed)[0]
         empty_pl = self._pathloss(cand[:, None], ap[empty], normals(rows, empty[None]))
-        k = min(_SCREEN_NEAR, len(ap))
-        near = tree.query(cand, k=k)[1].reshape(len(cand), k)
-        near_pl = self._pathloss(cand[:, None], ap[near], normals(rows, near))
-        screen = np.where(needed[near], np.inf, near_pl).min(axis=1)
+        near = tree.query(cand)[1]
+        near_pl = self._pathloss(cand, ap[near], normals(rows[:, 0], near))
+        screen = np.where(needed[near], np.inf, near_pl)
         keep = np.nonzero(empty_pl.min(axis=1) <= screen)[0]
         kept = cand[keep]
         others = np.nonzero(~needed)[0]
@@ -682,7 +680,7 @@ class _Engine:
         pathloss[:, others] = self._pathloss(
             kept[:, None], ap[others], normals(keep[:, None], others[None])
         )
-        pathloss[np.arange(keep.size)[:, None], near[keep]] = near_pl[keep]
+        pathloss[np.arange(keep.size), near[keep]] = near_pl[keep]
         pathloss[:, empty] = empty_pl[keep]
         return kept, self._least(pathloss)
 
@@ -800,11 +798,6 @@ class _Engine:
         delay = cloud_delay(rate, s.workload)
         return sinr, rate, delay, select_output(delay, s.workload)
 
-    def load(self, index: int) -> int:
-        """Serving-cell load of trial ``index``: deploy and associate only."""
-        stream = RngStream(self.cfg.master_seed, index)
-        return self._tree_load(stream, *self.deploy(stream))
-
     def _tree_load(self, stream: RngStream, ap: np.ndarray, dev: np.ndarray) -> int:
         """Serving-cell load of a deployed trial, by associating every
         device."""
@@ -813,10 +806,13 @@ class _Engine:
 
     def typical_loads(self, indices: range) -> np.ndarray:
         """Serving-cell loads of the trials in ``indices``, equal to
-        ``load`` of each; unshadowed only, where deploy makes every draw.
+        ``simulate_trial(cfg, i).load_nu`` of each.
 
-        Each trial is deployed from its own stream, then the typical cell's
-        devices are counted for all of them at once. ``a0`` is the AP
+        Each trial is deployed from its own stream. With shadowing, each is
+        then counted by ``_tree_load``, whose association draws the trial's
+        normals from its stream in order. Without shadowing, where deploy
+        makes every draw, the typical cell's devices are counted for all
+        of them at once. ``a0`` is the AP
         nearest the window center, and the bisectors of its
         ``_FILL_NEIGHBOURS`` nearest APs (minimum image) cut out a polygon
         that holds its cell (``_bisector_polygon``); a device beyond the
@@ -830,7 +826,7 @@ class _Engine:
         so rounding cannot make it disagree with the k-d tree. A device left
         undecided is compared with every AP of its trial. A trial with a
         device still undecided, or with ``_FILL_NEIGHBOURS`` APs or fewer,
-        is counted by associating every device, as ``load`` does. Two APs
+        is counted by associating every device (``_tree_load``). Two APs
         that tie for the center leave the typical device itself undecided.
         """
         streams = [RngStream(self.cfg.master_seed, i) for i in indices]
@@ -844,7 +840,7 @@ class _Engine:
         k = _FILL_NEIGHBOURS
         n_ap = np.array([len(ap) for ap, _ in deployed])
         n_dev = np.array([len(dev) for _, dev in deployed])
-        fallback = n_ap <= k
+        fallback = (n_ap <= k) | (self.sigma_scale is not None)
         if fallback.all():
             loads = [self._tree_load(s, *z) for s, z in zip(streams, deployed)]
             return np.array(loads, dtype=np.int64)
@@ -989,13 +985,10 @@ def _simulate_range(cfg: SimConfig, lo: int, hi: int):
 
 
 def _load_range(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Loads of trials [lo, hi). Without shadowing, ``_Engine.typical_loads``
-    counts blocks of trials holding about ``_LOAD_BLOCK_POINTS`` expected
-    APs and devices; with shadowing, each trial associates every device,
-    since its normals must be drawn in stream order."""
+    """Loads of trials [lo, hi), counted by ``_Engine.typical_loads`` in
+    blocks of trials holding about ``_LOAD_BLOCK_POINTS`` expected APs and
+    devices."""
     engine = _Engine(cfg)
-    if engine.sigma_scale is not None:
-        return np.array([engine.load(i) for i in range(lo, hi)], dtype=np.int64)
     size = max(1, int(_LOAD_BLOCK_POINTS / (1.0 + engine.expected_aps + engine.expected_devs)))
     return np.concatenate(
         [engine.typical_loads(range(i, min(i + size, hi))) for i in range(lo, hi, size)]
@@ -1083,8 +1076,11 @@ def delay_ks_statistic(
 
     The empirical CDF keeps its global normalization (the window restricts
     where the supremum is taken, not which samples count), and the window
-    endpoints are included in the supremum.
+    endpoints are included in the supremum. Raises ModelDomainError when
+    d_lo > d_hi.
     """
+    if d_lo > d_hi:
+        raise ModelDomainError(f"need d_lo <= d_hi (got {d_lo!r}, {d_hi!r})")
     samples = ecdf.sorted_samples
     n = ecdf.count
     i_lo = int(np.searchsorted(samples, d_lo, side="right"))

@@ -1,8 +1,7 @@
 """Shared numerical utilities: deterministic counter-based random streams,
-the stream-key rule, exponential variates, and the empirical CDF. The
-bracketed bisection ``bisect_root`` lives in :mod:`edgeprovision.analytic`,
-whose closed forms are its only caller and which loads no NumPy; it is
-re-exported here as the same object.
+the stream-key rule, exponential variates, the empirical CDF, and a
+bracketed bisection root finder. The closed forms in
+:mod:`edgeprovision.analytic` need none of them.
 
 The random-stream contract is the backbone of reproducible parallel Monte
 Carlo: a stream is keyed by ``(master_seed, stream_id)`` and always yields
@@ -15,11 +14,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .analytic import bisect_root  # noqa: F401  (re-export)
-from .errors import ModelDomainError
+from .errors import BracketError, ModelDomainError
 
 
 def _as_index(x) -> int | None:
@@ -78,6 +77,46 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
 
+def bisect_root(
+    f: Callable[[float], float], lo: float, hi: float, tol: float
+) -> float:
+    """Find a root of monotone ``f`` on [lo, hi] by bracketed bisection.
+
+    Returns the bracket midpoint once the bracket width is <= tol. Raises
+    BracketError when f(lo) and f(hi) have the same (nonzero) sign. Never
+    exceeds ceil(log2((hi-lo)/tol)) + 2 iterations.
+    """
+    if not (tol > 0):
+        raise ModelDomainError(f"tol must be > 0 (got {tol!r})")
+    if not (lo < hi):
+        raise ModelDomainError(f"need lo < hi (got {lo!r}, {hi!r})")
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise BracketError(
+            f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} do not bracket a root"
+        )
+    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def exponential_inverse_cdf(u, mean: float):
     """Map uniform draws ``u`` in [0, 1) to exponential variates via -mean*ln(1-u)."""
     if mean <= 0 or not math.isfinite(mean):
@@ -124,7 +163,10 @@ class EmpiricalCdf:
         return cls(np.sort(np.asarray(samples, dtype=float)))
 
     def evaluate(self, x):
-        """CDF value(s) at x; accepts scalars or arrays."""
+        """CDF value(s) at x; accepts scalars or arrays. Raises
+        ModelDomainError where x is NaN, at which no CDF has a value."""
+        if np.isnan(x).any():
+            raise ModelDomainError(f"x must not be NaN (got {x!r})")
         idx = np.searchsorted(self.sorted_samples, x, side="right")
         out = idx / self.count
         return float(out) if np.ndim(x) == 0 else out

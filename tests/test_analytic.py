@@ -1,7 +1,9 @@
 """Unit tests for the closed-form accuracy/delay model."""
 
 import math
+import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -385,10 +387,53 @@ def test_critical_edge_mse_matches_high_precision_property(lam_hat, rate, target
     assert critical_edge_mse(s, target_ratio) == pytest.approx(float(want), rel=1e-14)
 
 
-@given(y=st.just(0.0) | _log_uniform(-300, 8))
+# the largest y whose inverse is a finite float
+_FINITE_X_MAX_Y = coverage_exponent(sys.float_info.max)
+
+
+@given(y=st.floats(0.0, _FINITE_X_MAX_Y) | _log_uniform(-300, 8))
+@example(y=5e-324)
+@example(y=2.2250738585072014e-308)
+@example(y=_FINITE_X_MAX_Y)
 def test_coverage_exponent_inverse_round_trip_property(y):
     x = coverage_exponent_inverse(y)
+    assert math.isfinite(x)
     assert coverage_exponent(x) == pytest.approx(y, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "y", [math.nextafter(_FINITE_X_MAX_Y, math.inf), 1e200, 1e300, sys.float_info.max]
+)
+def test_coverage_exponent_inverse_is_infinite_beyond_the_float_range(y):
+    assert coverage_exponent_inverse(y) == math.inf
+
+
+def test_coverage_exponent_inverse_matches_high_precision():
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    for k in range(-300, 151, 3):
+        y = 10.0**k
+        # the root of u*arctan(u)/y - 1 between 0 and sqrt(y) + y
+        bracket = (0, mp.sqrt(y) + y)
+        want = mp.findroot(lambda u: u * mp.atan(u) / y - 1, bracket, solver="anderson") ** 2
+        assert coverage_exponent_inverse(y) == pytest.approx(float(want), rel=1e-14), y
+
+
+def test_coverage_exponent_inverse_takes_at_most_seven_steps():
+    # one arctan per Newton step, the last one included
+    atan, steps = math.atan, []
+
+    def counted(u):
+        steps[-1] += 1
+        return atan(u)
+
+    with mock.patch.object(math, "atan", counted):
+        for k in range(-1074, 512):
+            for y in (math.ldexp(1.0, k), math.ldexp(1.7, k)):
+                if y <= _FINITE_X_MAX_Y:
+                    steps.append(0)
+                    coverage_exponent_inverse(y)
+    assert 1 <= min(steps) and max(steps) <= 7
 
 
 # Each domain check's message for one bad input, as the checks word them.

@@ -580,9 +580,10 @@ def test_typical_counts_match_the_k_d_tree_on_hard_layouts(seed, boundary, layou
 @pytest.mark.filterwarnings("ignore:window holds only")
 @pytest.mark.parametrize("boundary", ["torus", "disc"])
 def test_typical_loads_decide_most_trials_without_the_tree(boundary):
-    # loads of deployed trials equal load(i), and the polygon decides
-    # nearly all of them without associating every device
-    engine = geomsim._Engine(small_cfg(window_radius=5.0, boundary=boundary))
+    # loads of deployed trials equal those of full trials, and the polygon
+    # decides nearly all of them without associating every device
+    cfg = small_cfg(window_radius=5.0, boundary=boundary)
+    engine = geomsim._Engine(cfg)
     tree_load, slow = engine._tree_load, []
 
     def counting_tree_load(*args):
@@ -593,7 +594,7 @@ def test_typical_loads_decide_most_trials_without_the_tree(boundary):
     loads = engine.typical_loads(range(200))
     assert len(slow) <= 10
     engine._tree_load = tree_load
-    assert loads.tolist() == [engine.load(i) for i in range(200)]
+    assert loads.tolist() == [simulate_trial(cfg, i).load_nu for i in range(200)]
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -611,7 +612,7 @@ def test_load_blocks_of_any_size_give_the_same_loads(monkeypatch, boundary):
         return typical_loads(self, indices)
 
     monkeypatch.setattr(geomsim._Engine, "typical_loads", recording)
-    reference = [engine.load(i) for i in range(30)]
+    reference = [simulate_trial(cfg, i).load_nu for i in range(30)]
     for size in (1, 7, 30):
         sizes.clear()
         monkeypatch.setattr(geomsim, "_LOAD_BLOCK_POINTS", (size + 0.5) * points)
@@ -954,14 +955,13 @@ def test_shadowed_fill_leaves_no_cell_empty(seed, boundary, sigma_db, log_lam_ha
     seed=st.integers(0, 2**32 - 1),
     boundary=st.sampled_from(["torus", "disc"]),
     sigma_db=st.sampled_from([4.0, 8.0, 12.0]),
-    near=st.sampled_from([1, 2, 6]),
     empty_share=st.sampled_from([None, 0.05, 0.3, 0.9]),
 )
-@example(seed=0, boundary="torus", sigma_db=12.0, near=1, empty_share=None)
-@example(seed=1, boundary="disc", sigma_db=12.0, near=1, empty_share=None)
-@example(seed=2, boundary="torus", sigma_db=4.0, near=1, empty_share=0.3)
-@example(seed=3, boundary="disc", sigma_db=8.0, near=1, empty_share=0.05)
-def test_screened_slice_matches_full_matrix_rule(seed, boundary, sigma_db, near, empty_share):
+@example(seed=0, boundary="torus", sigma_db=12.0, empty_share=None)
+@example(seed=1, boundary="disc", sigma_db=12.0, empty_share=None)
+@example(seed=2, boundary="torus", sigma_db=4.0, empty_share=0.3)
+@example(seed=3, boundary="disc", sigma_db=8.0, empty_share=0.05)
+def test_screened_slice_matches_full_matrix_rule(seed, boundary, sigma_db, empty_share):
     # One fixed (candidates x APs) matrix of normals feeds both rules: the
     # screen asks for its pairs' entries, the full-matrix rule takes it
     # whole. Both keep the same first hit per empty cell, with the same
@@ -996,8 +996,7 @@ def test_screened_slice_matches_full_matrix_rule(seed, boundary, sigma_db, near,
         return z
 
     full = first_hits(cand, *engine._serve(cand, ap, tree, normals))
-    with mock.patch.object(geomsim, "_SCREEN_NEAR", near):
-        kept, served = engine._screen(cand, ap, tree, needed, once)
+    kept, served = engine._screen(cand, ap, tree, needed, once)
     screened = first_hits(kept, *served)
     for a, b in zip(full, screened):
         assert np.array_equal(a, b)
@@ -1351,6 +1350,15 @@ def test_delay_ks_statistic_ignores_out_of_window_mass():
     )
     assert s2 != s1  # global normalization keeps the statistic honest
     assert 0.0 <= s2 <= 1.0
+
+
+def test_delay_ks_statistic_rejects_a_reversed_window():
+    scenario = canonical_validation_scenario()
+    ecdf = EmpiricalCdf.from_samples(np.linspace(0.011, 0.5, 100))
+    with pytest.raises(ModelDomainError, match=r"^need d_lo <= d_hi \(got 0\.3, 0\.1\)$"):
+        delay_ks_statistic(ecdf, scenario, 0.3, 0.1)
+    # an empty window is still a window
+    assert 0.0 <= delay_ks_statistic(ecdf, scenario, 0.1, 0.1) <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,14 @@ def test_empirical_cdf_step_values():
     )
 
 
+def test_empirical_cdf_rejects_nan():
+    ecdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0])
+    with pytest.raises(ModelDomainError, match=r"^x must not be NaN \(got nan\)$"):
+        ecdf.evaluate(math.nan)
+    with pytest.raises(ModelDomainError, match="x must not be NaN"):
+        ecdf.evaluate(np.array([0.0, math.nan]))
+
+
 def test_empirical_cdf_rejects_bad_input():
     with pytest.raises(ModelDomainError):
         EmpiricalCdf(np.array([2.0, 1.0]))  # unsorted
