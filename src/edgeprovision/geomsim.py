@@ -811,12 +811,11 @@ class _Engine:
         Each trial is deployed from its own stream. With shadowing, each is
         then counted by ``_tree_load``, whose association draws the trial's
         normals from its stream in order. Without shadowing, where deploy
-        makes every draw, the typical cell's devices are counted for all
-        of them at once. ``a0`` is the AP
-        nearest the window center, and the bisectors of its
-        ``_FILL_NEIGHBOURS`` nearest APs (minimum image) cut out a polygon
-        that holds its cell (``_bisector_polygon``); a device beyond the
-        polygon's radius is out. A device is in the cell if it is inside
+        makes every draw, the typical cell's devices are counted for all of
+        them at once. ``a0`` is the AP nearest the window center, and the
+        bisectors of its ``_FILL_NEIGHBOURS`` nearest APs (minimum image)
+        cut out a polygon that holds its cell (``_bisector_polygon``); a
+        device beyond the polygon's radius is out. A device is in the cell if it is inside
         every bisector and within half of ``r``, the farthest of those
         neighbours' distances: every other AP is at least ``r`` from
         ``a0``, so none is nearer. On the torus the neighbours' other

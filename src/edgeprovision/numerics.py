@@ -1,7 +1,6 @@
 """Shared numerical utilities: deterministic counter-based random streams,
 the stream-key rule, exponential variates, the empirical CDF, and a
-bracketed bisection root finder. The closed forms in
-:mod:`edgeprovision.analytic` need none of them.
+bracketed bisection root finder.
 
 The random-stream contract is the backbone of reproducible parallel Monte
 Carlo: a stream is keyed by ``(master_seed, stream_id)`` and always yields
