@@ -82,11 +82,15 @@ def bisect_root(
     """Find a root of monotone ``f`` on [lo, hi] by bracketed bisection.
 
     Returns the bracket midpoint once the bracket width is <= tol. Raises
-    BracketError when f(lo) and f(hi) have the same (nonzero) sign. Never
-    exceeds ceil(log2((hi-lo)/tol)) + 2 iterations.
+    BracketError when f(lo) and f(hi) have the same (nonzero) sign, and
+    ModelDomainError unless tol > 0 and lo < hi are finite. Never exceeds
+    ceil(log2((hi-lo)/tol)) + 2 iterations; that bound is taken without
+    forming hi - lo or its ratio to tol, either of which can overflow.
     """
     if not (tol > 0):
         raise ModelDomainError(f"tol must be > 0 (got {tol!r})")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ModelDomainError(f"need finite lo and hi (got {lo!r}, {hi!r})")
     if not (lo < hi):
         raise ModelDomainError(f"need lo < hi (got {lo!r}, {hi!r})")
     flo = f(lo)
@@ -99,7 +103,9 @@ def bisect_root(
         raise BracketError(
             f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} do not bracket a root"
         )
-    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
+    width = hi - lo
+    log_width = math.log2(width) if math.isfinite(width) else math.log2(0.5 * hi - 0.5 * lo) + 1.0
+    max_iter = math.ceil(max(log_width - math.log2(tol), 0.0)) + 2
     for _ in range(max_iter):
         if hi - lo <= tol:
             break

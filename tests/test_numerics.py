@@ -56,6 +56,20 @@ def test_bisect_iteration_bound():
     assert calls <= 2 + math.ceil(math.log2(8.0 / tol)) + 2
 
 
+@pytest.mark.parametrize(
+    "lo, hi, tol", [(0.0, 1e300, 1e-10), (-1e308, 1e308, 1.0)], ids=["ratio", "width"]
+)
+def test_bisect_bound_does_not_overflow(lo, hi, tol):
+    # (hi - lo) / tol overflows in the first case, hi - lo in the second
+    assert bisect_root(lambda x: x - 1.0, lo, hi, tol=tol) == pytest.approx(1.0, abs=tol)
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)])
+def test_bisect_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(ModelDomainError, match="need finite lo and hi"):
+        bisect_root(lambda x: x, lo, hi, tol=1e-6)
+
+
 def test_bisect_interval_shrinks_to_tol():
     root = bisect_root(lambda x: math.cos(x), 0.0, 3.0, tol=1e-11)
     assert abs(root - math.pi / 2) <= 1e-10
