@@ -19,15 +19,24 @@ A trial runs five stages, each drawing from the trial's stream in turn:
 4. *fill*: the saturation fill (see ``full_buffer``);
 5. *link*: fading, then SINR, rate, delay and the output choice.
 
+Trials run in blocks of about ``_BLOCK_POINTS`` expected APs and devices
+(``_Engine.trials``), one stage at a time for the whole block: after each
+trial is deployed and associated on its own k-d tree, the stages keep the
+block's APs, devices and fill candidates in flat arrays, joined end to end,
+and do their bookkeeping (counting loads, grouping devices by cell, finding
+each cell's first fill hit, the local fill's polygons) once per block.
+
 Determinism contract: trial ``i`` always consumes the random stream keyed
-``(master_seed, i)``, drawing in that stage order, so results are
-bit-identical for any worker count. The draws that fix the load (AP count
-and positions, device count and positions, shadowing) all come before
-scheduling, so ``run_loads`` runs only deploy and associate and still
-returns the loads ``run_trials`` sees. Without shadowing it does not even
-associate every device: it counts the typical cell's devices for a block
-of trials at once, inside the polygon its neighbours' bisectors cut out
-(``_Engine.typical_loads``), and leaves only near-ties to the k-d tree.
+``(master_seed, i)``, drawing in that stage order with the sizes it would
+draw alone, and sums its own interference, so its result does not depend on
+the other trials of its block, and results are bit-identical for any worker
+count. The draws that fix the load (AP count and positions, device count
+and positions, shadowing) all come before scheduling, so ``run_loads`` runs
+only deploy and associate and still returns the loads ``run_trials`` sees.
+Without shadowing it does not even associate every device: it counts the
+typical cell's devices for a block of trials at once, inside the polygon
+its neighbours' bisectors cut out (``_Engine.typical_loads``), and leaves
+only near-ties to the k-d tree.
 
 Two settings deliberately default to the closed forms' own
 assumptions rather than to the literal finite-window system:
@@ -175,12 +184,14 @@ _PERP = np.array([-1.0, 1.0])
 # directions of the disc tangents mirroring an AP, relative to its own
 _DISC_TANGENTS = np.array([0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0])
 _LN10 = math.log(10.0)
-# The load-only path counts the typical cell of a block of trials at once,
-# from (trials x devices) arrays and smaller ones; a block holds about this
-# many expected APs and devices in all, so its arrays stay under 1 MB apiece
-# whatever the densities. (On the validate load checks, 2**16 cost about
-# 5 MB more peak memory for a 5% faster load path.)
-_LOAD_BLOCK_POINTS = 2**14
+# Trials run in blocks, and a block holds about this many expected APs and
+# devices in all, whatever the densities. The load-only path counts the
+# typical cell of a block at once, from (trials x devices) arrays and
+# smaller ones, which stay under 1 MB apiece (on the validate load checks,
+# 2**16 cost about 5 MB more peak memory for a 5% faster load path). A full
+# trial block joins its trials' APs, devices and fill candidates, which stay
+# smaller still.
+_BLOCK_POINTS = 2**14
 # relative margin on squared distances by which the block count decides a
 # device's cell; anything closer is left to the k-d tree
 _TIE_SLACK = 1e-9
@@ -479,12 +490,49 @@ class SimSummary:
 # ---------------------------------------------------------------------------
 
 
-class _Engine:
-    """Per-config precomputation plus the staged single-trial kernel.
+class _Block:
+    """The trials of one block: each one's stream, APs and AP k-d tree.
 
-    Each stage takes and returns plain arrays; ``trial`` composes them in
-    stream order (deploy, associate, schedule, fill, link) and ``load``
-    stops after associate.
+    The APs are joined end to end, trial ``t``'s at ``ap[off[t]:off[t + 1]]``,
+    so one index into ``ap`` names a cell of the block, and ``trial[c]`` is
+    the trial of cell ``c``. The stages join their other arrays (devices,
+    cells, fill candidates) the same way: each trial's entries together, in
+    trial order.
+    """
+
+    def __init__(self, streams: list, aps: list, trees: list):
+        self.streams, self.trees = streams, trees
+        self.n_ap = np.array([len(ap) for ap in aps])
+        self.off = np.concatenate([[0], np.cumsum(self.n_ap)])
+        self.ap = np.concatenate(aps)
+        self.trial = np.repeat(np.arange(len(aps)), self.n_ap)
+
+    def bounds(self, trial: np.ndarray) -> list[int]:
+        """Where each trial's entries start in a joined array whose entries
+        belong to trials ``trial`` (ascending), then where the last ends."""
+        return np.searchsorted(trial, np.arange(len(self.streams) + 1)).tolist()
+
+    def parts(self, trial: np.ndarray) -> list[tuple[int, int, int]]:
+        """``(t, lo, hi)`` for each trial ``t`` with entries in such an array:
+        its entries are ``[lo, hi)``."""
+        bounds = self.bounds(trial)
+        return [(t, lo, hi) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+
+    def cells(self, t: int) -> slice:
+        """Trial ``t``'s cells."""
+        return slice(int(self.off[t]), int(self.off[t + 1]))
+
+
+class _Engine:
+    """Per-config precomputation plus the staged trial kernel.
+
+    ``trials`` runs a block of trials one stage at a time: each trial is
+    deployed from its own stream, then ``associate``, ``schedule``,
+    ``fill`` and ``link`` each take the whole block (``_Block``) and keep
+    its trials' arrays joined end to end, so their bookkeeping runs once
+    per block. The draws, the k-d trees and their queries, and each
+    trial's interference sum stay per trial. ``typical_loads`` counts the
+    typical cell of a block of deployed trials without the later stages.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -503,6 +551,12 @@ class _Engine:
             if cfg.shadowing_sigma_db is None
             else cfg.shadowing_sigma_db * _LN10 / 10.0
         )
+
+    def blocks(self, lo: int, hi: int) -> list[range]:
+        """Trials [lo, hi) in consecutive blocks of about ``_BLOCK_POINTS``
+        expected APs and devices in all."""
+        size = max(1, int(_BLOCK_POINTS / (1.0 + self.expected_aps + self.expected_devs)))
+        return [range(i, min(i + size, hi)) for i in range(lo, hi, size)]
 
     def _shadow_normals(self, stream: RngStream, n_points: int, n_ap: int):
         """Normals behind the shadowing gains of an (n_points, n_ap) pathloss
@@ -523,8 +577,9 @@ class _Engine:
     def _serve(
         self, points: np.ndarray, ap: np.ndarray, tree, normals: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Serving index and own pathloss per point; also the pathloss rows
-        when shadowed (needed for cross pathlosses). Draws nothing."""
+        """Serving index and own pathloss per point of one trial; also the
+        pathloss rows when shadowed (needed for cross pathlosses). Draws
+        nothing."""
         if normals is None:
             dist, serving = tree.query(points)
             return serving, dist ** 4, None
@@ -537,8 +592,8 @@ class _Engine:
         return serving, pathloss[np.arange(len(pathloss)), serving], pathloss
 
     def deploy(self, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-        """AP and device positions, the typical device first at the window
-        center. An empty AP draw is redrawn."""
+        """AP and device positions of one trial, the typical device first at
+        the window center. An empty AP draw is redrawn."""
         n_ap = stream.poisson(self.expected_aps)
         while n_ap == 0:
             n_ap = stream.poisson(self.expected_aps)
@@ -549,106 +604,160 @@ class _Engine:
         dev[1:] = self.window.sample(stream, n_dev)
         return ap, dev
 
-    def associate(self, stream: RngStream, ap: np.ndarray, dev: np.ndarray):
-        """Minimum-pathloss association of every device.
+    @staticmethod
+    def _typical_cells(serving: np.ndarray, deployed: list) -> np.ndarray:
+        """Serving cell of each deployed trial's typical device (its first),
+        from the joined devices' serving cells."""
+        return serving[np.cumsum([0] + [len(dev) for _, dev in deployed[:-1]])]
 
-        Returns the AP k-d tree (built on both paths: the shadowed fill
-        screens its candidates with it), the serving index and own pathloss
-        per device, the device count per AP, and each device's
-        cross pathloss to the typical device's AP when shadowed (else None).
+    def associate(self, streams: list, deployed: list):
+        """Minimum-pathloss association of every device of the deployed
+        ``(ap, dev)`` trials, whose streams are ``streams``.
+
+        Each trial builds its AP k-d tree (on both paths: the shadowed fill
+        screens its candidates with it), draws its shadowing normals and
+        serves its devices. Returns the ``_Block``, then for the trials'
+        devices joined end to end their serving cells, own pathlosses and,
+        when shadowed, cross pathlosses to their trial's typical device's
+        cell (else None), and the device count of every cell.
         """
         from scipy.spatial import cKDTree
 
-        tree = cKDTree(ap, boxsize=self.side) if self.torus else cKDTree(ap)
-        normals = self._shadow_normals(stream, len(dev), len(ap))
-        serving, own, pathloss = self._serve(dev, ap, tree, normals)
-        counts = np.bincount(serving, minlength=len(ap))
-        cross = None if pathloss is None else pathloss[:, serving[0]]
-        return tree, serving, own, counts, cross
+        trees, serving, own, cross = [], [], [], []
+        off = 0
+        for stream, (ap, dev) in zip(streams, deployed):
+            tree = cKDTree(ap, boxsize=self.side) if self.torus else cKDTree(ap)
+            normals = self._shadow_normals(stream, len(dev), len(ap))
+            cell, cell_own, pathloss = self._serve(dev, ap, tree, normals)
+            trees.append(tree)
+            serving.append(cell + off)
+            own.append(cell_own)
+            if pathloss is not None:
+                # a copy, so that the trial's pathloss matrix is freed now
+                cross.append(pathloss[:, cell[0]].copy())
+            off += len(ap)
+        block = _Block(streams, [ap for ap, _ in deployed], trees)
+        serving = np.concatenate(serving)
+        counts = np.bincount(serving, minlength=len(block.ap))
+        return block, serving, np.concatenate(own), counts, np.concatenate(cross) if cross else None
 
     def schedule(
-        self, stream: RngStream, serving: np.ndarray, counts: np.ndarray, a0: int
+        self, block: _Block, serving: np.ndarray, counts: np.ndarray, a0: np.ndarray
     ) -> np.ndarray:
-        """Index of one uniformly chosen device per non-serving non-empty cell."""
+        """Index of one uniformly chosen device per non-empty cell other than
+        its trial's serving cell ``a0``, among the joined devices with
+        serving cells ``serving``, by cell. Each trial draws its choices
+        from its stream, none when it has no such cell."""
         order = np.argsort(serving, kind="stable")
         starts = np.cumsum(counts) - counts
-        cells = np.nonzero(counts)[0]
-        cells = cells[cells != a0]
-        if not cells.size:
+        busy = counts > 0
+        busy[a0] = False
+        cells = np.nonzero(busy)[0]
+        picks = [
+            block.streams[t].integers(0, counts[cells[lo:hi]])
+            for t, lo, hi in block.parts(block.trial[cells])
+        ]
+        if not picks:
             return np.empty(0, dtype=np.intp)
-        return order[starts[cells] + stream.integers(0, counts[cells])]
+        return order[starts[cells] + np.concatenate(picks)]
 
     def fill(
-        self, stream: RngStream, ap: np.ndarray, tree, counts: np.ndarray, a0: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Saturation fill: one uniform device in every empty non-serving cell.
+        self, block: _Block, counts: np.ndarray, a0: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Saturation fill: one uniform device in every empty cell other than
+        its trial's serving cell ``a0``.
 
         Global rejection batches of ``8 * n_ap * 2**b`` window-uniform
         candidates, at most ``_FILL_BATCHES``, each drawn and associated
         ``_FILL_SLICE * n_ap`` candidates at a time until no cell is left
-        empty; the first candidate to land in a cell fills it. Without
-        shadowing, the first batch stops before a slice once fewer than
-        ``_FILL_STOP * n_ap`` cells are empty, the cells still empty are
-        filled locally (``_local_fill``: draws uniform in the polygon that
-        the bisectors of each cell's nearest APs cut out, kept when they
-        land in the cell), and only the cells that step does not fill go on
-        to batches 2+. With shadowing, a slice in which
-        fewer than ``_SCREEN_MAX * n_ap`` cells are empty is screened
-        (``_screen``): only the candidates that may land in an empty cell
-        get a full row of shadowing normals, which picks the same hits as
-        drawing the whole block. Fills come in ascending cell order; a cell
-        still empty at the batch cap gets none. Returns positions, own
-        pathlosses and cross pathlosses to AP ``a0`` (None unless shadowed).
+        empty; the first candidate to land in a cell fills it. A slice runs
+        every trial that still draws (``_fill_slice``), and then finds the
+        first hit per cell for all of them at once. Without shadowing, a
+        trial's first batch stops before a slice once fewer than
+        ``_FILL_STOP * n_ap`` of its cells are empty, the cells still empty
+        are filled locally (``_local_fill``: draws uniform in the polygon
+        that the bisectors of each cell's nearest APs cut out, kept when
+        they land in the cell), and only the cells that step does not fill
+        go on to batches 2+. With shadowing, a slice in which fewer than
+        ``_SCREEN_MAX * n_ap`` cells are empty is screened (``_screen``).
+        A cell still empty at the batch cap gets none. Returns the filled
+        cells (ascending), their points, own pathlosses and cross
+        pathlosses to their trial's ``a0`` (None unless shadowed).
         """
-        n_ap = len(ap)
-        step = _FILL_SLICE * n_ap
         shadowed = self.sigma_scale is not None
         needed = counts == 0
         needed[a0] = False
         cells = np.nonzero(needed)[0]
-        pts, own, cross = np.empty((n_ap, 2)), np.empty(n_ap), np.empty(n_ap)
-        stop = 1 if shadowed else _FILL_STOP * n_ap
+        n = len(block.ap)
+        pts, own, cross = np.empty((n, 2)), np.empty(n), np.empty(n)
+        empty = np.bincount(block.trial[cells], minlength=len(block.streams))
+        stop = 1 if shadowed else _FILL_STOP * block.n_ap
 
-        def drawn(rows, cols):
-            return stream.normal(np.broadcast_shapes(rows.shape, cols.shape))
+        def fill_from(got, points, points_own):
+            needed[got] = False
+            pts[got], own[got] = points, points_own
+            empty[:] -= np.bincount(block.trial[got], minlength=len(empty))
 
         for batch in range(_FILL_BATCHES):
-            if not needed.any():
+            if not empty.any():
                 break
             if batch == 1 and not shadowed:
                 left = np.nonzero(needed)[0]
-                done, local_pts, local_own = self._local_fill(stream, ap, tree, left)
-                got = left[done]
-                needed[got] = False
-                pts[got], own[got] = local_pts[done], local_own[done]
+                done, local_pts, local_own = self._local_fill(block, left)
+                fill_from(left[done], local_pts[done], local_own[done])
                 stop = 1
             for _ in range((8 << batch) // _FILL_SLICE):
-                n_empty = np.count_nonzero(needed)
-                if n_empty < stop:
+                active = np.nonzero(empty >= stop)[0]
+                if not active.size:
                     break
-                cand = self.window.sample(stream, step)
-                if shadowed and n_empty < _SCREEN_MAX * n_ap:
-                    cand, (serving, cand_own, pathloss) = self._screen(
-                        cand, ap, tree, needed, drawn
-                    )
-                else:
-                    serving, cand_own, pathloss = self._serve(
-                        cand, ap, tree, self._shadow_normals(stream, step, n_ap)
-                    )
+                sliced = list(
+                    zip(*(self._fill_slice(block, t, needed, a0[t], empty[t]) for t in active))
+                )
+                cand, serving, cand_own = (np.concatenate(x) for x in sliced[:3])
                 hit = np.nonzero(needed[serving])[0]
                 got, first = np.unique(serving[hit], return_index=True)
                 take = hit[first]
-                needed[got] = False
-                pts[got], own[got] = cand[take], cand_own[take]
                 if shadowed:
-                    cross[got] = pathloss[take, a0]
+                    cross[got] = np.concatenate(sliced[3])[take]
+                fill_from(got, cand[take], cand_own[take])
         cells = cells[~needed[cells]]
-        return pts[cells], own[cells], cross[cells] if shadowed else None
+        return cells, pts[cells], own[cells], cross[cells] if shadowed else None
+
+    def _fill_slice(self, block: _Block, t: int, needed: np.ndarray, a0: int, n_empty: int):
+        """One global fill slice of trial ``t``: ``_FILL_SLICE * n_ap``
+        window-uniform candidates from its stream, and for those kept their
+        serving cells, own pathlosses and cross pathlosses to the trial's
+        serving cell ``a0`` (None unless shadowed). With shadowing, a slice
+        of a trial with fewer than ``_SCREEN_MAX * n_ap`` of the cells
+        marked in ``needed`` is screened (``_screen``): only the candidates
+        that may land in one of them are kept, and get a full row of
+        shadowing normals, which picks the same hits as drawing the whole
+        block."""
+        stream, tree, own_cells = block.streams[t], block.trees[t], block.cells(t)
+        ap = block.ap[own_cells]
+        first = own_cells.start
+        cand = self.window.sample(stream, _FILL_SLICE * len(ap))
+        if self.sigma_scale is None:
+            serving, cand_own, _ = self._serve(cand, ap, tree, None)
+            return cand, serving + first, cand_own, None
+        if n_empty < _SCREEN_MAX * len(ap):
+
+            def drawn(rows, cols):
+                return stream.normal(np.broadcast_shapes(rows.shape, cols.shape))
+
+            cand, (serving, cand_own, pathloss) = self._screen(
+                cand, ap, tree, needed[own_cells], drawn
+            )
+        else:
+            normals = self._shadow_normals(stream, len(cand), len(ap))
+            serving, cand_own, pathloss = self._serve(cand, ap, tree, normals)
+        # a copy, so that the slice's pathloss matrix is freed now
+        return cand, serving + first, cand_own, pathloss[:, a0 - first].copy()
 
     def _screen(self, cand: np.ndarray, ap: np.ndarray, tree, needed: np.ndarray, normals):
-        """The candidates of a shadowed fill slice that may land in a cell
-        marked in ``needed``, in candidate order, and their ``_serve``
-        results (serving AP, own pathloss, pathloss rows).
+        """The candidates of one trial's shadowed fill slice that may land in
+        a cell marked in ``needed``, in candidate order, and their
+        ``_serve`` results (serving AP, own pathloss, pathloss rows).
 
         ``normals(rows, cols)`` returns the shadowing normals of the
         candidate-AP pairs ``(rows, cols)`` (index arrays, broadcast
@@ -684,33 +793,36 @@ class _Engine:
         pathloss[:, empty] = empty_pl[keep]
         return kept, self._least(pathloss)
 
-    def _cell_polygon(self, ap: np.ndarray, tree, cells: np.ndarray):
-        """The polygon around each AP in ``cells`` that holds its whole cell
-        (the part in the window): ``d``, ``lo``, ``hi`` and ``rho`` as
-        ``_bisector_polygon`` gives them.
+    def _cell_polygon(self, block: _Block, cells: np.ndarray):
+        """The polygon around each cell in ``cells`` (ascending by trial) that
+        holds the whole cell (the part in the window): ``d``, ``lo``, ``hi``
+        and ``rho`` as ``_bisector_polygon`` gives them.
 
         ``d`` holds the displacements of the AP's ``_FILL_NEIGHBOURS``
-        nearest APs (minimum image on the torus): a point of the cell is no
-        farther from the AP than from any neighbour, and on the torus no
-        farther than from the neighbour's image at ``d``. On the disc the
-        window adds three neighbours, the AP's mirror images across the
-        window's tangents at the AP's own direction and at +-2pi/3 from it:
-        their half-planes are the sides of the tangents that hold the
-        window, and together they bound every polygon, edge cells included.
-        On the torus ``rho`` is nan unless it is below half the side, so
-        that the polygon around the AP does not wrap onto itself. (The AP's
-        periodic images would bound a torus polygon too, but only with a
-        vertex on an image's bisector, at half the side or more, so they
-        would bound no cell that passes.) With ``_FILL_NEIGHBOURS`` APs or
-        fewer, no polygon is bounded.
+        nearest APs of its trial (minimum image on the torus): a point of
+        the cell is no farther from the AP than from any neighbour, and on
+        the torus no farther than from the neighbour's image at ``d``. On
+        the disc the window adds three neighbours, the AP's mirror images
+        across the window's tangents at the AP's own direction and at
+        +-2pi/3 from it: their half-planes are the sides of the tangents
+        that hold the window, and together they bound every polygon, edge
+        cells included. On the torus ``rho`` is nan unless it is below half
+        the side, so that the polygon around the AP does not wrap onto
+        itself. (The AP's periodic images would bound a torus polygon too,
+        but only with a vertex on an image's bisector, at half the side or
+        more, so they would bound no cell that passes.) In a trial with
+        ``_FILL_NEIGHBOURS`` APs or fewer, no polygon is bounded: its cells'
+        ``rho`` is nan.
         """
-        k = _FILL_NEIGHBOURS + (0 if self.torus else len(_DISC_TANGENTS))
-        if len(ap) <= _FILL_NEIGHBOURS:
-            nothing = np.full((len(cells), k), np.nan)
-            return np.zeros((len(cells), k, 2)), nothing, nothing, nothing[:, 0]
-        p = ap[cells]
-        _, nb = tree.query(p, k=_FILL_NEIGHBOURS + 1)
-        d = ap[nb[:, 1:]] - p[:, None]
+        k = _FILL_NEIGHBOURS
+        p = block.ap[cells]
+        few = block.n_ap[block.trial[cells]] <= k
+        # a cell of a trial with too few APs is its own neighbour, for shape
+        nb = np.repeat(cells[:, None], k, axis=1)
+        for t, lo, hi in block.parts(block.trial[cells]):
+            if block.n_ap[t] > k:
+                nb[lo:hi] = block.trees[t].query(p[lo:hi], k=k + 1)[1][:, 1:] + block.off[t]
+        d = block.ap[nb] - p[:, None]
         if self.torus:
             d -= self.side * np.round(d / self.side)
         else:
@@ -721,27 +833,32 @@ class _Engine:
         lo, hi, rho = _bisector_polygon(d)
         if self.torus:
             rho[rho >= 0.5 * self.side] = np.nan
+        rho[few] = np.nan
         return d, lo, hi, rho
 
     def _local_fill(
-        self, stream: RngStream, ap: np.ndarray, tree, cells: np.ndarray
+        self, block: _Block, cells: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One point uniform in the cell of each AP in ``cells`` (which may
-        repeat), with its own pathloss; unshadowed association only.
+        """One point uniform in each cell in ``cells`` (ascending by trial;
+        a cell may repeat), with its own pathloss; unshadowed association
+        only.
 
         Candidates are uniform in the cell's polygon (``_cell_polygon``,
-        ``_polygon_points``), three uniforms each. Round ``r`` draws
-        ``2**r`` of them per cell still to fill, one in the first round,
-        for at most ``_FILL_BATCHES`` rounds, so a cell whose polygon is
-        much larger than the cell does not hold up the others for many
-        rounds. The first candidate that lies in the window and has that AP
-        as its nearest is kept (k-d tree, which also gives its own
-        pathloss). Since the polygon holds the whole cell, the kept point
-        is exactly uniform in the cell. Returns a mask of the cells that
-        got a point (False where the polygon is not bounded or no round hit
-        the cell), the points and their own pathlosses.
+        ``_polygon_points``), three uniforms each from the cell's trial's
+        stream. Round ``r`` draws ``2**r`` of them per cell still to fill,
+        one in the first round, for at most ``_FILL_BATCHES`` rounds, so a
+        cell whose polygon is much larger than the cell does not hold up the
+        others for many rounds. A round joins every trial's cells: each
+        trial draws its uniforms and queries its k-d tree, and the polygon
+        points and hits are found for all of them at once. The first
+        candidate that lies in the window and has that AP as its nearest is
+        kept (k-d tree, which also gives its own pathloss). Since the
+        polygon holds the whole cell, the kept point is exactly uniform in
+        the cell. Returns a mask of the cells that got a point (False where
+        the polygon is not bounded or no round hit the cell), the points and
+        their own pathlosses.
         """
-        d, lo, hi, rho = self._cell_polygon(ap, tree, cells)
+        d, lo, hi, rho = self._cell_polygon(block, cells)
         todo = np.nonzero(np.isfinite(rho))[0]
         done = np.zeros(len(cells), dtype=bool)
         pts, own = np.empty((len(cells), 2)), np.empty(len(cells))
@@ -753,14 +870,22 @@ class _Engine:
             m = 1 << r
             rows = np.repeat(live, m)
             owner = cells[todo[rows]]
-            u = stream.uniform((rows.size, 3))
-            cand = ap[owner] + _polygon_points(d[rows], lo[rows], hi[rows], u)
+            parts = block.parts(block.trial[owner])
+            u = np.concatenate([block.streams[t].uniform((b - a, 3)) for t, a, b in parts])
+            cand = block.ap[owner] + _polygon_points(d[rows], lo[rows], hi[rows], u)
             if self.torus:
                 cand %= self.side
                 in_window = True
             else:
                 in_window = (cand * cand).sum(axis=-1) <= self.window.radius**2
-            serving, cand_own, _ = self._serve(cand, ap, tree, None)
+            serving = np.empty(len(cand), dtype=np.intp)
+            cand_own = np.empty(len(cand))
+            for t, a, b in parts:
+                own_cells = block.cells(t)
+                serving[a:b], cand_own[a:b], _ = self._serve(
+                    cand[a:b], block.ap[own_cells], block.trees[t], None
+                )
+                serving[a:b] += own_cells.start
             hit = (in_window & (serving == owner)).reshape(live.size, m)
             first = hit.argmax(axis=1)
             won = np.nonzero(hit[np.arange(live.size), first])[0]
@@ -773,44 +898,56 @@ class _Engine:
 
     def link(
         self,
-        stream: RngStream,
-        tagged_ap: np.ndarray,
+        block: _Block,
+        a0: np.ndarray,
+        trial: np.ndarray,
         pts: np.ndarray,
         own: np.ndarray,
         cross: np.ndarray | None,
-        load: int,
-    ) -> tuple[float, float, float, bool]:
-        """Fading, SINR, rate, delay and output choice of the typical device.
+        loads: np.ndarray,
+    ) -> list[tuple[float, float, float, bool]]:
+        """Fading, SINR, rate, delay and output choice of each trial's
+        typical device: ``(sinr, rate, delay, used_cloud)`` per trial.
 
-        ``cross`` is None on the k-d tree path, where the interferers' cross
-        pathlosses follow from their distances to ``tagged_ap``.
+        The interferers ``pts`` belong to trials ``trial`` (ascending), each
+        trial's in the order its sum takes them, with own pathlosses
+        ``own`` and cross pathlosses ``cross`` to their trial's serving
+        cell ``a0``. ``cross`` is None on the k-d tree path, where they
+        follow from the distances to that cell's AP. Each trial draws its
+        fading from its stream and sums its own interference, so the sum
+        rounds as it would for the trial alone.
         """
         s = self.cfg.scenario
         if cross is None:
-            sq = _sq_dist(pts, tagged_ap, self.side)
+            sq = _sq_dist(pts, block.ap[a0[trial]], self.side)
             cross = sq * sq
-        h = np.atleast_1d(exponential_variate(stream, 1.0, size=len(own) + 1))
-        interference = float(np.dot(own / cross, h[1:]))
-        denom = self.snr_inv + interference
-        sinr = math.inf if denom == 0.0 else float(h[0]) / denom
-        share = self.mean_share if self.cfg.load_model == "mean_field" else float(load)
-        rate = uplink_rate(sinr, s.air.bandwidth, share)
-        delay = cloud_delay(rate, s.workload)
-        return sinr, rate, delay, select_output(delay, s.workload)
+        ratio = own / cross
+        bounds = block.bounds(trial)
+        out = []
+        for stream, lo, hi, load in zip(block.streams, bounds, bounds[1:], loads.tolist()):
+            h = np.atleast_1d(exponential_variate(stream, 1.0, size=hi - lo + 1))
+            interference = float(np.dot(ratio[lo:hi], h[1:]))
+            denom = self.snr_inv + interference
+            sinr = math.inf if denom == 0.0 else float(h[0]) / denom
+            share = self.mean_share if self.cfg.load_model == "mean_field" else float(load)
+            rate = uplink_rate(sinr, s.air.bandwidth, share)
+            delay = cloud_delay(rate, s.workload)
+            out.append((sinr, rate, delay, select_output(delay, s.workload)))
+        return out
 
-    def _tree_load(self, stream: RngStream, ap: np.ndarray, dev: np.ndarray) -> int:
-        """Serving-cell load of a deployed trial, by associating every
+    def _tree_loads(self, streams: list, deployed: list) -> np.ndarray:
+        """Serving-cell loads of deployed trials, by associating every
         device."""
-        _, serving, _, counts, _ = self.associate(stream, ap, dev)
-        return int(counts[serving[0]])
+        _, serving, _, counts, _ = self.associate(streams, deployed)
+        return counts[self._typical_cells(serving, deployed)]
 
     def typical_loads(self, indices: range) -> np.ndarray:
         """Serving-cell loads of the trials in ``indices``, equal to
         ``simulate_trial(cfg, i).load_nu`` of each.
 
-        Each trial is deployed from its own stream. With shadowing, each is
-        then counted by ``_tree_load``, whose association draws the trial's
-        normals from its stream in order. Without shadowing, where deploy
+        Each trial is deployed from its own stream. With shadowing, they are
+        then counted by ``_tree_loads``, whose association draws each
+        trial's normals from its stream in order. Without shadowing, where deploy
         makes every draw, the typical cell's devices are counted for all of
         them at once. ``a0`` is the AP nearest the window center, and the
         bisectors of its ``_FILL_NEIGHBOURS`` nearest APs (minimum image)
@@ -825,14 +962,14 @@ class _Engine:
         so rounding cannot make it disagree with the k-d tree. A device left
         undecided is compared with every AP of its trial. A trial with a
         device still undecided, or with ``_FILL_NEIGHBOURS`` APs or fewer,
-        is counted by associating every device (``_tree_load``). Two APs
+        is counted by associating every device (``_tree_loads``). Two APs
         that tie for the center leave the typical device itself undecided.
         """
         streams = [RngStream(self.cfg.master_seed, i) for i in indices]
         return self._typical_counts(streams, [self.deploy(s) for s in streams])
 
     def _typical_counts(self, streams: list, deployed: list) -> np.ndarray:
-        """``_tree_load`` of each deployed ``(ap, dev)`` trial, the typical
+        """``_tree_loads`` of the deployed ``(ap, dev)`` trials, the typical
         device first at the window center, decided for all of them at once
         as ``typical_loads`` describes; ``streams`` are the trials' streams,
         past deploy."""
@@ -841,8 +978,7 @@ class _Engine:
         n_dev = np.array([len(dev) for _, dev in deployed])
         fallback = (n_ap <= k) | (self.sigma_scale is not None)
         if fallback.all():
-            loads = [self._tree_load(s, *z) for s, z in zip(streams, deployed)]
-            return np.array(loads, dtype=np.int64)
+            return self._tree_loads(streams, deployed)
         ap_ok = np.arange(n_ap.max()) < n_ap[:, None]
         dev_ok = np.arange(n_dev.max()) < n_dev[:, None]
         aps, devs = np.zeros(ap_ok.shape + (2,)), np.zeros(dev_ok.shape + (2,))
@@ -889,39 +1025,62 @@ class _Engine:
             nearest = to_all.min(axis=1)
             np.add.at(count, t, away(nearest, own))
             fallback[t[~away(nearest, own) & ~away(own, nearest)]] = True
-        for t in np.nonzero(fallback)[0]:
-            count[t] = self._tree_load(streams[t], *deployed[t])
+        slow = np.nonzero(fallback)[0].tolist()
+        if slow:
+            count[slow] = self._tree_loads([streams[t] for t in slow], [deployed[t] for t in slow])
         return count
 
-    def trial(self, index: int, collect: bool = False):
-        stream = RngStream(self.cfg.master_seed, index)
-        ap, dev = self.deploy(stream)
-        tree, serving, own, counts, cross = self.associate(stream, ap, dev)
-        a0 = int(serving[0])
-        load = int(counts[a0])
-        members = self.schedule(stream, serving, counts, a0)
-        pts, own = dev[members], own[members]
+    def trials(self, indices: range, collect: bool = False):
+        """Run the trials in ``indices`` as one block: deploy, associate,
+        schedule, fill (with ``full_buffer``) and link.
+
+        Trial ``i`` draws from stream ``(master_seed, i)`` in that stage
+        order, with the sizes it would draw alone, so its result does not
+        depend on the other trials of the block. Returns the trials'
+        delays, output choices and loads as arrays, or with ``collect``
+        their ``TrialRealization``s.
+        """
+        streams = [RngStream(self.cfg.master_seed, i) for i in indices]
+        deployed = [self.deploy(stream) for stream in streams]
+        block, serving, own, counts, cross = self.associate(streams, deployed)
+        dev = np.concatenate([d for _, d in deployed])
+        a0 = self._typical_cells(serving, deployed)
+        loads = counts[a0]
+        members = self.schedule(block, serving, counts, a0)
+        cells, pts, own = serving[members], dev[members], own[members]
         cross = None if cross is None else cross[members]
         if self.cfg.full_buffer:
-            fill_pts, fill_own, fill_cross = self.fill(stream, ap, tree, counts, a0)
-            pts = np.concatenate([pts, fill_pts])
-            own = np.concatenate([own, fill_own])
-            cross = None if cross is None else np.concatenate([cross, fill_cross])
-        sinr, rate, delay, used = self.link(stream, ap[a0], pts, own, cross, load)
+            fill_cells, fill_pts, fill_own, fill_cross = self.fill(block, counts, a0)
+            # each trial's scheduled devices, then its fill points
+            cells = np.concatenate([cells, fill_cells])
+            order = np.argsort(block.trial[cells], kind="stable")
+            cells, pts = cells[order], np.concatenate([pts, fill_pts])[order]
+            own = np.concatenate([own, fill_own])[order]
+            cross = None if cross is None else np.concatenate([cross, fill_cross])[order]
+        trial = block.trial[cells]
+        links = self.link(block, a0, trial, pts, own, cross, loads)
+        bounds = block.bounds(trial)
 
         if not collect:
-            return delay, used, load
-        return TrialRealization(
-            ap_points=ap - self.center,
-            dev_points=dev - self.center,
-            serving_ap=a0,
-            load_nu=load,
-            interferer_set=pts - self.center,
-            sinr_u=sinr,
-            rate_u=rate,
-            delay=delay,
-            used_cloud=bool(used),
-        )
+            delays = np.array([delay for _, _, delay, _ in links])
+            used = np.array([used for _, _, _, used in links], dtype=bool)
+            return delays, used, loads
+        return [
+            TrialRealization(
+                ap_points=ap - self.center,
+                dev_points=d - self.center,
+                serving_ap=int(a0[t] - block.off[t]),
+                load_nu=int(loads[t]),
+                interferer_set=pts[lo:hi] - self.center,
+                sinr_u=sinr,
+                rate_u=rate,
+                delay=delay,
+                used_cloud=bool(used),
+            )
+            for t, ((ap, d), (sinr, rate, delay, used), lo, hi) in enumerate(
+                zip(deployed, links, bounds, bounds[1:])
+            )
+        ]
 
 
 def _pool_size(workers: int, trials: int) -> int:
@@ -973,25 +1132,18 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
 
 
 def _simulate_range(cfg: SimConfig, lo: int, hi: int):
+    """Delays, output choices and loads of trials [lo, hi), run by
+    ``_Engine.trials`` in the blocks of ``_Engine.blocks``."""
     engine = _Engine(cfg)
-    n = hi - lo
-    delays = np.empty(n)
-    used = np.empty(n, dtype=bool)
-    loads = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        delays[k], used[k], loads[k] = engine.trial(lo + k)
-    return delays, used, loads
+    parts = [engine.trials(block) for block in engine.blocks(lo, hi)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _load_range(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Loads of trials [lo, hi), counted by ``_Engine.typical_loads`` in
-    blocks of trials holding about ``_LOAD_BLOCK_POINTS`` expected APs and
-    devices."""
+    """Loads of trials [lo, hi), counted by ``_Engine.typical_loads`` in the
+    blocks of ``_Engine.blocks``."""
     engine = _Engine(cfg)
-    size = max(1, int(_LOAD_BLOCK_POINTS / (1.0 + engine.expected_aps + engine.expected_devs)))
-    return np.concatenate(
-        [engine.typical_loads(range(i, min(i + size, hi))) for i in range(lo, hi, size)]
-    )
+    return np.concatenate([engine.typical_loads(block) for block in engine.blocks(lo, hi)])
 
 
 def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
@@ -999,7 +1151,7 @@ def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
     ``run_trials`` uses for that index)."""
     if not (0 <= index < cfg.trials):
         raise ModelDomainError(f"index must be in [0, {cfg.trials}) (got {index!r})")
-    return _Engine(cfg).trial(index, collect=True)
+    return _Engine(cfg).trials(range(index, index + 1), collect=True)[0]
 
 
 def _summarize(cfg: SimConfig, parts: list) -> SimSummary:

@@ -115,7 +115,7 @@ def test_deploy_never_returns_empty_ap_set():
 def test_associate_stage_picks_min_pathloss():
     engine = geomsim._Engine(small_cfg(boundary="disc"))
     ap = np.array([[1.0, 0.0], [2.0, 0.0]])
-    _, serving, own, counts, cross = engine.associate(RngStream(0, 0), ap, np.zeros((1, 2)))
+    _, serving, own, counts, cross = engine.associate([RngStream(0, 0)], [(ap, np.zeros((1, 2)))])
     assert serving.tolist() == [0]
     assert own.tolist() == [1.0]  # distance 1 -> pathloss 1**4
     assert counts.tolist() == [1, 0]
@@ -175,7 +175,7 @@ def test_link_sinr_matches_formula():
     # so cross pathlosses 16 and 81
     tagged = np.array([0.5, 0.5])
     pts = np.array([[2.5, 0.5], [0.5, engine.side - 2.5]])
-    sinr, rate, delay, used = engine.link(RngStream(5, 0), tagged, pts, own, None, 1)
+    sinr, rate, delay, used = _link_one(engine, RngStream(5, 0), tagged, pts, own, 1)
     h = exponential_variate(RngStream(5, 0), 1.0, size=3)
     assert sinr == pytest.approx(h[0] / (0.25 + h[1] / 16.0 + 2.0 * h[2] / 81.0), rel=1e-12)
     assert rate == uplink_rate(sinr, 1.6e8, engine.mean_share)
@@ -183,8 +183,17 @@ def test_link_sinr_matches_formula():
     assert used == (delay <= base.workload.delay_budget)
     # no interferer and no noise: unbounded SINR
     engine = geomsim._Engine(small_cfg())
-    sinr, *_ = engine.link(RngStream(5, 0), np.zeros(2), np.empty((0, 2)), np.empty(0), None, 1)
+    sinr, *_ = _link_one(engine, RngStream(5, 0), np.zeros(2), np.empty((0, 2)), np.empty(0), 1)
     assert math.isinf(sinr)
+
+
+def _link_one(engine, stream, tagged, pts, own, load):
+    """``engine.link`` of a block of one trial whose typical device is served
+    at ``tagged``, interfered with from ``pts`` (k-d tree path)."""
+    block = geomsim._Block([stream], [tagged[None]], [None])
+    trial = np.zeros(len(pts), dtype=np.intp)
+    [result] = engine.link(block, np.array([0]), trial, pts, own, None, np.array([load]))
+    return result
 
 
 def test_uplink_rate_examples():
@@ -584,23 +593,23 @@ def test_typical_loads_decide_most_trials_without_the_tree(boundary):
     # decides nearly all of them without associating every device
     cfg = small_cfg(window_radius=5.0, boundary=boundary)
     engine = geomsim._Engine(cfg)
-    tree_load, slow = engine._tree_load, []
+    tree_loads, slow = engine._tree_loads, []
 
-    def counting_tree_load(*args):
-        slow.append(True)
-        return tree_load(*args)
+    def counting_tree_loads(streams, deployed):
+        slow.extend(streams)
+        return tree_loads(streams, deployed)
 
-    engine._tree_load = counting_tree_load
+    engine._tree_loads = counting_tree_loads
     loads = engine.typical_loads(range(200))
     assert len(slow) <= 10
-    engine._tree_load = tree_load
+    engine._tree_loads = tree_loads
     assert loads.tolist() == [simulate_trial(cfg, i).load_nu for i in range(200)]
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
 @pytest.mark.parametrize("boundary", ["torus", "disc"])
 def test_load_blocks_of_any_size_give_the_same_loads(monkeypatch, boundary):
-    # run_loads counts blocks of about _LOAD_BLOCK_POINTS expected points;
+    # run_loads counts blocks of about _BLOCK_POINTS expected points;
     # blocks of 1, 7 and all 30 trials give the same array
     cfg = small_cfg(window_radius=5.0, boundary=boundary, trials=30)
     engine = geomsim._Engine(cfg)
@@ -615,7 +624,7 @@ def test_load_blocks_of_any_size_give_the_same_loads(monkeypatch, boundary):
     reference = [simulate_trial(cfg, i).load_nu for i in range(30)]
     for size in (1, 7, 30):
         sizes.clear()
-        monkeypatch.setattr(geomsim, "_LOAD_BLOCK_POINTS", (size + 0.5) * points)
+        monkeypatch.setattr(geomsim, "_BLOCK_POINTS", (size + 0.5) * points)
         assert run_loads(cfg).tolist() == reference
         assert max(sizes) == size and sum(sizes) == 30
 
@@ -639,16 +648,23 @@ def test_load_blocks_hold_a_bounded_number_of_points(monkeypatch):
     run_loads(cfg)
     engine = geomsim._Engine(cfg)
     points = 1.0 + engine.expected_aps + engine.expected_devs
-    assert sum(sizes) == 12 and 1 <= max(sizes) * points <= geomsim._LOAD_BLOCK_POINTS
+    assert sum(sizes) == 12 and 1 <= max(sizes) * points <= geomsim._BLOCK_POINTS
 
 
 def _staged(engine, stream):
-    """Deploy, associate and schedule one trial: the fill stage's inputs."""
+    """Deploy, associate and schedule one trial as a block of one: the fill
+    stage's inputs, the block, and its APs, k-d tree and serving cell."""
     ap, dev = engine.deploy(stream)
-    tree, serving, _, counts, _ = engine.associate(stream, ap, dev)
+    block, serving, _, counts, _ = engine.associate([stream], [(ap, dev)])
     a0 = int(serving[0])
-    engine.schedule(stream, serving, counts, a0)
-    return ap, tree, counts, a0
+    engine.schedule(block, serving, counts, np.array([a0]))
+    return block, ap, block.trees[0], counts, a0
+
+
+def _one(stream, ap, tree):
+    """A block of one trial with these APs and k-d tree, drawing from
+    ``stream``."""
+    return geomsim._Block([stream], [ap], [tree])
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -699,13 +715,12 @@ def test_early_exit_fill_matches_full_batch_rule(overrides):
     engine._local_fill = recording_local_fill
     for index in range(12):
         streams = [RngStream(CANONICAL_SEED, index) for _ in range(4)]
-        ap, tree, counts, a0 = _staged(engine, streams[0])
-        for stream in streams[1:]:
-            _staged(engine, stream)
+        staged = [_staged(engine, stream) for stream in streams]
+        block, ap, tree, counts, a0 = staged[0]
         served.clear()
         slices.clear()
         local.clear()
-        pts, own, cross = engine.fill(streams[0], ap, tree, counts, a0)
+        _, pts, own, cross = engine.fill(block, counts, np.array([a0]))
         empty = np.nonzero(counts == 0)[0]
         empty = empty[empty != a0]
         if engine.sigma_scale is None:
@@ -725,7 +740,7 @@ def test_early_exit_fill_matches_full_batch_rule(overrides):
             assert np.array_equal(cross, [served[tuple(p)][2][a0] for p in pts])
         assert np.array_equal(cells, empty)
         # replay: the same fill, and the stream continues from the same place
-        again = engine.fill(streams[1], ap, tree, counts, a0)
+        again = engine.fill(staged[1][0], counts, np.array([a0]))[1:]
         assert np.array_equal(pts, again[0]) and np.array_equal(own, again[1])
         assert cross is None or np.array_equal(cross, again[2])
         assert streams[0].uniform() == streams[1].uniform()
@@ -785,9 +800,10 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     engine = geomsim._Engine(cfg)
     stream = RngStream(seed, 0)
     ap, dev = engine.deploy(stream)
-    tree = engine.associate(stream, ap, dev)[0]
+    block = engine.associate([stream], [(ap, dev)])[0]
+    tree = block.trees[0]
     cells = np.arange(len(ap))
-    rho = engine._cell_polygon(ap, tree, cells)[3]
+    rho = engine._cell_polygon(block, cells)[3]
     bounded = np.isfinite(rho)
     if len(ap) > geomsim._FILL_NEIGHBOURS:
         assert bounded.mean() > 0.5
@@ -804,7 +820,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
         return x
 
     with mock.patch.object(geomsim, "_polygon_points", recording_fan):
-        done, pts, own = engine._local_fill(RngStream(seed, 2), ap, tree, cells)
+        done, pts, own = engine._local_fill(_one(RngStream(seed, 2), ap, tree), cells)
     assert drawn
     for x, d in drawn:
         assert np.all(_in_polygon(x, d))
@@ -815,7 +831,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     dist, near = tree.query(pts)
     assert np.array_equal(near, cells[done])
     assert np.array_equal(own, dist**4)
-    d = engine._cell_polygon(ap, tree, cells[done])[0]
+    d = engine._cell_polygon(block, cells[done])[0]
     x = pts - ap[cells[done]]
     if boundary == "torus":
         x -= engine.side * np.round(x / engine.side)
@@ -880,9 +896,9 @@ def test_fill_leaves_no_cell_empty_and_bounds_disc_edge_cells(seed, boundary, lo
     )
     engine = geomsim._Engine(cfg)
     stream = RngStream(seed, 0)
-    ap, tree, counts, a0 = _staged(engine, stream)
+    block, ap, tree, counts, a0 = _staged(engine, stream)
     # completeness: every empty non-serving cell gets its point
-    pts = engine.fill(stream, ap, tree, counts, a0)[0]
+    pts = engine.fill(block, counts, np.array([a0]))[1]
     empty = np.nonzero(counts == 0)[0]
     assert np.array_equal(tree.query(pts)[1], empty[empty != a0])
     if boundary == "torus" or len(ap) <= geomsim._FILL_NEIGHBOURS:
@@ -890,7 +906,7 @@ def test_fill_leaves_no_cell_empty_and_bounds_disc_edge_cells(seed, boundary, lo
     # boundedness: the window's tangents bound every disc cell, including
     # the edge cells whose nearest APs all lie on one side of them
     cells = np.arange(len(ap))
-    rho = engine._cell_polygon(ap, tree, cells)[3]
+    rho = engine._cell_polygon(block, cells)[3]
     assert np.all(np.isfinite(rho))
     _, nb = tree.query(ap, k=geomsim._FILL_NEIGHBOURS + 1)
     edge = _max_gap(ap[nb[:, 1:]] - ap[:, None]) >= math.pi
@@ -926,7 +942,7 @@ def test_shadowed_fill_leaves_no_cell_empty(seed, boundary, sigma_db, log_lam_ha
     )
     engine = geomsim._Engine(cfg)
     stream = RngStream(seed, 0)
-    ap, tree, counts, a0 = _staged(engine, stream)
+    block, ap, tree, counts, a0 = _staged(engine, stream)
     serve, screen, served = engine._serve, engine._screen, {}
 
     def recording_serve(points, ap, tree, normals):
@@ -940,7 +956,7 @@ def test_shadowed_fill_leaves_no_cell_empty(seed, boundary, sigma_db, log_lam_ha
         return kept, result
 
     engine._serve, engine._screen = recording_serve, recording_screen
-    pts, own, cross = engine.fill(stream, ap, tree, counts, a0)
+    _, pts, own, cross = engine.fill(block, counts, np.array([a0]))
     empty = np.nonzero(counts == 0)[0]
     empty = empty[empty != a0]
     # one point per empty non-serving cell, in ascending cell order, each
@@ -973,7 +989,7 @@ def test_screened_slice_matches_full_matrix_rule(seed, boundary, sigma_db, empty
         small_cfg(window_radius=5.0, boundary=boundary, shadowing_sigma_db=sigma_db)
     )
     stream = RngStream(seed, 0)
-    ap, tree, counts, a0 = _staged(engine, stream)
+    _, ap, tree, counts, a0 = _staged(engine, stream)
     needed = counts == 0 if empty_share is None else stream.uniform(len(ap)) < empty_share
     needed[a0] = False
     assume(needed.any())
@@ -1018,8 +1034,9 @@ def test_cell_radius_matches_pairwise_vertex_reference(boundary):
     for index in range(3):
         stream = RngStream(CANONICAL_SEED, index)
         ap, dev = engine.deploy(stream)
-        tree = engine.associate(stream, ap, dev)[0]
-        rho = engine._cell_polygon(ap, tree, np.arange(len(ap)))[3]
+        block = engine.associate([stream], [(ap, dev)])[0]
+        tree = block.trees[0]
+        rho = engine._cell_polygon(block, np.arange(len(ap)))[3]
         for cell, p in enumerate(ap):
             d = ap[tree.query(p, k=k + 1)[1][1:]] - p
             if boundary == "torus":
@@ -1043,8 +1060,9 @@ def test_local_fill_matches_rejection_sampling_in_law():
     engine = geomsim._Engine(small_cfg())
     stream = RngStream(CANONICAL_SEED, 0)
     ap, dev = engine.deploy(stream)
-    tree = engine.associate(stream, ap, dev)[0]
-    bounded = np.isfinite(engine._cell_polygon(ap, tree, np.arange(len(ap)))[3])
+    block = engine.associate([stream], [(ap, dev)])[0]
+    tree = block.trees[0]
+    bounded = np.isfinite(engine._cell_polygon(block, np.arange(len(ap)))[3])
     # the bounded cell with the largest share of its area beyond 90% of its
     # farthest point from the AP, as a dense probe sees them
     dist, near = tree.query(engine.window.sample(RngStream(1, 0), 100_000))
@@ -1058,7 +1076,7 @@ def test_local_fill_matches_rejection_sampling_in_law():
     dist, near = tree.query(engine.window.sample(RngStream(2, 0), 1_200_000))
     reference = dist[near == cell] ** 4
     assert reference.size > 5000
-    done, _, own = engine._local_fill(RngStream(3, 0), ap, tree, np.full(8000, cell))
+    done, _, own = engine._local_fill(_one(RngStream(3, 0), ap, tree), np.full(8000, cell))
     assert done.all()
     assert ks_2samp(own, reference).pvalue > 1e-3
 
@@ -1117,8 +1135,9 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(c
         engine = geomsim._Engine(small_cfg(boundary="disc"))
         stream = RngStream(CANONICAL_SEED, 0)
         ap, dev = engine.deploy(stream)
-        tree = engine.associate(stream, ap, dev)[0]
-        rho = engine._cell_polygon(ap, tree, np.arange(len(ap)))[3]
+        block = engine.associate([stream], [(ap, dev)])[0]
+        tree = block.trees[0]
+        rho = engine._cell_polygon(block, np.arange(len(ap)))[3]
         cell = int(np.argmax(np.hypot(ap[:, 0], ap[:, 1]) + rho))
         assert np.hypot(*ap[cell]) + rho[cell] > engine.window.radius
     else:
@@ -1137,7 +1156,7 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(c
         return serve(points, *args)
 
     engine._serve = recording_serve
-    done, _, own = engine._local_fill(RngStream(3, 0), ap, tree, np.full(8000, cell))
+    done, _, own = engine._local_fill(_one(RngStream(3, 0), ap, tree), np.full(8000, cell))
     assert done.all()
     assert sum(drawn) > 8000 * 1.05
     assert ks_2samp(own, reference).pvalue > 1e-3
@@ -1164,16 +1183,19 @@ def test_fill_interference_matches_full_batch_rule():
 
             def interference(fill, index):
                 stream = RngStream(CANONICAL_SEED, index)
-                ap, tree, counts, a0 = _staged(engine, stream)
-                pts, own, cross = fill(stream, ap, tree, counts, a0)
+                block, ap, tree, counts, a0 = _staged(engine, stream)
+                pts, own, cross = fill(block, stream, ap, tree, counts, a0)
                 if sigma_db is None:
                     sq = geomsim._sq_dist(pts, ap[a0], engine.side)
                     cross = sq * sq
                 return float(np.sum(own / cross))
 
-            new = [interference(engine.fill, i) for i in range(n)]
+            new = [
+                interference(lambda block, *a: engine.fill(block, a[-2], np.array([a[-1]]))[1:], i)
+                for i in range(n)
+            ]
             old = [
-                interference(lambda *a: _full_batch_fill(engine, *a), i)
+                interference(lambda block, *a: _full_batch_fill(engine, *a), i)
                 for i in range(n, 2 * n)
             ]
             assert ks_2samp(new, old).pvalue > 0.01, (boundary, sigma_db)
@@ -1388,6 +1410,77 @@ def test_simulate_range_splits_concatenate(trials, cuts, boundary, sigma_db, see
     whole = geomsim._simulate_range(cfg, 0, trials)
     for got, want in zip(zip(*parts), whole):
         assert np.array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    boundary=st.sampled_from(["torus", "disc"]),
+    sigma_db=st.sampled_from([None, 8.0]),
+    full_buffer=st.booleans(),
+    load_model=st.sampled_from(["mean_field", "realized"]),
+    log_lam_hat=st.floats(-1.0, 3.0),
+    window_radius=st.sampled_from([None, 4.0, 1.5]),
+    trials=st.integers(2, 6),
+    size=st.integers(2, 5),
+)
+@example(
+    seed=0, boundary="torus", sigma_db=None, full_buffer=True, load_model="mean_field",
+    log_lam_hat=-1.0, window_radius=None, trials=6, size=4,
+)
+@example(
+    seed=1, boundary="disc", sigma_db=8.0, full_buffer=True, load_model="realized",
+    log_lam_hat=0.0, window_radius=None, trials=5, size=2,
+)
+@example(
+    seed=2, boundary="disc", sigma_db=None, full_buffer=False, load_model="realized",
+    log_lam_hat=3.0, window_radius=1.5, trials=6, size=3,
+)
+@example(
+    seed=3, boundary="torus", sigma_db=8.0, full_buffer=True, load_model="mean_field",
+    log_lam_hat=3.0, window_radius=1.5, trials=6, size=5,
+)
+def test_the_block_a_trial_runs_in_never_changes_its_result(
+    seed, boundary, sigma_db, full_buffer, load_model, log_lam_hat, window_radius, trials, size
+):
+    # Blocks of one trial, of a random size and of the whole range give the
+    # same delays, output choices and loads, and simulate_trial (a block of
+    # one) agrees with each entry. A window of radius 1.5 holds 12 APs or
+    # fewer in most trials (about 9 on the torus, 7 on the disc).
+    dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=10.0**-log_lam_hat)
+    cfg = SimConfig(
+        scenario=replace(canonical_validation_scenario(), deployment=dep),
+        window_radius=window_radius,
+        boundary=boundary,
+        shadowing_sigma_db=sigma_db,
+        full_buffer=full_buffer,
+        load_model=load_model,
+        master_seed=seed,
+        trials=trials,
+    )
+    engine = geomsim._Engine(cfg)
+    points = 1.0 + engine.expected_aps + engine.expected_devs
+    run, sizes = geomsim._Engine.trials, []
+
+    def recording(self, indices, collect=False):
+        sizes.append(len(indices))
+        return run(self, indices, collect)
+
+    runs = []
+    with mock.patch.object(geomsim._Engine, "trials", recording):
+        for block in (1, min(size, trials), trials):
+            sizes.clear()
+            with mock.patch.object(geomsim, "_BLOCK_POINTS", (block + 0.5) * points):
+                runs.append(geomsim._simulate_range(cfg, 0, trials))
+            assert max(sizes) == block and sum(sizes) == trials
+    for other in runs[1:]:
+        for got, want in zip(other, runs[0]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    delays, used, loads = runs[0]
+    for i in range(trials):
+        tr = simulate_trial(cfg, i)
+        assert (tr.delay, tr.used_cloud, tr.load_nu) == (delays[i], used[i], loads[i])
 
 
 def test_sweep_opens_one_bounded_pool(monkeypatch):
