@@ -133,9 +133,9 @@ __all__ = [
 CANONICAL_SEED = 20260825
 # Upper limit on the trials of one run. Aggregation keeps about 25 bytes per
 # trial (17 for delay, cloud flag and load, 8 for the sorted delays), so
-# 10**7 trials stay near 250 MB; at about 1.9 ms per canonical trial
+# 10**7 trials stay near 250 MB; at about 1.2 ms per canonical trial
 # (unshadowed torus, window radius sqrt(50); 2 CPUs, one process) they are
-# already some 5 CPU-hours, and more precision is better bought with
+# already some 3 CPU-hours, and more precision is better bought with
 # separate seeds.
 _MAX_TRIALS = 10**7
 # Expected AP count of an automatically sized window: about 150 keeps both
@@ -639,7 +639,8 @@ class _Engine:
         block = _Block(streams, [ap for ap, _ in deployed], trees)
         serving = np.concatenate(serving)
         counts = np.bincount(serving, minlength=len(block.ap))
-        return block, serving, np.concatenate(own), counts, np.concatenate(cross) if cross else None
+        cross = np.concatenate(cross) if cross else None
+        return block, serving, np.concatenate(own), counts, cross
 
     def schedule(
         self, block: _Block, serving: np.ndarray, counts: np.ndarray, a0: np.ndarray
@@ -734,12 +735,11 @@ class _Engine:
         shadowing normals, which picks the same hits as drawing the whole
         block."""
         stream, tree, own_cells = block.streams[t], block.trees[t], block.cells(t)
-        ap = block.ap[own_cells]
-        first = own_cells.start
+        ap, base = block.ap[own_cells], own_cells.start
         cand = self.window.sample(stream, _FILL_SLICE * len(ap))
         if self.sigma_scale is None:
             serving, cand_own, _ = self._serve(cand, ap, tree, None)
-            return cand, serving + first, cand_own, None
+            return cand, serving + base, cand_own, None
         if n_empty < _SCREEN_MAX * len(ap):
 
             def drawn(rows, cols):
@@ -752,7 +752,7 @@ class _Engine:
             normals = self._shadow_normals(stream, len(cand), len(ap))
             serving, cand_own, pathloss = self._serve(cand, ap, tree, normals)
         # a copy, so that the slice's pathloss matrix is freed now
-        return cand, serving + first, cand_own, pathloss[:, a0 - first].copy()
+        return cand, serving + base, cand_own, pathloss[:, a0 - base].copy()
 
     def _screen(self, cand: np.ndarray, ap: np.ndarray, tree, needed: np.ndarray, normals):
         """The candidates of one trial's shadowed fill slice that may land in

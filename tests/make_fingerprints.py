@@ -109,13 +109,14 @@ def _realizations(cfg: SimConfig, indices) -> bytes:
 def _provision() -> bytes:
     # the specs of the benchmark's provision workload (loading it puts the
     # checkout's src first on sys.path, which is put back after)
-    spec = importlib.util.spec_from_file_location("_pb_workloads", ROOT / "perfbench" / "workloads.py")
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_pb_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
-    path, sys.modules[spec.name] = list(sys.path), workloads
+    saved_path, sys.modules[spec.name] = list(sys.path), workloads
     try:
         spec.loader.exec_module(workloads)
     finally:
-        sys.path[:] = path
+        sys.path[:] = saved_path
         del sys.modules[spec.name]
     parts = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -168,7 +169,10 @@ for _name, _settings in _SIM_MODES.items():
                 _cfg(lh, window_radius=4.0, trials=10, master_seed=17, **s), (0, 3, 9)
             )
         )
-for _name, _settings in (("torus", {"window_radius": 1.5}), ("disc", {"boundary": "disc", "window_radius": 2.0})):
+for _name, _settings in (
+    ("torus", {"window_radius": 1.5}),
+    ("disc", {"boundary": "disc", "window_radius": 2.0}),
+):
     # windows of about 9 and 12.6 expected APs: most trials hold 12 APs or fewer
     OUTPUTS[f"simulate_trial_{_name}_few_aps"] = (
         lambda s=_settings: _realizations(_cfg(trials=40, master_seed=19, **s), range(0, 40, 5))

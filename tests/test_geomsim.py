@@ -1190,14 +1190,14 @@ def test_fill_interference_matches_full_batch_rule():
                     cross = sq * sq
                 return float(np.sum(own / cross))
 
-            new = [
-                interference(lambda block, *a: engine.fill(block, a[-2], np.array([a[-1]]))[1:], i)
-                for i in range(n)
-            ]
-            old = [
-                interference(lambda block, *a: _full_batch_fill(engine, *a), i)
-                for i in range(n, 2 * n)
-            ]
+            def engine_fill(block, stream, ap, tree, counts, a0):
+                return engine.fill(block, counts, np.array([a0]))[1:]
+
+            def full_batch_fill(block, *staged):
+                return _full_batch_fill(engine, *staged)
+
+            new = [interference(engine_fill, i) for i in range(n)]
+            old = [interference(full_batch_fill, i) for i in range(n, 2 * n)]
             assert ks_2samp(new, old).pvalue > 0.01, (boundary, sigma_db)
 
 
