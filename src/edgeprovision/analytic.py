@@ -17,6 +17,7 @@ with the delay-budget success probability as the weight.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -76,6 +77,23 @@ def _as_number(x) -> float | None:
         return float(x)
     except (OverflowError, ValueError):  # an int beyond the float range, or not a number
         return None
+
+
+def _as_index(x) -> int | None:
+    """``operator.index(x)``, or None for bools and non-integers."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
+def _worker_count(workers) -> int:
+    """``workers`` as an int; ModelDomainError unless it is an integer >= 1."""
+    w = _as_index(workers)
+    _require(w is not None and w >= 1, "workers must be an integer >= 1 (got {!r})", workers)
+    return w
 
 
 def _snr_type(x) -> float:

@@ -21,8 +21,6 @@ import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import yaml
-
 from .analytic import (
     AirInterface,
     DeploymentConfig,
@@ -35,6 +33,7 @@ from .analytic import (
     _rate,
     _snr_type,
     _usable_rate,
+    _worker_count,
 )
 from .errors import (
     InfeasibleTargetError,
@@ -44,7 +43,9 @@ from .errors import (
 )
 
 # The simulator, and NumPy with it, is imported only where a sweep carries
-# simulator settings, so an analytic-only sweep loads neither.
+# simulator settings, so an analytic-only sweep loads neither. PyYAML is
+# imported only by ``load_spec``, so a sweep built in code, the CSV codec and
+# the simulator's import never load it.
 if TYPE_CHECKING:
     from .geomsim import SimSettings
 
@@ -318,8 +319,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     share common random numbers), and the simulable metrics gain estimates
     with 95% Wilson half-widths. The experiments of all points share at
     most one pool of worker processes, and the rows do not depend on
-    ``workers``.
+    ``workers``, which must be an integer >= 1 (ModelDomainError) even
+    when the sweep is analytic-only.
     """
+    workers = _worker_count(workers)
     scenarios = [_scenario_at(spec, value) for value in spec.grid]
     summaries = [None] * len(scenarios)
     if spec.sim is not None:
@@ -427,8 +430,8 @@ def parse_csv(src) -> SweepResult:
             raise SpecFileError(f"mixed axis names in CSV: {axis!r} vs {row_axis!r}")
         if status not in ("ok", "infeasible"):
             raise SpecFileError(f"bad status {status!r} in row {ln!r}")
-        rows.append(
-            SweepRow(
+        try:
+            row = SweepRow(
                 axis_value=float(value),
                 metric=metric,
                 analytic=float(analytic) if analytic else None,
@@ -436,7 +439,9 @@ def parse_csv(src) -> SweepResult:
                 sim_stderr=float(stderr) if stderr else None,
                 status=status,
             )
-        )
+        except ValueError as e:
+            raise SpecFileError(f"bad number in CSV row {ln!r}: {e}") from e
+        rows.append(row)
     if axis is None:
         raise SpecFileError("CSV holds no data rows")
     return SweepResult(axis=axis, rows=tuple(rows))
@@ -678,6 +683,8 @@ def load_spec(path) -> SweepSpec:
     tokens on a line, which the pure-Python parser rejects, and words its
     parse errors differently (the type and line stay).
     """
+    import yaml
+
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     with open(path, "r", encoding="utf-8") as fh:
         try:

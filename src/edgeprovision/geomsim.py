@@ -85,7 +85,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,8 +94,10 @@ from .analytic import (
     DeploymentConfig,
     InferenceWorkload,
     Scenario,
+    _as_index,
     _finite,
     _mix,
+    _worker_count,
     average_mse,
     cloud_use_probability,
     delay_cdf,
@@ -106,7 +107,6 @@ from .errors import ModelDomainError
 from .numerics import (
     EmpiricalCdf,
     RngStream,
-    _as_index,
     _as_key,
     exponential_variate,
 )
@@ -1101,15 +1101,15 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     ``workers`` must be an integer >= 1, else ModelDomainError is raised
     before any trial runs. SciPy's k-d tree is imported here, before the
     pool opens, so forked workers inherit it instead of each importing it
-    again.
+    again. The pool's own modules (``concurrent.futures.process`` and
+    ``multiprocessing``) are imported here too, so a run that opens no pool
+    never loads them.
     """
-    w = _as_index(workers)
-    if w is None or w < 1:
-        raise ModelDomainError(f"workers must be an integer >= 1 (got {workers!r})")
-    n = _pool_size(w, sum(cfg.trials for cfg in cfgs))
+    n = _pool_size(_worker_count(workers), sum(cfg.trials for cfg in cfgs))
     if n == 1:
         return [[fn(cfg, 0, cfg.trials)] for cfg in cfgs]
     import scipy.spatial  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=n) as pool:
         futures = []
@@ -1148,10 +1148,12 @@ def _load_range(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
 
 def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
     """Full realization of trial ``index`` (same stream and draws as
-    ``run_trials`` uses for that index)."""
-    if not (0 <= index < cfg.trials):
-        raise ModelDomainError(f"index must be in [0, {cfg.trials}) (got {index!r})")
-    return _Engine(cfg).trials(range(index, index + 1), collect=True)[0]
+    ``run_trials`` uses for that index). ``index`` must be an integer in
+    [0, ``cfg.trials``), else ModelDomainError is raised."""
+    i = _as_index(index)
+    if i is None or not 0 <= i < cfg.trials:
+        raise ModelDomainError(f"index must be an integer in [0, {cfg.trials}) (got {index!r})")
+    return _Engine(cfg).trials(range(i, i + 1), collect=True)[0]
 
 
 def _summarize(cfg: SimConfig, parts: list) -> SimSummary:

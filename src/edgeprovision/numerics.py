@@ -11,23 +11,13 @@ stream ``i`` regardless of which worker executes it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .analytic import _as_index
 from .errors import BracketError, ModelDomainError
-
-
-def _as_index(x) -> int | None:
-    """``operator.index(x)``, or None for bools and non-integers."""
-    if isinstance(x, bool):
-        return None
-    try:
-        return operator.index(x)
-    except TypeError:
-        return None
 
 
 def _as_key(x) -> int | None:

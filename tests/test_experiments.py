@@ -467,6 +467,16 @@ def test_parse_csv_rejects_bad_status():
         parse_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["r_min,abc,avg_mse,1.2,,,ok", "r_min,1,avg_mse,1.2x,,,ok", "r_min,1,avg_mse,1.2,0.5,-,ok"],
+    ids=["axis_value", "analytic", "sim_stderr"],
+)
+def test_parse_csv_rejects_non_numeric_cell(row):
+    with pytest.raises(SpecFileError, match="row"):
+        parse_csv(io.StringIO(CSV_HEADER + "\n" + row + "\n"))
+
+
 # ---------------------------------------------------------------------------
 # spec files
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the stochastic-geometry Monte Carlo engine."""
 
+import concurrent.futures
 import math
 import sys
 from concurrent.futures import Future
@@ -334,6 +335,12 @@ def test_trial_index_bounds():
         simulate_trial(cfg, 5)
     with pytest.raises(ModelDomainError):
         simulate_trial(cfg, -1)
+
+
+@pytest.mark.parametrize("index", [True, 2.0, "1", None], ids=repr)
+def test_trial_index_must_be_an_integer(index):
+    with pytest.raises(ModelDomainError, match="index"):
+        simulate_trial(small_cfg(trials=5), index)
 
 
 def test_trials_differ_across_indices():
@@ -1260,7 +1267,7 @@ def test_pool_size_bounded_by_trials_and_cpus(monkeypatch):
 def test_large_worker_count_starts_bounded_pool(monkeypatch):
     # no process is started: the pool is replaced by an inline stand-in
     monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     cfg = small_cfg(trials=5)
     serial = run_trials(cfg)
@@ -1279,7 +1286,7 @@ class _UnbuildablePool:
 @pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2", None], ids=repr)
 def test_invalid_worker_count_rejected_before_any_pool(monkeypatch, workers):
     monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _UnbuildablePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _UnbuildablePool)
     ran = []
     monkeypatch.setattr(geomsim, "_Engine", lambda cfg: ran.append(cfg))
     cfg = small_cfg(trials=5)
@@ -1295,6 +1302,7 @@ def test_invalid_worker_count_rejected_before_any_pool(monkeypatch, workers):
         lambda: run_loads(cfg, workers=workers),
         lambda: geomsim.run_validation(trials=5, workers=workers),
         lambda: run_sweep(spec, workers=workers),
+        lambda: run_sweep(replace(spec, sim=None), workers=workers),
     ]
     for call in calls:
         with pytest.raises(ModelDomainError, match="workers"):
@@ -1486,7 +1494,7 @@ def test_the_block_a_trial_runs_in_never_changes_its_result(
 def test_sweep_opens_one_bounded_pool(monkeypatch):
     # no process is started: the pool is replaced by an inline stand-in
     monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     spec = SweepSpec(
         base=canonical_validation_scenario(),
@@ -1503,7 +1511,7 @@ def test_sweep_opens_one_bounded_pool(monkeypatch):
 
 def test_failed_range_cancels_pending_ranges(monkeypatch):
     monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _PendingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PendingPool)
     monkeypatch.setattr(_PendingPool, "sizes", [])
     monkeypatch.setattr(_PendingPool, "futures", [])
     with pytest.raises(ValueError, match="range failed"):
@@ -1521,7 +1529,7 @@ def test_pool_opens_with_kd_tree_module_loaded(monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.spatial")
     monkeypatch.delattr(scipy, "spatial")
     monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(geomsim, "ProcessPoolExecutor", _ImportRecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _ImportRecordingPool)
     monkeypatch.setattr(_ImportRecordingPool, "sizes", [])
     monkeypatch.setattr(_ImportRecordingPool, "spatial_loaded", [])
     cfg = small_cfg(trials=4)

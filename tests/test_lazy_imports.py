@@ -105,3 +105,26 @@ def test_analytic_sweep_loads_yaml_but_no_numpy_or_scipy(tmp_path):
     assert code == 0
     assert json.loads(last) == ["yaml"]
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4 * 3
+
+
+# Modules only a spec file or a process pool needs.
+ON_DEMAND = "sorted(m for m in ('yaml', 'concurrent.futures.process', 'multiprocessing') if m in sys.modules)"
+
+
+def test_simulator_loads_yaml_and_pool_modules_only_where_they_run(tmp_path):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(textwrap.dedent(ANALYTIC_SPEC), encoding="utf-8")
+    code, last = run_fresh(
+        "import json, sys\n"
+        "from edgeprovision import experiments, geomsim\n"
+        f"steps = [{ON_DEMAND}]\n"
+        "scenario = geomsim.canonical_validation_scenario()\n"
+        "geomsim.run_trials(geomsim.SimConfig(scenario=scenario, trials=2), workers=1)\n"
+        f"steps.append({ON_DEMAND})\n"
+        "experiments.load_spec(sys.argv[1])\n"
+        f"steps.append({ON_DEMAND})\n"
+        "print(json.dumps(steps))\n",
+        str(spec),
+    )
+    assert code == 0
+    assert json.loads(last) == [[], [], ["yaml"]]
