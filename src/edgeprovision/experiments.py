@@ -44,8 +44,8 @@ from .errors import (
 
 # The simulator, and NumPy with it, is imported only where a sweep carries
 # simulator settings, so an analytic-only sweep loads neither. PyYAML is
-# imported only by ``load_spec``, so a sweep built in code, the CSV codec and
-# the simulator's import never load it.
+# imported by ``load_spec`` alone: a sweep built, run and written as CSV in
+# code never loads it.
 if TYPE_CHECKING:
     from .geomsim import SimSettings
 
@@ -406,7 +406,9 @@ def emit_csv(res: SweepResult, dest) -> None:
 
 
 def parse_csv(src) -> SweepResult:
-    """Parse a CSV produced by ``emit_csv`` back into an equal SweepResult."""
+    """Parse a CSV produced by ``emit_csv`` back into an equal SweepResult.
+
+    Raises SpecFileError naming the header or row that is malformed."""
     if isinstance(src, io.TextIOBase) or hasattr(src, "read"):
         text = src.read()
     else:
