@@ -1,5 +1,6 @@
-"""The closed-form path loads only the standard library, and an analytic
-sweep only YAML besides.
+"""The closed-form path loads only the standard library, an analytic sweep
+only YAML besides, and the simulator loads YAML and the process-pool modules
+only where they run.
 
 Each check runs in a fresh interpreter, since this suite itself has long
 loaded NumPy, SciPy and YAML by the time it gets here.
