@@ -1,8 +1,8 @@
 """SHA-256 fingerprints of the package's seeded outputs.
 
 ``OUTPUTS`` maps a name to a function returning the bytes of one output:
-the ``validate --trials 300 --json`` report, short simulated sweep CSVs,
-``run_trials`` summaries, ``run_loads`` arrays, every field of
+the ``validate --trials 300`` report as text and as JSON, short simulated
+sweep CSVs, ``run_trials`` summaries, ``run_loads`` arrays, every field of
 ``simulate_trial`` realizations and the CSVs of the benchmark's 24
 analytic-only ``provision`` sweeps. ``tests/fingerprints.json`` holds their
 digests with the Python, NumPy and SciPy versions that made them, and
@@ -63,10 +63,10 @@ def _cfg(lambda_hat: float = 1.0, **settings) -> SimConfig:
         return SimConfig(scenario=scenario, **settings)
 
 
-def _validate() -> bytes:
+def _validate(*flags: str) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(["validate", "--trials", "300", "--json"])
+        cli.main(["validate", "--trials", "300", *flags])
     return out.getvalue().encode()
 
 
@@ -138,7 +138,10 @@ _SIM_MODES = {
     "realized": {"load_model": "realized"},
 }
 
-OUTPUTS = {"validate_300_json": _validate}
+OUTPUTS = {
+    "validate_300_text": _validate,
+    "validate_300_json": lambda: _validate("--json"),
+}
 for _workers in (1, 2):
     for _name, _settings in (
         ("torus", {}),
