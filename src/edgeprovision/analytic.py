@@ -62,7 +62,8 @@ def _require(cond: bool, template: str, *values) -> None:
 
 
 def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    """True for a finite int or float; False for a bool, like ``_as_number``."""
+    return isinstance(x, (int, float)) and type(x) is not bool and math.isfinite(x)
 
 
 def _as_number(x) -> float | None:

@@ -30,6 +30,7 @@ from .analytic import (
     Scenario,
     _CLOSED_FORMS,
     _DEFAULT_EDGE_RATIO,
+    _finite,
     _payload,
     _snr_type,
     average_mse,
@@ -85,13 +86,6 @@ _CLOSED_FORM_COMMANDS = {
 _QUERY_FLAG_HELP = {"--d": "delay value to query in s", "--mt": "target average MSE"}
 
 
-def _positive_int(s: str) -> int:
-    v = int(s)
-    if v < 1:
-        raise ValueError(f"must be >= 1 (got {s})")
-    return v
-
-
 def _build_parser() -> argparse.ArgumentParser:
     scenario = argparse.ArgumentParser(add_help=False)
     g = scenario.add_argument_group("scenario")
@@ -126,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--trials", type=_positive_int, default=None, help="Monte Carlo trials")
+    sim.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
     sim.add_argument(
         "--seed",
         type=int,
@@ -134,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="master seed (falls back to $EDGEPROVISION_SEED, then the built-in default)",
     )
     sim.add_argument("--window-radius", type=float, default=None, help="simulation window radius")
-    sim.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
+    sim.add_argument("--workers", type=int, default=1, help="worker processes")
 
     p = argparse.ArgumentParser(
         prog="edgeprovision",
@@ -163,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = s.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true", help="emit CSV (the default)")
     fmt.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    s.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
+    s.add_argument("--workers", type=int, default=1, help="worker processes")
     s.set_defaults(func=_cmd_sweep)
 
     s = sub.add_parser(
@@ -187,21 +181,19 @@ def _mismatch(a: float, b: float) -> bool:
 
 def _resolve_densities(args) -> DeploymentConfig:
     ap, dev, hat = args.lambda_ap, args.lambda_dev, args.lambda_hat
-    if hat is not None and ap is not None and dev is not None:
-        if _mismatch(hat, ap / dev):
-            raise ModelDomainError(
-                f"--lambda-hat {hat:g} conflicts with --lambda-ap/--lambda-dev "
-                f"ratio {ap / dev:g}"
-            )
-    elif hat is not None and ap is not None:
-        dev = ap / hat
-    elif hat is not None:
-        dev = dev if dev is not None else 1.0
-        ap = hat * dev
-    else:
-        dev = dev if dev is not None else 1.0
-        ap = ap if ap is not None else dev
-    return DeploymentConfig(lambda_ap=ap, lambda_dev=dev)
+    if hat is not None and not (_finite(hat) and hat > 0):
+        raise ModelDomainError(f"--lambda-hat must be finite and > 0 (got {hat!r})")
+    if dev is None:
+        dev = ap / hat if ap is not None and hat is not None else 1.0
+    if ap is None:
+        ap = dev if hat is None else hat * dev
+    dep = DeploymentConfig(lambda_ap=ap, lambda_dev=dev)
+    if hat is not None and _mismatch(hat, dep.lambda_hat):
+        raise ModelDomainError(
+            f"--lambda-hat {hat:g} conflicts with --lambda-ap/--lambda-dev "
+            f"ratio {dep.lambda_hat:g}"
+        )
+    return dep
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -353,37 +345,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .geomsim import run_validation
+    from .geomsim import _report_checks, run_validation
 
-    kwargs = {}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.window_radius is not None:
-        kwargs["window_radius"] = args.window_radius
+    kwargs = {} if args.trials is None else {"trials": args.trials}
     report = run_validation(
-        master_seed=_resolve_seed(args), workers=args.workers, **kwargs
+        master_seed=_resolve_seed(args),
+        window_radius=args.window_radius,
+        workers=args.workers,
+        **kwargs,
     )
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        checks = report["checks"]
-        print(
-            f"validation: trials={report['trials']} seed={report['master_seed']} "
-            f"window_radius={report['window_radius']:.6g}"
-        )
-        for name in ("delay_cdf_ks", "cloud_use_abs_error", "mse_abs_error"):
-            c = checks[name]
-            verdict = "PASS" if c["pass"] else "FAIL"
-            print(
-                f"  {name}: {c['value']:.6g} (tolerance {c['tolerance']:.6g}) {verdict}"
-            )
-        for key, c in sorted(checks["mean_load_rel_error"].items()):
-            verdict = "PASS" if c["pass"] else "FAIL"
-            print(
-                f"  mean_load_rel_error[{key}]: {c['value']:.6g} "
-                f"(tolerance {c['tolerance']:.6g}) {verdict}"
-            )
-        print("overall: " + ("PASS" if report["pass"] else "FAIL"))
+    lines = [
+        f"validation: trials={report['trials']} seed={report['master_seed']} "
+        f"window_radius={report['window_radius']:.6g}"
+    ]
+    for label, c in _report_checks(report["checks"]):
+        verdict = "PASS" if c["pass"] else "FAIL"
+        lines.append(f"  {label}: {c['value']:.6g} (tolerance {c['tolerance']:.6g}) {verdict}")
+    lines.append("overall: " + ("PASS" if report["pass"] else "FAIL"))
+    _emit(args, report, lines)
     return 0 if report["pass"] else 1
 
 

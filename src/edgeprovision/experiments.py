@@ -408,7 +408,10 @@ def emit_csv(res: SweepResult, dest) -> None:
 def parse_csv(src) -> SweepResult:
     """Parse a CSV produced by ``emit_csv`` back into an equal SweepResult.
 
-    Raises SpecFileError naming the header or row that is malformed."""
+    Raises SpecFileError naming the header or row that is malformed, or
+    that ``emit_csv`` never writes: an unknown axis or metric, a nan cell,
+    an ``ok`` row without an analytic value, or an ``infeasible`` row with
+    numbers."""
     if isinstance(src, io.TextIOBase) or hasattr(src, "read"):
         text = src.read()
     else:
@@ -427,11 +430,20 @@ def parse_csv(src) -> SweepResult:
             raise SpecFileError(f"bad CSV row (expected 7 cells): {ln!r}")
         row_axis, value, metric, analytic, simulated, stderr, status = parts
         if axis is None:
+            if row_axis not in AXES:
+                raise SpecFileError(f"unknown axis {row_axis!r} in row {ln!r}")
             axis = row_axis
         elif axis != row_axis:
             raise SpecFileError(f"mixed axis names in CSV: {axis!r} vs {row_axis!r}")
-        if status not in ("ok", "infeasible"):
+        if metric not in METRICS:
+            raise SpecFileError(f"unknown metric {metric!r} in row {ln!r}")
+        if status == "ok":
+            if not analytic:
+                raise SpecFileError(f"ok row without an analytic value: {ln!r}")
+        elif status != "infeasible":
             raise SpecFileError(f"bad status {status!r} in row {ln!r}")
+        elif analytic or simulated or stderr:
+            raise SpecFileError(f"infeasible row with numbers: {ln!r}")
         try:
             row = SweepRow(
                 axis_value=float(value),
@@ -443,6 +455,9 @@ def parse_csv(src) -> SweepResult:
             )
         except ValueError as e:
             raise SpecFileError(f"bad number in CSV row {ln!r}: {e}") from e
+        x, a, s, e = row.axis_value, row.analytic, row.simulated, row.sim_stderr
+        if x != x or a != a or s != s or e != e:  # only nan is unequal to itself
+            raise SpecFileError(f"nan cell in row {ln!r}")
         rows.append(row)
     if axis is None:
         raise SpecFileError("CSV holds no data rows")
@@ -675,8 +690,9 @@ def load_spec(path) -> SweepSpec:
     """Load a sweep specification file.
 
     ``_SPEC`` lists every key with its converter, whether it is required,
-    its default and the field it fills. The spec's ``sim`` is None unless
-    ``simulate`` is true. Raises SpecFileError on unparseable documents and
+    its default and the field it fills. A ``sim`` section needs
+    ``simulate: true``, and the spec's ``sim`` is None unless ``simulate``
+    is true. Raises SpecFileError on unparseable documents and
     SpecValidationError listing every problem, each naming its spec key.
 
     The document is parsed by libyaml when PyYAML was built with it, else
@@ -705,6 +721,8 @@ def load_spec(path) -> SweepSpec:
         workload["mse_edge"] = _DEFAULT_EDGE_RATIO * workload["mse_cloud"]
     simulate = sweep.pop("simulate")
     if not simulate:
+        if "sim" in sweep:
+            problems.append("field sweep.sim needs sweep.simulate: true")
         sweep["sim"] = None
     elif "sim" not in sweep:
         from .geomsim import SimSettings

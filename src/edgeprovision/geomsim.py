@@ -66,12 +66,7 @@ assumptions rather than to the literal finite-window system:
   dropped when that AP's cell is not empty and beats every empty cell's
   AP, since its serving cell is then certainly not empty. The rest get a
   full row and an exact association, so the fill keeps the same first hit
-  per cell as drawing every row would. Seeded simulated values changed
-  when the local step replaced global batches 2+, again when it took over
-  once batch 1 stops early, on the shadowed path only when the screen came
-  in, and without shadowing when the local step began to draw from the
-  polygon instead of a disc around it and batch 1 began to stop at a fifth
-  (same law, different draws).
+  per cell as drawing every row would.
 * ``load_model="mean_field"`` gives the typical device the mean bandwidth
   share ``bandwidth / mean_cell_load`` rather than its realized per-trial
   share. The closed forms replace the random load by its mean; validating
@@ -1259,6 +1254,25 @@ _LOAD_WINDOW_RADIUS = 5.0
 _LOAD_LAMBDA_HATS = (0.5, 1.0, 2.0)
 
 
+def _check(value: float, tolerance: float, **compared) -> dict:
+    """One check of a ``run_validation`` report: the ``compared`` values
+    (``simulated`` and ``analytic``, when there are two), the error
+    ``value``, its ``tolerance``, and whether ``value <= tolerance``."""
+    return {**compared, "value": value, "tolerance": tolerance, "pass": value <= tolerance}
+
+
+def _report_checks(checks: dict):
+    """``(label, check)`` for every check of a ``run_validation`` report's
+    ``checks``, in report order; a member ``key`` of a group of checks is
+    labelled ``group[key]``."""
+    for name, entry in checks.items():
+        if "pass" in entry:
+            yield name, entry
+        else:
+            for key, check in entry.items():
+                yield f"{name}[{key}]", check
+
+
 def run_validation(
     trials: int = 10000,
     master_seed: int | None = None,
@@ -1291,27 +1305,20 @@ def run_validation(
     )
     p_analytic = cloud_use_probability(scenario)
     mse_analytic = average_mse(scenario)
-    mse_tol = 0.03 * (w.mse_edge - w.mse_cloud)
-
+    p_sim, mse_sim = summary.cloud_use_fraction, summary.mse_estimate
     checks = {
-        "delay_cdf_ks": {"value": ks, "tolerance": 0.05, "pass": ks <= 0.05},
-        "cloud_use_abs_error": {
-            "simulated": summary.cloud_use_fraction,
-            "analytic": p_analytic,
-            "value": abs(summary.cloud_use_fraction - p_analytic),
-            "tolerance": 0.03,
-            "pass": abs(summary.cloud_use_fraction - p_analytic) <= 0.03,
-        },
-        "mse_abs_error": {
-            "simulated": summary.mse_estimate,
-            "analytic": mse_analytic,
-            "value": abs(summary.mse_estimate - mse_analytic),
-            "tolerance": mse_tol,
-            "pass": abs(summary.mse_estimate - mse_analytic) <= mse_tol,
-        },
+        "delay_cdf_ks": _check(ks, 0.05),
+        "cloud_use_abs_error": _check(
+            abs(p_sim - p_analytic), 0.03, simulated=p_sim, analytic=p_analytic
+        ),
+        "mse_abs_error": _check(
+            abs(mse_sim - mse_analytic),
+            0.03 * (w.mse_edge - w.mse_cloud),
+            simulated=mse_sim,
+            analytic=mse_analytic,
+        ),
+        "mean_load_rel_error": {},
     }
-
-    load_checks = {}
     for lh in _LOAD_LAMBDA_HATS:
         dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=1.0 / lh)
         sc = replace(scenario, deployment=dep)
@@ -1323,39 +1330,22 @@ def run_validation(
         )
         mean_load = float(run_loads(lcfg, workers=workers).mean())
         target = mean_cell_load(dep)
-        rel = abs(mean_load - target) / target
-        load_checks[f"lambda_hat_{lh:g}"] = {
-            "simulated": mean_load,
-            "analytic": target,
-            "value": rel,
-            "tolerance": 0.05,
-            "pass": rel <= 0.05,
-        }
-    checks["mean_load_rel_error"] = load_checks
+        checks["mean_load_rel_error"][f"lambda_hat_{lh:g}"] = _check(
+            abs(mean_load - target) / target, 0.05, simulated=mean_load, analytic=target
+        )
 
-    all_pass = (
-        checks["delay_cdf_ks"]["pass"]
-        and checks["cloud_use_abs_error"]["pass"]
-        and checks["mse_abs_error"]["pass"]
-        and all(c["pass"] for c in load_checks.values())
-    )
     return {
         "master_seed": seed,
         "trials": trials,
         "window_radius": radius,
         "boundary": "torus",
         "scenario": {
-            "lambda_ap": scenario.deployment.lambda_ap,
-            "lambda_dev": scenario.deployment.lambda_dev,
-            "payload_bits": w.payload_bits,
-            "delay_budget": w.delay_budget,
-            "compute_delay": w.compute_delay,
-            "mse_cloud": w.mse_cloud,
-            "mse_edge": w.mse_edge,
+            **vars(scenario.deployment),
+            **vars(w),
             "bandwidth": scenario.air.bandwidth,
             "snr": "inf" if math.isinf(scenario.air.snr) else scenario.air.snr,
             "inference_rate": scenario.inference_rate,
         },
         "checks": checks,
-        "pass": all_pass,
+        "pass": all(c["pass"] for _, c in _report_checks(checks)),
     }

@@ -94,6 +94,23 @@ def test_air_interface_snr_domain():
         AirInterface(bandwidth=1.0, snr=0.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DeploymentConfig(lambda_ap=True, lambda_dev=1.0),
+        lambda: AirInterface(bandwidth=True),
+        lambda: InferenceWorkload(
+            1.0, delay_budget=2.0, compute_delay=False, mse_cloud=1.0, mse_edge=1.5
+        ),
+    ],
+    ids=["lambda_ap", "bandwidth", "compute_delay"],
+)
+def test_bool_is_not_a_number(build):
+    # bools are ints to isinstance; as a density or a delay they are a mistake
+    with pytest.raises(ModelDomainError):
+        build()
+
+
 def test_scenario_is_immutable():
     s = unit_product_scenario()
     with pytest.raises(AttributeError):

@@ -37,24 +37,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_sweep_spec(tmp_path, simulate: str = "false"):
+def write_sweep_spec(tmp_path, simulate: bool = False):
     path = tmp_path / "spec.yaml"
-    path.write_text(
-        textwrap.dedent(
-            f"""
-            deployment: {{lambda_ap: 1.0, lambda_dev: 1.0}}
-            workload: {{q: 1.0e6, d_t: 0.06, d_c: 0.01, m_c: 1.0}}
-            air: {{b: 1.6e8}}
-            sweep:
-              axis: lambda_hat
-              grid: [0.5, 1.0, 2.0]
-              outputs: [avg_mse, cloud_use_prob]
-              simulate: {simulate}
-              sim: {{trials: 60, window_radius: 4.0, seed: 3}}
-            """
-        ),
-        encoding="utf-8",
+    text = textwrap.dedent(
+        """
+        deployment: {lambda_ap: 1.0, lambda_dev: 1.0}
+        workload: {q: 1.0e6, d_t: 0.06, d_c: 0.01, m_c: 1.0}
+        air: {b: 1.6e8}
+        sweep:
+          axis: lambda_hat
+          grid: [0.5, 1.0, 2.0]
+          outputs: [avg_mse, cloud_use_prob]
+        """
     )
+    if simulate:
+        text += "  simulate: true\n  sim: {trials: 60, window_radius: 4.0, seed: 3}\n"
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -216,6 +214,34 @@ def test_conflicting_density_flags_exit_2(capsys):
 def test_invalid_scenario_value_exits_2(capsys):
     assert run_cli(capsys, "avg-mse", "--mc", "-1")[0] == 2
     assert run_cli(capsys, "avg-mse", "--dt", "0.01", "--dc", "0.06")[0] == 2
+    # densities are checked before any ratio is taken
+    code, _, err = run_cli(capsys, "avg-mse", "--lambda-hat", "0", "--lambda-ap", "1")
+    assert code == 2 and "--lambda-hat must be finite and > 0" in err
+    code, _, err = run_cli(
+        capsys, "avg-mse", "--lambda-hat", "1", "--lambda-ap", "1", "--lambda-dev", "0"
+    )
+    assert code == 2 and "lambda_dev must be finite and > 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--trials", "0"], "trials must be an integer in [1, 10000000] (got 0)"),
+        (["validate", "--trials", "-5"], "trials must be an integer in [1, 10000000] (got -5)"),
+        (["simulate", "--trials", "2", "--workers", "0"], "workers must be an integer >= 1 (got 0)"),
+        (["validate", "--trials", "2", "--workers", "-1"], "workers must be an integer >= 1 (got -1)"),
+        (["sweep", "--workers", "0"], "workers must be an integer >= 1 (got 0)"),
+    ],
+    ids=["simulate-trials", "validate-trials", "simulate-workers", "validate-workers",
+         "sweep-workers"],
+)
+def test_nonpositive_trials_or_workers_exit_2(capsys, tmp_path, argv, message):
+    # the library's rule, not an argparse type, rejects them
+    if argv[0] == "sweep":
+        argv = [*argv, "--spec", str(write_sweep_spec(tmp_path))]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_infeasible_target_exits_3_and_reports_floor(capsys):
@@ -340,7 +366,7 @@ def test_sweep_to_stdout_csv(capsys, tmp_path):
 def test_sweep_out_file_parses_back(capsys, tmp_path):
     out_path = tmp_path / "result.csv"
     code, out, _ = run_cli(
-        capsys, "sweep", "--spec", str(write_sweep_spec(tmp_path, simulate="true")),
+        capsys, "sweep", "--spec", str(write_sweep_spec(tmp_path, simulate=True)),
         "--out", str(out_path),
     )
     assert code == 0
@@ -363,7 +389,7 @@ def test_sweep_json_rows(capsys, tmp_path):
 
 
 def test_sweep_json_keeps_its_row_format(capsys, tmp_path):
-    spec_path = write_sweep_spec(tmp_path, simulate="true")
+    spec_path = write_sweep_spec(tmp_path, simulate=True)
     code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec_path), "--json")
     assert code == 0
     result = run_sweep(load_spec(spec_path))
@@ -415,6 +441,30 @@ def test_validate_human_output_mentions_checks(capsys):
     assert code == (0 if report["pass"] else 1)
     assert "delay_cdf_ks" in out
     assert out.splitlines()[-1] == "overall: " + ("PASS" if report["pass"] else "FAIL")
+
+
+@pytest.mark.parametrize("trials", [40, 300])  # a failing and a passing report
+def test_validate_text_has_one_line_per_check(capsys, monkeypatch, trials):
+    report = run_validation(trials=trials)
+    checks = list(geomsim._report_checks(report["checks"]))
+    assert [label for label, _ in checks] == [
+        "delay_cdf_ks",
+        "cloud_use_abs_error",
+        "mse_abs_error",
+        "mean_load_rel_error[lambda_hat_0.5]",
+        "mean_load_rel_error[lambda_hat_1]",
+        "mean_load_rel_error[lambda_hat_2]",
+    ]
+    assert report["pass"] is all(c["pass"] for _, c in checks)
+    assert report["pass"] is (trials == 300)
+    monkeypatch.setattr(geomsim, "run_validation", lambda **kwargs: report)
+    code, out, _ = run_cli(capsys, "validate")
+    assert code == (0 if report["pass"] else 1)
+    lines = out.splitlines()
+    assert len(lines) == len(checks) + 2
+    for line, (label, c) in zip(lines[1:-1], checks):
+        verdict = "PASS" if c["pass"] else "FAIL"
+        assert line == f"  {label}: {c['value']:.6g} (tolerance {c['tolerance']:.6g}) {verdict}"
 
 
 def test_validate_exits_0_on_a_passing_report(capsys, monkeypatch):

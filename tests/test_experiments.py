@@ -443,8 +443,8 @@ def sweep_results(draw):
         if draw(st.booleans()):
             rows.append(SweepRow(value, metric, None, None, None, "infeasible"))
         else:
-            cells = [draw(st.none() | _CELL) for _ in range(3)]
-            rows.append(SweepRow(value, metric, *cells, "ok"))
+            cells = [draw(st.none() | _CELL) for _ in range(2)]
+            rows.append(SweepRow(value, metric, draw(_CELL), *cells, "ok"))
     return SweepResult(axis=draw(st.sampled_from(AXES)), rows=tuple(rows))
 
 
@@ -477,6 +477,26 @@ def test_parse_csv_rejects_non_numeric_cell(row):
         parse_csv(io.StringIO(CSV_HEADER + "\n" + row + "\n"))
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("bogus_axis,1,avg_mse,1.2,,,ok", "unknown axis"),
+        ("r_min,1,not_a_metric,1.2,,,ok", "unknown metric"),
+        ("r_min,nan,avg_mse,1.2,,,ok", "nan cell"),
+        ("r_min,1,avg_mse,1.2,NaN,0.1,ok", "nan cell"),
+        ("r_min,1,avg_mse,,,,ok", "ok row without an analytic value"),
+        ("r_min,1,avg_mse,1.2,,,infeasible", "infeasible row with numbers"),
+        ("r_min,1,avg_mse,,0.5,,infeasible", "infeasible row with numbers"),
+    ],
+    ids=["axis", "metric", "nan_axis_value", "nan_simulated", "ok_no_analytic",
+         "infeasible_analytic", "infeasible_simulated"],
+)
+def test_parse_csv_rejects_rows_emit_csv_never_writes(row, problem):
+    with pytest.raises(SpecFileError) as exc_info:
+        parse_csv(io.StringIO(CSV_HEADER + "\n" + row + "\n"))
+    assert problem in str(exc_info.value) and repr(row) in str(exc_info.value)
+
+
 # ---------------------------------------------------------------------------
 # spec files
 # ---------------------------------------------------------------------------
@@ -503,8 +523,8 @@ def test_load_spec_full_document(tmp_path):
         sweep:
           axis: mse_target
           range: {lo: 1.3, hi: 1.9, n: 4, scale: linear}
-          outputs: [critical_density, critical_edge_mse]
-          simulate: false
+          outputs: [critical_density, critical_edge_mse, avg_mse]
+          simulate: true
           sim: {trials: 77, window_radius: 6.0, seed: 9, shadowing: {lognormal: 4.0}, boundary: disc}
           delay_d: 1.5
         """,
@@ -513,13 +533,14 @@ def test_load_spec_full_document(tmp_path):
     assert spec.base.air.snr == 15.0
     assert spec.base.workload.mse_edge == 2.0
     assert spec.grid == pytest.approx((1.3, 1.5, 1.7, 1.9))
-    assert spec.sim is None  # checked, but this sweep does not simulate
-    assert spec.delay_query == 1.5
-    simulated = path.read_text().replace("simulate: false", "simulate: true")
-    path.write_text(simulated.replace("critical_edge_mse]", "critical_edge_mse, avg_mse]"))
-    assert load_spec(path).sim == SimSettings(
+    assert spec.sim == SimSettings(
         trials=77, window_radius=6.0, master_seed=9, shadowing_sigma_db=4.0, boundary="disc"
     )
+    assert spec.delay_query == 1.5
+    # settings on a sweep that does not simulate would be dropped
+    path.write_text(path.read_text().replace("simulate: true", "simulate: false"))
+    with pytest.raises(SpecValidationError, match=r"^field sweep\.sim needs sweep\.simulate: true$"):
+        load_spec(path)
 
 
 def test_simulated_sweep_needs_a_simulable_output(tmp_path):
@@ -865,25 +886,25 @@ LOADER_MESSAGES = [
         id="simulate-not-a-boolean",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": 5}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": 5}),
         SpecValidationError,
         "field sweep.sim must be a mapping",
         id="sim-not-a-mapping",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"speed": 1}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"speed": 1}}),
         SpecValidationError,
         "unknown field sweep.sim.speed",
         id="sim-unknown-field",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"window_radius": "wide"}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"window_radius": "wide"}}),
         SpecValidationError,
         "field sweep.sim.window_radius must be a number or omitted (got 'wide')",
         id="sim-window-not-a-number",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"shadowing": "heavy"}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"shadowing": "heavy"}}),
         SpecValidationError,
         (
             'field sweep.sim.shadowing must be "none", a sigma in dB, or {lognormal: sigma}'
@@ -904,43 +925,43 @@ LOADER_MESSAGES = [
         id="delay-d-not-a-number",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"trials": 0}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"trials": 0}}),
         SpecValidationError,
         "sweep.sim.trials must be an integer in [1, 10000000] (got 0)",
         id="sim-trials",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"window_radius": -2.0}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"window_radius": -2.0}}),
         SpecValidationError,
         "sweep.sim.window_radius must be finite and > 0 (got -2.0)",
         id="sim-window-radius",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"seed": -1}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"seed": -1}}),
         SpecValidationError,
         "sweep.sim.seed must be an integer in [0, 2**64) (got -1)",
         id="sim-seed",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"shadowing": {"lognormal": -3.0}}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"shadowing": {"lognormal": -3.0}}}),
         SpecValidationError,
         "sweep.sim.shadowing must be finite and >= 0 (got -3.0)",
         id="sim-shadowing",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"boundary": "sphere"}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"boundary": "sphere"}}),
         SpecValidationError,
         "sweep.sim.boundary must be torus|disc (got 'sphere')",
         id="sim-boundary",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"load_model": "exact"}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"load_model": "exact"}}),
         SpecValidationError,
         "sweep.sim.load_model must be mean_field|realized (got 'exact')",
         id="sim-load-model",
     ),
     pytest.param(
-        spec_doc({"sweep.sim": {"full_buffer": "no"}}),
+        spec_doc({"sweep.simulate": True, "sweep.sim": {"full_buffer": "no"}}),
         SpecValidationError,
         "sweep.sim.full_buffer must be True or False (got 'no')",
         id="sim-full-buffer",
@@ -1108,6 +1129,18 @@ LOADER_MESSAGES = [
         id="range-not-finite",
     ),
     pytest.param(
+        spec_doc({"sweep.sim": {"trials": 50, "boundary": "disc"}}),
+        SpecValidationError,
+        "field sweep.sim needs sweep.simulate: true",
+        id="sim-without-simulate",
+    ),
+    pytest.param(
+        spec_doc({"sweep.simulate": False, "sweep.sim": {}}),
+        SpecValidationError,
+        "field sweep.sim needs sweep.simulate: true",
+        id="sim-not-simulated",
+    ),
+    pytest.param(
         spec_doc({"sweep.simulate": True, "sweep.sim": {"trials": 10**7}}),
         SpecValidationError,
         "sweep.sim.trials (10000000) times the grid size (3) must be at most 10000000",
@@ -1223,6 +1256,7 @@ LOADER_MESSAGES = [
             "sweep.sim.load_model must be mean_field|realized (got 'exact')\n"
             "sweep.sim.full_buffer must be True or False (got 1)\n"
             "field sweep.delay_d must be a number (got 'late')\n"
+            "field sweep.sim needs sweep.simulate: true\n"
             "sweep.axis must be one of ('lambda_hat', 'r_min', 'mse_target',"
             " 'mse_edge_ratio') (got None)\n"
             "sweep.mse_target must be finite (got nan)\n"
@@ -1314,11 +1348,11 @@ def test_load_spec_accepts_sizes_at_the_limits(tmp_path):
     doc = base_doc()
     del doc["sweep"]["grid"]
     doc["sweep"]["range"] = {"lo": 0.1, "hi": 10.0, "n": 10_000, "scale": "log"}
-    doc["sweep"]["sim"] = {"trials": 10**7}
     spec = load_spec(dump_spec(tmp_path, doc))
     assert len(spec.grid) == 10_000 and spec.sim is None
     # a simulated sweep runs at most 10**7 trials over all its points
     doc["sweep"]["simulate"] = True
+    doc["sweep"]["sim"] = {"trials": 10**7}
     doc["sweep"]["range"]["n"] = 1
     assert load_spec(dump_spec(tmp_path, doc)).sim.trials == 10**7
     doc["sweep"]["range"]["n"] = 1000
@@ -1488,7 +1522,8 @@ ALIASED_SPEC = """
 deployment: {lambda_ap: &one 1.0, lambda_dev: *one}
 workload: {q: 1.0e6, d_t: 0.06, d_c: 0.01, m_c: *one}
 air: {b: 1.6e8}
-sweep: {axis: lambda_hat, grid: [0.5, *one], outputs: [avg_mse], sim: {<<: {trials: 9}, seed: 3}}
+sweep: {axis: lambda_hat, grid: [0.5, *one], outputs: [avg_mse], simulate: true,
+        sim: {<<: {trials: 9}, seed: 3}}
 """
 
 

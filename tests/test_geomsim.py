@@ -229,8 +229,8 @@ def test_simconfig_validation():
         small_cfg(boundary="sphere")
     with pytest.raises(ModelDomainError):
         small_cfg(load_model="typo")
-    # trials and seeds are honoured exactly or rejected, never truncated,
-    # wrapped to 64 bits or read from a bool
+    # trials, seeds and the other numbers are honoured exactly or rejected,
+    # never truncated, wrapped to 64 bits or read from a bool
     for field, value in [
         ("trials", True),
         ("trials", 2.0),
@@ -242,8 +242,10 @@ def test_simconfig_validation():
         ("master_seed", "5"),
         ("window_radius", math.nan),
         ("window_radius", math.inf),
+        ("window_radius", True),
         ("shadowing_sigma_db", -3.0),
         ("shadowing_sigma_db", math.nan),
+        ("shadowing_sigma_db", False),
         ("full_buffer", 1),
         ("full_buffer", "no"),
     ]:
