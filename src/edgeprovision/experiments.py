@@ -455,8 +455,8 @@ def parse_csv(src) -> SweepResult:
             )
         except ValueError as e:
             raise SpecFileError(f"bad number in CSV row {ln!r}: {e}") from e
-        x, a, s, e = row.axis_value, row.analytic, row.simulated, row.sim_stderr
-        if x != x or a != a or s != s or e != e:  # only nan is unequal to itself
+        x, a, s, se = row.axis_value, row.analytic, row.simulated, row.sim_stderr
+        if x != x or a != a or s != s or se != se:  # only nan is unequal to itself
             raise SpecFileError(f"nan cell in row {ln!r}")
         rows.append(row)
     if axis is None:
