@@ -61,6 +61,15 @@ def _require(cond: bool, template: str, *values) -> None:
         raise ModelDomainError(template.format(*values))
 
 
+def _require_finite(name: str, x, strict: bool = True) -> None:
+    """Raise ModelDomainError unless ``x`` is a finite number > 0 (>= 0
+    when not ``strict``); like ``_require``, the message is built only on
+    failure."""
+    if not (_finite(x) and (x > 0 if strict else x >= 0)):
+        op = ">" if strict else ">="
+        raise ModelDomainError(f"{name} must be finite and {op} 0 (got {x!r})")
+
+
 def _finite(x: float) -> bool:
     """True for a finite int or float; False for a bool, like ``_as_number``."""
     return isinstance(x, (int, float)) and type(x) is not bool and math.isfinite(x)
@@ -122,16 +131,8 @@ class DeploymentConfig:
     lambda_dev: float
 
     def __post_init__(self):
-        _require(
-            _finite(self.lambda_ap) and self.lambda_ap > 0,
-            "lambda_ap must be finite and > 0 (got {!r})",
-            self.lambda_ap,
-        )
-        _require(
-            _finite(self.lambda_dev) and self.lambda_dev > 0,
-            "lambda_dev must be finite and > 0 (got {!r})",
-            self.lambda_dev,
-        )
+        _require_finite("lambda_ap", self.lambda_ap)
+        _require_finite("lambda_dev", self.lambda_dev)
 
     @property
     def lambda_hat(self) -> float:
@@ -156,16 +157,8 @@ class InferenceWorkload:
     mse_edge: float
 
     def __post_init__(self):
-        _require(
-            _finite(self.payload_bits) and self.payload_bits > 0,
-            "payload_bits must be finite and > 0 (got {!r})",
-            self.payload_bits,
-        )
-        _require(
-            _finite(self.compute_delay) and self.compute_delay >= 0,
-            "compute_delay must be finite and >= 0 (got {!r})",
-            self.compute_delay,
-        )
+        _require_finite("payload_bits", self.payload_bits)
+        _require_finite("compute_delay", self.compute_delay, strict=False)
         _require(
             _finite(self.delay_budget) and self.delay_budget > self.compute_delay,
             "delay_budget must be finite and exceed compute_delay, otherwise "
@@ -173,11 +166,7 @@ class InferenceWorkload:
             self.delay_budget,
             self.compute_delay,
         )
-        _require(
-            _finite(self.mse_cloud) and self.mse_cloud > 0,
-            "mse_cloud must be finite and > 0 (got {!r})",
-            self.mse_cloud,
-        )
+        _require_finite("mse_cloud", self.mse_cloud)
         _require(
             _finite(self.mse_edge) and self.mse_edge >= self.mse_cloud,
             "mse_edge must be finite and >= mse_cloud (cloud model is the "
@@ -199,13 +188,9 @@ class AirInterface:
     snr: float = math.inf
 
     def __post_init__(self):
+        _require_finite("bandwidth", self.bandwidth)
         _require(
-            _finite(self.bandwidth) and self.bandwidth > 0,
-            "bandwidth must be finite and > 0 (got {!r})",
-            self.bandwidth,
-        )
-        _require(
-            not math.isnan(self.snr) and self.snr > 0,
+            isinstance(self.snr, (int, float)) and type(self.snr) is not bool and self.snr > 0,
             "snr must be > 0 (math.inf allowed; got {!r})",
             self.snr,
         )
@@ -220,8 +205,7 @@ class Scenario:
     air: AirInterface
 
     def __post_init__(self):
-        r = self.inference_rate
-        _require(_usable_rate(r), "derived inference rate must be finite and > 0 (got {!r})", r)
+        _require_finite("derived inference rate", self.inference_rate)
 
     @property
     def inference_rate(self) -> float:
@@ -232,11 +216,6 @@ class Scenario:
 def _rate(w: InferenceWorkload, air: AirInterface) -> float:
     """payload / (bandwidth * (delay_budget - compute_delay)), in bit/s/Hz."""
     return w.payload_bits / (air.bandwidth * (w.delay_budget - w.compute_delay))
-
-
-def _usable_rate(r: float) -> bool:
-    """Whether a derived inference rate is one a scenario may have."""
-    return math.isfinite(r) and r > 0
 
 
 def _payload(r_min: float, bandwidth: float, delay_budget: float, compute_delay: float) -> float:
@@ -262,7 +241,7 @@ def coverage_exponent(x: float) -> float:
     exp(-coverage_exponent(x)) under the model assumptions; strictly
     increasing from 0 with unbounded range.
     """
-    _require(_finite(x) and x >= 0, "x must be finite and >= 0 (got {!r})", x)
+    _require_finite("x", x, strict=False)
     u = math.sqrt(x)
     return u * math.atan(u)
 
@@ -272,7 +251,7 @@ def sinr_threshold(x: float) -> float:
 
     Saturates to math.inf once 2**x exceeds the float64 range.
     """
-    _require(_finite(x) and x >= 0, "x must be finite and >= 0 (got {!r})", x)
+    _require_finite("x", x, strict=False)
     if x >= _EXP2_OVERFLOW:
         return math.inf
     return 2.0 ** x - 1.0
@@ -293,7 +272,7 @@ def coverage_exponent_inverse(y: float) -> float:
     for any float y. Returns 0 for y = 0 and math.inf above
     ``_INVERSE_MAX_Y``; below it no intermediate value overflows.
     """
-    _require(_finite(y) and y >= 0, "y must be finite and >= 0 (got {!r})", y)
+    _require_finite("y", y, strict=False)
     if y == 0.0:
         return 0.0
     if y > _INVERSE_MAX_Y:
@@ -378,16 +357,8 @@ def critical_ap_density(
     Raises InfeasibleTargetError when the target is at or below the
     asymptotic MSE, since no finite density can reach it.
     """
-    _require(
-        _finite(lambda_dev) and lambda_dev > 0,
-        "lambda_dev must be finite and > 0 (got {!r})",
-        lambda_dev,
-    )
-    _require(
-        _finite(mse_target) and mse_target > 0,
-        "mse_target must be finite and > 0 (got {!r})",
-        mse_target,
-    )
+    _require_finite("lambda_dev", lambda_dev)
+    _require_finite("mse_target", mse_target)
     if mse_target >= w.mse_edge:
         return 0.0
     m_asy = asymptotic_mse(w, air)

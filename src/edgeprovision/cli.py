@@ -30,8 +30,8 @@ from .analytic import (
     Scenario,
     _CLOSED_FORMS,
     _DEFAULT_EDGE_RATIO,
-    _finite,
     _payload,
+    _require_finite,
     _snr_type,
     average_mse,
     cloud_use_probability,
@@ -93,16 +93,22 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--lambda-dev", type=float, default=None, help="device density")
     g.add_argument("--lambda-hat", type=float, default=None, help="AP/device density ratio")
     g.add_argument("--q", type=float, default=None, help="payload size in bits")
-    g.add_argument("--bandwidth", type=float, default=None, help="bandwidth in Hz (default 1)")
-    g.add_argument("--dt", type=float, default=None, help="total delay budget in s (default 1)")
-    g.add_argument("--dc", type=float, default=None, help="cloud compute delay in s (default 0)")
+    g.add_argument(
+        "--bandwidth", type=float, default=1.0, help="bandwidth in Hz (default %(default)g)"
+    )
+    g.add_argument(
+        "--dt", type=float, default=1.0, help="total delay budget in s (default %(default)g)"
+    )
+    g.add_argument(
+        "--dc", type=float, default=0.0, help="cloud compute delay in s (default %(default)g)"
+    )
     g.add_argument(
         "--rmin",
         type=float,
         default=None,
         help="minimum spectral efficiency q/(b*(dt-dc)); alternative to --q",
     )
-    g.add_argument("--mc", type=float, default=None, help="cloud-model MSE (default 1)")
+    g.add_argument("--mc", type=float, default=1.0, help="cloud-model MSE (default %(default)g)")
     g.add_argument(
         "--md",
         type=float,
@@ -112,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "--snr",
         type=_snr_type,
-        default=None,
+        default=math.inf,
         help='transmit SNR (linear); "inf" for interference-limited (default)',
     )
 
@@ -181,8 +187,8 @@ def _mismatch(a: float, b: float) -> bool:
 
 def _resolve_densities(args) -> DeploymentConfig:
     ap, dev, hat = args.lambda_ap, args.lambda_dev, args.lambda_hat
-    if hat is not None and not (_finite(hat) and hat > 0):
-        raise ModelDomainError(f"--lambda-hat must be finite and > 0 (got {hat!r})")
+    if hat is not None:
+        _require_finite("--lambda-hat", hat)
     if dev is None:
         dev = ap / hat if ap is not None and hat is not None else 1.0
     if ap is None:
@@ -198,25 +204,19 @@ def _resolve_densities(args) -> DeploymentConfig:
 
 def _resolve_scenario(args) -> Scenario:
     dep = _resolve_densities(args)
-    b = args.bandwidth if args.bandwidth is not None else 1.0
-    dt = args.dt if args.dt is not None else 1.0
-    dc = args.dc if args.dc is not None else 0.0
-    mc = args.mc if args.mc is not None else 1.0
+    b, dt, dc, mc = args.bandwidth, args.dt, args.dc, args.mc
     md = args.md if args.md is not None else _DEFAULT_EDGE_RATIO * mc
-    snr = args.snr if args.snr is not None else math.inf
-    if args.q is not None and args.rmin is not None:
-        implied = _payload(args.rmin, b, dt, dc)
-        if _mismatch(args.q, implied):
+    q, rmin = args.q, args.rmin
+    if rmin is not None:
+        _require_finite("--rmin", rmin)
+    if q is None:
+        q = _payload(1.0 if rmin is None else rmin, b, dt, dc)
+    elif rmin is not None:
+        implied = _payload(rmin, b, dt, dc)
+        if _mismatch(q, implied):
             raise ModelDomainError(
-                f"--q {args.q:g} conflicts with --rmin {args.rmin:g} "
-                f"(implies q = {implied:g})"
+                f"--q {q:g} conflicts with --rmin {rmin:g} (implies q = {implied:g})"
             )
-        q = args.q
-    elif args.q is not None:
-        q = args.q
-    else:
-        rmin = args.rmin if args.rmin is not None else 1.0
-        q = _payload(rmin, b, dt, dc)
     return Scenario(
         deployment=dep,
         workload=InferenceWorkload(
@@ -226,7 +226,7 @@ def _resolve_scenario(args) -> Scenario:
             mse_cloud=mc,
             mse_edge=md,
         ),
-        air=AirInterface(bandwidth=b, snr=snr),
+        air=AirInterface(bandwidth=b, snr=args.snr),
     )
 
 

@@ -15,7 +15,6 @@ emit -> parse round-trips to an identical result.
 
 from __future__ import annotations
 
-import io
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -29,10 +28,10 @@ from .analytic import (
     _CLOSED_FORMS,
     _DEFAULT_EDGE_RATIO,
     _as_number,
+    _finite,
     _payload,
     _rate,
     _snr_type,
-    _usable_rate,
     _worker_count,
 )
 from .errors import (
@@ -398,7 +397,7 @@ def emit_csv(res: SweepResult, dest) -> None:
             )
         )
     text = "\n".join(lines) + "\n"
-    if isinstance(dest, io.TextIOBase) or hasattr(dest, "write"):
+    if hasattr(dest, "write"):
         dest.write(text)
     else:
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
@@ -412,7 +411,7 @@ def parse_csv(src) -> SweepResult:
     that ``emit_csv`` never writes: an unknown axis or metric, a nan cell,
     an ``ok`` row without an analytic value, or an ``infeasible`` row with
     numbers."""
-    if isinstance(src, io.TextIOBase) or hasattr(src, "read"):
+    if hasattr(src, "read"):
         text = src.read()
     else:
         with open(src, "r", encoding="utf-8", newline="") as fh:
@@ -678,7 +677,7 @@ def _rate_problems(workload: dict, air: AirInterface | None) -> list[str]:
     except ModelDomainError:
         return []  # reported under workload
     r = _rate(w, air)
-    if _usable_rate(r):
+    if _finite(r) and r > 0:
         return []
     return [
         "derived inference rate workload.q / (air.b * (workload.d_t - workload.d_c))"

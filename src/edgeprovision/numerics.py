@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import _as_index
+from .analytic import _as_index, _require_finite
 from .errors import BracketError, ModelDomainError
 
 
@@ -77,8 +77,7 @@ def bisect_root(
     ceil(log2((hi-lo)/tol)) + 2 iterations; that bound is taken without
     forming hi - lo or its ratio to tol, either of which can overflow.
     """
-    if not (tol > 0):
-        raise ModelDomainError(f"tol must be > 0 (got {tol!r})")
+    _require_finite("tol", tol)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ModelDomainError(f"need finite lo and hi (got {lo!r}, {hi!r})")
     if not (lo < hi):
@@ -114,8 +113,7 @@ def bisect_root(
 
 def exponential_inverse_cdf(u, mean: float):
     """Map uniform draws ``u`` in [0, 1) to exponential variates via -mean*ln(1-u)."""
-    if mean <= 0 or not math.isfinite(mean):
-        raise ModelDomainError(f"mean must be finite and > 0 (got {mean!r})")
+    _require_finite("mean", mean)
     return -mean * np.log1p(-np.asarray(u)) if np.ndim(u) else -mean * math.log1p(-u)
 
 

@@ -26,6 +26,7 @@ from edgeprovision.analytic import (
     sinr_threshold,
 )
 from edgeprovision.errors import InfeasibleTargetError, ModelDomainError
+from edgeprovision.numerics import exponential_inverse_cdf
 
 # Frozen oracle values, computed once with 40-digit arithmetic.
 AVG_MSE_UNIT_PRODUCT = 1.2720309361170019   # m_c=1, m_d=1.5, load*rate product = 1
@@ -92,23 +93,6 @@ def test_air_interface_snr_domain():
         AirInterface(bandwidth=0.0)
     with pytest.raises(ModelDomainError):
         AirInterface(bandwidth=1.0, snr=0.0)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: DeploymentConfig(lambda_ap=True, lambda_dev=1.0),
-        lambda: AirInterface(bandwidth=True),
-        lambda: InferenceWorkload(
-            1.0, delay_budget=2.0, compute_delay=False, mse_cloud=1.0, mse_edge=1.5
-        ),
-    ],
-    ids=["lambda_ap", "bandwidth", "compute_delay"],
-)
-def test_bool_is_not_a_number(build):
-    # bools are ints to isinstance; as a density or a delay they are a mistake
-    with pytest.raises(ModelDomainError):
-        build()
 
 
 def test_scenario_is_immutable():
@@ -453,7 +437,8 @@ def test_coverage_exponent_inverse_takes_at_most_seven_steps():
     assert 1 <= min(steps) and max(steps) <= 7
 
 
-# Each domain check's message for one bad input, as the checks word them.
+# Each domain check's message for one bad input, as the checks word them. A bool
+# (an int to isinstance) or a numeric string is a bad input to every range rule.
 _UNIT = Scenario(
     DeploymentConfig(1.0, 1.0),
     InferenceWorkload(1.0, 2.0, 1.0, mse_cloud=1.0, mse_edge=1.5),
@@ -492,6 +477,14 @@ _DOMAIN_MESSAGES = {
         lambda: DeploymentConfig(-1.0, 1.0),
         "lambda_ap must be finite and > 0 (got -1.0)",
     ),
+    "DeploymentConfig.lambda_ap.bool": (
+        lambda: DeploymentConfig(True, 1.0),
+        "lambda_ap must be finite and > 0 (got True)",
+    ),
+    "DeploymentConfig.lambda_ap.str": (
+        lambda: DeploymentConfig("1", 1.0),
+        "lambda_ap must be finite and > 0 (got '1')",
+    ),
     "DeploymentConfig.lambda_dev": (
         lambda: DeploymentConfig(1.0, math.inf),
         "lambda_dev must be finite and > 0 (got inf)",
@@ -503,6 +496,14 @@ _DOMAIN_MESSAGES = {
     "InferenceWorkload.compute_delay": (
         lambda: InferenceWorkload(1.0, 2.0, -1.0, 1.0, 1.5),
         "compute_delay must be finite and >= 0 (got -1.0)",
+    ),
+    "InferenceWorkload.compute_delay.bool": (
+        lambda: InferenceWorkload(1.0, 2.0, True, 1.0, 1.5),
+        "compute_delay must be finite and >= 0 (got True)",
+    ),
+    "InferenceWorkload.compute_delay.str": (
+        lambda: InferenceWorkload(1.0, 2.0, "1", 1.0, 1.5),
+        "compute_delay must be finite and >= 0 (got '1')",
     ),
     "InferenceWorkload.delay_budget": (
         lambda: InferenceWorkload(1.0, 1.0, 1.0, 1.0, 1.5),
@@ -522,9 +523,33 @@ _DOMAIN_MESSAGES = {
         lambda: AirInterface("wide"),
         "bandwidth must be finite and > 0 (got 'wide')",
     ),
+    "AirInterface.bandwidth.bool": (
+        lambda: AirInterface(True),
+        "bandwidth must be finite and > 0 (got True)",
+    ),
+    "AirInterface.bandwidth.str": (
+        lambda: AirInterface("1"),
+        "bandwidth must be finite and > 0 (got '1')",
+    ),
     "AirInterface.snr": (
         lambda: AirInterface(1.0, snr=math.nan),
         "snr must be > 0 (math.inf allowed; got nan)",
+    ),
+    "AirInterface.snr.bool": (
+        lambda: AirInterface(1.0, snr=True),
+        "snr must be > 0 (math.inf allowed; got True)",
+    ),
+    "AirInterface.snr.str": (
+        lambda: AirInterface(1.0, snr="5"),
+        "snr must be > 0 (math.inf allowed; got '5')",
+    ),
+    "AirInterface.snr.none": (
+        lambda: AirInterface(1.0, snr=None),
+        "snr must be > 0 (math.inf allowed; got None)",
+    ),
+    "exponential_inverse_cdf.mean.bool": (
+        lambda: exponential_inverse_cdf(0.5, True),
+        "mean must be finite and > 0 (got True)",
     ),
     "Scenario.inference_rate": (
         lambda: Scenario(

@@ -221,6 +221,10 @@ def test_invalid_scenario_value_exits_2(capsys):
         capsys, "avg-mse", "--lambda-hat", "1", "--lambda-ap", "1", "--lambda-dev", "0"
     )
     assert code == 2 and "lambda_dev must be finite and > 0" in err
+    # --rmin is checked before it is compared with --q
+    for rmin in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "avg-mse", "--rmin", rmin, "--q", "5")
+        assert (code, out) == (2, "") and f"--rmin must be finite and > 0 (got {rmin})" in err
 
 
 @pytest.mark.parametrize(
