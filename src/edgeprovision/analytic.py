@@ -247,14 +247,15 @@ def coverage_exponent(x: float) -> float:
 
 
 def sinr_threshold(x: float) -> float:
-    """2**x - 1: the SINR needed to sustain spectral efficiency x (bit/s/Hz).
-
-    Saturates to math.inf once 2**x exceeds the float64 range.
+    """2**x - 1: the SINR needed to sustain spectral efficiency x (bit/s/Hz);
+    expm1(x*ln 2) below x = 1/8, where 2**x - 1 loses 3+ bits to cancellation.
+    Saturates to math.inf once 2**x exceeds the float64 range (x = inf too).
     """
-    _require_finite("x", x, strict=False)
+    if x != math.inf:
+        _require_finite("x", x, strict=False)
     if x >= _EXP2_OVERFLOW:
         return math.inf
-    return 2.0 ** x - 1.0
+    return 2.0 ** x - 1.0 if x >= 0.125 else math.expm1(x * _LN2)
 
 
 # Above this y, coverage_exponent(x) = y only for an x beyond the float64
@@ -287,12 +288,11 @@ def coverage_exponent_inverse(y: float) -> float:
         u = nxt
 
 
-def _gate_probability(x: float) -> float:
-    """exp(-coverage_exponent(sinr_threshold(x))): probability that spectral
-    efficiency demand x is met on the uplink."""
-    if x >= _EXP2_OVERFLOW or math.isinf(x):
-        return 0.0
-    return math.exp(-coverage_exponent(sinr_threshold(x)))
+def _gate_exponent(x: float) -> float:
+    """coverage_exponent(sinr_threshold(x)), -ln P(spectral efficiency demand
+    x is met on the uplink); math.inf once the threshold is."""
+    t = sinr_threshold(x)
+    return math.inf if t == math.inf else coverage_exponent(t)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def delay_cdf(s: Scenario, d: float) -> float:
     )
     nu = mean_cell_load(s.deployment)
     stretch = (w.delay_budget - w.compute_delay) / (d - w.compute_delay)
-    return _gate_probability(nu * s.inference_rate * stretch)
+    return math.exp(-_gate_exponent(nu * s.inference_rate * stretch))
 
 
 def cloud_use_probability(s: Scenario) -> float:
@@ -342,7 +342,7 @@ def asymptotic_mse(w: InferenceWorkload, air: AirInterface) -> float:
     Tends to mse_cloud as the inference rate vanishes and to mse_edge as it
     grows without bound.
     """
-    return _mix(w, _gate_probability(_rate(w, air)))
+    return _mix(w, math.exp(-_gate_exponent(_rate(w, air))))
 
 
 def critical_ap_density(
@@ -398,11 +398,7 @@ def critical_edge_mse(s: Scenario, mse_target: float) -> float:
     )
     # q = 1 - p, the probability that the cloud output misses the budget,
     # through expm1 so that it keeps its relative precision as p nears 1
-    x = mean_cell_load(s.deployment) * s.inference_rate
-    if x >= _EXP2_OVERFLOW:
-        q = 1.0
-    else:
-        q = -math.expm1(-coverage_exponent(math.expm1(x * _LN2)))
+    q = -math.expm1(-_gate_exponent(mean_cell_load(s.deployment) * s.inference_rate))
     if q <= 0.0:
         raise ModelDomainError(
             "cloud output always meets the budget (cloud-use probability 1); "

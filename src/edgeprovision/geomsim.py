@@ -89,9 +89,12 @@ from .analytic import (
     DeploymentConfig,
     InferenceWorkload,
     Scenario,
+    _LN2,
     _as_index,
     _finite,
     _mix,
+    _require,
+    _require_finite,
     _worker_count,
     average_mse,
     cloud_use_probability,
@@ -203,6 +206,9 @@ class TorusWindow:
 
     radius: float
 
+    def __post_init__(self):
+        _require_finite("radius", self.radius)
+
     @property
     def side(self) -> float:
         return 2.0 * self.radius
@@ -224,6 +230,9 @@ class DiscWindow:
     """Disc of given radius centered at the origin; plain Euclidean distance."""
 
     radius: float
+
+    def __post_init__(self):
+        _require_finite("radius", self.radius)
 
     @property
     def area(self) -> float:
@@ -328,17 +337,19 @@ def uplink_rate(sinr: float, bandwidth: float, load: float) -> float:
     ``load`` is the number of devices sharing the serving AP's bandwidth;
     a fractional value is allowed so the mean share can be used directly.
     """
-    if load <= 0:
-        raise ModelDomainError(f"load must be > 0 (got {load!r})")
-    if math.isnan(sinr) or sinr < 0:
-        raise ModelDomainError(f"sinr must be >= 0 (got {sinr!r})")
-    return (bandwidth / load) * (math.log1p(sinr) / math.log(2.0))
+    _require_finite("bandwidth", bandwidth)
+    _require_finite("load", load)
+    ok = sinr == math.inf or _finite(sinr) and sinr >= 0
+    _require(ok, "sinr must be >= 0 (math.inf allowed; got {!r})", sinr)
+    return (bandwidth / load) * (math.log1p(sinr) / _LN2)
 
 
 def cloud_delay(rate: float, w: InferenceWorkload) -> float:
     """Round-trip cloud delay payload/rate + compute_delay; inf when the
     rate underflows to zero (sentinel beyond any queried delay)."""
-    if rate <= 0.0:
+    ok = rate == math.inf or _finite(rate) and rate >= 0
+    _require(ok, "rate must be >= 0 (math.inf allowed; got {!r})", rate)
+    if rate == 0.0:
         return math.inf
     return w.payload_bits / rate + w.compute_delay
 
@@ -346,6 +357,7 @@ def cloud_delay(rate: float, w: InferenceWorkload) -> float:
 def select_output(delay: float, w: InferenceWorkload) -> bool:
     """Delay-gated output selection: whether the cloud result is used, which
     it is iff it meets the budget (inclusive)."""
+    _require(not math.isnan(delay), "delay must not be NaN (got {!r})", delay)
     return delay <= w.delay_budget
 
 
@@ -920,7 +932,7 @@ class _Engine:
         bounds = block.bounds(trial)
         out = []
         for stream, lo, hi, load in zip(block.streams, bounds, bounds[1:], loads.tolist()):
-            h = np.atleast_1d(exponential_variate(stream, 1.0, size=hi - lo + 1))
+            h = exponential_variate(stream, hi - lo + 1)
             interference = float(np.dot(ratio[lo:hi], h[1:]))
             denom = self.snr_inv + interference
             sinr = math.inf if denom == 0.0 else float(h[0]) / denom

@@ -111,19 +111,12 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
-def exponential_inverse_cdf(u, mean: float):
-    """Map uniform draws ``u`` in [0, 1) to exponential variates via -mean*ln(1-u)."""
-    _require_finite("mean", mean)
-    return -mean * np.log1p(-np.asarray(u)) if np.ndim(u) else -mean * math.log1p(-u)
-
-
-def exponential_variate(stream: RngStream, mean: float, size=None):
-    """Exponential draws from ``stream`` by inverse-CDF transform.
-
-    The inverse-CDF route (rather than rejection) keeps the draw count per
-    variate fixed, which is what makes counter-based streams reproducible.
-    """
-    return exponential_inverse_cdf(stream.uniform(size), mean)
+def exponential_variate(stream: RngStream, size: int) -> np.ndarray:
+    """``size`` unit-mean exponential draws (Rayleigh fade power gains) from
+    ``stream``, by inverse CDF -ln(1 - u): unlike rejection, it takes a fixed
+    count of uniforms per variate, which keeps counter-based streams
+    reproducible."""
+    return -np.log1p(-stream.uniform(size))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,6 @@ from edgeprovision.analytic import (
     sinr_threshold,
 )
 from edgeprovision.errors import InfeasibleTargetError, ModelDomainError
-from edgeprovision.numerics import exponential_inverse_cdf
 
 # Frozen oracle values, computed once with 40-digit arithmetic.
 AVG_MSE_UNIT_PRODUCT = 1.2720309361170019   # m_c=1, m_d=1.5, load*rate product = 1
@@ -134,6 +133,39 @@ def test_sinr_threshold_values():
     assert sinr_threshold(0.5) == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
     assert math.isinf(sinr_threshold(1024.0))
     assert math.isinf(sinr_threshold(5000.0))
+
+
+def _floats_from(x: float, toward: float, n: int) -> list[float]:
+    """``x`` and the ``n - 1`` floats after it toward ``toward``."""
+    out = [x]
+    for _ in range(n - 1):
+        out.append(math.nextafter(out[-1], toward))
+    return out
+
+
+def test_sinr_threshold_switches_form_at_one_eighth():
+    # expm1(x*ln 2) below x = 1/8 and 2**x - 1 from it on, without a step down
+    below = _floats_from(0.125, 0.0, 1001)[:0:-1]
+    above = _floats_from(0.125, 1.0, 1000)
+    values = [sinr_threshold(x) for x in below + above]
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    assert all(sinr_threshold(x) == 2.0 ** x - 1.0 for x in above)
+
+
+def test_closed_forms_saturate_once_the_threshold_overflows():
+    # inference rate 2,000: 2**x overflows, so the cloud output is never used
+    s = property_scenario(1.0, 2000.0, 1.5)
+    assert cloud_use_probability(s) == 0.0
+    assert average_mse(s) == 1.5
+    assert asymptotic_mse(s.workload, s.air) == 1.5
+    assert critical_edge_mse(s, 1.2) == 1.2
+    # a delay just above the compute delay stretches the demand to x = inf
+    wide = Scenario(
+        DeploymentConfig(1.0, 1.0),
+        InferenceWorkload(1e300, 1e300, 0.0, mse_cloud=1.0, mse_edge=1.5),
+        AirInterface(1.0),
+    )
+    assert delay_cdf(wide, 5e-324) == 0.0
 
 
 def test_coverage_exponent_inverse_frozen_example():
@@ -375,6 +407,10 @@ def test_critical_edge_mse_round_trip_property(lam_hat, rate, edge_ratio, target
 @example(lam_hat=1.0, rate=1e-12, target_ratio=1.2)
 @example(lam_hat=1.0, rate=1e-9, target_ratio=1.2)
 @example(lam_hat=1.0, rate=1e-3, target_ratio=1.2)
+# mean load 2 and x = 2*rate, just below and just above the x = 1/8 switch
+# of sinr_threshold
+@example(lam_hat=1.28, rate=math.nextafter(0.0625, 0.0), target_ratio=1.2)
+@example(lam_hat=1.28, rate=math.nextafter(0.0625, 1.0), target_ratio=1.2)
 def test_critical_edge_mse_matches_high_precision_property(lam_hat, rate, target_ratio):
     # as the rate vanishes the cloud-use probability p nears 1 and 1 - p
     # must not cancel; compare with 50-digit arithmetic on the same inputs
@@ -546,10 +582,6 @@ _DOMAIN_MESSAGES = {
     "AirInterface.snr.none": (
         lambda: AirInterface(1.0, snr=None),
         "snr must be > 0 (math.inf allowed; got None)",
-    ),
-    "exponential_inverse_cdf.mean.bool": (
-        lambda: exponential_inverse_cdf(0.5, True),
-        "mean must be finite and > 0 (got True)",
     ),
     "Scenario.inference_rate": (
         lambda: Scenario(

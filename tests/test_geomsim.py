@@ -70,6 +70,13 @@ def test_disc_window_geometry():
     np.testing.assert_array_equal(win.center, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("window", [TorusWindow, DiscWindow])
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, True])
+def test_windows_reject_a_bad_radius(window, radius):
+    with pytest.raises(ModelDomainError, match="radius must be finite and > 0"):
+        window(radius)
+
+
 def test_deploy_ap_count_moments():
     engine = geomsim._Engine(small_cfg(window_radius=5.0))
     counts = [len(engine.deploy(RngStream(42, i))[0]) for i in range(2000)]
@@ -177,7 +184,7 @@ def test_link_sinr_matches_formula():
     tagged = np.array([0.5, 0.5])
     pts = np.array([[2.5, 0.5], [0.5, engine.side - 2.5]])
     sinr, rate, delay, used = _link_one(engine, RngStream(5, 0), tagged, pts, own, 1)
-    h = exponential_variate(RngStream(5, 0), 1.0, size=3)
+    h = exponential_variate(RngStream(5, 0), 3)
     assert sinr == pytest.approx(h[0] / (0.25 + h[1] / 16.0 + 2.0 * h[2] / 81.0), rel=1e-12)
     assert rate == uplink_rate(sinr, 1.6e8, engine.mean_share)
     assert delay == cloud_delay(rate, base.workload)
@@ -203,6 +210,17 @@ def test_uplink_rate_examples():
     assert uplink_rate(1.0, bandwidth=2.28, load=2.28) == pytest.approx(1.0)
     with pytest.raises(ModelDomainError):
         uplink_rate(1.0, bandwidth=1.0, load=0)
+    assert uplink_rate(math.inf, bandwidth=1.0, load=1.0) == math.inf
+    for sinr, bandwidth, load in [
+        (1.0, 1.0, math.nan),
+        (1.0, math.nan, 1.0),
+        (1.0, 1.0, True),
+        (1.0, -5.0, 1.0),
+        (1.0, math.inf, 1.0),
+        (True, 1.0, 1.0),
+    ]:
+        with pytest.raises(ModelDomainError):
+            uplink_rate(sinr, bandwidth=bandwidth, load=load)
 
 
 def test_cloud_delay_and_output_selection():
@@ -211,6 +229,12 @@ def test_cloud_delay_and_output_selection():
     assert math.isinf(cloud_delay(0.0, w))
     assert select_output(0.06, w) is True  # budget is inclusive
     assert select_output(0.0600001, w) is False
+    assert cloud_delay(math.inf, w) == 0.01
+    for rate in (math.nan, -1.0, True):
+        with pytest.raises(ModelDomainError):
+            cloud_delay(rate, w)
+    with pytest.raises(ModelDomainError):
+        select_output(math.nan, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the shared numeric helpers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from edgeprovision.numerics import (
     EmpiricalCdf,
     RngStream,
     bisect_root,
-    exponential_inverse_cdf,
     exponential_variate,
 )
 
@@ -122,15 +122,18 @@ def test_empirical_cdf_equality():
 # ---------------------------------------------------------------------------
 
 
-def test_exponential_inverse_cdf_fixed_points():
-    assert exponential_inverse_cdf(0.0, 1.0) == 0.0
-    assert exponential_inverse_cdf(1.0 - math.exp(-1.0), 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert exponential_inverse_cdf(0.5, 2.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+def test_exponential_variate_fixed_points():
+    fixed = np.array([0.0, 1.0 - math.exp(-1.0), 0.5])
+    stream = SimpleNamespace(uniform=lambda size: fixed[:size])
+    x = exponential_variate(stream, 3)
+    assert x[0] == 0.0
+    assert x[1] == pytest.approx(1.0, rel=1e-12)
+    assert x[2] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_exponential_variate_moments():
     stream = RngStream(11, 0)
-    x = exponential_variate(stream, 1.0, size=1_000_000)
+    x = exponential_variate(stream, 1_000_000)
     # mean of n unit exponentials has sd 1/sqrt(n); 4 sigma = 0.004
     assert abs(float(np.mean(x)) - 1.0) < 0.004
     assert float(np.min(x)) >= 0.0
