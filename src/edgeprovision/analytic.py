@@ -239,9 +239,11 @@ def coverage_exponent(x: float) -> float:
 
     The probability that the uplink SINR exceeds a threshold x is
     exp(-coverage_exponent(x)) under the model assumptions; strictly
-    increasing from 0 with unbounded range.
+    increasing from 0 with unbounded range. math.inf for x = inf (the
+    saturated ``sinr_threshold``).
     """
-    _require_finite("x", x, strict=False)
+    if x != math.inf:
+        _require_finite("x", x, strict=False)
     u = math.sqrt(x)
     return u * math.atan(u)
 
@@ -271,9 +273,11 @@ def coverage_exponent_inverse(y: float) -> float:
     the start (arctan(u) >= u/(1 + u)), so every step lowers u onto the
     root; it stops at the first step that does not, at most seven steps
     for any float y. Returns 0 for y = 0 and math.inf above
-    ``_INVERSE_MAX_Y``; below it no intermediate value overflows.
+    ``_INVERSE_MAX_Y`` (y = inf included); below it no intermediate value
+    overflows.
     """
-    _require_finite("y", y, strict=False)
+    if y != math.inf:
+        _require_finite("y", y, strict=False)
     if y == 0.0:
         return 0.0
     if y > _INVERSE_MAX_Y:
@@ -291,8 +295,7 @@ def coverage_exponent_inverse(y: float) -> float:
 def _gate_exponent(x: float) -> float:
     """coverage_exponent(sinr_threshold(x)), -ln P(spectral efficiency demand
     x is met on the uplink); math.inf once the threshold is."""
-    t = sinr_threshold(x)
-    return math.inf if t == math.inf else coverage_exponent(t)
+    return coverage_exponent(sinr_threshold(x))
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,15 @@ CANONICAL_SEED = 20260825
 # already some 3 CPU-hours, and more precision is better bought with
 # separate seeds.
 _MAX_TRIALS = 10**7
+# Upper limits on the size of one trial, whose points and pathloss matrices
+# are held in memory at once. Peak memory of one trial grows by about 63
+# bytes per expected device and 590 per expected AP without shadowing, so
+# 10**6 APs and devices stay under 0.6 GB. With shadowing, a pathloss matrix
+# (the devices' at association, a fill slice's _FILL_SLICE * n_ap
+# candidates' in the fill) costs 21-29 bytes per pair, so 10**7 pairs stay
+# near 0.3 GB. (Measured on single trials, 2 CPUs, numpy 2.4.)
+_MAX_TRIAL_POINTS = 10**6
+_MAX_SHADOWED_PAIRS = 10**7
 # Expected AP count of an automatically sized window: about 150 keeps both
 # the boundary bias and the run time modest.
 _AUTO_WINDOW_APS = 150.0
@@ -427,6 +436,10 @@ class SimConfig(SimSettings):
     """One Monte Carlo experiment: ``SimSettings`` for one scenario.
 
     A None ``window_radius`` is replaced by the automatically sized radius.
+    A trial may hold at most ``_MAX_TRIAL_POINTS`` expected APs and
+    devices, and with shadowing at most ``_MAX_SHADOWED_PAIRS`` expected
+    point-AP pairs in one pathloss matrix; a larger one raises
+    ModelDomainError.
     """
 
     scenario: Scenario
@@ -437,10 +450,24 @@ class SimConfig(SimSettings):
             object.__setattr__(
                 self, "window_radius", _auto_radius(self.scenario.deployment, self.boundary)
             )
-        expected_aps = self.scenario.deployment.lambda_ap * self.window.area
-        if expected_aps < 100:
+        dep = self.scenario.deployment
+        aps, devs = (lam * self.window.area for lam in (dep.lambda_ap, dep.lambda_dev))
+        pairs = 0.0 if self.shadowing_sigma_db is None else max(devs, _FILL_SLICE * aps) * aps
+        sizes = [
+            (aps + devs, _MAX_TRIAL_POINTS, "APs and devices"),
+            (pairs, _MAX_SHADOWED_PAIRS, "pathloss pairs with shadowing_sigma_db"),
+        ]
+        problems = [
+            f"lambda_ap, lambda_dev and window_radius give {n:.4g} expected {what} "
+            f"per trial; at most {limit} are allowed"
+            for n, limit, what in sizes
+            if not n <= limit
+        ]
+        if problems:
+            raise ModelDomainError("\n".join(problems))
+        if aps < 100:
             warnings.warn(
-                f"window holds only {expected_aps:.1f} expected APs; "
+                f"window holds only {aps:.1f} expected APs; "
                 "boundary effects may be visible below ~100",
                 stacklevel=3,  # the caller of the dataclass-generated __init__
             )
@@ -529,6 +556,18 @@ class _Block:
         """Trial ``t``'s cells."""
         return slice(int(self.off[t]), int(self.off[t + 1]))
 
+    def serve(self, points: np.ndarray, parts: list) -> tuple[np.ndarray, np.ndarray]:
+        """Unshadowed association of joined ``points``, trial ``t``'s at
+        ``[lo, hi)`` for each ``(t, lo, hi)`` in ``parts``: each point's
+        nearest AP of its trial (one k-d tree query per trial), as a cell of
+        the block, and its own pathloss ``dist**4``. Draws nothing."""
+        serving = np.empty(len(points), dtype=np.intp)
+        dist = np.empty(len(points))
+        for t, lo, hi in parts:
+            dist[lo:hi], serving[lo:hi] = self.trees[t].query(points[lo:hi])
+            serving[lo:hi] += self.off[t]
+        return serving, dist**4
+
 
 class _Engine:
     """Per-config precomputation plus the staged trial kernel.
@@ -553,24 +592,14 @@ class _Engine:
         self.expected_devs = s.deployment.lambda_dev * self.window.area
         self.snr_inv = 0.0 if math.isinf(s.air.snr) else 1.0 / s.air.snr
         self.mean_share = mean_cell_load(s.deployment)
-        self.sigma_scale = (
-            None
-            if cfg.shadowing_sigma_db is None
-            else cfg.shadowing_sigma_db * _LN10 / 10.0
-        )
+        sigma = cfg.shadowing_sigma_db
+        self.sigma_scale = None if sigma is None else sigma * _LN10 / 10.0
 
     def blocks(self, lo: int, hi: int) -> list[range]:
         """Trials [lo, hi) in consecutive blocks of about ``_BLOCK_POINTS``
         expected APs and devices in all."""
         size = max(1, int(_BLOCK_POINTS / (1.0 + self.expected_aps + self.expected_devs)))
         return [range(i, min(i + size, hi)) for i in range(lo, hi, size)]
-
-    def _shadow_normals(self, stream: RngStream, n_points: int, n_ap: int):
-        """Normals behind the shadowing gains of an (n_points, n_ap) pathloss
-        block; None (and no draw) without shadowing."""
-        if self.sigma_scale is None:
-            return None
-        return stream.normal((n_points, n_ap))
 
     def _pathloss(self, points: np.ndarray, ap: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Shadowed pathlosses between ``points`` and ``ap`` (broadcast as in
@@ -581,29 +610,35 @@ class _Engine:
         pathloss *= np.exp(gain, out=gain)
         return pathloss
 
-    def _serve(
-        self, points: np.ndarray, ap: np.ndarray, tree, normals: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Serving index and own pathloss per point of one trial; also the
-        pathloss rows when shadowed (needed for cross pathlosses). Draws
-        nothing."""
-        if normals is None:
-            dist, serving = tree.query(points)
-            return serving, dist ** 4, None
+    def _serve(self, points: np.ndarray, ap: np.ndarray, normals: np.ndarray):
+        """Shadowed association of one trial's points from the normals of
+        every point-AP pair: serving index into ``ap``, own pathloss and
+        pathloss row (for cross pathlosses) per point. Draws nothing."""
         return self._least(self._pathloss(points[:, None], ap[None], normals))
 
     @staticmethod
     def _least(pathloss: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_serve``'s shadowed result from the points' pathloss rows."""
+        """``_serve``'s result from the points' pathloss rows."""
         serving = np.argmin(pathloss, axis=1)
         return serving, pathloss[np.arange(len(pathloss)), serving], pathloss
 
     def deploy(self, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
         """AP and device positions of one trial, the typical device first at
-        the window center. An empty AP draw is redrawn."""
-        n_ap = stream.poisson(self.expected_aps)
-        while n_ap == 0:
-            n_ap = stream.poisson(self.expected_aps)
+        the window center. The AP count is Poisson conditioned on being
+        positive: a Poisson draw of 0 is replaced by a zero-truncated Poisson
+        count, by inverse CDF from one uniform, not redrawn (which takes
+        about 1/mean draws when the mean is tiny)."""
+        mean = self.expected_aps
+        n_ap = stream.poisson(mean)
+        if n_ap == 0:
+            # the least k >= 1 with P(1 <= N <= k) >= u P(N >= 1)
+            target = stream.uniform() * -math.expm1(-mean)
+            n_ap, term = 1, mean * math.exp(-mean)
+            cdf = term
+            while cdf < target and term > 0.0:
+                n_ap += 1
+                term *= mean / n_ap
+                cdf += term
         ap = self.window.sample(stream, n_ap)
         n_dev = stream.poisson(self.expected_devs)
         dev = np.empty((n_dev + 1, 2))
@@ -611,43 +646,40 @@ class _Engine:
         dev[1:] = self.window.sample(stream, n_dev)
         return ap, dev
 
-    @staticmethod
-    def _typical_cells(serving: np.ndarray, deployed: list) -> np.ndarray:
-        """Serving cell of each deployed trial's typical device (its first),
-        from the joined devices' serving cells."""
-        return serving[np.cumsum([0] + [len(dev) for _, dev in deployed[:-1]])]
-
     def associate(self, streams: list, deployed: list):
         """Minimum-pathloss association of every device of the deployed
         ``(ap, dev)`` trials, whose streams are ``streams``.
 
-        Each trial builds its AP k-d tree (on both paths: the shadowed fill
-        screens its candidates with it), draws its shadowing normals and
-        serves its devices. Returns the ``_Block``, then for the trials'
-        devices joined end to end their serving cells, own pathlosses and,
-        when shadowed, cross pathlosses to their trial's typical device's
-        cell (else None), and the device count of every cell.
+        Each trial builds its AP k-d tree (the shadowed fill screens with it
+        too). Without shadowing the block serves every device at once
+        (``_Block.serve``); with it, each trial in turn draws its normals and
+        serves its devices (``_serve``), its pathloss matrix freed before the
+        next is built. Returns the ``_Block``, then for the joined devices
+        their serving cells, own pathlosses and, when shadowed, cross
+        pathlosses to their trial's typical cell ``a0`` (else None), then
+        every cell's device count and each trial's ``a0``.
         """
         from scipy.spatial import cKDTree
 
-        trees, serving, own, cross = [], [], [], []
-        off = 0
-        for stream, (ap, dev) in zip(streams, deployed):
-            tree = cKDTree(ap, boxsize=self.side) if self.torus else cKDTree(ap)
-            normals = self._shadow_normals(stream, len(dev), len(ap))
-            cell, cell_own, pathloss = self._serve(dev, ap, tree, normals)
-            trees.append(tree)
-            serving.append(cell + off)
-            own.append(cell_own)
-            if pathloss is not None:
-                # a copy, so that the trial's pathloss matrix is freed now
-                cross.append(pathloss[:, cell[0]].copy())
-            off += len(ap)
-        block = _Block(streams, [ap for ap, _ in deployed], trees)
-        serving = np.concatenate(serving)
+        aps = [ap for ap, _ in deployed]
+        block = _Block(streams, aps, [cKDTree(ap, boxsize=self.side) for ap in aps])
+        dev = np.concatenate([d for _, d in deployed])
+        starts = np.cumsum([0] + [len(d) for _, d in deployed])
+        parts = list(zip(range(len(aps)), starts[:-1], starts[1:]))
+        cross = None
+        if self.sigma_scale is None:
+            serving, own = block.serve(dev, parts)
+        else:
+            serving = np.empty(len(dev), dtype=np.intp)
+            own, cross = np.empty(len(dev)), np.empty(len(dev))
+            for (t, lo, hi), ap in zip(parts, aps):
+                cell, own[lo:hi], pathloss = self._serve(
+                    dev[lo:hi], ap, streams[t].normal((hi - lo, len(ap)))
+                )
+                serving[lo:hi] = cell + block.off[t]
+                cross[lo:hi] = pathloss[:, cell[0]]
         counts = np.bincount(serving, minlength=len(block.ap))
-        cross = np.concatenate(cross) if cross else None
-        return block, serving, np.concatenate(own), counts, cross
+        return block, serving, own, counts, cross, serving[starts[:-1]]
 
     def schedule(
         self, block: _Block, serving: np.ndarray, counts: np.ndarray, a0: np.ndarray
@@ -741,23 +773,22 @@ class _Engine:
         that may land in one of them are kept, and get a full row of
         shadowing normals, which picks the same hits as drawing the whole
         block."""
-        stream, tree, own_cells = block.streams[t], block.trees[t], block.cells(t)
+        stream, own_cells = block.streams[t], block.cells(t)
         ap, base = block.ap[own_cells], own_cells.start
         cand = self.window.sample(stream, _FILL_SLICE * len(ap))
         if self.sigma_scale is None:
-            serving, cand_own, _ = self._serve(cand, ap, tree, None)
-            return cand, serving + base, cand_own, None
+            return cand, *block.serve(cand, [(t, 0, len(cand))]), None
         if n_empty < _SCREEN_MAX * len(ap):
 
             def drawn(rows, cols):
                 return stream.normal(np.broadcast_shapes(rows.shape, cols.shape))
 
             cand, (serving, cand_own, pathloss) = self._screen(
-                cand, ap, tree, needed[own_cells], drawn
+                cand, ap, block.trees[t], needed[own_cells], drawn
             )
         else:
-            normals = self._shadow_normals(stream, len(cand), len(ap))
-            serving, cand_own, pathloss = self._serve(cand, ap, tree, normals)
+            normals = stream.normal((len(cand), len(ap)))
+            serving, cand_own, pathloss = self._serve(cand, ap, normals)
         # a copy, so that the slice's pathloss matrix is freed now
         return cand, serving + base, cand_own, pathloss[:, a0 - base].copy()
 
@@ -885,14 +916,7 @@ class _Engine:
                 in_window = True
             else:
                 in_window = (cand * cand).sum(axis=-1) <= self.window.radius**2
-            serving = np.empty(len(cand), dtype=np.intp)
-            cand_own = np.empty(len(cand))
-            for t, a, b in parts:
-                own_cells = block.cells(t)
-                serving[a:b], cand_own[a:b], _ = self._serve(
-                    cand[a:b], block.ap[own_cells], block.trees[t], None
-                )
-                serving[a:b] += own_cells.start
+            serving, cand_own = block.serve(cand, parts)
             hit = (in_window & (serving == owner)).reshape(live.size, m)
             first = hit.argmax(axis=1)
             won = np.nonzero(hit[np.arange(live.size), first])[0]
@@ -945,8 +969,8 @@ class _Engine:
     def _tree_loads(self, streams: list, deployed: list) -> np.ndarray:
         """Serving-cell loads of deployed trials, by associating every
         device."""
-        _, serving, _, counts, _ = self.associate(streams, deployed)
-        return counts[self._typical_cells(serving, deployed)]
+        _, _, _, counts, _, a0 = self.associate(streams, deployed)
+        return counts[a0]
 
     def typical_loads(self, indices: range) -> np.ndarray:
         """Serving-cell loads of the trials in ``indices``, equal to
@@ -1049,9 +1073,8 @@ class _Engine:
         """
         streams = [RngStream(self.cfg.master_seed, i) for i in indices]
         deployed = [self.deploy(stream) for stream in streams]
-        block, serving, own, counts, cross = self.associate(streams, deployed)
+        block, serving, own, counts, cross, a0 = self.associate(streams, deployed)
         dev = np.concatenate([d for _, d in deployed])
-        a0 = self._typical_cells(serving, deployed)
         loads = counts[a0]
         members = self.schedule(block, serving, counts, a0)
         cells, pts, own = serving[members], dev[members], own[members]

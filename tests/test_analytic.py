@@ -168,6 +168,23 @@ def test_closed_forms_saturate_once_the_threshold_overflows():
     assert delay_cdf(wide, 5e-324) == 0.0
 
 
+def test_coverage_exponent_and_inverse_saturate_with_the_threshold():
+    # sinr_threshold returns inf from x = 1024 on; the coverage exponent of
+    # that threshold is inf (coverage 0), and so is the inverse of inf
+    for x in (1024.0, 2000.0, math.inf):
+        assert coverage_exponent(sinr_threshold(x)) == math.inf
+        assert math.exp(-coverage_exponent(sinr_threshold(x))) == 0.0
+    assert coverage_exponent(math.inf) == math.inf
+    assert coverage_exponent_inverse(math.inf) == math.inf
+    assert coverage_exponent_inverse(coverage_exponent(sinr_threshold(2000.0))) == math.inf
+    # NaN and negative inputs are still rejected
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ModelDomainError, match="must be finite and >= 0"):
+            coverage_exponent(bad)
+        with pytest.raises(ModelDomainError, match="must be finite and >= 0"):
+            coverage_exponent_inverse(bad)
+
+
 def test_coverage_exponent_inverse_frozen_example():
     assert coverage_exponent_inverse(INVERSE_EXAMPLE_Y) == pytest.approx(
         INVERSE_EXAMPLE_X, rel=1e-9

@@ -248,6 +248,18 @@ def test_nonpositive_trials_or_workers_exit_2(capsys, tmp_path, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_oversized_trial_exits_2(capsys):
+    # 1.5e11 expected devices in the auto window: rejected before any draw
+    code, out, err = run_cli(
+        capsys, "simulate", "--lambda-ap", "1", "--lambda-dev", "1e9", "--trials", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: lambda_ap, lambda_dev and window_radius give 1.5e+11 expected APs and "
+        "devices per trial; at most 1000000 are allowed\n"
+    )
+
+
 def test_infeasible_target_exits_3_and_reports_floor(capsys):
     code, _, err = run_cli(capsys, "critical-density", "--rmin", "1", "--mt", "1.02")
     assert code == 3

@@ -120,11 +120,52 @@ def test_deploy_never_returns_empty_ap_set():
     assert first_draw_empty > 10
 
 
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_deploy_draws_a_tiny_window_ap_count_at_once(monkeypatch):
+    # 4e-4 expected APs: redrawing until the count is positive would take
+    # about 2,500 Poisson draws per trial; the zero-truncated draw takes one
+    # uniform instead
+    engine = geomsim._Engine(small_cfg(window_radius=0.01))
+    poisson, means = RngStream.poisson, []
+
+    def counting(stream, mean):
+        means.append(mean)
+        return poisson(stream, mean)
+
+    monkeypatch.setattr(RngStream, "poisson", counting)
+    for index in range(20):
+        ap, _ = engine.deploy(RngStream(3, index))
+        assert len(ap) >= 1
+    # one draw for the AP count and one for the device count per trial
+    assert len(means) == 2 * 20
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_deploy_ap_count_follows_the_zero_truncated_poisson_law():
+    # 0.49 expected APs, so most trials take the truncated draw; both all
+    # counts and those of the trials whose first draw is 0 follow the law
+    # of a Poisson count conditioned on being positive (bins 1, 2, 3, 4+)
+    from scipy.stats import chisquare
+
+    engine = geomsim._Engine(small_cfg(window_radius=0.35))
+    mu, n = engine.expected_aps, 20_000
+    counts = np.array([len(engine.deploy(RngStream(4, i))[0]) for i in range(n)])
+    first_empty = np.array([RngStream(4, i).poisson(mu) == 0 for i in range(n)])
+    k = np.arange(1, 4)
+    pmf = np.exp(-mu) * mu**k / [math.factorial(j) for j in k] / -math.expm1(-mu)
+    pmf = np.append(pmf, 1.0 - pmf.sum())
+    for sample in (counts, counts[first_empty]):
+        observed = np.bincount(np.minimum(sample, 4), minlength=5)[1:]
+        assert chisquare(observed, pmf * len(sample)).pvalue > 1e-3
+
+
 def test_associate_stage_picks_min_pathloss():
     engine = geomsim._Engine(small_cfg(boundary="disc"))
     ap = np.array([[1.0, 0.0], [2.0, 0.0]])
-    _, serving, own, counts, cross = engine.associate([RngStream(0, 0)], [(ap, np.zeros((1, 2)))])
-    assert serving.tolist() == [0]
+    _, serving, own, counts, cross, a0 = engine.associate(
+        [RngStream(0, 0)], [(ap, np.zeros((1, 2)))]
+    )
+    assert serving.tolist() == a0.tolist() == [0]
     assert own.tolist() == [1.0]  # distance 1 -> pathloss 1**4
     assert counts.tolist() == [1, 0]
     assert cross is None  # unshadowed: cross pathlosses follow from distances
@@ -136,12 +177,35 @@ def test_serve_shadowing_can_flip_choice():
     engine = geomsim._Engine(small_cfg(boundary="disc", shadowing_sigma_db=10.0))
     ap = np.array([[1.0, 0.0], [2.0, 0.0]])
     origin = np.zeros((1, 2))
-    serving, own, rows = engine._serve(origin, ap, None, np.zeros((1, 2)))
+    serving, own, rows = engine._serve(origin, ap, np.zeros((1, 2)))
     assert serving.tolist() == [0] and own.tolist() == [1.0]
-    serving, own, rows = engine._serve(origin, ap, None, np.array([[math.log10(20.0), 0.0]]))
+    serving, own, rows = engine._serve(origin, ap, np.array([[math.log10(20.0), 0.0]]))
     assert serving.tolist() == [1]
     assert own.tolist() == [16.0]
     assert rows[0].tolist() == pytest.approx([20.0, 16.0], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_block_serve_matches_per_trial_tree_queries(boundary):
+    # Three trials of uneven sizes: each point goes to its own trial's
+    # nearest AP, as a cell of the block, with pathloss dist**4.
+    from scipy.spatial import cKDTree
+
+    engine = geomsim._Engine(small_cfg(window_radius=3.0, boundary=boundary))
+    stream = RngStream(11, 0)
+    aps = [engine.window.sample(stream, n) for n in (5, 17, 2)]
+    pts = [engine.window.sample(stream, n) for n in (9, 1, 30)]
+    trees = [cKDTree(ap, boxsize=engine.side) for ap in aps]
+    block = geomsim._Block([stream] * 3, aps, trees)
+    starts = np.cumsum([0] + [len(p) for p in pts])
+    parts = list(zip(range(3), starts[:-1], starts[1:]))
+    serving, own = block.serve(np.concatenate(pts), parts)
+    for t, lo, hi in parts:
+        dist, near = trees[t].query(pts[t])
+        assert np.array_equal(serving[lo:hi], near + block.off[t])
+        assert np.array_equal(own[lo:hi], dist**4)
+        assert np.all(block.trial[serving[lo:hi]] == t)
 
 
 def _min_image_sq(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
@@ -688,10 +752,9 @@ def _staged(engine, stream):
     """Deploy, associate and schedule one trial as a block of one: the fill
     stage's inputs, the block, and its APs, k-d tree and serving cell."""
     ap, dev = engine.deploy(stream)
-    block, serving, _, counts, _ = engine.associate([stream], [(ap, dev)])
-    a0 = int(serving[0])
-    engine.schedule(block, serving, counts, np.array([a0]))
-    return block, ap, block.trees[0], counts, a0
+    block, serving, _, counts, _, a0 = engine.associate([stream], [(ap, dev)])
+    engine.schedule(block, serving, counts, a0)
+    return block, ap, block.trees[0], counts, int(a0[0])
 
 
 def _one(stream, ap, tree):
@@ -710,17 +773,19 @@ def _one(stream, ap, tree):
         dict(shadowing_sigma_db=8.0, window_radius=4.0, boundary="disc"),
     ],
 )
-def test_early_exit_fill_matches_full_batch_rule(overrides):
+def test_early_exit_fill_matches_full_batch_rule(overrides, monkeypatch):
     # One point per empty non-serving cell, served by that cell, in
     # ascending cell order, replayed exactly. On the shadowed path every
     # candidate the engine associates is recorded (by _serve, or by _screen
     # for a screened slice), so each point's cell is known; without
-    # shadowing the k-d tree gives it, and batch 1 draws a slice only while
-    # at least _FILL_STOP * n_ap cells are empty. On the unshadowed torus
-    # the first slice is the start of the full-batch rule's first batch
-    # (the same draws), so the cells it fills get the same points.
+    # shadowing the k-d tree gives it, and batch 1 draws a slice (through
+    # _Block.serve) only while at least _FILL_STOP * n_ap cells are empty.
+    # On the unshadowed torus the first slice is the start of the full-batch
+    # rule's first batch (the same draws), so the cells it fills get the
+    # same points.
     engine = geomsim._Engine(small_cfg(trials=12, **overrides))
     serve, screen, local_fill = engine._serve, engine._screen, engine._local_fill
+    block_serve = geomsim._Block.serve
     served, slices, local = {}, [], []
 
     def record(points, serving, own, pathloss):
@@ -728,11 +793,16 @@ def test_early_exit_fill_matches_full_batch_rule(overrides):
             row = None if pathloss is None else pathloss[k]
             served[tuple(point)] = (serving[k], own[k], row)
 
-    def recording_serve(points, ap, tree, normals):
-        serving, own, pathloss = serve(points, ap, tree, normals)
-        record(points, serving, own, pathloss)
+    def recording_block_serve(block, points, parts):
+        serving, own = block_serve(block, points, parts)
+        record(points, serving, own, None)
         if not local:
             slices.append(serving)
+        return serving, own
+
+    def recording_serve(points, ap, normals):
+        serving, own, pathloss = serve(points, ap, normals)
+        record(points, serving, own, pathloss)
         return serving, own, pathloss
 
     def recording_screen(*args):
@@ -746,6 +816,7 @@ def test_early_exit_fill_matches_full_batch_rule(overrides):
 
     engine._serve, engine._screen = recording_serve, recording_screen
     engine._local_fill = recording_local_fill
+    monkeypatch.setattr(geomsim._Block, "serve", recording_block_serve)
     for index in range(12):
         streams = [RngStream(CANONICAL_SEED, index) for _ in range(4)]
         staged = [_staged(engine, stream) for stream in streams]
@@ -800,9 +871,11 @@ def _full_batch_fill(engine, stream, ap, tree, counts, a0):
             break
         m = (8 << batch) * n_ap
         cand = engine.window.sample(stream, m)
-        serving, cand_own, pathloss = engine._serve(
-            cand, ap, tree, engine._shadow_normals(stream, m, n_ap)
-        )
+        if engine.sigma_scale is None:
+            serving, cand_own = _one(stream, ap, tree).serve(cand, [(0, 0, m)])
+            pathloss = None
+        else:
+            serving, cand_own, pathloss = engine._serve(cand, ap, stream.normal((m, n_ap)))
         idx = np.nonzero(np.isin(serving, need))[0]
         got, first = np.unique(serving[idx], return_index=True)
         pts.append(cand[idx[first]])
@@ -978,8 +1051,8 @@ def test_shadowed_fill_leaves_no_cell_empty(seed, boundary, sigma_db, log_lam_ha
     block, ap, tree, counts, a0 = _staged(engine, stream)
     serve, screen, served = engine._serve, engine._screen, {}
 
-    def recording_serve(points, ap, tree, normals):
-        serving, own, pathloss = serve(points, ap, tree, normals)
+    def recording_serve(points, ap, normals):
+        serving, own, pathloss = serve(points, ap, normals)
         served.update(zip(map(tuple, points), serving))
         return serving, own, pathloss
 
@@ -1044,7 +1117,7 @@ def test_screened_slice_matches_full_matrix_rule(seed, boundary, sigma_db, empty
         asked[rows, cols] = True
         return z
 
-    full = first_hits(cand, *engine._serve(cand, ap, tree, normals))
+    full = first_hits(cand, *engine._serve(cand, ap, normals))
     kept, served = engine._screen(cand, ap, tree, needed, once)
     screened = first_hits(kept, *served)
     for a, b in zip(full, screened):
@@ -1154,7 +1227,9 @@ def _ring_layout(engine):
 
 @pytest.mark.filterwarnings("ignore:window holds only")
 @pytest.mark.parametrize("case", ["disc-edge", "larger-polygon"])
-def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(case):
+def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
+    case, monkeypatch
+):
     # Two cells whose polygon holds more than the cell, so that some local
     # draws are rejected: a disc edge cell, whose polygon reaches past the
     # window, and a torus cell cut by an AP beyond its twelve nearest.
@@ -1182,13 +1257,13 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(c
     dist, near = tree.query(engine.window.sample(RngStream(2, 0), 2_000_000))
     reference = dist[near == cell] ** 4
     assert reference.size > 5000
-    serve, drawn = engine._serve, []
+    serve, drawn = geomsim._Block.serve, []
 
-    def recording_serve(points, *args):
+    def recording_serve(block, points, parts):
         drawn.append(len(points))
-        return serve(points, *args)
+        return serve(block, points, parts)
 
-    engine._serve = recording_serve
+    monkeypatch.setattr(geomsim._Block, "serve", recording_serve)
     done, _, own = engine._local_fill(_one(RngStream(3, 0), ap, tree), np.full(8000, cell))
     assert done.all()
     assert sum(drawn) > 8000 * 1.05
@@ -1307,6 +1382,48 @@ class _UnbuildablePool:
 
     def __init__(self, max_workers):
         raise AssertionError(f"pool of {max_workers} opened")
+
+
+def _sized_cfg(lambda_ap, lambda_dev, **overrides):
+    dep = DeploymentConfig(lambda_ap=lambda_ap, lambda_dev=lambda_dev)
+    return small_cfg(scenario=replace(canonical_validation_scenario(), deployment=dep), **overrides)
+
+
+def test_simconfig_bounds_the_size_of_one_trial():
+    points = "expected APs and devices per trial; at most 1000000 are allowed"
+    pairs = "expected pathloss pairs with shadowing_sigma_db per trial; at most 10000000"
+    # torus of area 250,000: (1 + lambda_dev) * 250,000 expected APs and devices
+    _sized_cfg(1.0, 3.0, window_radius=250.0)
+    with pytest.raises(ModelDomainError, match="give 1e\\+06 " + points):
+        _sized_cfg(1.0, 3.00001, window_radius=250.0)
+    # area 100 with shadowing: the larger of the devices and the fill
+    # slice's 2 * n_ap candidates, times the 100 * lambda_ap APs
+    _sized_cfg(1.0, 1000.0, window_radius=5.0, shadowing_sigma_db=8.0)
+    _sized_cfg(22.36, 1.0, window_radius=5.0, shadowing_sigma_db=8.0)
+    for lambda_ap, lambda_dev in ((1.0, 1000.01), (22.37, 1.0)):
+        with pytest.raises(ModelDomainError, match=pairs):
+            _sized_cfg(lambda_ap, lambda_dev, window_radius=5.0, shadowing_sigma_db=8.0)
+        _sized_cfg(lambda_ap, lambda_dev, window_radius=5.0)
+    # both limits at once, one line each
+    with pytest.raises(ModelDomainError) as exc_info:
+        _sized_cfg(1.0, 1e9, window_radius=None, shadowing_sigma_db=8.0)
+    first, second = str(exc_info.value).split("\n")
+    assert first.endswith(points) and pairs in second
+
+
+def test_oversized_sweep_point_raises_before_any_trial(monkeypatch):
+    ran = []
+    monkeypatch.setattr(geomsim, "_Engine", lambda cfg: ran.append(cfg))
+    spec = SweepSpec(
+        base=canonical_validation_scenario(),
+        axis="lambda_hat",
+        grid=(1e-5, 1.0),
+        outputs=("avg_mse",),
+        sim=SimSettings(trials=5, shadowing_sigma_db=8.0),
+    )
+    with pytest.raises(ModelDomainError, match="pathloss pairs"):
+        run_sweep(spec)
+    assert ran == []
 
 
 @pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2", None], ids=repr)
