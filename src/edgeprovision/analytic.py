@@ -61,13 +61,14 @@ def _require(cond: bool, template: str, *values) -> None:
         raise ModelDomainError(template.format(*values))
 
 
-def _require_finite(name: str, x, strict: bool = True) -> None:
+def _require_finite(name: str, x, strict: bool = True, inf: bool = False) -> None:
     """Raise ModelDomainError unless ``x`` is a finite number > 0 (>= 0
-    when not ``strict``); like ``_require``, the message is built only on
-    failure."""
-    if not (_finite(x) and (x > 0 if strict else x >= 0)):
+    when not ``strict``), or with ``inf`` also ``math.inf``; like
+    ``_require``, the message is built only on failure."""
+    if not ((_finite(x) or inf and x == math.inf) and (x > 0 if strict else x >= 0)):
         op = ">" if strict else ">="
-        raise ModelDomainError(f"{name} must be finite and {op} 0 (got {x!r})")
+        rule = f"{op} 0 (math.inf allowed; " if inf else f"finite and {op} 0 ("
+        raise ModelDomainError(f"{name} must be {rule}got {x!r})")
 
 
 def _finite(x: float) -> bool:
@@ -89,20 +90,22 @@ def _as_number(x) -> float | None:
         return None
 
 
-def _as_index(x) -> int | None:
-    """``operator.index(x)``, or None for bools and non-integers."""
+def _as_index(x, lo: int | None = None, hi: int | None = None) -> int | None:
+    """``operator.index(x)`` when it lies in [lo, hi) (a None bound is
+    open), else None; None for bools and non-integers too."""
     if isinstance(x, bool):
         return None
     try:
-        return operator.index(x)
+        i = operator.index(x)
     except TypeError:
         return None
+    return i if (lo is None or i >= lo) and (hi is None or i < hi) else None
 
 
 def _worker_count(workers) -> int:
     """``workers`` as an int; ModelDomainError unless it is an integer >= 1."""
-    w = _as_index(workers)
-    _require(w is not None and w >= 1, "workers must be an integer >= 1 (got {!r})", workers)
+    w = _as_index(workers, 1)
+    _require(w is not None, "workers must be an integer >= 1 (got {!r})", workers)
     return w
 
 
@@ -189,11 +192,7 @@ class AirInterface:
 
     def __post_init__(self):
         _require_finite("bandwidth", self.bandwidth)
-        _require(
-            isinstance(self.snr, (int, float)) and type(self.snr) is not bool and self.snr > 0,
-            "snr must be > 0 (math.inf allowed; got {!r})",
-            self.snr,
-        )
+        _require_finite("snr", self.snr, inf=True)
 
 
 @dataclass(frozen=True)
@@ -242,8 +241,7 @@ def coverage_exponent(x: float) -> float:
     increasing from 0 with unbounded range. math.inf for x = inf (the
     saturated ``sinr_threshold``).
     """
-    if x != math.inf:
-        _require_finite("x", x, strict=False)
+    _require_finite("x", x, strict=False, inf=True)
     u = math.sqrt(x)
     return u * math.atan(u)
 
@@ -253,8 +251,7 @@ def sinr_threshold(x: float) -> float:
     expm1(x*ln 2) below x = 1/8, where 2**x - 1 loses 3+ bits to cancellation.
     Saturates to math.inf once 2**x exceeds the float64 range (x = inf too).
     """
-    if x != math.inf:
-        _require_finite("x", x, strict=False)
+    _require_finite("x", x, strict=False, inf=True)
     if x >= _EXP2_OVERFLOW:
         return math.inf
     return 2.0 ** x - 1.0 if x >= 0.125 else math.expm1(x * _LN2)
@@ -276,8 +273,7 @@ def coverage_exponent_inverse(y: float) -> float:
     ``_INVERSE_MAX_Y`` (y = inf included); below it no intermediate value
     overflows.
     """
-    if y != math.inf:
-        _require_finite("y", y, strict=False)
+    _require_finite("y", y, strict=False, inf=True)
     if y == 0.0:
         return 0.0
     if y > _INVERSE_MAX_Y:
@@ -317,7 +313,7 @@ def delay_cdf(s: Scenario, d: float) -> float:
     """
     w = s.workload
     _require(
-        not math.isnan(d) and d > w.compute_delay,
+        d > w.compute_delay,
         "d must exceed compute_delay={!r} (got {!r})",
         w.compute_delay,
         d,

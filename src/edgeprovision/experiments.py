@@ -27,6 +27,7 @@ from .analytic import (
     Scenario,
     _CLOSED_FORMS,
     _DEFAULT_EDGE_RATIO,
+    _as_index,
     _as_number,
     _finite,
     _payload,
@@ -89,14 +90,14 @@ def _range_grid(rng: dict, path: str, problems: list) -> tuple[float, ...] | Non
     is not a finite float."""
     lo = _as_number(rng.get("lo"))
     hi = _as_number(rng.get("hi"))
-    n = rng.get("n")
+    n = _as_index(rng.get("n"), 1, _MAX_GRID_POINTS + 1)
     scale = rng["scale"]
     found = []
     if lo is None or hi is None:
         found.append(f"fields {path}.lo and {path}.hi must be numbers")
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_GRID_POINTS:
+    if n is None:
         found.append(
-            f"field {path}.n must be an integer in [1, {_MAX_GRID_POINTS}] (got {n!r})"
+            f"field {path}.n must be an integer in [1, {_MAX_GRID_POINTS}] (got {rng.get('n')!r})"
         )
     if scale not in ("linear", "log"):
         found.append(f"field {path}.scale must be linear|log (got {scale!r})")

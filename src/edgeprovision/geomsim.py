@@ -105,7 +105,6 @@ from .errors import ModelDomainError
 from .numerics import (
     EmpiricalCdf,
     RngStream,
-    _as_key,
     exponential_variate,
 )
 
@@ -348,16 +347,14 @@ def uplink_rate(sinr: float, bandwidth: float, load: float) -> float:
     """
     _require_finite("bandwidth", bandwidth)
     _require_finite("load", load)
-    ok = sinr == math.inf or _finite(sinr) and sinr >= 0
-    _require(ok, "sinr must be >= 0 (math.inf allowed; got {!r})", sinr)
+    _require_finite("sinr", sinr, strict=False, inf=True)
     return (bandwidth / load) * (math.log1p(sinr) / _LN2)
 
 
 def cloud_delay(rate: float, w: InferenceWorkload) -> float:
     """Round-trip cloud delay payload/rate + compute_delay; inf when the
     rate underflows to zero (sentinel beyond any queried delay)."""
-    ok = rate == math.inf or _finite(rate) and rate >= 0
-    _require(ok, "rate must be >= 0 (math.inf allowed; got {!r})", rate)
+    _require_finite("rate", rate, strict=False, inf=True)
     if rate == 0.0:
         return math.inf
     return w.payload_bits / rate + w.compute_delay
@@ -391,11 +388,12 @@ def _sim_problems(values: dict, names: dict | None = None) -> list[str]:
             name = names.get(field, field)
             problems.append(f"{name} must be {rule} (got {values[field]!r})")
 
-    n = _as_index(values["trials"])
-    check("trials", n is not None and 1 <= n <= _MAX_TRIALS, f"an integer in [1, {_MAX_TRIALS}]")
+    n = _as_index(values["trials"], 1, _MAX_TRIALS + 1)
+    check("trials", n is not None, f"an integer in [1, {_MAX_TRIALS}]")
     radius = values["window_radius"]
     check("window_radius", radius is None or _finite(radius) and radius > 0, "finite and > 0")
-    check("master_seed", _as_key(values["master_seed"]) is not None, "an integer in [0, 2**64)")
+    seed = _as_index(values["master_seed"], 0, 2**64)
+    check("master_seed", seed is not None, "an integer in [0, 2**64)")
     sigma = values["shadowing_sigma_db"]
     check("shadowing_sigma_db", sigma is None or _finite(sigma) and sigma >= 0, "finite and >= 0")
     check("boundary", values["boundary"] in ("torus", "disc"), "torus|disc")
@@ -590,7 +588,7 @@ class _Engine:
         self.center = self.window.center
         self.expected_aps = s.deployment.lambda_ap * self.window.area
         self.expected_devs = s.deployment.lambda_dev * self.window.area
-        self.snr_inv = 0.0 if math.isinf(s.air.snr) else 1.0 / s.air.snr
+        self.snr_inv = 1.0 / s.air.snr
         self.mean_share = mean_cell_load(s.deployment)
         sigma = cfg.shadowing_sigma_db
         self.sigma_scale = None if sigma is None else sigma * _LN10 / 10.0
@@ -1180,9 +1178,8 @@ def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
     """Full realization of trial ``index`` (same stream and draws as
     ``run_trials`` uses for that index). ``index`` must be an integer in
     [0, ``cfg.trials``), else ModelDomainError is raised."""
-    i = _as_index(index)
-    if i is None or not 0 <= i < cfg.trials:
-        raise ModelDomainError(f"index must be an integer in [0, {cfg.trials}) (got {index!r})")
+    i = _as_index(index, 0, cfg.trials)
+    _require(i is not None, "index must be an integer in [0, {}) (got {!r})", cfg.trials, index)
     return _Engine(cfg).trials(range(i, i + 1), collect=True)[0]
 
 

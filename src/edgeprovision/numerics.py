@@ -20,25 +20,17 @@ from .analytic import _as_index, _require_finite
 from .errors import BracketError, ModelDomainError
 
 
-def _as_key(x) -> int | None:
-    """``x`` as one 64-bit Philox key word, or None unless it is an integer
-    in [0, 2**64); outside that range a key would wrap onto another's
-    stream."""
-    k = _as_index(x)
-    return k if k is not None and 0 <= k < 2**64 else None
-
-
 class RngStream:
     """Deterministic random stream keyed by ``(master_seed, stream_id)``.
 
     Backed by the counter-based Philox generator, so identical keys give
     bit-identical sequences across runs and platforms, and distinct
     stream ids give statistically independent streams. Both key words must
-    be integers in [0, 2**64).
+    be integers in [0, 2**64): outside it a key would wrap onto another stream.
     """
 
     def __init__(self, master_seed: int, stream_id: int):
-        seed, sid = _as_key(master_seed), _as_key(stream_id)
+        seed, sid = _as_index(master_seed, 0, 2**64), _as_index(stream_id, 0, 2**64)
         if seed is None or sid is None:
             raise ModelDomainError(
                 "master_seed and stream_id must be integers in [0, 2**64) "

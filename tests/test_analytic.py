@@ -179,9 +179,9 @@ def test_coverage_exponent_and_inverse_saturate_with_the_threshold():
     assert coverage_exponent_inverse(coverage_exponent(sinr_threshold(2000.0))) == math.inf
     # NaN and negative inputs are still rejected
     for bad in (math.nan, -math.inf):
-        with pytest.raises(ModelDomainError, match="must be finite and >= 0"):
+        with pytest.raises(ModelDomainError, match=r"must be >= 0 \(math\.inf allowed"):
             coverage_exponent(bad)
-        with pytest.raises(ModelDomainError, match="must be finite and >= 0"):
+        with pytest.raises(ModelDomainError, match=r"must be >= 0 \(math\.inf allowed"):
             coverage_exponent_inverse(bad)
 
 
@@ -500,15 +500,15 @@ _UNIT = Scenario(
 _DOMAIN_MESSAGES = {
     "coverage_exponent": (
         lambda: coverage_exponent(-1.0),
-        "x must be finite and >= 0 (got -1.0)",
+        "x must be >= 0 (math.inf allowed; got -1.0)",
     ),
     "sinr_threshold": (
         lambda: sinr_threshold(math.nan),
-        "x must be finite and >= 0 (got nan)",
+        "x must be >= 0 (math.inf allowed; got nan)",
     ),
     "coverage_exponent_inverse": (
         lambda: coverage_exponent_inverse(-1.0),
-        "y must be finite and >= 0 (got -1.0)",
+        "y must be >= 0 (math.inf allowed; got -1.0)",
     ),
     "delay_cdf": (
         lambda: delay_cdf(_UNIT, 1.0),

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from unittest import mock
 
-from edgeprovision import geomsim
+from edgeprovision import analytic, geomsim
 from edgeprovision.analytic import (
     AirInterface,
     DeploymentConfig,
@@ -285,6 +285,31 @@ def test_uplink_rate_examples():
     ]:
         with pytest.raises(ModelDomainError):
             uplink_rate(sinr, bandwidth=bandwidth, load=load)
+
+
+_W = InferenceWorkload(1e6, delay_budget=0.06, compute_delay=0.01, mse_cloud=1.0, mse_edge=1.5)
+# (name, rule, call) for every input that admits math.inf; each takes 0 too
+# unless its rule is "> 0"
+_INF_INPUTS = [
+    ("x", ">=", analytic.coverage_exponent),
+    ("x", ">=", analytic.sinr_threshold),
+    ("y", ">=", coverage_exponent_inverse),
+    ("sinr", ">=", lambda v: uplink_rate(v, bandwidth=1.0, load=1.0)),
+    ("rate", ">=", lambda v: cloud_delay(v, _W)),
+    ("snr", ">", lambda v: AirInterface(1.0, snr=v)),
+]
+
+
+@pytest.mark.parametrize("name, rule, call", _INF_INPUTS)
+def test_inputs_that_admit_inf_share_one_rule_and_message(name, rule, call):
+    call(math.inf)
+    call(2.5)
+    for bad in (-1.0, math.nan, -math.inf, True, "1", None) + ((0.0,) if rule == ">" else ()):
+        with pytest.raises(ModelDomainError) as exc_info:
+            call(bad)
+        assert str(exc_info.value) == f"{name} must be {rule} 0 (math.inf allowed; got {bad!r})"
+    if rule == ">=":
+        call(0.0)
 
 
 def test_cloud_delay_and_output_selection():
