@@ -6,7 +6,11 @@ Model assumptions baked into these formulas: minimum-pathloss association,
 full pathloss-inversion power control, Rayleigh fading, pathloss exponent 4
 (the coverage exponent sqrt(x)*arctan(sqrt(x)) is specific to it), at most
 one transmitter per cell on the tagged resource block, rate logarithms in
-base 2, and a cell load equal to its mean value 1 + 1.28/lambda_hat.
+base 2, and a cell load equal to its mean value 1 + 1.28/lambda_hat. Noise
+adds x/snr to the coverage exponent at SINR threshold x: under full
+inversion the received signal is the fade alone, so coverage factorizes
+as exp(-x/snr) * exp(-coverage_exponent(x)) (Novlan, Dhillon & Andrews,
+IEEE TWC 2013).
 
 A device offloads to the cloud model (MSE ``mse_cloud``) when the round-trip
 cloud delay fits the budget, and falls back to the on-device edge model
@@ -184,7 +188,8 @@ class AirInterface:
     """Link-side parameters: uplink bandwidth (Hz) and composite SNR.
 
     ``snr`` folds transmit power, controlled received power, and noise into
-    one linear ratio; ``math.inf`` selects the interference-limited regime.
+    one linear ratio, which the closed forms and the simulator both use;
+    ``math.inf`` selects the interference-limited regime.
     """
 
     bandwidth: float
@@ -265,33 +270,46 @@ _INVERSE_MAX_Y = coverage_exponent(sys.float_info.max)
 def coverage_exponent_inverse(y: float) -> float:
     """Inverse of ``coverage_exponent``: the x with sqrt(x)*arctan(sqrt(x)) = y.
 
-    Newton's method on g(u) = u*arctan(u) - y with u = sqrt(x), started at
-    u = sqrt(y) + y. g is increasing and convex for u >= 0 and g >= 0 at
-    the start (arctan(u) >= u/(1 + u)), so every step lowers u onto the
-    root; it stops at the first step that does not, at most seven steps
-    for any float y. Returns 0 for y = 0 and math.inf above
+    ``_exponent_inverse`` at snr = inf. Returns math.inf above
     ``_INVERSE_MAX_Y`` (y = inf included); below it no intermediate value
     overflows.
     """
     _require_finite("y", y, strict=False, inf=True)
+    return math.inf if y > _INVERSE_MAX_Y else _exponent_inverse(y, math.inf)
+
+
+def _exponent_inverse(y: float, snr: float) -> float:
+    """The x >= 0 with coverage_exponent(x) + x/snr = y, for a finite y >= 0.
+
+    Newton's method on g(u) = u*arctan(u) + u*u/snr - y with u = sqrt(x),
+    started at u = min(sqrt(y) + y, sqrt(y*snr)). g is increasing and
+    convex for u >= 0 and g >= 0 at the start (arctan(u) >= u/(1 + u), and
+    u*u/snr >= y at the second bound), so every step lowers u onto the
+    root; it stops at the first step that does not, at most seven steps
+    for any float y and snr. Returns 0 for y = 0. The snr terms are
+    exactly 0.0 at snr = inf.
+    """
     if y == 0.0:
         return 0.0
-    if y > _INVERSE_MAX_Y:
-        return math.inf
-    u = math.sqrt(y) + y
+    u = min(math.sqrt(y) + y, math.sqrt(y) * math.sqrt(snr))
     while True:
         t = math.atan(u)
-        # g'(u) = arctan(u) + u/(1 + u*u), written so that u*u cannot overflow
-        nxt = u - (u * t - y) / (t + 1.0 / (u + 1.0 / u))
+        a = u / snr
+        # g'(u) = arctan(u) + u/(1 + u*u) + 2u/snr, written so that u*u cannot overflow
+        nxt = u - (u * t + u * a - y) / (t + 1.0 / (u + 1.0 / u) + 2.0 * a)
         if not nxt < u:
             return u * u
         u = nxt
 
 
-def _gate_exponent(x: float) -> float:
-    """coverage_exponent(sinr_threshold(x)), -ln P(spectral efficiency demand
-    x is met on the uplink); math.inf once the threshold is."""
-    return coverage_exponent(sinr_threshold(x))
+def _gate_exponent(x: float, snr: float) -> float:
+    """-ln P(spectral efficiency demand x is met on the uplink): at the SINR
+    threshold t = sinr_threshold(x), coverage_exponent(t) + t/snr, the
+    interference term plus the noise term of full pathloss inversion (the
+    received signal is the fade alone); math.inf once the threshold is."""
+    t = sinr_threshold(x)
+    # t/snr would be inf/inf = nan at t = snr = inf
+    return t if t == math.inf else coverage_exponent(t) + t / snr
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +338,7 @@ def delay_cdf(s: Scenario, d: float) -> float:
     )
     nu = mean_cell_load(s.deployment)
     stretch = (w.delay_budget - w.compute_delay) / (d - w.compute_delay)
-    return math.exp(-_gate_exponent(nu * s.inference_rate * stretch))
+    return math.exp(-_gate_exponent(nu * s.inference_rate * stretch, s.air.snr))
 
 
 def cloud_use_probability(s: Scenario) -> float:
@@ -341,7 +359,7 @@ def asymptotic_mse(w: InferenceWorkload, air: AirInterface) -> float:
     Tends to mse_cloud as the inference rate vanishes and to mse_edge as it
     grows without bound.
     """
-    return _mix(w, math.exp(-_gate_exponent(_rate(w, air))))
+    return _mix(w, math.exp(-_gate_exponent(_rate(w, air), air.snr)))
 
 
 def critical_ap_density(
@@ -369,7 +387,7 @@ def critical_ap_density(
         )
     r = _rate(w, air)
     y = math.log((w.mse_edge - w.mse_cloud) / (w.mse_edge - mse_target))
-    x = coverage_exponent_inverse(y)
+    x = _exponent_inverse(y, air.snr)
     denom = math.log1p(x) / (_LN2 * r) - 1.0
     if denom <= 0.0:
         # Only reachable through rounding at the feasibility boundary.
@@ -397,7 +415,7 @@ def critical_edge_mse(s: Scenario, mse_target: float) -> float:
     )
     # q = 1 - p, the probability that the cloud output misses the budget,
     # through expm1 so that it keeps its relative precision as p nears 1
-    q = -math.expm1(-_gate_exponent(mean_cell_load(s.deployment) * s.inference_rate))
+    q = -math.expm1(-_gate_exponent(mean_cell_load(s.deployment) * s.inference_rate, s.air.snr))
     if q <= 0.0:
         raise ModelDomainError(
             "cloud output always meets the budget (cloud-use probability 1); "

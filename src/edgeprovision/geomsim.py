@@ -523,21 +523,23 @@ class SimSummary:
 
 
 class _Block:
-    """The trials of one block: each one's stream, APs and AP k-d tree.
+    """The trials of one block: each one's stream, deployed ``(ap, dev)``
+    points and AP k-d tree.
 
     The APs are joined end to end, trial ``t``'s at ``ap[off[t]:off[t + 1]]``,
     so one index into ``ap`` names a cell of the block, and ``trial[c]`` is
-    the trial of cell ``c``. The stages join their other arrays (devices,
-    cells, fill candidates) the same way: each trial's entries together, in
-    trial order.
+    the trial of cell ``c``. The devices ``dev`` and the stages' other
+    arrays (cells, fill candidates) are joined the same way: each trial's
+    entries together, in trial order.
     """
 
-    def __init__(self, streams: list, aps: list, trees: list):
+    def __init__(self, streams: list, deployed: list, trees: list):
         self.streams, self.trees = streams, trees
-        self.n_ap = np.array([len(ap) for ap in aps])
+        self.n_ap = np.array([len(ap) for ap, _ in deployed])
         self.off = np.concatenate([[0], np.cumsum(self.n_ap)])
-        self.ap = np.concatenate(aps)
-        self.trial = np.repeat(np.arange(len(aps)), self.n_ap)
+        self.ap = np.concatenate([ap for ap, _ in deployed])
+        self.dev = np.concatenate([dev for _, dev in deployed])
+        self.trial = np.repeat(np.arange(len(deployed)), self.n_ap)
 
     def bounds(self, trial: np.ndarray) -> list[int]:
         """Where each trial's entries start in a joined array whose entries
@@ -652,16 +654,16 @@ class _Engine:
         too). Without shadowing the block serves every device at once
         (``_Block.serve``); with it, each trial in turn draws its normals and
         serves its devices (``_serve``), its pathloss matrix freed before the
-        next is built. Returns the ``_Block``, then for the joined devices
-        their serving cells, own pathlosses and, when shadowed, cross
+        next is built. Returns the ``_Block``, then for its joined devices
+        ``dev`` their serving cells, own pathlosses and, when shadowed, cross
         pathlosses to their trial's typical cell ``a0`` (else None), then
         every cell's device count and each trial's ``a0``.
         """
         from scipy.spatial import cKDTree
 
         aps = [ap for ap, _ in deployed]
-        block = _Block(streams, aps, [cKDTree(ap, boxsize=self.side) for ap in aps])
-        dev = np.concatenate([d for _, d in deployed])
+        block = _Block(streams, deployed, [cKDTree(ap, boxsize=self.side) for ap in aps])
+        dev = block.dev
         starts = np.cumsum([0] + [len(d) for _, d in deployed])
         parts = list(zip(range(len(aps)), starts[:-1], starts[1:]))
         cross = None
@@ -1072,10 +1074,9 @@ class _Engine:
         streams = [RngStream(self.cfg.master_seed, i) for i in indices]
         deployed = [self.deploy(stream) for stream in streams]
         block, serving, own, counts, cross, a0 = self.associate(streams, deployed)
-        dev = np.concatenate([d for _, d in deployed])
         loads = counts[a0]
         members = self.schedule(block, serving, counts, a0)
-        cells, pts, own = serving[members], dev[members], own[members]
+        cells, pts, own = serving[members], block.dev[members], own[members]
         cross = None if cross is None else cross[members]
         if self.cfg.full_buffer:
             fill_cells, fill_pts, fill_own, fill_cross = self.fill(block, counts, a0)

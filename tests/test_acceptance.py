@@ -253,6 +253,26 @@ def test_a6_cloud_share_and_mse(canonical_run):
     )
 
 
+def test_a6_cloud_share_at_finite_snr():
+    # the closed forms' noise term exp(-T/snr) against the simulator's SINR,
+    # which adds 1/snr to the interference: at snr = 1 it moves the canonical
+    # cloud-use probability from 0.8152 to 0.6553
+    base = canonical_validation_scenario()
+    s = replace(base, air=replace(base.air, snr=1.0))
+    cfg = SimConfig(scenario=s, window_radius=math.sqrt(50.0), trials=2_000)
+    summary = run_trials(cfg)
+    w = s.workload
+    assert cloud_use_probability(s) == pytest.approx(0.6553, abs=1e-4)
+    cloud_gap = abs(summary.cloud_use_fraction - cloud_use_probability(s))
+    mse_gap = abs(summary.mse_estimate - average_mse(s))
+    mse_tol = 0.03 * (w.mse_edge - w.mse_cloud)
+    report(
+        "A6 (snr = 1)",
+        cloud_gap <= 0.03 and mse_gap <= mse_tol,
+        f"cloud-use gap {cloud_gap:.4f} <= 0.03; MSE gap {mse_gap:.4f} <= {mse_tol}",
+    )
+
+
 def test_a7_mean_load():
     base = canonical_validation_scenario()
     details = []

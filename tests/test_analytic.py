@@ -24,6 +24,7 @@ from edgeprovision.analytic import (
     delay_cdf,
     mean_cell_load,
     sinr_threshold,
+    _exponent_inverse,
 )
 from edgeprovision.errors import InfeasibleTargetError, ModelDomainError
 
@@ -246,12 +247,36 @@ def test_cloud_use_probability_equals_cdf_at_budget():
     assert cloud_use_probability(s) == pytest.approx(math.exp(-math.pi / 4), rel=1e-12)
 
 
-def test_closed_form_is_interference_limited():
-    # the closed-form delay law carries no noise term; snr feeds the
-    # simulator's SINR only
+@pytest.mark.parametrize("snr", [1e3, 5.0, 1.0, 0.1])
+def test_closed_form_coverage_factorizes_with_the_noise_term(snr):
+    # under full inversion the received signal is the fade alone, so a finite
+    # snr multiplies coverage at SINR threshold T by exp(-T/snr)
     s = unit_product_scenario()
-    s_noisy = replace(s, air=AirInterface(bandwidth=1.0, snr=5.0))
-    assert cloud_use_probability(s_noisy) == cloud_use_probability(s)
+    noisy = replace(s, air=AirInterface(bandwidth=1.0, snr=snr))
+    w = s.workload
+    for d in (w.compute_delay + 0.1, w.delay_budget, 7.0):
+        stretch = (w.delay_budget - w.compute_delay) / (d - w.compute_delay)
+        t = sinr_threshold(mean_cell_load(s.deployment) * s.inference_rate * stretch)
+        assert delay_cdf(noisy, d) == pytest.approx(math.exp(-t / snr) * delay_cdf(s, d), rel=1e-14)
+    t = sinr_threshold(s.inference_rate)
+    p_asy = math.exp(-t / snr - coverage_exponent(t))
+    assert asymptotic_mse(w, noisy.air) == pytest.approx(1.5 - 0.5 * p_asy, rel=1e-14)
+    assert cloud_use_probability(noisy) < cloud_use_probability(s)
+
+
+@pytest.mark.parametrize("snr", [math.inf, 4.0, 1.0, 0.1])
+def test_critical_ap_density_round_trip_at_finite_snr(snr):
+    s = unit_product_scenario()
+    air = AirInterface(bandwidth=1.0, snr=snr)
+    m_asy = asymptotic_mse(s.workload, air)
+    for frac in (0.01, 0.3, 0.9):
+        target = m_asy + frac * (s.workload.mse_edge - m_asy)
+        lam = critical_ap_density(s.workload, air, 2.0, target)
+        at = Scenario(DeploymentConfig(lam, 2.0), s.workload, air)
+        assert average_mse(at) == pytest.approx(target, rel=1e-13)
+        edge = critical_edge_mse(Scenario(s.deployment, s.workload, air), target)
+        at = Scenario(s.deployment, replace(s.workload, mse_edge=edge), air)
+        assert average_mse(at) == pytest.approx(target, rel=1e-13)
 
 
 def test_average_mse_frozen_example():
@@ -488,6 +513,26 @@ def test_coverage_exponent_inverse_takes_at_most_seven_steps():
                     steps.append(0)
                     coverage_exponent_inverse(y)
     assert 1 <= min(steps) and max(steps) <= 7
+
+
+@pytest.mark.parametrize("snr", [1e300, 1e6, 4.0, 1.0, 1e-3, 1e-300, 5e-324])
+def test_exponent_inverse_with_noise_round_trips_in_at_most_seven_steps(snr):
+    # the inverse that critical_ap_density runs: coverage_exponent(x) + x/snr = y
+    atan, steps, roots = math.atan, [], []
+
+    def counted(u):
+        steps[-1] += 1
+        return atan(u)
+
+    ys = [math.ldexp(m, k) for k in range(-1074, 1024, 3) for m in (1.0, 1.7)]
+    with mock.patch.object(math, "atan", counted):
+        for y in ys:
+            steps.append(0)
+            roots.append(_exponent_inverse(y, snr))
+    assert 1 <= min(steps) and max(steps) <= 7
+    for y, x in zip(ys, roots):
+        if sys.float_info.min <= x < math.inf:  # a subnormal x holds few digits
+            assert coverage_exponent(x) + x / snr == pytest.approx(y, rel=1e-14)
 
 
 # Each domain check's message for one bad input, as the checks word them. A bool

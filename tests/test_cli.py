@@ -181,6 +181,13 @@ def test_snr_flag_reads_infinity_in_any_form(capsys, snr):
     assert run_cli(capsys, "avg-mse", "--json", "--snr", snr) == default
 
 
+def test_snr_flag_moves_the_closed_forms(capsys):
+    # coverage at threshold T carries the noise factor exp(-T/snr)
+    noiseless = json.loads(run_cli(capsys, "cloud-prob", "--json")[1])
+    noisy = json.loads(run_cli(capsys, "cloud-prob", "--snr", "1", "--json")[1])
+    assert noisy["cloud_use_prob"] < noiseless["cloud_use_prob"]
+
+
 def test_missing_command_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
 
@@ -402,6 +409,14 @@ def test_sweep_json_rows(capsys, tmp_path):
     assert payload["axis"] == "lambda_hat"
     assert len(payload["rows"]) == 6
     assert {r["status"] for r in payload["rows"]} == {"ok"}
+
+
+def test_sweep_json_out_file_holds_what_stdout_would(capsys, tmp_path):
+    spec = str(write_sweep_spec(tmp_path))
+    out_path = tmp_path / "result.json"
+    code, out, _ = run_cli(capsys, "sweep", "--spec", spec, "--json", "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert out_path.read_text(encoding="utf-8") == run_cli(capsys, "sweep", "--spec", spec, "--json")[1]
 
 
 def test_sweep_json_keeps_its_row_format(capsys, tmp_path):

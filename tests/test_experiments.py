@@ -96,6 +96,17 @@ def test_sweep_spec_rejects_unknown_metric():
         SweepSpec(base=base_scenario(), axis="r_min", grid=(1.0,), outputs=("nope",))
 
 
+@pytest.mark.parametrize(
+    "field, problem",
+    [("grid", "sweep.grid must be non-empty"), ("outputs", "sweep.outputs must be non-empty")],
+)
+def test_sweep_spec_rejects_an_empty_grid_or_outputs(field, problem):
+    fields = dict(base=base_scenario(), axis="r_min", grid=(1.0,), outputs=("avg_mse",))
+    with pytest.raises(SpecValidationError) as exc_info:
+        SweepSpec(**{**fields, field: ()})
+    assert str(exc_info.value) == problem
+
+
 def test_sweep_spec_requires_target_for_critical_metrics():
     with pytest.raises(SpecValidationError):
         SweepSpec(
@@ -459,6 +470,24 @@ def test_csv_roundtrip_identity_property(res):
 def test_parse_csv_rejects_bad_header():
     with pytest.raises(SpecFileError):
         parse_csv(io.StringIO("nope,nope\n"))
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        ("r_min,1,avg_mse,1.2,,ok\n", "bad CSV row (expected 7 cells): 'r_min,1,avg_mse,1.2,,ok'"),
+        (
+            "r_min,1,avg_mse,1.2,,,ok\nlambda_hat,1,avg_mse,1.2,,,ok\n",
+            "mixed axis names in CSV: 'r_min' vs 'lambda_hat'",
+        ),
+        ("", "CSV holds no data rows"),
+    ],
+    ids=["six_cells", "mixed_axes", "header_only"],
+)
+def test_parse_csv_rejects_a_malformed_table(rows, problem):
+    with pytest.raises(SpecFileError) as exc_info:
+        parse_csv(io.StringIO(CSV_HEADER + "\n" + rows))
+    assert str(exc_info.value) == problem
 
 
 def test_parse_csv_rejects_bad_status():

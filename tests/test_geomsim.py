@@ -197,10 +197,10 @@ def test_block_serve_matches_per_trial_tree_queries(boundary):
     aps = [engine.window.sample(stream, n) for n in (5, 17, 2)]
     pts = [engine.window.sample(stream, n) for n in (9, 1, 30)]
     trees = [cKDTree(ap, boxsize=engine.side) for ap in aps]
-    block = geomsim._Block([stream] * 3, aps, trees)
+    block = geomsim._Block([stream] * 3, list(zip(aps, pts)), trees)
     starts = np.cumsum([0] + [len(p) for p in pts])
     parts = list(zip(range(3), starts[:-1], starts[1:]))
-    serving, own = block.serve(np.concatenate(pts), parts)
+    serving, own = block.serve(block.dev, parts)
     for t, lo, hi in parts:
         dist, near = trees[t].query(pts[t])
         assert np.array_equal(serving[lo:hi], near + block.off[t])
@@ -262,7 +262,7 @@ def test_link_sinr_matches_formula():
 def _link_one(engine, stream, tagged, pts, own, load):
     """``engine.link`` of a block of one trial whose typical device is served
     at ``tagged``, interfered with from ``pts`` (k-d tree path)."""
-    block = geomsim._Block([stream], [tagged[None]], [None])
+    block = geomsim._Block([stream], [(tagged[None], tagged[None])], [None])
     trial = np.zeros(len(pts), dtype=np.intp)
     [result] = engine.link(block, np.array([0]), trial, pts, own, None, np.array([load]))
     return result
@@ -783,9 +783,9 @@ def _staged(engine, stream):
 
 
 def _one(stream, ap, tree):
-    """A block of one trial with these APs and k-d tree, drawing from
-    ``stream``."""
-    return geomsim._Block([stream], [ap], [tree])
+    """A block of one trial with these APs and k-d tree and no devices,
+    drawing from ``stream``."""
+    return geomsim._Block([stream], [(ap, np.empty((0, 2)))], [tree])
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")

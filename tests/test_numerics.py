@@ -198,3 +198,8 @@ def test_stream_accepts_every_uint64_key_with_unchanged_draws(seed, stream_id, f
     assert stream.uniform(2).tolist() == first_two
     assert (stream.master_seed, stream.stream_id) == (int(seed), int(stream_id))
     assert type(stream.master_seed) is int
+
+
+def test_stream_repr_names_its_key():
+    stream = RngStream(np.uint64(2**64 - 1), 5)
+    assert repr(stream) == "RngStream(master_seed=18446744073709551615, stream_id=5)"
