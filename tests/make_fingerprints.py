@@ -3,9 +3,11 @@
 ``OUTPUTS`` maps a name to a function returning the bytes of one output:
 the ``validate --trials 300`` report as text and as JSON, short simulated
 sweep CSVs, ``run_trials`` summaries, ``run_loads`` arrays, every field of
-``simulate_trial`` realizations and the CSVs of the benchmark's 24
-analytic-only ``provision`` sweeps. ``tests/fingerprints.json`` holds their
-digests with the Python, NumPy and SciPy versions that made them, and
+``simulate_trial`` realizations, the CSVs of the benchmark's 24
+analytic-only ``provision`` sweeps, and those of its four base-0 sweeps
+at ``snr: 1`` (the closed forms' noise term). ``tests/fingerprints.json``
+holds their digests with the Python, NumPy and SciPy versions that made
+them, and
 ``test_fingerprints.py`` recomputes every one. A change that keeps seeded
 outputs byte-identical leaves the fixture as it is.
 
@@ -106,9 +108,10 @@ def _realizations(cfg: SimConfig, indices) -> bytes:
     return b"\n".join(parts)
 
 
-def _provision() -> bytes:
-    # the specs of the benchmark's provision workload (loading it puts the
-    # checkout's src first on sys.path, which is put back after)
+def _provision(prefix: str = "", snr: str = "inf") -> bytes:
+    # the specs of the benchmark's provision workload whose names start with
+    # ``prefix``, at ``air.snr`` = ``snr`` (loading it puts the checkout's src
+    # first on sys.path, which is put back after)
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_pb_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -121,8 +124,10 @@ def _provision() -> bytes:
     parts = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in workloads.provision_specs():
+            if not name.startswith(prefix):
+                continue
             path = Path(tmp) / f"{name}.yaml"
-            path.write_text(text, encoding="utf-8")
+            path.write_text(text.replace("snr: inf", f"snr: {snr}"), encoding="utf-8")
             buf = io.StringIO()
             emit_csv(run_sweep(load_spec(path)), buf)
             parts.append(name.encode() + b"\n" + buf.getvalue().encode())
@@ -181,6 +186,7 @@ for _name, _settings in (
         lambda s=_settings: _realizations(_cfg(trials=40, master_seed=19, **s), range(0, 40, 5))
     )
 OUTPUTS["provision_csvs"] = _provision
+OUTPUTS["provision_base0_snr1_csvs"] = lambda: _provision("base0.", "1")
 
 
 def digest(name: str) -> str:
