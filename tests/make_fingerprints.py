@@ -7,9 +7,8 @@ sweep CSVs, ``run_trials`` summaries, ``run_loads`` arrays, every field of
 analytic-only ``provision`` sweeps, and those of its four base-0 sweeps
 at ``snr: 1`` (the closed forms' noise term). ``tests/fingerprints.json``
 holds their digests with the Python, NumPy and SciPy versions that made
-them, and
-``test_fingerprints.py`` recomputes every one. A change that keeps seeded
-outputs byte-identical leaves the fixture as it is.
+them, and ``test_fingerprints.py`` recomputes every one. A change that
+keeps seeded outputs byte-identical leaves the fixture as it is.
 
 Regenerate the fixture (only when an output is meant to change) with
 
