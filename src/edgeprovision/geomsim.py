@@ -24,7 +24,12 @@ Trials run in blocks of about ``_BLOCK_POINTS`` expected APs and devices
 trial is deployed and associated on its own k-d tree, the stages keep the
 block's APs, devices and fill candidates in flat arrays, joined end to end,
 and do their bookkeeping (counting loads, grouping devices by cell, finding
-each cell's first fill hit, the local fill's polygons) once per block.
+each cell's first fill hit, the local fill's polygons) once per block. The
+block (``_Block``) is the one record of its trials: associate sets every
+device's serving cell, own pathloss and cross pathloss to its trial's
+serving cell on it, with every cell's load; schedule and fill each return
+the same interferer record ``(cells, points, own, cross)``, with or without
+shadowing, and link reads the loads from the block.
 
 Determinism contract: trial ``i`` always consumes the random stream keyed
 ``(master_seed, i)``, drawing in that stage order with the sizes it would
@@ -523,14 +528,19 @@ class SimSummary:
 
 
 class _Block:
-    """The trials of one block: each one's stream, deployed ``(ap, dev)``
-    points and AP k-d tree.
+    """The one record of a block of trials: each one's stream, deployed
+    ``(ap, dev)`` points and AP k-d tree, then its association.
 
     The APs are joined end to end, trial ``t``'s at ``ap[off[t]:off[t + 1]]``,
     so one index into ``ap`` names a cell of the block, and ``trial[c]`` is
     the trial of cell ``c``. The devices ``dev`` and the stages' other
     arrays (cells, fill candidates) are joined the same way: each trial's
     entries together, in trial order.
+
+    ``_Engine.associate`` sets, for the joined devices, their serving cells
+    ``serving``, own pathlosses ``own`` and cross pathlosses ``cross`` to
+    their trial's serving cell, then every cell's device count ``counts``
+    and each trial's serving cell ``a0`` (its typical device's).
     """
 
     def __init__(self, streams: list, deployed: list, trees: list):
@@ -540,6 +550,11 @@ class _Block:
         self.ap = np.concatenate([ap for ap, _ in deployed])
         self.dev = np.concatenate([dev for _, dev in deployed])
         self.trial = np.repeat(np.arange(len(deployed)), self.n_ap)
+
+    @property
+    def loads(self) -> np.ndarray:
+        """Each trial's serving-cell load, once associated."""
+        return self.counts[self.a0]
 
     def bounds(self, trial: np.ndarray) -> list[int]:
         """Where each trial's entries start in a joined array whose entries
@@ -573,10 +588,12 @@ class _Engine:
     """Per-config precomputation plus the staged trial kernel.
 
     ``trials`` runs a block of trials one stage at a time: each trial is
-    deployed from its own stream, then ``associate``, ``schedule``,
-    ``fill`` and ``link`` each take the whole block (``_Block``) and keep
-    its trials' arrays joined end to end, so their bookkeeping runs once
-    per block. The draws, the k-d trees and their queries, and each
+    deployed from its own stream, ``associate`` makes the block
+    (``_Block``) and sets the association on it, ``schedule`` and ``fill``
+    read it and each return an interferer record ``(cells, pts, own,
+    cross)``, and ``link`` takes the records joined by trial. The stages
+    keep the trials' arrays joined end to end, so their bookkeeping runs
+    once per block. The draws, the k-d trees and their queries, and each
     trial's interference sum stay per trial. ``typical_loads`` counts the
     typical cell of a block of deployed trials without the later stages.
     """
@@ -601,13 +618,14 @@ class _Engine:
         size = max(1, int(_BLOCK_POINTS / (1.0 + self.expected_aps + self.expected_devs)))
         return [range(i, min(i + size, hi)) for i in range(lo, hi, size)]
 
-    def _pathloss(self, points: np.ndarray, ap: np.ndarray, normals: np.ndarray) -> np.ndarray:
-        """Shadowed pathlosses between ``points`` and ``ap`` (broadcast as in
-        ``_sq_dist``) from the pairs' shadowing normals."""
+    def _pathloss(self, points: np.ndarray, ap: np.ndarray, normals=None) -> np.ndarray:
+        """Pathlosses ``dist**4`` between ``points`` and ``ap`` (broadcast as
+        in ``_sq_dist``), shadowed by the pairs' ``normals`` when given."""
         pathloss = _sq_dist(points, ap, self.side)
         pathloss *= pathloss
-        gain = self.sigma_scale * normals
-        pathloss *= np.exp(gain, out=gain)
+        if normals is not None:
+            gain = self.sigma_scale * normals
+            pathloss *= np.exp(gain, out=gain)
         return pathloss
 
     def _serve(self, points: np.ndarray, ap: np.ndarray, normals: np.ndarray):
@@ -646,64 +664,63 @@ class _Engine:
         dev[1:] = self.window.sample(stream, n_dev)
         return ap, dev
 
-    def associate(self, streams: list, deployed: list):
-        """Minimum-pathloss association of every device of the deployed
-        ``(ap, dev)`` trials, whose streams are ``streams``.
+    def associate(self, streams: list, deployed: list) -> _Block:
+        """The ``_Block`` of the deployed ``(ap, dev)`` trials, whose streams
+        are ``streams``, with the minimum-pathloss association of every
+        device set on it.
 
         Each trial builds its AP k-d tree (the shadowed fill screens with it
         too). Without shadowing the block serves every device at once
-        (``_Block.serve``); with it, each trial in turn draws its normals and
-        serves its devices (``_serve``), its pathloss matrix freed before the
-        next is built. Returns the ``_Block``, then for its joined devices
-        ``dev`` their serving cells, own pathlosses and, when shadowed, cross
-        pathlosses to their trial's typical cell ``a0`` (else None), then
-        every cell's device count and each trial's ``a0``.
+        (``_Block.serve``), and the cross pathlosses follow from the
+        distances; with it, each trial in turn draws its normals and serves
+        its devices (``_serve``), its pathloss matrix freed before the next
+        is built.
         """
         from scipy.spatial import cKDTree
 
-        aps = [ap for ap, _ in deployed]
-        block = _Block(streams, deployed, [cKDTree(ap, boxsize=self.side) for ap in aps])
+        block = _Block(streams, deployed, [cKDTree(ap, boxsize=self.side) for ap, _ in deployed])
         dev = block.dev
         starts = np.cumsum([0] + [len(d) for _, d in deployed])
-        parts = list(zip(range(len(aps)), starts[:-1], starts[1:]))
-        cross = None
+        parts = list(zip(range(len(deployed)), starts[:-1], starts[1:]))
         if self.sigma_scale is None:
             serving, own = block.serve(dev, parts)
+            block.a0 = serving[starts[:-1]]
+            cross = self._pathloss(dev, np.repeat(block.ap[block.a0], np.diff(starts), axis=0))
         else:
             serving = np.empty(len(dev), dtype=np.intp)
             own, cross = np.empty(len(dev)), np.empty(len(dev))
-            for (t, lo, hi), ap in zip(parts, aps):
+            for (t, lo, hi), (ap, _) in zip(parts, deployed):
                 cell, own[lo:hi], pathloss = self._serve(
                     dev[lo:hi], ap, streams[t].normal((hi - lo, len(ap)))
                 )
                 serving[lo:hi] = cell + block.off[t]
                 cross[lo:hi] = pathloss[:, cell[0]]
-        counts = np.bincount(serving, minlength=len(block.ap))
-        return block, serving, own, counts, cross, serving[starts[:-1]]
+            block.a0 = serving[starts[:-1]]
+        block.serving, block.own, block.cross = serving, own, cross
+        block.counts = np.bincount(serving, minlength=len(block.ap))
+        return block
 
-    def schedule(
-        self, block: _Block, serving: np.ndarray, counts: np.ndarray, a0: np.ndarray
-    ) -> np.ndarray:
-        """Index of one uniformly chosen device per non-empty cell other than
-        its trial's serving cell ``a0``, among the joined devices with
-        serving cells ``serving``, by cell. Each trial draws its choices
-        from its stream, none when it has no such cell."""
-        order = np.argsort(serving, kind="stable")
+    def schedule(self, block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One uniformly chosen device per non-empty cell other than its
+        trial's serving cell ``a0``, by cell: the interferer record of those
+        cells, with the devices' points, own and cross pathlosses. Each
+        trial draws its choices from its stream, none when it has no such
+        cell."""
+        counts = block.counts
+        order = np.argsort(block.serving, kind="stable")
         starts = np.cumsum(counts) - counts
         busy = counts > 0
-        busy[a0] = False
+        busy[block.a0] = False
         cells = np.nonzero(busy)[0]
         picks = [
             block.streams[t].integers(0, counts[cells[lo:hi]])
             for t, lo, hi in block.parts(block.trial[cells])
         ]
-        if not picks:
-            return np.empty(0, dtype=np.intp)
-        return order[starts[cells] + np.concatenate(picks)]
+        # no picks means no cells, and no devices
+        members = order[starts[cells] + np.concatenate(picks)] if picks else cells
+        return cells, block.dev[members], block.own[members], block.cross[members]
 
-    def fill(
-        self, block: _Block, counts: np.ndarray, a0: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    def fill(self, block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Saturation fill: one uniform device in every empty cell other than
         its trial's serving cell ``a0``.
 
@@ -720,13 +737,14 @@ class _Engine:
         they land in the cell), and only the cells that step does not fill
         go on to batches 2+. With shadowing, a slice in which fewer than
         ``_SCREEN_MAX * n_ap`` cells are empty is screened (``_screen``).
-        A cell still empty at the batch cap gets none. Returns the filled
-        cells (ascending), their points, own pathlosses and cross
-        pathlosses to their trial's ``a0`` (None unless shadowed).
+        A cell still empty at the batch cap gets none. Returns the
+        interferer record of the filled cells (ascending): their points, own
+        pathlosses and cross pathlosses to their trial's ``a0``, which the
+        k-d tree path works out from the distances once the fill is done.
         """
         shadowed = self.sigma_scale is not None
-        needed = counts == 0
-        needed[a0] = False
+        needed = block.counts == 0
+        needed[block.a0] = False
         cells = np.nonzero(needed)[0]
         n = len(block.ap)
         pts, own, cross = np.empty((n, 2)), np.empty(n), np.empty(n)
@@ -751,7 +769,7 @@ class _Engine:
                 if not active.size:
                     break
                 sliced = list(
-                    zip(*(self._fill_slice(block, t, needed, a0[t], empty[t]) for t in active))
+                    zip(*(self._fill_slice(block, t, needed, empty[t]) for t in active))
                 )
                 cand, serving, cand_own = (np.concatenate(x) for x in sliced[:3])
                 hit = np.nonzero(needed[serving])[0]
@@ -761,13 +779,15 @@ class _Engine:
                     cross[got] = np.concatenate(sliced[3])[take]
                 fill_from(got, cand[take], cand_own[take])
         cells = cells[~needed[cells]]
-        return cells, pts[cells], own[cells], cross[cells] if shadowed else None
+        if not shadowed:
+            cross[cells] = self._pathloss(pts[cells], block.ap[block.a0[block.trial[cells]]])
+        return cells, pts[cells], own[cells], cross[cells]
 
-    def _fill_slice(self, block: _Block, t: int, needed: np.ndarray, a0: int, n_empty: int):
+    def _fill_slice(self, block: _Block, t: int, needed: np.ndarray, n_empty: int):
         """One global fill slice of trial ``t``: ``_FILL_SLICE * n_ap``
         window-uniform candidates from its stream, and for those kept their
-        serving cells, own pathlosses and cross pathlosses to the trial's
-        serving cell ``a0`` (None unless shadowed). With shadowing, a slice
+        serving cells, own pathlosses and, with shadowing, cross pathlosses
+        to the trial's serving cell ``a0``. With shadowing, a slice
         of a trial with fewer than ``_SCREEN_MAX * n_ap`` of the cells
         marked in ``needed`` is screened (``_screen``): only the candidates
         that may land in one of them are kept, and get a full row of
@@ -777,7 +797,7 @@ class _Engine:
         ap, base = block.ap[own_cells], own_cells.start
         cand = self.window.sample(stream, _FILL_SLICE * len(ap))
         if self.sigma_scale is None:
-            return cand, *block.serve(cand, [(t, 0, len(cand))]), None
+            return cand, *block.serve(cand, [(t, 0, len(cand))])
         if n_empty < _SCREEN_MAX * len(ap):
 
             def drawn(rows, cols):
@@ -790,7 +810,7 @@ class _Engine:
             normals = stream.normal((len(cand), len(ap)))
             serving, cand_own, pathloss = self._serve(cand, ap, normals)
         # a copy, so that the slice's pathloss matrix is freed now
-        return cand, serving + base, cand_own, pathloss[:, a0 - base].copy()
+        return cand, serving + base, cand_own, pathloss[:, block.a0[t] - base].copy()
 
     def _screen(self, cand: np.ndarray, ap: np.ndarray, tree, needed: np.ndarray, normals):
         """The candidates of one trial's shadowed fill slice that may land in
@@ -928,34 +948,23 @@ class _Engine:
         return done, pts, own
 
     def link(
-        self,
-        block: _Block,
-        a0: np.ndarray,
-        trial: np.ndarray,
-        pts: np.ndarray,
-        own: np.ndarray,
-        cross: np.ndarray | None,
-        loads: np.ndarray,
+        self, block: _Block, trial: np.ndarray, own: np.ndarray, cross: np.ndarray
     ) -> list[tuple[float, float, float, bool]]:
         """Fading, SINR, rate, delay and output choice of each trial's
         typical device: ``(sinr, rate, delay, used_cloud)`` per trial.
 
-        The interferers ``pts`` belong to trials ``trial`` (ascending), each
+        The interferers belong to trials ``trial`` (ascending), each
         trial's in the order its sum takes them, with own pathlosses
         ``own`` and cross pathlosses ``cross`` to their trial's serving
-        cell ``a0``. ``cross`` is None on the k-d tree path, where they
-        follow from the distances to that cell's AP. Each trial draws its
+        cell. Each trial's load is the block's. Each trial draws its
         fading from its stream and sums its own interference, so the sum
         rounds as it would for the trial alone.
         """
         s = self.cfg.scenario
-        if cross is None:
-            sq = _sq_dist(pts, block.ap[a0[trial]], self.side)
-            cross = sq * sq
         ratio = own / cross
         bounds = block.bounds(trial)
         out = []
-        for stream, lo, hi, load in zip(block.streams, bounds, bounds[1:], loads.tolist()):
+        for stream, lo, hi, load in zip(block.streams, bounds, bounds[1:], block.loads.tolist()):
             h = exponential_variate(stream, hi - lo + 1)
             interference = float(np.dot(ratio[lo:hi], h[1:]))
             denom = self.snr_inv + interference
@@ -969,8 +978,7 @@ class _Engine:
     def _tree_loads(self, streams: list, deployed: list) -> np.ndarray:
         """Serving-cell loads of deployed trials, by associating every
         device."""
-        _, _, _, counts, _, a0 = self.associate(streams, deployed)
-        return counts[a0]
+        return self.associate(streams, deployed).loads
 
     def typical_loads(self, indices: range) -> np.ndarray:
         """Serving-cell loads of the trials in ``indices``, equal to
@@ -1013,8 +1021,7 @@ class _Engine:
         ap_ok = np.arange(n_ap.max()) < n_ap[:, None]
         dev_ok = np.arange(n_dev.max()) < n_dev[:, None]
         aps, devs = np.zeros(ap_ok.shape + (2,)), np.zeros(dev_ok.shape + (2,))
-        for t, (ap, dev) in enumerate(deployed):
-            aps[t, : len(ap)], devs[t, : len(dev)] = ap, dev
+        aps[ap_ok], devs[dev_ok] = (np.concatenate(points) for points in zip(*deployed))
         rows = np.arange(len(deployed))
 
         def away(sq: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -1061,55 +1068,26 @@ class _Engine:
             count[slow] = self._tree_loads([streams[t] for t in slow], [deployed[t] for t in slow])
         return count
 
-    def trials(self, indices: range, collect: bool = False):
+    def trials(self, indices: range) -> tuple[_Block, list, np.ndarray]:
         """Run the trials in ``indices`` as one block: deploy, associate,
         schedule, fill (with ``full_buffer``) and link.
 
         Trial ``i`` draws from stream ``(master_seed, i)`` in that stage
         order, with the sizes it would draw alone, so its result does not
-        depend on the other trials of the block. Returns the trials'
-        delays, output choices and loads as arrays, or with ``collect``
-        their ``TrialRealization``s.
+        depend on the other trials of the block. Returns the associated
+        block, each trial's ``link`` result, and the interferer points,
+        joined by trial.
         """
         streams = [RngStream(self.cfg.master_seed, i) for i in indices]
-        deployed = [self.deploy(stream) for stream in streams]
-        block, serving, own, counts, cross, a0 = self.associate(streams, deployed)
-        loads = counts[a0]
-        members = self.schedule(block, serving, counts, a0)
-        cells, pts, own = serving[members], block.dev[members], own[members]
-        cross = None if cross is None else cross[members]
+        block = self.associate(streams, [self.deploy(stream) for stream in streams])
+        record = self.schedule(block)
         if self.cfg.full_buffer:
-            fill_cells, fill_pts, fill_own, fill_cross = self.fill(block, counts, a0)
+            filled = self.fill(block)
             # each trial's scheduled devices, then its fill points
-            cells = np.concatenate([cells, fill_cells])
-            order = np.argsort(block.trial[cells], kind="stable")
-            cells, pts = cells[order], np.concatenate([pts, fill_pts])[order]
-            own = np.concatenate([own, fill_own])[order]
-            cross = None if cross is None else np.concatenate([cross, fill_cross])[order]
-        trial = block.trial[cells]
-        links = self.link(block, a0, trial, pts, own, cross, loads)
-        bounds = block.bounds(trial)
-
-        if not collect:
-            delays = np.array([delay for _, _, delay, _ in links])
-            used = np.array([used for _, _, _, used in links], dtype=bool)
-            return delays, used, loads
-        return [
-            TrialRealization(
-                ap_points=ap - self.center,
-                dev_points=d - self.center,
-                serving_ap=int(a0[t] - block.off[t]),
-                load_nu=int(loads[t]),
-                interferer_set=pts[lo:hi] - self.center,
-                sinr_u=sinr,
-                rate_u=rate,
-                delay=delay,
-                used_cloud=bool(used),
-            )
-            for t, ((ap, d), (sinr, rate, delay, used), lo, hi) in enumerate(
-                zip(deployed, links, bounds, bounds[1:])
-            )
-        ]
+            order = np.argsort(block.trial[np.concatenate([record[0], filled[0]])], kind="stable")
+            record = [np.concatenate(pair)[order] for pair in zip(record, filled)]
+        cells, pts, own, cross = record
+        return block, self.link(block, block.trial[cells], own, cross), pts
 
 
 def _pool_size(workers: int, trials: int) -> int:
@@ -1164,8 +1142,13 @@ def _simulate_range(cfg: SimConfig, lo: int, hi: int):
     """Delays, output choices and loads of trials [lo, hi), run by
     ``_Engine.trials`` in the blocks of ``_Engine.blocks``."""
     engine = _Engine(cfg)
-    parts = [engine.trials(block) for block in engine.blocks(lo, hi)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    links, loads = [], []
+    for indices in engine.blocks(lo, hi):
+        block, block_links, _ = engine.trials(indices)
+        links += block_links
+        loads.append(block.loads)
+    _, _, delays, used = zip(*links)
+    return np.array(delays), np.array(used, dtype=bool), np.concatenate(loads)
 
 
 def _load_range(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
@@ -1181,7 +1164,19 @@ def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
     [0, ``cfg.trials``), else ModelDomainError is raised."""
     i = _as_index(index, 0, cfg.trials)
     _require(i is not None, "index must be an integer in [0, {}) (got {!r})", cfg.trials, index)
-    return _Engine(cfg).trials(range(i, i + 1), collect=True)[0]
+    engine = _Engine(cfg)
+    block, [(sinr, rate, delay, used)], pts = engine.trials(range(i, i + 1))
+    return TrialRealization(
+        ap_points=block.ap - engine.center,
+        dev_points=block.dev - engine.center,
+        serving_ap=int(block.a0[0]),
+        load_nu=int(block.loads[0]),
+        interferer_set=pts - engine.center,
+        sinr_u=sinr,
+        rate_u=rate,
+        delay=delay,
+        used_cloud=used,
+    )
 
 
 def _summarize(cfg: SimConfig, parts: list) -> SimSummary:
@@ -1190,7 +1185,7 @@ def _summarize(cfg: SimConfig, parts: list) -> SimSummary:
     delays, used, loads = (np.concatenate(p) for p in zip(*parts))
     fraction = int(np.count_nonzero(used)) / cfg.trials
     return SimSummary(
-        delay_samples=EmpiricalCdf(np.sort(delays)),
+        delay_samples=EmpiricalCdf.from_samples(delays),
         cloud_use_fraction=fraction,
         mse_estimate=_mix(cfg.scenario.workload, fraction),
         mean_load=float(loads.mean()),
@@ -1324,7 +1319,7 @@ def run_validation(
     identical JSON across repeated runs.
     """
     seed = CANONICAL_SEED if master_seed is None else master_seed
-    radius = math.sqrt(50.0) if window_radius is None else float(window_radius)
+    radius = math.sqrt(50.0) if window_radius is None else window_radius
     scenario = canonical_validation_scenario()
     w = scenario.workload
 
@@ -1370,7 +1365,7 @@ def run_validation(
     return {
         "master_seed": seed,
         "trials": trials,
-        "window_radius": radius,
+        "window_radius": float(cfg.window_radius),
         "boundary": "torus",
         "scenario": {
             **vars(scenario.deployment),

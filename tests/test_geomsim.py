@@ -1,6 +1,7 @@
 """Unit tests for the stochastic-geometry Monte Carlo engine."""
 
 import concurrent.futures
+import json
 import math
 import sys
 from concurrent.futures import Future
@@ -162,13 +163,39 @@ def test_deploy_ap_count_follows_the_zero_truncated_poisson_law():
 def test_associate_stage_picks_min_pathloss():
     engine = geomsim._Engine(small_cfg(boundary="disc"))
     ap = np.array([[1.0, 0.0], [2.0, 0.0]])
-    _, serving, own, counts, cross, a0 = engine.associate(
-        [RngStream(0, 0)], [(ap, np.zeros((1, 2)))]
-    )
-    assert serving.tolist() == a0.tolist() == [0]
-    assert own.tolist() == [1.0]  # distance 1 -> pathloss 1**4
-    assert counts.tolist() == [1, 0]
-    assert cross is None  # unshadowed: cross pathlosses follow from distances
+    block = engine.associate([RngStream(0, 0)], [(ap, np.zeros((1, 2)))])
+    assert isinstance(block, geomsim._Block)
+    assert block.serving.tolist() == block.a0.tolist() == [0]
+    assert block.own.tolist() == [1.0]  # distance 1 -> pathloss 1**4
+    assert block.counts.tolist() == [1, 0]
+    # unshadowed: the cross pathloss is dist**4 to a0's AP, here the own one
+    assert block.cross.tolist() == [1.0]
+    # a second device, at 1.5 from the far AP and 2.5 from a0's
+    block = engine.associate([RngStream(0, 0)], [(ap, np.array([[0.0, 0.0], [3.5, 0.0]]))])
+    assert block.serving.tolist() == [0, 1] and block.loads.tolist() == [1]
+    assert block.own.tolist() == [1.0, 1.5**4]
+    assert block.cross.tolist() == [1.0, 2.5**4]
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("sigma_db", [None, 8.0])
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_schedule_and_fill_return_one_interferer_record(boundary, sigma_db):
+    # Both stages return (cells, pts, own, cross) on both association paths,
+    # with positive pathlosses; on the k-d tree path each cross pathloss is
+    # dist**4 to the AP of its trial's serving cell, bit for bit.
+    cfg = small_cfg(window_radius=4.0, boundary=boundary, shadowing_sigma_db=sigma_db)
+    engine = geomsim._Engine(cfg)
+    streams = [RngStream(CANONICAL_SEED, i) for i in range(4)]
+    block = engine.associate(streams, [engine.deploy(s) for s in streams])
+    records = [engine.schedule(block), engine.fill(block)]
+    assert len(records[0]) == len(records[1]) == 4
+    for cells, pts, own, cross in records:
+        assert len(cells) == len(pts) == len(own) == len(cross) > 0
+        assert np.all(own > 0.0) and np.all(cross > 0.0)
+        if sigma_db is None:
+            tagged = block.ap[block.a0[block.trial[cells]]]
+            assert np.array_equal(cross, geomsim._sq_dist(pts, tagged, engine.side) ** 2)
 
 
 def test_serve_shadowing_can_flip_choice():
@@ -261,10 +288,12 @@ def test_link_sinr_matches_formula():
 
 def _link_one(engine, stream, tagged, pts, own, load):
     """``engine.link`` of a block of one trial whose typical device is served
-    at ``tagged``, interfered with from ``pts`` (k-d tree path)."""
+    at ``tagged`` with load ``load``, interfered with from ``pts`` (k-d tree
+    path, whose cross pathlosses follow from the distances)."""
     block = geomsim._Block([stream], [(tagged[None], tagged[None])], [None])
+    block.counts, block.a0 = np.array([load]), np.array([0])
     trial = np.zeros(len(pts), dtype=np.intp)
-    [result] = engine.link(block, np.array([0]), trial, pts, own, None, np.array([load]))
+    [result] = engine.link(block, trial, own, engine._pathloss(pts, tagged))
     return result
 
 
@@ -777,9 +806,9 @@ def _staged(engine, stream):
     """Deploy, associate and schedule one trial as a block of one: the fill
     stage's inputs, the block, and its APs, k-d tree and serving cell."""
     ap, dev = engine.deploy(stream)
-    block, serving, _, counts, _, a0 = engine.associate([stream], [(ap, dev)])
-    engine.schedule(block, serving, counts, a0)
-    return block, ap, block.trees[0], counts, int(a0[0])
+    block = engine.associate([stream], [(ap, dev)])
+    engine.schedule(block)
+    return block, ap, block.trees[0], block.counts, int(block.a0[0])
 
 
 def _one(stream, ap, tree):
@@ -849,13 +878,14 @@ def test_early_exit_fill_matches_full_batch_rule(overrides, monkeypatch):
         served.clear()
         slices.clear()
         local.clear()
-        _, pts, own, cross = engine.fill(block, counts, np.array([a0]))
+        _, pts, own, cross = engine.fill(block)
         empty = np.nonzero(counts == 0)[0]
         empty = empty[empty != a0]
         if engine.sigma_scale is None:
             dist, cells = tree.query(pts)
             assert np.array_equal(own, dist**4)
-            assert cross is None
+            sq = geomsim._sq_dist(pts, ap[a0], engine.side)
+            assert np.array_equal(cross, sq**2)
             # the stop rule: batch 1 draws a slice only while enough cells
             # are empty, and stops below that or at its four slices
             hit = [np.empty(0, dtype=int)] + slices
@@ -869,9 +899,9 @@ def test_early_exit_fill_matches_full_batch_rule(overrides, monkeypatch):
             assert np.array_equal(cross, [served[tuple(p)][2][a0] for p in pts])
         assert np.array_equal(cells, empty)
         # replay: the same fill, and the stream continues from the same place
-        again = engine.fill(staged[1][0], counts, np.array([a0]))[1:]
+        again = engine.fill(staged[1][0])[1:]
         assert np.array_equal(pts, again[0]) and np.array_equal(own, again[1])
-        assert cross is None or np.array_equal(cross, again[2])
+        assert np.array_equal(cross, again[2])
         assert streams[0].uniform() == streams[1].uniform()
         if not overrides:
             assert slices
@@ -931,7 +961,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     engine = geomsim._Engine(cfg)
     stream = RngStream(seed, 0)
     ap, dev = engine.deploy(stream)
-    block = engine.associate([stream], [(ap, dev)])[0]
+    block = engine.associate([stream], [(ap, dev)])
     tree = block.trees[0]
     cells = np.arange(len(ap))
     rho = engine._cell_polygon(block, cells)[3]
@@ -1029,7 +1059,7 @@ def test_fill_leaves_no_cell_empty_and_bounds_disc_edge_cells(seed, boundary, lo
     stream = RngStream(seed, 0)
     block, ap, tree, counts, a0 = _staged(engine, stream)
     # completeness: every empty non-serving cell gets its point
-    pts = engine.fill(block, counts, np.array([a0]))[1]
+    pts = engine.fill(block)[1]
     empty = np.nonzero(counts == 0)[0]
     assert np.array_equal(tree.query(pts)[1], empty[empty != a0])
     if boundary == "torus" or len(ap) <= geomsim._FILL_NEIGHBOURS:
@@ -1087,7 +1117,7 @@ def test_shadowed_fill_leaves_no_cell_empty(seed, boundary, sigma_db, log_lam_ha
         return kept, result
 
     engine._serve, engine._screen = recording_serve, recording_screen
-    _, pts, own, cross = engine.fill(block, counts, np.array([a0]))
+    _, pts, own, cross = engine.fill(block)
     empty = np.nonzero(counts == 0)[0]
     empty = empty[empty != a0]
     # one point per empty non-serving cell, in ascending cell order, each
@@ -1165,7 +1195,7 @@ def test_cell_radius_matches_pairwise_vertex_reference(boundary):
     for index in range(3):
         stream = RngStream(CANONICAL_SEED, index)
         ap, dev = engine.deploy(stream)
-        block = engine.associate([stream], [(ap, dev)])[0]
+        block = engine.associate([stream], [(ap, dev)])
         tree = block.trees[0]
         rho = engine._cell_polygon(block, np.arange(len(ap)))[3]
         for cell, p in enumerate(ap):
@@ -1191,7 +1221,7 @@ def test_local_fill_matches_rejection_sampling_in_law():
     engine = geomsim._Engine(small_cfg())
     stream = RngStream(CANONICAL_SEED, 0)
     ap, dev = engine.deploy(stream)
-    block = engine.associate([stream], [(ap, dev)])[0]
+    block = engine.associate([stream], [(ap, dev)])
     tree = block.trees[0]
     bounded = np.isfinite(engine._cell_polygon(block, np.arange(len(ap)))[3])
     # the bounded cell with the largest share of its area beyond 90% of its
@@ -1268,7 +1298,7 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
         engine = geomsim._Engine(small_cfg(boundary="disc"))
         stream = RngStream(CANONICAL_SEED, 0)
         ap, dev = engine.deploy(stream)
-        block = engine.associate([stream], [(ap, dev)])[0]
+        block = engine.associate([stream], [(ap, dev)])
         tree = block.trees[0]
         rho = engine._cell_polygon(block, np.arange(len(ap)))[3]
         cell = int(np.argmax(np.hypot(ap[:, 0], ap[:, 1]) + rho))
@@ -1324,7 +1354,7 @@ def test_fill_interference_matches_full_batch_rule():
                 return float(np.sum(own / cross))
 
             def engine_fill(block, stream, ap, tree, counts, a0):
-                return engine.fill(block, counts, np.array([a0]))[1:]
+                return engine.fill(block)[1:]
 
             def full_batch_fill(block, *staged):
                 return _full_batch_fill(engine, *staged)
@@ -1478,6 +1508,19 @@ def test_invalid_worker_count_rejected_before_any_pool(monkeypatch, workers):
     assert ran == []
 
 
+@pytest.mark.parametrize("radius", [True, "5"])
+def test_run_validation_rejects_the_window_radius_sim_config_rejects(radius):
+    # before any trial runs, and naming the field, as SimConfig does
+    with pytest.raises(ModelDomainError, match="window_radius"):
+        geomsim.run_validation(trials=5, window_radius=radius)
+
+
+def test_run_validation_reports_an_int_window_radius_as_a_float():
+    report = geomsim.run_validation(trials=5, window_radius=5)
+    assert type(report["window_radius"]) is float
+    assert json.dumps(report) == json.dumps(geomsim.run_validation(trials=5, window_radius=5.0))
+
+
 # ---------------------------------------------------------------------------
 # KS statistic plumbing
 # ---------------------------------------------------------------------------
@@ -1495,7 +1538,7 @@ def test_delay_ks_statistic_matches_bruteforce():
 
     grid = np.linspace(d_lo + 1e-9, d_hi, 400_000)
     brute = max(
-        abs(ecdf.evaluate(float(d)) - delay_cdf(scenario, float(d))) for d in grid
+        abs(f - delay_cdf(scenario, float(d))) for f, d in zip(ecdf.evaluate(grid), grid)
     )
     assert stat == pytest.approx(brute, abs=2e-4)
     assert stat >= brute - 1e-12  # sup over steps dominates any grid scan
@@ -1639,9 +1682,9 @@ def test_the_block_a_trial_runs_in_never_changes_its_result(
     points = 1.0 + engine.expected_aps + engine.expected_devs
     run, sizes = geomsim._Engine.trials, []
 
-    def recording(self, indices, collect=False):
+    def recording(self, indices):
         sizes.append(len(indices))
-        return run(self, indices, collect)
+        return run(self, indices)
 
     runs = []
     with mock.patch.object(geomsim._Engine, "trials", recording):
