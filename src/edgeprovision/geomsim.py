@@ -31,13 +31,30 @@ serving cell on it, with every cell's load; schedule and fill each return
 the same interferer record ``(cells, points, own, cross)``, with or without
 shadowing, and link reads the loads from the block.
 
+The engine runs in the unit window: the torus [0, 1)^2 or the disc of
+radius 1 about the origin. The configured window's size enters only
+through the expected AP and device counts. The link uses only ratios of
+pathlosses, which do not depend on the scale, so only ``simulate_trial``
+scales its points back to the configured window.
+
+Runs are range-major (``_simulate_range``): each pool task, or the one
+in-process call, takes a range of trial indices through every config of
+the run, a chunk of trials at a time. Within a chunk, trial ``i``'s k-d
+tree and the cell polygons the local fill computed for it are kept in a
+store (``_Geometry``) that a later config reuses when it deploys
+bit-identical APs, as every point of a sweep over AP density does in an
+automatically sized window. Only deterministic functions of the APs are
+shared; every config still draws and runs every trial. The store lives
+for one chunk of one call.
+
 Determinism contract: trial ``i`` always consumes the random stream keyed
 ``(master_seed, i)``, drawing in that stage order with the sizes it would
 draw alone, and sums its own interference, so its result does not depend on
-the other trials of its block, and results are bit-identical for any worker
-count. The draws that fix the load (AP count and positions, device count
-and positions, shadowing) all come before scheduling, so ``run_loads`` runs
-only deploy and associate and still returns the loads ``run_trials`` sees.
+the other trials of its block, and results are bit-identical whatever the
+worker count and whichever configs run together. The draws that fix the
+load (AP count and positions, device count and positions, shadowing) all
+come before scheduling, so ``run_loads`` runs only deploy and associate and
+still returns the loads ``run_trials`` sees.
 Without shadowing it does not even associate every device: it counts the
 typical cell's devices for a block of trials at once, inside the polygon
 its neighbours' bisectors cut out (``_Engine.typical_loads``), and leaves
@@ -152,8 +169,10 @@ _MAX_SHADOWED_PAIRS = 10**7
 # Expected AP count of an automatically sized window: about 150 keeps both
 # the boundary bias and the run time modest.
 _AUTO_WINDOW_APS = 150.0
-# Contiguous trial ranges submitted per pool worker and per config: more
-# than one, so the last configs of a sweep still spread over every worker.
+# Contiguous trial ranges submitted per pool worker, each run through every
+# config of the run: more than one, so that a worker whose range runs slow
+# (trial costs vary, and a worker may start late) does not hold up the rest,
+# which take the ranges left.
 _RANGES_PER_WORKER = 2
 _FILL_BATCHES = 6
 # fill candidates per AP associated between two early-exit checks
@@ -204,7 +223,8 @@ _LN10 = math.log(10.0)
 # smaller still.
 _BLOCK_POINTS = 2**14
 # relative margin on squared distances by which the block count decides a
-# device's cell; anything closer is left to the k-d tree
+# device's cell, and the local fill a draw's; anything closer is left to the
+# k-d tree
 _TIE_SLACK = 1e-9
 
 
@@ -337,6 +357,38 @@ def _polygon_points(d: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray
     e, e_lo = d[rows, edge], lo[rows, edge]
     s = e_lo + u[:, 1] * (hi[rows, edge] - e_lo)
     return np.sqrt(u[:, 2:]) * (0.5 * e + s[:, None] * (e[:, ::-1] * _PERP))
+
+
+def _away(sq: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Whether squared distances ``sq`` exceed ``near`` by more than the
+    relative slack ``_TIE_SLACK``."""
+    return sq - near > _TIE_SLACK * (sq + near)
+
+
+def _verdict(x: np.ndarray, d: np.ndarray, reach: np.ndarray, side: float | None):
+    """Whether points are certainly in an AP's cell, from the AP's nearest
+    neighbours alone.
+
+    ``x`` (n, 2) are the points' displacements from their AP, ``d`` (n, K,
+    2) those of the AP's K nearest APs (minimum image on a torus of side
+    ``side``), and ``reach`` (n,) the largest of their squared distances, so
+    that every other AP is at least that far. A point is in the cell if it
+    is nearer the AP than every neighbour and within half the reach, since
+    every other AP is then farther too. On the torus the neighbours' other
+    images are at least half the side from the AP, so the reach is capped
+    there. A point nearer some neighbour is out. Each test keeps the
+    relative slack of ``_away`` on squared distances, so rounding cannot
+    make it disagree with the k-d tree. Returns the squared distances
+    ``|x|**2``, the mask of the points in the cell and that of the points
+    neither test decides.
+    """
+    if side is not None:
+        reach = np.minimum(reach, 0.25 * side**2)
+    own = (x * x).sum(axis=-1)
+    to_nb = own[:, None] + (d * d).sum(axis=-1) - 2.0 * (d @ x[:, :, None])[..., 0]
+    inside = _away(to_nb, own[:, None]).all(axis=1) & _away(0.25 * reach, own)
+    undecided = ~inside & ~_away(own[:, None], to_nb).any(axis=1)
+    return own, inside, undecided
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +579,50 @@ class SimSummary:
 # ---------------------------------------------------------------------------
 
 
+class _Geometry:
+    """What one trial's deployed APs fix, whatever else its config says: the
+    APs' k-d tree (on a torus of side ``side``, or unbounded for None), and
+    the cell polygons that ``_Engine._cell_polygon`` has computed so far,
+    as its ``(d, lo, hi, rho)`` rows ``polygons``, cell ``c``'s at row
+    ``row[c]`` (-1 until it has one).
+
+    A store maps trial indices to their geometry (``shared``). A run keeps
+    one store per chunk of trials, so a config whose trial deploys the APs
+    another config's trial deployed reuses its tree and polygons.
+    """
+
+    def __init__(self, ap: np.ndarray, side: float | None):
+        from scipy.spatial import cKDTree
+
+        self.ap, self.side = ap, side
+        self.tree = cKDTree(ap, boxsize=side)
+        self.row = np.full(len(ap), -1)
+        self.polygons = None
+
+    @classmethod
+    def shared(cls, store: dict, index: int, ap: np.ndarray, side: float | None) -> _Geometry:
+        """Trial ``index``'s geometry in ``store`` when it has these APs
+        (``np.array_equal``) and side; otherwise a new one, which replaces
+        it in ``store``."""
+        geometry = store.get(index)
+        if geometry is None or geometry.side != side or not np.array_equal(geometry.ap, ap):
+            geometry = store[index] = cls(ap, side)
+        return geometry
+
+    def keep(self, cells: np.ndarray, polygons: list) -> None:
+        """Add the ``(d, lo, hi, rho)`` rows ``polygons`` of ``cells`` (none
+        kept yet, distinct)."""
+        start = 0 if self.polygons is None else len(self.polygons[3])
+        self.row[cells] = np.arange(start, start + len(cells))
+        if self.polygons is not None:
+            polygons = [np.concatenate(pair) for pair in zip(self.polygons, polygons)]
+        self.polygons = polygons
+
+
 class _Block:
     """The one record of a block of trials: each one's stream, deployed
-    ``(ap, dev)`` points and AP k-d tree, then its association.
+    ``(ap, dev)`` points and ``_Geometry`` (its AP k-d tree), then its
+    association.
 
     The APs are joined end to end, trial ``t``'s at ``ap[off[t]:off[t + 1]]``,
     so one index into ``ap`` names a cell of the block, and ``trial[c]`` is
@@ -543,8 +636,8 @@ class _Block:
     and each trial's serving cell ``a0`` (its typical device's).
     """
 
-    def __init__(self, streams: list, deployed: list, trees: list):
-        self.streams, self.trees = streams, trees
+    def __init__(self, streams: list, deployed: list, geometry: list):
+        self.streams, self.geometry = streams, geometry
         self.n_ap = np.array([len(ap) for ap, _ in deployed])
         self.off = np.concatenate([[0], np.cumsum(self.n_ap)])
         self.ap = np.concatenate([ap for ap, _ in deployed])
@@ -579,7 +672,7 @@ class _Block:
         serving = np.empty(len(points), dtype=np.intp)
         dist = np.empty(len(points))
         for t, lo, hi in parts:
-            dist[lo:hi], serving[lo:hi] = self.trees[t].query(points[lo:hi])
+            dist[lo:hi], serving[lo:hi] = self.geometry[t].tree.query(points[lo:hi])
             serving[lo:hi] += self.off[t]
         return serving, dist**4
 
@@ -596,26 +689,34 @@ class _Engine:
     once per block. The draws, the k-d trees and their queries, and each
     trial's interference sum stay per trial. ``typical_loads`` counts the
     typical cell of a block of deployed trials without the later stages.
+
+    Points live in the unit window ``window`` (see the module docstring);
+    the expected AP and device counts are those of the configured window.
     """
 
     def __init__(self, cfg: SimConfig):
         s = cfg.scenario
         self.cfg = cfg
-        self.window = cfg.window
         self.torus = cfg.boundary == "torus"
+        self.window = TorusWindow(0.5) if self.torus else DiscWindow(1.0)
         self.side = self.window.side if self.torus else None
         self.center = self.window.center
-        self.expected_aps = s.deployment.lambda_ap * self.window.area
-        self.expected_devs = s.deployment.lambda_dev * self.window.area
+        self.expected_aps = s.deployment.lambda_ap * cfg.window.area
+        self.expected_devs = s.deployment.lambda_dev * cfg.window.area
         self.snr_inv = 1.0 / s.air.snr
         self.mean_share = mean_cell_load(s.deployment)
         sigma = cfg.shadowing_sigma_db
         self.sigma_scale = None if sigma is None else sigma * _LN10 / 10.0
 
+    @property
+    def block_size(self) -> int:
+        """Trials in a block: about ``_BLOCK_POINTS`` expected APs and
+        devices in all."""
+        return max(1, int(_BLOCK_POINTS / (1.0 + self.expected_aps + self.expected_devs)))
+
     def blocks(self, lo: int, hi: int) -> list[range]:
-        """Trials [lo, hi) in consecutive blocks of about ``_BLOCK_POINTS``
-        expected APs and devices in all."""
-        size = max(1, int(_BLOCK_POINTS / (1.0 + self.expected_aps + self.expected_devs)))
+        """Trials [lo, hi) in consecutive blocks of ``block_size``."""
+        size = self.block_size
         return [range(i, min(i + size, hi)) for i in range(lo, hi, size)]
 
     def _pathloss(self, points: np.ndarray, ap: np.ndarray, normals=None) -> np.ndarray:
@@ -664,21 +765,26 @@ class _Engine:
         dev[1:] = self.window.sample(stream, n_dev)
         return ap, dev
 
-    def associate(self, streams: list, deployed: list) -> _Block:
+    def associate(self, streams: list, deployed: list, store: dict | None = None) -> _Block:
         """The ``_Block`` of the deployed ``(ap, dev)`` trials, whose streams
         are ``streams``, with the minimum-pathloss association of every
         device set on it.
 
-        Each trial builds its AP k-d tree (the shadowed fill screens with it
-        too). Without shadowing the block serves every device at once
-        (``_Block.serve``), and the cross pathlosses follow from the
-        distances; with it, each trial in turn draws its normals and serves
-        its devices (``_serve``), its pathloss matrix freed before the next
-        is built.
+        Each trial takes its ``_Geometry`` from ``store`` (a new store when
+        None), keyed by its stream id, the trial index, so it builds its AP
+        k-d tree only when the store has none for its APs (the shadowed fill
+        screens with the tree too). Without shadowing the block serves every
+        device at once (``_Block.serve``), and the cross pathlosses follow
+        from the distances; with it, each trial in turn draws its normals
+        and serves its devices (``_serve``), its pathloss matrix freed
+        before the next is built.
         """
-        from scipy.spatial import cKDTree
-
-        block = _Block(streams, deployed, [cKDTree(ap, boxsize=self.side) for ap, _ in deployed])
+        store = {} if store is None else store
+        geometry = [
+            _Geometry.shared(store, stream.stream_id, ap, self.side)
+            for stream, (ap, _) in zip(streams, deployed)
+        ]
+        block = _Block(streams, deployed, geometry)
         dev = block.dev
         starts = np.cumsum([0] + [len(d) for _, d in deployed])
         parts = list(zip(range(len(deployed)), starts[:-1], starts[1:]))
@@ -804,7 +910,7 @@ class _Engine:
                 return stream.normal(np.broadcast_shapes(rows.shape, cols.shape))
 
             cand, (serving, cand_own, pathloss) = self._screen(
-                cand, ap, block.trees[t], needed[own_cells], drawn
+                cand, ap, block.geometry[t].tree, needed[own_cells], drawn
             )
         else:
             normals = stream.normal((len(cand), len(ap)))
@@ -851,10 +957,30 @@ class _Engine:
         pathloss[:, empty] = empty_pl[keep]
         return kept, self._least(pathloss)
 
-    def _cell_polygon(self, block: _Block, cells: np.ndarray):
-        """The polygon around each cell in ``cells`` (ascending by trial) that
-        holds the whole cell (the part in the window): ``d``, ``lo``, ``hi``
-        and ``rho`` as ``_bisector_polygon`` gives them.
+    def _cell_polygon(self, block: _Block, cells: np.ndarray) -> list[np.ndarray]:
+        """The polygon around each cell in ``cells`` (at least one, ascending
+        by trial; a cell may repeat) that holds the whole cell (the part in
+        the window): ``d``, ``lo``, ``hi`` and ``rho`` as
+        ``_bisector_polygon`` gives them (see ``_new_polygons``).
+
+        Each trial's ``_Geometry`` keeps the rows computed for it, so only
+        the cells it has none for yet are computed, and they are kept for
+        the next config that asks.
+        """
+        parts = [
+            (block.geometry[t], cells[lo:hi] - block.off[t])
+            for t, lo, hi in block.parts(block.trial[cells])
+        ]
+        new = np.unique(cells[np.concatenate([g.row[c] < 0 for g, c in parts])])
+        if new.size:
+            rows = self._new_polygons(block, new)
+            for t, lo, hi in block.parts(block.trial[new]):
+                block.geometry[t].keep(new[lo:hi] - block.off[t], [r[lo:hi] for r in rows])
+        at = [(g.polygons, g.row[c]) for g, c in parts]
+        return [np.concatenate([p[k][rows] for p, rows in at]) for k in range(4)]
+
+    def _new_polygons(self, block: _Block, cells: np.ndarray):
+        """``_cell_polygon`` of ``cells``, computed.
 
         ``d`` holds the displacements of the AP's ``_FILL_NEIGHBOURS``
         nearest APs of its trial (minimum image on the torus): a point of
@@ -879,7 +1005,7 @@ class _Engine:
         nb = np.repeat(cells[:, None], k, axis=1)
         for t, lo, hi in block.parts(block.trial[cells]):
             if block.n_ap[t] > k:
-                nb[lo:hi] = block.trees[t].query(p[lo:hi], k=k + 1)[1][:, 1:] + block.off[t]
+                nb[lo:hi] = block.geometry[t].tree.query(p[lo:hi], k=k + 1)[1][:, 1:] + block.off[t]
         d = block.ap[nb] - p[:, None]
         if self.torus:
             d -= self.side * np.round(d / self.side)
@@ -907,20 +1033,25 @@ class _Engine:
         one in the first round, for at most ``_FILL_BATCHES`` rounds, so a
         cell whose polygon is much larger than the cell does not hold up the
         others for many rounds. A round joins every trial's cells: each
-        trial draws its uniforms and queries its k-d tree, and the polygon
-        points and hits are found for all of them at once. The first
-        candidate that lies in the window and has that AP as its nearest is
-        kept (k-d tree, which also gives its own pathloss). Since the
-        polygon holds the whole cell, the kept point is exactly uniform in
-        the cell. Returns a mask of the cells that got a point (False where
-        the polygon is not bounded or no round hit the cell), the points and
-        their own pathlosses.
+        trial draws its uniforms, and the polygon points and hits are found
+        for all of them at once. The first candidate that lies in the window
+        and has that AP as its nearest is kept. The polygon's nearest APs
+        decide that for almost every candidate (``_verdict``); only the
+        candidates they leave undecided go to their trial's k-d tree. Since
+        the polygon holds the whole cell, the kept point is exactly uniform
+        in the cell. Its own pathloss is ``dist**4`` from the same
+        element-wise distance as the k-d tree's. Returns a mask of the
+        cells that got a point (False where the polygon is not bounded or no
+        round hit the cell), the points and their own pathlosses.
         """
         d, lo, hi, rho = self._cell_polygon(block, cells)
         todo = np.nonzero(np.isfinite(rho))[0]
         done = np.zeros(len(cells), dtype=bool)
         pts, own = np.empty((len(cells), 2)), np.empty(len(cells))
         d, lo, hi = d[todo], lo[todo], hi[todo]
+        # the APs among the polygon's neighbours (a disc adds three mirrors)
+        near = d[:, :_FILL_NEIGHBOURS]
+        reach = (near * near).sum(axis=-1).max(axis=-1)
         live = np.arange(todo.size)
         for r in range(_FILL_BATCHES):
             if not live.size:
@@ -930,20 +1061,27 @@ class _Engine:
             owner = cells[todo[rows]]
             parts = block.parts(block.trial[owner])
             u = np.concatenate([block.streams[t].uniform((b - a, 3)) for t, a, b in parts])
-            cand = block.ap[owner] + _polygon_points(d[rows], lo[rows], hi[rows], u)
+            x = _polygon_points(d[rows], lo[rows], hi[rows], u)
+            cand = block.ap[owner] + x
             if self.torus:
                 cand %= self.side
                 in_window = True
             else:
                 in_window = (cand * cand).sum(axis=-1) <= self.window.radius**2
-            serving, cand_own = block.serve(cand, parts)
-            hit = (in_window & (serving == owner)).reshape(live.size, m)
+            _, hit, undecided = _verdict(x, near[rows], reach[rows], self.side)
+            hit &= in_window
+            ask = np.nonzero(undecided & in_window)[0]
+            if ask.size:
+                serving = block.serve(cand[ask], block.parts(block.trial[owner[ask]]))[0]
+                hit[ask] = serving == owner[ask]
+            hit = hit.reshape(live.size, m)
             first = hit.argmax(axis=1)
             won = np.nonzero(hit[np.arange(live.size), first])[0]
             take = won * m + first[won]
             got = todo[live[won]]
             done[got] = True
-            pts[got], own[got] = cand[take], cand_own[take]
+            pts[got] = cand[take]
+            own[got] = np.sqrt(_sq_dist(cand[take], block.ap[owner[take]], self.side)) ** 4
             live = np.delete(live, won)
         return done, pts, own
 
@@ -991,15 +1129,10 @@ class _Engine:
         them at once. ``a0`` is the AP nearest the window center, and the
         bisectors of its ``_FILL_NEIGHBOURS`` nearest APs (minimum image)
         cut out a polygon that holds its cell (``_bisector_polygon``); a
-        device beyond the polygon's radius is out. A device is in the cell if it is inside
-        every bisector and within half of ``r``, the farthest of those
-        neighbours' distances: every other AP is at least ``r`` from
-        ``a0``, so none is nearer. On the torus the neighbours' other
-        images are at least half the side from ``a0``, so ``r`` is capped
-        there. A device outside some bisector is out. Each of these holds
-        with a relative slack of ``_TIE_SLACK`` on the squared distances,
-        so rounding cannot make it disagree with the k-d tree. A device left
-        undecided is compared with every AP of its trial. A trial with a
+        device beyond the polygon's radius is out. Those neighbours decide
+        the other devices (``_verdict``, the rule the local fill applies to
+        its draws too), and a device they leave undecided is compared with
+        every AP of its trial. A trial with a
         device still undecided, or with ``_FILL_NEIGHBOURS`` APs or fewer,
         is counted by associating every device (``_tree_loads``). Two APs
         that tie for the center leave the typical device itself undecided.
@@ -1024,10 +1157,6 @@ class _Engine:
         aps[ap_ok], devs[dev_ok] = (np.concatenate(points) for points in zip(*deployed))
         rows = np.arange(len(deployed))
 
-        def away(sq: np.ndarray, near: np.ndarray) -> np.ndarray:
-            # farther than ``near`` by more than the slack
-            return sq - near > _TIE_SLACK * (sq + near)
-
         def displaced(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
             x = points - origin
             if self.torus:
@@ -1040,46 +1169,41 @@ class _Engine:
         sq[rows, a0] = np.inf
         nb = np.argpartition(sq, k - 1, axis=1)[:, :k]
         reach = sq[rows[:, None], nb].max(axis=1)
-        if self.torus:
-            reach = np.minimum(reach, 0.25 * self.side**2)
         d = displaced(aps[rows[:, None], nb], origin)
         # an unbounded polygon keeps every device
         rho = np.nan_to_num(_bisector_polygon(d)[2], nan=np.inf)
         x = displaced(devs, origin)
         sx = (x * x).sum(axis=-1)
         count = np.zeros(len(deployed), dtype=np.int64)
-        # devices inside the polygon's radius: squared distances to a0 and
-        # to each neighbour
+        # the devices inside the polygon's radius
         t, j = np.nonzero(dev_ok & (sx <= (rho * rho)[:, None]))
-        own = sx[t, j]
-        to_nb = own[:, None] + (d[t] * d[t]).sum(axis=-1) - 2.0 * (d[t] @ x[t, j, :, None])[..., 0]
-        inside = away(to_nb, own[:, None]).all(axis=1) & away(0.25 * reach[t], own)
-        undecided = ~inside & ~away(own[:, None], to_nb).any(axis=1)
+        own, inside, undecided = _verdict(x[t, j], d[t], reach[t], self.side)
         np.add.at(count, t[inside], 1)
         t, j, own = t[undecided], j[undecided], own[undecided]
         if t.size:
             to_all = np.where(ap_ok[t], _sq_dist(devs[t, j][:, None], aps[t], self.side), np.inf)
             to_all[np.arange(t.size), a0[t]] = np.inf
             nearest = to_all.min(axis=1)
-            np.add.at(count, t, away(nearest, own))
-            fallback[t[~away(nearest, own) & ~away(own, nearest)]] = True
+            np.add.at(count, t, _away(nearest, own))
+            fallback[t[~_away(nearest, own) & ~_away(own, nearest)]] = True
         slow = np.nonzero(fallback)[0].tolist()
         if slow:
             count[slow] = self._tree_loads([streams[t] for t in slow], [deployed[t] for t in slow])
         return count
 
-    def trials(self, indices: range) -> tuple[_Block, list, np.ndarray]:
+    def trials(self, indices: range, store: dict) -> tuple[_Block, list, np.ndarray]:
         """Run the trials in ``indices`` as one block: deploy, associate,
         schedule, fill (with ``full_buffer``) and link.
 
         Trial ``i`` draws from stream ``(master_seed, i)`` in that stage
         order, with the sizes it would draw alone, so its result does not
-        depend on the other trials of the block. Returns the associated
-        block, each trial's ``link`` result, and the interferer points,
-        joined by trial.
+        depend on the other trials of the block. Each trial's ``_Geometry``
+        comes from ``store`` (``associate``). Returns the associated block,
+        each trial's ``link`` result, and the interferer points, joined by
+        trial.
         """
         streams = [RngStream(self.cfg.master_seed, i) for i in indices]
-        block = self.associate(streams, [self.deploy(stream) for stream in streams])
+        block = self.associate(streams, [self.deploy(stream) for stream in streams], store)
         record = self.schedule(block)
         if self.cfg.full_buffer:
             filled = self.fill(block)
@@ -1096,14 +1220,18 @@ def _pool_size(workers: int, trials: int) -> int:
 
 
 def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
-    """``fn(cfg, lo, hi)`` over contiguous trial ranges that cover every
-    trial of every config; one list of results per config, in trial order.
+    """``fn(configs, lo, hi)`` over contiguous ranges of trial indices that
+    cover every trial of every config; one list of results per config, in
+    trial order.
 
-    When ``_pool_size(workers, total trials)`` is more than one, a single
-    process pool of that size runs every range of every config. All ranges
-    are submitted at once, ``_RANGES_PER_WORKER`` per worker and config, so
-    no config waits for the one before it to finish. If a range raises, the
-    ranges not yet started are cancelled.
+    The ranges are range-major: ``fn`` runs trials [lo, hi) of every config
+    in ``configs``, the configs with trials in the range (each up to its
+    own trial count), and returns one result per config, in order. With
+    ``n = _pool_size(workers, largest trial count)`` above one, a single
+    process pool of ``n`` processes runs ``n * _RANGES_PER_WORKER`` ranges
+    (at most one per trial), all submitted at once; if a range raises, the
+    ranges not yet started are cancelled. Otherwise one in-process call
+    runs every trial.
 
     ``workers`` must be an integer >= 1, else ModelDomainError is raised
     before any trial runs. SciPy's k-d tree is imported here, before the
@@ -1112,66 +1240,93 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     ``multiprocessing``) are imported here too, so a run that opens no pool
     never loads them.
     """
-    n = _pool_size(_worker_count(workers), sum(cfg.trials for cfg in cfgs))
+    trials = max(cfg.trials for cfg in cfgs)
+    n = _pool_size(_worker_count(workers), trials)
     if n == 1:
-        return [[fn(cfg, 0, cfg.trials)] for cfg in cfgs]
+        return [[part] for part in fn(cfgs, 0, trials)]
     import scipy.spatial  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
 
+    bounds = np.linspace(0, trials, min(trials, n * _RANGES_PER_WORKER) + 1, dtype=int).tolist()
+    ranges = [
+        ([k for k, cfg in enumerate(cfgs) if cfg.trials > lo], lo, hi)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
     with ProcessPoolExecutor(max_workers=n) as pool:
-        futures = []
-        for cfg in cfgs:
-            parts = min(cfg.trials, n * _RANGES_PER_WORKER)
-            bounds = np.linspace(0, cfg.trials, parts + 1, dtype=int)
-            futures.append(
-                [
-                    pool.submit(fn, cfg, int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                ]
-            )
+        futures = [pool.submit(fn, [cfgs[k] for k in ks], lo, hi) for ks, lo, hi in ranges]
         try:
-            return [[f.result() for f in per_cfg] for per_cfg in futures]
+            results = [f.result() for f in futures]
         except BaseException:
-            for per_cfg in futures:
-                for f in per_cfg:
-                    f.cancel()
+            for f in futures:
+                f.cancel()
             raise
+    out = [[] for _ in cfgs]
+    for (ks, _, _), parts in zip(ranges, results):
+        for k, part in zip(ks, parts):
+            out[k].append(part)
+    return out
 
 
-def _simulate_range(cfg: SimConfig, lo: int, hi: int):
-    """Delays, output choices and loads of trials [lo, hi), run by
-    ``_Engine.trials`` in the blocks of ``_Engine.blocks``."""
-    engine = _Engine(cfg)
-    links, loads = [], []
-    for indices in engine.blocks(lo, hi):
-        block, block_links, _ = engine.trials(indices)
-        links += block_links
-        loads.append(block.loads)
-    _, _, delays, used = zip(*links)
-    return np.array(delays), np.array(used, dtype=bool), np.concatenate(loads)
+def _simulate_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[tuple]:
+    """Delays, output choices and loads of each config's trials in [lo, hi)
+    (up to its trial count; each config must have some there), one triple
+    per config.
+
+    The range runs a chunk of trials at a time, each chunk through every
+    config in turn, in the blocks of ``_Engine.blocks`` (``_Engine.trials``).
+    A chunk is as many trials as the largest block of any config. The
+    chunk's trials share one ``_Geometry`` store, dropped when the chunk is
+    done, so it never holds more than one chunk of trials.
+    """
+    engines = [_Engine(cfg) for cfg in cfgs]
+    chunk = max(engine.block_size for engine in engines)
+    runs = [([], []) for _ in cfgs]
+    for start in range(lo, hi, chunk):
+        store = {}
+        for engine, (links, loads) in zip(engines, runs):
+            for indices in engine.blocks(start, min(start + chunk, hi, engine.cfg.trials)):
+                block, block_links, _ = engine.trials(indices, store)
+                links += block_links
+                loads.append(block.loads)
+    out = []
+    for links, loads in runs:
+        _, _, delays, used = zip(*links)
+        out.append((np.array(delays), np.array(used, dtype=bool), np.concatenate(loads)))
+    return out
 
 
-def _load_range(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Loads of trials [lo, hi), counted by ``_Engine.typical_loads`` in the
-    blocks of ``_Engine.blocks``."""
-    engine = _Engine(cfg)
-    return np.concatenate([engine.typical_loads(block) for block in engine.blocks(lo, hi)])
+def _load_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[np.ndarray]:
+    """Loads of each config's trials in [lo, hi) (up to its trial count),
+    counted by ``_Engine.typical_loads`` in the blocks of ``_Engine.blocks``."""
+    engines = [_Engine(cfg) for cfg in cfgs]
+    return [
+        np.concatenate([e.typical_loads(b) for b in e.blocks(lo, min(hi, e.cfg.trials))])
+        for e in engines
+    ]
 
 
 def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
     """Full realization of trial ``index`` (same stream and draws as
-    ``run_trials`` uses for that index). ``index`` must be an integer in
-    [0, ``cfg.trials``), else ModelDomainError is raised."""
+    ``run_trials`` uses for that index), its points scaled from the unit
+    window to the configured one. ``index`` must be an integer in [0,
+    ``cfg.trials``), else ModelDomainError is raised."""
     i = _as_index(index, 0, cfg.trials)
     _require(i is not None, "index must be an integer in [0, {}) (got {!r})", cfg.trials, index)
     engine = _Engine(cfg)
-    block, [(sinr, rate, delay, used)], pts = engine.trials(range(i, i + 1))
+    block, [(sinr, rate, delay, used)], pts = engine.trials(range(i, i + 1), {})
+    scale = cfg.window_radius / engine.window.radius
+
+    def placed(points: np.ndarray) -> np.ndarray:
+        # the same operations for every point, so an interferer that is a
+        # device keeps its bits
+        return (points - engine.center) * scale
+
     return TrialRealization(
-        ap_points=block.ap - engine.center,
-        dev_points=block.dev - engine.center,
+        ap_points=placed(block.ap),
+        dev_points=placed(block.dev),
         serving_ap=int(block.a0[0]),
         load_nu=int(block.loads[0]),
-        interferer_set=pts - engine.center,
+        interferer_set=placed(pts),
         sinr_u=sinr,
         rate_u=rate,
         delay=delay,
@@ -1194,8 +1349,9 @@ def _summarize(cfg: SimConfig, parts: list) -> SimSummary:
 
 
 def _run_many(cfgs: list[SimConfig], workers: int) -> list[SimSummary]:
-    """``run_trials`` of every config, in order, sharing at most one pool
-    of ``_pool_size(workers, total trials)`` processes."""
+    """``run_trials`` of every config, in order, bit for bit, run
+    range-major (``_simulate_range``) on at most one pool of
+    ``_pool_size(workers, largest trial count)`` processes."""
     parts = _map_ranges(_simulate_range, cfgs, workers)
     return [_summarize(cfg, p) for cfg, p in zip(cfgs, parts)]
 

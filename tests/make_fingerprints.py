@@ -2,7 +2,8 @@
 
 ``OUTPUTS`` maps a name to a function returning the bytes of one output:
 the ``validate --trials 300`` report as text and as JSON, short simulated
-sweep CSVs, ``run_trials`` summaries, ``run_loads`` arrays, every field of
+sweep CSVs (over lambda_hat, and over r_min, whose points all deploy the
+same trials), ``run_trials`` summaries, ``run_loads`` arrays, every field of
 ``simulate_trial`` realizations, the CSVs of the benchmark's 24
 analytic-only ``provision`` sweeps, and those of its four base-0 sweeps
 at ``snr: 1`` (the closed forms' noise term). ``tests/fingerprints.json``
@@ -13,6 +14,8 @@ keeps seeded outputs byte-identical leaves the fixture as it is.
 Regenerate the fixture (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/make_fingerprints.py
+
+It prints which digests changed, which were added and which were removed.
 """
 
 from __future__ import annotations
@@ -71,11 +74,11 @@ def _validate(*flags: str) -> bytes:
     return out.getvalue().encode()
 
 
-def _sweep(workers: int, **settings) -> bytes:
+def _sweep(workers: int, axis="lambda_hat", grid=(0.1, 1.0, 10.0, 1000.0), **settings) -> bytes:
     spec = SweepSpec(
         base=canonical_validation_scenario(),
-        axis="lambda_hat",
-        grid=(0.1, 1.0, 10.0, 1000.0),
+        axis=axis,
+        grid=grid,
         outputs=("avg_mse", "cloud_use_prob", "delay_cdf_at"),
         sim=SimSettings(trials=12, master_seed=5, **settings),
     )
@@ -155,6 +158,7 @@ for _workers in (1, 2):
         OUTPUTS[f"sweep_{_name}_workers{_workers}"] = (
             lambda w=_workers, s=_settings: _sweep(w, **s)
         )
+OUTPUTS["sweep_r_min_torus_workers1"] = lambda: _sweep(1, "r_min", (0.0625, 0.125, 0.5))
 for _name, _settings in (
     ("no_full_buffer", {"full_buffer": False}),
     ("realized", {"load_model": "realized"}),
@@ -193,9 +197,17 @@ def digest(name: str) -> str:
 
 
 def main() -> None:
-    fixture = {"versions": versions(), "outputs": {name: digest(name) for name in OUTPUTS}}
+    old = json.loads(FIXTURE.read_text(encoding="utf-8"))["outputs"] if FIXTURE.exists() else {}
+    new = {name: digest(name) for name in OUTPUTS}
+    fixture = {"versions": versions(), "outputs": new}
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(OUTPUTS)} fingerprints to {FIXTURE}", file=sys.stderr)
+    for label, names in (
+        ("changed", [name for name in new if name in old and old[name] != new[name]]),
+        ("added", [name for name in new if name not in old]),
+        ("removed", [name for name in old if name not in new]),
+    ):
+        print(f"{label}: {', '.join(names) or 'none'}", file=sys.stderr)
 
 
 if __name__ == "__main__":

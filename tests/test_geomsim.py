@@ -93,10 +93,11 @@ def test_deploy_points_inside_window():
             ap, dev = engine.deploy(RngStream(1, index))
             np.testing.assert_array_equal(dev[0], engine.center)
             pts = np.concatenate([ap, dev])
+            # the engine's unit window
             if boundary == "torus":
-                assert np.all(pts >= 0.0) and np.all(pts < 6.0)
+                assert np.all(pts >= 0.0) and np.all(pts < engine.side)
             else:
-                assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 3.0)
+                assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= engine.window.radius)
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -217,14 +218,13 @@ def test_serve_shadowing_can_flip_choice():
 def test_block_serve_matches_per_trial_tree_queries(boundary):
     # Three trials of uneven sizes: each point goes to its own trial's
     # nearest AP, as a cell of the block, with pathloss dist**4.
-    from scipy.spatial import cKDTree
-
     engine = geomsim._Engine(small_cfg(window_radius=3.0, boundary=boundary))
     stream = RngStream(11, 0)
     aps = [engine.window.sample(stream, n) for n in (5, 17, 2)]
     pts = [engine.window.sample(stream, n) for n in (9, 1, 30)]
-    trees = [cKDTree(ap, boxsize=engine.side) for ap in aps]
-    block = geomsim._Block([stream] * 3, list(zip(aps, pts)), trees)
+    geometry = [geomsim._Geometry(ap, engine.side) for ap in aps]
+    trees = [g.tree for g in geometry]
+    block = geomsim._Block([stream] * 3, list(zip(aps, pts)), geometry)
     starts = np.cumsum([0] + [len(p) for p in pts])
     parts = list(zip(range(3), starts[:-1], starts[1:]))
     serving, own = block.serve(block.dev, parts)
@@ -269,11 +269,13 @@ def test_trial_association_uses_minimum_image_distance():
 def test_link_sinr_matches_formula():
     base = canonical_validation_scenario()
     engine = geomsim._Engine(small_cfg(scenario=replace(base, air=AirInterface(1.6e8, snr=4.0))))
-    own = np.array([1.0, 2.0])
+    # in lengths of u in the unit window: own pathlosses 1 and 2, and
     # minimum-image distances 2 and 3 (the second across the torus edge),
     # so cross pathlosses 16 and 81
-    tagged = np.array([0.5, 0.5])
-    pts = np.array([[2.5, 0.5], [0.5, engine.side - 2.5]])
+    u = 0.1
+    own = np.array([1.0, 2.0]) * u**4
+    tagged = np.array([0.5, 0.5]) * u
+    pts = np.array([[2.5, 0.5], [0.5, engine.side / u - 2.5]]) * u
     sinr, rate, delay, used = _link_one(engine, RngStream(5, 0), tagged, pts, own, 1)
     h = exponential_variate(RngStream(5, 0), 3)
     assert sinr == pytest.approx(h[0] / (0.25 + h[1] / 16.0 + 2.0 * h[2] / 81.0), rel=1e-12)
@@ -633,18 +635,21 @@ def _hard_layout(engine, seed, n_ap, kind, tie, spots):
     cell's bisectors ("bisector"), at its polygon's vertices ("vertex"),
     at half its twelfth neighbour's distance ("half"), in the part of the
     polygon outside the cell ("wedge", ring and wrap layouts) and on the
-    torus seam ("seam")."""
-    side, c = engine.side, engine.center
+    torus seam ("seam"). Lengths are in the configured window's unit
+    (``_length_unit``)."""
+    side, c, unit = engine.side, engine.center, _length_unit(engine)
     ap = engine.window.sample(RngStream(seed, 0), n_ap)
-    wedge = np.column_stack([np.linspace(-0.95, -0.6, 8), np.linspace(-0.2, 0.2, 8)])
+    wedge = unit * np.column_stack([np.linspace(-0.95, -0.6, 8), np.linspace(-0.2, 0.2, 8)])
     if kind == "ring":
-        ap = np.vstack([_ring_layout(engine)[:14], ap[np.hypot(*(ap - c).T) > 2.5]])
+        ap = np.vstack([_ring_layout(engine)[:14], ap[np.hypot(*(ap - c).T) > 2.5 * unit]])
     elif kind == "wrap" and side is not None:
         u = RngStream(seed, 2).uniform((11, 2))
         angle = np.radians(45.0 + 90.0 * np.arange(11) + 10.0 * (u[:, 0] - 0.5))
         far = (0.55 + 0.05 * u[:, 1])[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
         ap = c + side * np.vstack([[0.0, 0.0], [0.4875, 0.0], far])
-        wedge = np.column_stack([-side * np.linspace(0.252, 0.27, 8), np.linspace(-0.1, 0.1, 8)])
+        wedge = np.column_stack(
+            [-side * np.linspace(0.252, 0.27, 8), unit * np.linspace(-0.1, 0.1, 8)]
+        )
     a0 = int(np.argmin(geomsim._sq_dist(ap, c, side)))
     if tie:
         ap = np.vstack([ap, 2.0 * c - ap[a0]])
@@ -808,13 +813,13 @@ def _staged(engine, stream):
     ap, dev = engine.deploy(stream)
     block = engine.associate([stream], [(ap, dev)])
     engine.schedule(block)
-    return block, ap, block.trees[0], block.counts, int(block.a0[0])
+    return block, ap, block.geometry[0].tree, block.counts, int(block.a0[0])
 
 
-def _one(stream, ap, tree):
-    """A block of one trial with these APs and k-d tree and no devices,
-    drawing from ``stream``."""
-    return geomsim._Block([stream], [(ap, np.empty((0, 2)))], [tree])
+def _one(stream, ap, side):
+    """A block of one trial with these APs, on a torus of side ``side`` (or
+    the plane for None), and no devices, drawing from ``stream``."""
+    return geomsim._Block([stream], [(ap, np.empty((0, 2)))], [geomsim._Geometry(ap, side)])
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -927,7 +932,7 @@ def _full_batch_fill(engine, stream, ap, tree, counts, a0):
         m = (8 << batch) * n_ap
         cand = engine.window.sample(stream, m)
         if engine.sigma_scale is None:
-            serving, cand_own = _one(stream, ap, tree).serve(cand, [(0, 0, m)])
+            serving, cand_own = _one(stream, ap, engine.side).serve(cand, [(0, 0, m)])
             pathloss = None
         else:
             serving, cand_own, pathloss = engine._serve(cand, ap, stream.normal((m, n_ap)))
@@ -962,7 +967,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     stream = RngStream(seed, 0)
     ap, dev = engine.deploy(stream)
     block = engine.associate([stream], [(ap, dev)])
-    tree = block.trees[0]
+    tree = block.geometry[0].tree
     cells = np.arange(len(ap))
     rho = engine._cell_polygon(block, cells)[3]
     bounded = np.isfinite(rho)
@@ -981,7 +986,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
         return x
 
     with mock.patch.object(geomsim, "_polygon_points", recording_fan):
-        done, pts, own = engine._local_fill(_one(RngStream(seed, 2), ap, tree), cells)
+        done, pts, own = engine._local_fill(_one(RngStream(seed, 2), ap, engine.side), cells)
     assert drawn
     for x, d in drawn:
         assert np.all(_in_polygon(x, d))
@@ -1196,7 +1201,7 @@ def test_cell_radius_matches_pairwise_vertex_reference(boundary):
         stream = RngStream(CANONICAL_SEED, index)
         ap, dev = engine.deploy(stream)
         block = engine.associate([stream], [(ap, dev)])
-        tree = block.trees[0]
+        tree = block.geometry[0].tree
         rho = engine._cell_polygon(block, np.arange(len(ap)))[3]
         for cell, p in enumerate(ap):
             d = ap[tree.query(p, k=k + 1)[1][1:]] - p
@@ -1222,7 +1227,7 @@ def test_local_fill_matches_rejection_sampling_in_law():
     stream = RngStream(CANONICAL_SEED, 0)
     ap, dev = engine.deploy(stream)
     block = engine.associate([stream], [(ap, dev)])
-    tree = block.trees[0]
+    tree = block.geometry[0].tree
     bounded = np.isfinite(engine._cell_polygon(block, np.arange(len(ap)))[3])
     # the bounded cell with the largest share of its area beyond 90% of its
     # farthest point from the AP, as a dense probe sees them
@@ -1237,7 +1242,7 @@ def test_local_fill_matches_rejection_sampling_in_law():
     dist, near = tree.query(engine.window.sample(RngStream(2, 0), 1_200_000))
     reference = dist[near == cell] ** 4
     assert reference.size > 5000
-    done, _, own = engine._local_fill(_one(RngStream(3, 0), ap, tree), np.full(8000, cell))
+    done, _, own = engine._local_fill(_one(RngStream(3, 0), ap, engine.side), np.full(8000, cell))
     assert done.all()
     assert ks_2samp(own, reference).pvalue > 1e-3
 
@@ -1271,13 +1276,19 @@ def _ring_layout(engine):
     """A torus layout whose center AP's twelve nearest APs, on a unit ring
     at -120..120 degrees, cut out a polygon reaching 1.0 toward 180 degrees,
     while its thirteenth, at 1.1 and 180 degrees, cuts the cell at 0.55;
-    uniform APs beyond 2.5 fill the rest of the window."""
-    c = engine.center
+    uniform APs beyond 2.5 fill the rest of the window (lengths in the
+    configured window's unit, ``_length_unit``)."""
+    c, unit = engine.center, _length_unit(engine)
     angle = np.radians(np.linspace(-120.0, 120.0, 12))
-    ring = c + np.column_stack([np.cos(angle), np.sin(angle)])
+    ring = c + unit * np.column_stack([np.cos(angle), np.sin(angle)])
     rest = engine.window.sample(RngStream(7, 0), 400)
-    rest = rest[np.hypot(*(rest - c).T) > 2.5][:190]
-    return np.vstack([c, ring, c + [-1.1, 0.0], rest])
+    rest = rest[np.hypot(*(rest - c).T) > 2.5 * unit][:190]
+    return np.vstack([c, ring, c + unit * np.array([-1.1, 0.0]), rest])
+
+
+def _length_unit(engine):
+    """A unit length of the configured window, in the engine's unit window."""
+    return engine.window.radius / engine.cfg.window_radius
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -1299,7 +1310,7 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
         stream = RngStream(CANONICAL_SEED, 0)
         ap, dev = engine.deploy(stream)
         block = engine.associate([stream], [(ap, dev)])
-        tree = block.trees[0]
+        tree = block.geometry[0].tree
         rho = engine._cell_polygon(block, np.arange(len(ap)))[3]
         cell = int(np.argmax(np.hypot(ap[:, 0], ap[:, 1]) + rho))
         assert np.hypot(*ap[cell]) + rho[cell] > engine.window.radius
@@ -1312,17 +1323,21 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
     dist, near = tree.query(engine.window.sample(RngStream(2, 0), 2_000_000))
     reference = dist[near == cell] ** 4
     assert reference.size > 5000
-    serve, drawn = geomsim._Block.serve, []
+    fan, drawn = geomsim._polygon_points, []
 
-    def recording_serve(block, points, parts):
-        drawn.append(len(points))
-        return serve(block, points, parts)
+    def recording_fan(d, lo, hi, u):
+        drawn.append(len(u))
+        return fan(d, lo, hi, u)
 
-    monkeypatch.setattr(geomsim._Block, "serve", recording_serve)
-    done, _, own = engine._local_fill(_one(RngStream(3, 0), ap, tree), np.full(8000, cell))
+    monkeypatch.setattr(geomsim, "_polygon_points", recording_fan)
+    done, pts, own = engine._local_fill(_one(RngStream(3, 0), ap, engine.side), np.full(8000, cell))
     assert done.all()
     assert sum(drawn) > 8000 * 1.05
     assert ks_2samp(own, reference).pvalue > 1e-3
+    # the points the polygon's neighbours certify, and those the k-d tree
+    # decides, are all in the cell, with the tree's own pathloss
+    dist, near = tree.query(pts)
+    assert np.all(near == cell) and np.array_equal(own, dist**4)
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -1625,8 +1640,8 @@ def test_simulate_range_splits_concatenate(trials, cuts, boundary, sigma_db, see
         shadowing_sigma_db=sigma_db,
     )
     bounds = sorted({0, trials} | {c for c in cuts if c < trials})
-    parts = [geomsim._simulate_range(cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    whole = geomsim._simulate_range(cfg, 0, trials)
+    parts = [geomsim._simulate_range([cfg], lo, hi)[0] for lo, hi in zip(bounds, bounds[1:])]
+    whole = geomsim._simulate_range([cfg], 0, trials)[0]
     for got, want in zip(zip(*parts), whole):
         assert np.array_equal(np.concatenate(got), want)
 
@@ -1682,16 +1697,16 @@ def test_the_block_a_trial_runs_in_never_changes_its_result(
     points = 1.0 + engine.expected_aps + engine.expected_devs
     run, sizes = geomsim._Engine.trials, []
 
-    def recording(self, indices):
+    def recording(self, indices, store):
         sizes.append(len(indices))
-        return run(self, indices)
+        return run(self, indices, store)
 
     runs = []
     with mock.patch.object(geomsim._Engine, "trials", recording):
         for block in (1, min(size, trials), trials):
             sizes.clear()
             with mock.patch.object(geomsim, "_BLOCK_POINTS", (block + 0.5) * points):
-                runs.append(geomsim._simulate_range(cfg, 0, trials))
+                runs.append(geomsim._simulate_range([cfg], 0, trials)[0])
             assert max(sizes) == block and sum(sizes) == trials
     for other in runs[1:]:
         for got, want in zip(other, runs[0]):
@@ -1728,7 +1743,7 @@ def test_failed_range_cancels_pending_ranges(monkeypatch):
     with pytest.raises(ValueError, match="range failed"):
         geomsim._run_many([small_cfg(trials=8), small_cfg(trials=8)], workers=2)
     assert _PendingPool.sizes == [2]
-    assert len(_PendingPool.futures) == 8
+    assert len(_PendingPool.futures) == 4
     assert all(f.cancelled() for f in _PendingPool.futures[1:])
 
 
@@ -1747,3 +1762,157 @@ def test_pool_opens_with_kd_tree_module_loaded(monkeypatch):
     assert run_trials(cfg, workers=2) == run_trials(cfg)
     assert _ImportRecordingPool.sizes == [2]
     assert _ImportRecordingPool.spatial_loaded == [True]
+
+
+# ---------------------------------------------------------------------------
+# range-major runs and the geometry store
+# ---------------------------------------------------------------------------
+
+
+def _sweep_cfgs(axis, grid, **settings):
+    """The SimConfigs ``run_sweep`` builds for a sweep of the canonical
+    scenario over ``axis``."""
+    from edgeprovision.experiments import _scenario_at
+
+    spec = SweepSpec(
+        base=canonical_validation_scenario(),
+        axis=axis,
+        grid=grid,
+        outputs=("avg_mse",),
+        sim=SimSettings(**settings),
+    )
+    return [SimConfig(scenario=_scenario_at(spec, value), **vars(spec.sim)) for value in grid]
+
+
+# a lambda_hat grid in an automatically sized window, whose points deploy
+# the same APs; an r_min grid, whose points deploy the same trials (plus a
+# config with fewer trials); a lambda_hat grid in a fixed window, whose
+# points draw different AP counts
+_SHARING_CASES = {
+    "lambda_hat_auto": lambda **s: _sweep_cfgs("lambda_hat", (0.1, 1.0, 10.0, 1000.0), **s),
+    "r_min": lambda **s: _sweep_cfgs("r_min", (0.0625, 0.125, 0.5), **s)
+    + [replace(_sweep_cfgs("r_min", (0.25,), **s)[0], trials=3)],
+    "lambda_hat_fixed": lambda **s: _sweep_cfgs(
+        "lambda_hat", (0.5, 1.0, 2.0), window_radius=4.0, **s
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("sigma_db", [None, 8.0])
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+@pytest.mark.parametrize("case", sorted(_SHARING_CASES))
+def test_sharing_geometry_never_changes_a_result(monkeypatch, case, boundary, sigma_db):
+    # _run_many of a sweep's configs equals run_trials of each config alone,
+    # bit for bit, in process and over three inline "workers" (no process
+    # starts), whether the configs share their trials' APs or not
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfgs = _SHARING_CASES[case](
+        trials=7, master_seed=23, boundary=boundary, shadowing_sigma_db=sigma_db
+    )
+    alone = [run_trials(cfg) for cfg in cfgs]
+    for workers in (1, 3):
+        assert geomsim._run_many(cfgs, workers) == alone
+    assert _InlinePool.sizes == [3]
+
+
+def _counting_trees(monkeypatch) -> list:
+    """Record the size of every k-d tree built from now on."""
+    import scipy.spatial
+
+    tree, built = scipy.spatial.cKDTree, []
+
+    def counting(data, *args, **kwargs):
+        built.append(len(data))
+        return tree(data, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+    return built
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("case", sorted(_SHARING_CASES))
+def test_geometry_is_shared_within_a_call_only(monkeypatch, case):
+    # A run builds one tree per trial, and an identical second run builds
+    # them all again, so nothing outlives a call. A sweep builds one tree
+    # per trial and distinct AP draw, in config order.
+    cfgs = _SHARING_CASES[case](trials=6, master_seed=29)
+    built = _counting_trees(monkeypatch)
+    for _ in range(2):
+        built.clear()
+        run_trials(cfgs[0])
+        assert len(built) == cfgs[0].trials
+    engines = [geomsim._Engine(cfg) for cfg in cfgs]
+    drawn = [
+        [e.deploy(RngStream(e.cfg.master_seed, i))[0] for e in engines if e.cfg.trials > i]
+        for i in range(max(cfg.trials for cfg in cfgs))
+    ]
+    distinct = sum(
+        1 + sum(not np.array_equal(a, b) for a, b in zip(aps, aps[1:])) for aps in drawn
+    )
+    built.clear()
+    geomsim._run_many(cfgs, 1)
+    assert len(built) == distinct
+    if case == "lambda_hat_fixed":
+        assert distinct == sum(cfg.trials for cfg in cfgs)
+    else:
+        assert distinct == cfgs[0].trials
+
+
+@pytest.mark.parametrize("block_trials", [1, 3, 16])
+def test_geometry_store_holds_at_most_one_chunk(monkeypatch, block_trials):
+    # A chunk is the largest block of any config; every store holds the
+    # trials of one chunk only, and each chunk gets a new one.
+    cfgs = _sweep_cfgs("lambda_hat", (0.5, 1.0, 100.0), trials=10, master_seed=31)
+    points = max(1.0 + e.expected_aps + e.expected_devs for e in map(geomsim._Engine, cfgs))
+    monkeypatch.setattr(geomsim, "_BLOCK_POINTS", (block_trials + 0.5) * points)
+    chunk = max(geomsim._Engine(cfg).block_size for cfg in cfgs)
+    assert chunk >= block_trials
+    run, seen = geomsim._Engine.trials, {}
+
+    def recording(self, indices, store):
+        result = run(self, indices, store)
+        seen.setdefault(id(store), set()).update(store)
+        return result
+
+    monkeypatch.setattr(geomsim._Engine, "trials", recording)
+    geomsim._run_many(cfgs, 1)
+    assert len(seen) == -(-10 // chunk)
+    for held in seen.values():
+        assert len(held) <= chunk and max(held) - min(held) < chunk and min(held) % chunk == 0
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+@pytest.mark.parametrize("lambda_hat", [0.5, 4.0])
+def test_simulate_trial_places_points_in_the_configured_window(boundary, lambda_hat):
+    # Points are relative to the window's centre and inside it (the disc's
+    # edge up to rounding), the typical device is exactly at the centre, and
+    # the scheduled interferers (those of the same trial without the fill)
+    # are device rows bit for bit while no fill point is: the benchmark's
+    # count probe tells them apart by this equality.
+    radius = 3.3
+    dep = DeploymentConfig(lambda_ap=1.0, lambda_dev=1.0 / lambda_hat)
+    cfg = small_cfg(
+        scenario=replace(canonical_validation_scenario(), deployment=dep),
+        window_radius=radius,
+        boundary=boundary,
+        trials=6,
+    )
+    for i in range(cfg.trials):
+        tr = simulate_trial(cfg, i)
+        scheduled = simulate_trial(replace(cfg, full_buffer=False), i).interferer_set
+        pts = np.concatenate([tr.ap_points, tr.dev_points, tr.interferer_set])
+        if boundary == "torus":
+            assert np.all(np.abs(pts) <= radius)
+        else:
+            assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= radius * (1.0 + 1e-15))
+        assert np.all(tr.dev_points[0] == 0.0)
+        dev = tr.dev_points[:, 0] + 1j * tr.dev_points[:, 1]
+        itf = tr.interferer_set[:, 0] + 1j * tr.interferer_set[:, 1]
+        assert np.array_equal(tr.interferer_set[: len(scheduled)], scheduled)
+        assert np.isin(itf[: len(scheduled)], dev).all()
+        assert not np.isin(itf[len(scheduled) :], dev).any()
+        assert len(itf) > len(scheduled) > 0
