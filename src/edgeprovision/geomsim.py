@@ -39,13 +39,15 @@ scales its points back to the configured window.
 
 Runs are range-major (``_simulate_range``): each pool task, or the one
 in-process call, takes a range of trial indices through every config of
-the run, a chunk of trials at a time. Within a chunk, trial ``i``'s k-d
+a group (``_sharing_groups``: the configs whose trials can deploy the
+same APs), a chunk of trials at a time. Within a chunk, trial ``i``'s k-d
 tree and the cell polygons the local fill computed for it are kept in a
 store (``_Geometry``) that a later config reuses when it deploys
 bit-identical APs, as every point of a sweep over AP density does in an
 automatically sized window. Only deterministic functions of the APs are
 shared; every config still draws and runs every trial. The store lives
-for one chunk of one call.
+for one chunk of one call and holds at most about ``_BLOCK_POINTS``
+expected APs.
 
 Determinism contract: trial ``i`` always consumes the random stream keyed
 ``(master_seed, i)``, drawing in that stage order with the sizes it would
@@ -169,10 +171,10 @@ _MAX_SHADOWED_PAIRS = 10**7
 # Expected AP count of an automatically sized window: about 150 keeps both
 # the boundary bias and the run time modest.
 _AUTO_WINDOW_APS = 150.0
-# Contiguous trial ranges submitted per pool worker, each run through every
-# config of the run: more than one, so that a worker whose range runs slow
-# (trial costs vary, and a worker may start late) does not hold up the rest,
-# which take the ranges left.
+# Contiguous trial ranges submitted per pool worker and sharing group, each
+# run through every config of the group: more than one, so that a worker
+# whose range runs slow (trial costs vary, and a worker may start late) does
+# not hold up the rest, which take the ranges left.
 _RANGES_PER_WORKER = 2
 _FILL_BATCHES = 6
 # fill candidates per AP associated between two early-exit checks
@@ -220,7 +222,8 @@ _LN10 = math.log(10.0)
 # smaller ones, which stay under 1 MB apiece (on the validate load checks,
 # 2**16 cost about 5 MB more peak memory for a 5% faster load path). A full
 # trial block joins its trials' APs, devices and fill candidates, which stay
-# smaller still.
+# smaller still. A run's geometry store holds one chunk of a sharing group,
+# whose configs expect the same AP count: at most this many expected APs.
 _BLOCK_POINTS = 2**14
 # relative margin on squared distances by which the block count decides a
 # device's cell, and the local fill a draw's; anything closer is left to the
@@ -587,8 +590,9 @@ class _Geometry:
     ``row[c]`` (-1 until it has one).
 
     A store maps trial indices to their geometry (``shared``). A run keeps
-    one store per chunk of trials, so a config whose trial deploys the APs
-    another config's trial deployed reuses its tree and polygons.
+    one store per chunk of trials and sharing group, so a config whose
+    trial deploys the APs another config's trial deployed reuses its tree
+    and polygons.
     """
 
     def __init__(self, ap: np.ndarray, side: float | None):
@@ -1219,19 +1223,34 @@ def _pool_size(workers: int, trials: int) -> int:
     return max(1, min(workers, trials, os.cpu_count() or 1))
 
 
+def _sharing_groups(cfgs: list[SimConfig]) -> list[list[int]]:
+    """Indices of ``cfgs`` grouped by what a trial's APs depend on: the
+    boundary, the master seed and the expected AP count (to 12 significant
+    digits, so that the rounding of an automatically sized window does not
+    split a group). Configs of different groups deploy the same APs only by
+    chance, so a run shares geometry within a group only."""
+    groups: dict[tuple, list[int]] = {}
+    for k, cfg in enumerate(cfgs):
+        expected = cfg.scenario.deployment.lambda_ap * cfg.window.area
+        key = (cfg.boundary, cfg.master_seed, float(f"{expected:.12g}"))
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
 def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     """``fn(configs, lo, hi)`` over contiguous ranges of trial indices that
     cover every trial of every config; one list of results per config, in
     trial order.
 
-    The ranges are range-major: ``fn`` runs trials [lo, hi) of every config
-    in ``configs``, the configs with trials in the range (each up to its
-    own trial count), and returns one result per config, in order. With
-    ``n = _pool_size(workers, largest trial count)`` above one, a single
-    process pool of ``n`` processes runs ``n * _RANGES_PER_WORKER`` ranges
-    (at most one per trial), all submitted at once; if a range raises, the
-    ranges not yet started are cancelled. Otherwise one in-process call
-    runs every trial.
+    ``fn`` runs trials [lo, hi) of every config in ``configs`` (each up to
+    its own trial count) and returns one result per config, in order. With
+    ``n = _pool_size(workers, total trial count)`` above one, a single
+    process pool of ``n`` processes runs every range, all submitted at once:
+    each group of ``_sharing_groups`` is cut into ``n * _RANGES_PER_WORKER``
+    ranges (at most one per trial), and a group with fewer trials than that
+    has its configs split too, so that small runs keep every worker busy.
+    If a range raises, the ranges not yet started are cancelled. Otherwise
+    one in-process call runs every trial of every config.
 
     ``workers`` must be an integer >= 1, else ModelDomainError is raised
     before any trial runs. SciPy's k-d tree is imported here, before the
@@ -1240,18 +1259,23 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     ``multiprocessing``) are imported here too, so a run that opens no pool
     never loads them.
     """
-    trials = max(cfg.trials for cfg in cfgs)
-    n = _pool_size(_worker_count(workers), trials)
+    n = _pool_size(_worker_count(workers), sum(cfg.trials for cfg in cfgs))
     if n == 1:
-        return [[part] for part in fn(cfgs, 0, trials)]
+        return [[part] for part in fn(cfgs, 0, max(cfg.trials for cfg in cfgs))]
     import scipy.spatial  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = np.linspace(0, trials, min(trials, n * _RANGES_PER_WORKER) + 1, dtype=int).tolist()
-    ranges = [
-        ([k for k, cfg in enumerate(cfgs) if cfg.trials > lo], lo, hi)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    wanted = n * _RANGES_PER_WORKER
+    ranges = []
+    for group in _sharing_groups(cfgs):
+        splits = -(-wanted // min(wanted, max(cfgs[k].trials for k in group)))
+        for part in map(np.ndarray.tolist, np.array_split(group, min(splits, len(group)))):
+            trials = max(cfgs[k].trials for k in part)
+            bounds = np.linspace(0, trials, min(trials, wanted) + 1, dtype=int).tolist()
+            ranges += [
+                ([k for k in part if cfgs[k].trials > lo], lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
     with ProcessPoolExecutor(max_workers=n) as pool:
         futures = [pool.submit(fn, [cfgs[k] for k in ks], lo, hi) for ks, lo, hi in ranges]
         try:
@@ -1272,22 +1296,26 @@ def _simulate_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[tuple]:
     (up to its trial count; each config must have some there), one triple
     per config.
 
-    The range runs a chunk of trials at a time, each chunk through every
-    config in turn, in the blocks of ``_Engine.blocks`` (``_Engine.trials``).
-    A chunk is as many trials as the largest block of any config. The
-    chunk's trials share one ``_Geometry`` store, dropped when the chunk is
-    done, so it never holds more than one chunk of trials.
+    Each group of ``_sharing_groups`` runs on its own, a chunk of trials at
+    a time, each chunk through every config of the group in turn, in the
+    blocks of ``_Engine.blocks`` (``_Engine.trials``). A chunk is as many
+    trials as the group's largest block. The chunk's trials share one
+    ``_Geometry`` store, dropped when the chunk is done. The group's configs
+    expect the same AP count, so the store holds about as many APs as the
+    block of the group's lightest config: at most ``_BLOCK_POINTS`` expected.
     """
     engines = [_Engine(cfg) for cfg in cfgs]
-    chunk = max(engine.block_size for engine in engines)
     runs = [([], []) for _ in cfgs]
-    for start in range(lo, hi, chunk):
-        store = {}
-        for engine, (links, loads) in zip(engines, runs):
-            for indices in engine.blocks(start, min(start + chunk, hi, engine.cfg.trials)):
-                block, block_links, _ = engine.trials(indices, store)
-                links += block_links
-                loads.append(block.loads)
+    for group in _sharing_groups(cfgs):
+        chunk = max(engines[k].block_size for k in group)
+        for start in range(lo, min(hi, max(cfgs[k].trials for k in group)), chunk):
+            store = {}
+            for k in group:
+                engine, (links, loads) = engines[k], runs[k]
+                for indices in engine.blocks(start, min(start + chunk, hi, engine.cfg.trials)):
+                    block, block_links, _ = engine.trials(indices, store)
+                    links += block_links
+                    loads.append(block.loads)
     out = []
     for links, loads in runs:
         _, _, delays, used = zip(*links)
@@ -1351,7 +1379,7 @@ def _summarize(cfg: SimConfig, parts: list) -> SimSummary:
 def _run_many(cfgs: list[SimConfig], workers: int) -> list[SimSummary]:
     """``run_trials`` of every config, in order, bit for bit, run
     range-major (``_simulate_range``) on at most one pool of
-    ``_pool_size(workers, largest trial count)`` processes."""
+    ``_pool_size(workers, total trial count)`` processes."""
     parts = _map_ranges(_simulate_range, cfgs, workers)
     return [_summarize(cfg, p) for cfg, p in zip(cfgs, parts)]
 

@@ -1861,27 +1861,108 @@ def test_geometry_is_shared_within_a_call_only(monkeypatch, case):
         assert distinct == cfgs[0].trials
 
 
+def _recording_stores(monkeypatch) -> list:
+    """Record, after every block ``_Engine.trials`` runs, its store and the
+    trial indices and AP count the store then holds."""
+    run, seen = geomsim._Engine.trials, []
+
+    def recording(self, indices, store):
+        result = run(self, indices, store)
+        seen.append((store, set(store), sum(len(g.ap) for g in store.values())))
+        return result
+
+    monkeypatch.setattr(geomsim._Engine, "trials", recording)
+    return seen
+
+
 @pytest.mark.parametrize("block_trials", [1, 3, 16])
 def test_geometry_store_holds_at_most_one_chunk(monkeypatch, block_trials):
-    # A chunk is the largest block of any config; every store holds the
-    # trials of one chunk only, and each chunk gets a new one.
+    # Configs that expect the same AP count make one group, whose chunk is
+    # its largest block; every store holds the trials of one chunk only,
+    # and each chunk gets a new one.
     cfgs = _sweep_cfgs("lambda_hat", (0.5, 1.0, 100.0), trials=10, master_seed=31)
+    assert geomsim._sharing_groups(cfgs) == [[0, 1, 2]]
     points = max(1.0 + e.expected_aps + e.expected_devs for e in map(geomsim._Engine, cfgs))
     monkeypatch.setattr(geomsim, "_BLOCK_POINTS", (block_trials + 0.5) * points)
     chunk = max(geomsim._Engine(cfg).block_size for cfg in cfgs)
     assert chunk >= block_trials
-    run, seen = geomsim._Engine.trials, {}
-
-    def recording(self, indices, store):
-        result = run(self, indices, store)
-        seen.setdefault(id(store), set()).update(store)
-        return result
-
-    monkeypatch.setattr(geomsim._Engine, "trials", recording)
+    seen = _recording_stores(monkeypatch)
     geomsim._run_many(cfgs, 1)
-    assert len(seen) == -(-10 // chunk)
-    for held in seen.values():
+    stores = []
+    for store, held, _ in seen:
+        if not any(store is other for other in stores):
+            stores.append(store)
         assert len(held) <= chunk and max(held) - min(held) < chunk and min(held) % chunk == 0
+    assert len(stores) == -(-10 // chunk)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_geometry_store_of_a_mixed_run_stays_near_the_block_budget(monkeypatch):
+    # In a fixed window the AP count grows with lambda_hat: the heavy config
+    # runs in its own group and chunk, so no store holds the heavy config's
+    # trees for as many trials as the light config's block
+    cfgs = _sweep_cfgs("lambda_hat", (0.5, 50.0), window_radius=4.0, trials=6, master_seed=37)
+    engines = [geomsim._Engine(cfg) for cfg in cfgs]
+    assert [e.expected_aps for e in engines] == [32.0, 3200.0]
+    assert geomsim._sharing_groups(cfgs) == [[0], [1]]
+    budget = 2.5 * (1.0 + engines[1].expected_aps + engines[1].expected_devs)
+    monkeypatch.setattr(geomsim, "_BLOCK_POINTS", budget)
+    assert [e.block_size for e in engines] == [84, 2]
+    seen = _recording_stores(monkeypatch)
+    geomsim._run_many(cfgs, 1)
+    assert len(seen) == 1 + 3
+    assert max(aps for _, _, aps in seen) <= budget
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_sharing_groups_key_on_what_deploys_the_aps():
+    auto = _sweep_cfgs("lambda_hat", tuple(np.logspace(-1, 3, 31)), trials=2, master_seed=3)
+    # the auto window's AP counts differ in their last bits, not in their groups
+    assert len({geomsim._Engine(cfg).expected_aps for cfg in auto}) > 1
+    assert geomsim._sharing_groups(auto) == [list(range(31))]
+    others = [
+        replace(auto[0], master_seed=4),
+        replace(auto[0], boundary="disc"),
+        _sweep_cfgs("lambda_hat", (1.0,), window_radius=4.0, trials=2, master_seed=3)[0],
+        replace(auto[5], shadowing_sigma_db=8.0, trials=9),
+    ]
+    assert geomsim._sharing_groups(auto[:2] + others) == [[0, 1, 5], [2], [3], [4]]
+
+
+class _SubmissionPool(_InlinePool):
+    """Stand-in that records each submission's config count and range."""
+
+    submitted: list[tuple[int, int, int]] = []
+
+    def submit(self, fn, cfgs, lo, hi):
+        self.submitted.append((len(cfgs), lo, hi))
+        return super().submit(fn, cfgs, lo, hi)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize(
+    "window_radius, trials, want",
+    [
+        # one group: four ranges of all four configs
+        (None, 6, [(4, 0, 1), (4, 1, 3), (4, 3, 4), (4, 4, 6)]),
+        # one group of one trial: its configs split so that both workers run
+        (None, 1, [(1, 0, 1)] * 4),
+        # four groups: four ranges each
+        (4.0, 6, [(1, 0, 1), (1, 1, 3), (1, 3, 4), (1, 4, 6)] * 4),
+    ],
+)
+def test_pool_ranges_follow_the_sharing_groups(monkeypatch, window_radius, trials, want):
+    # no process is started: the pool is replaced by an inline stand-in
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SubmissionPool)
+    monkeypatch.setattr(_SubmissionPool, "sizes", [])
+    monkeypatch.setattr(_SubmissionPool, "submitted", [])
+    cfgs = _sweep_cfgs(
+        "lambda_hat", (0.5, 1.0, 2.0, 4.0), window_radius=window_radius, trials=trials
+    )
+    assert geomsim._run_many(cfgs, 2) == [run_trials(cfg) for cfg in cfgs]
+    assert _SubmissionPool.sizes == [2]
+    assert _SubmissionPool.submitted == want
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
