@@ -41,19 +41,26 @@ Runs are range-major (``_simulate_range``): each pool task, or the one
 in-process call, takes a range of trial indices through every config of
 a group (``_sharing_groups``: the configs whose trials can deploy the
 same APs), a chunk of trials at a time. Within a chunk, trial ``i``'s k-d
-tree and the cell polygons the local fill computed for it are kept in a
-store (``_Geometry``) that a later config reuses when it deploys
-bit-identical APs, as every point of a sweep over AP density does in an
-automatically sized window. Only deterministic functions of the APs are
-shared; every config still draws and runs every trial. The store lives
-for one chunk of one call and holds at most about ``_BLOCK_POINTS``
-expected APs.
+tree, the cell polygons the local fill computed for it and the first hits
+of the unshadowed fill's first batch are kept in a store (``_Geometry``)
+that a later config reuses when it deploys bit-identical APs, as every
+point of a sweep over AP density does in an automatically sized window.
+Only functions of the APs and of the trial's key are shared: the first
+batch's candidates come from the trial's fill sub-stream, not from a
+config's draws, and each config applies its own stop rule to the shared
+hits. Every config still draws and runs every trial. The store lives for
+one chunk of one call and holds at most about ``_BLOCK_POINTS`` expected
+APs.
 
 Determinism contract: trial ``i`` always consumes the random stream keyed
 ``(master_seed, i)``, drawing in that stage order with the sizes it would
 draw alone, and sums its own interference, so its result does not depend on
 the other trials of its block, and results are bit-identical whatever the
-worker count and whichever configs run together. The draws that fix the
+worker count and whichever configs run together. The one exception is the
+unshadowed fill's first batch, whose candidates come from the same key's
+sub-stream (``RngStream.substream``): a function of the trial alone, so a
+config reads the same candidates whether it draws them or a config before
+it did. The draws that fix the
 load (AP count and positions, device count and positions, shadowing) all
 come before scheduling, so ``run_loads`` runs only deploy and associate and
 still returns the loads ``run_trials`` sees.
@@ -71,9 +78,11 @@ assumptions rather than to the literal finite-window system:
   simulated coverage exceeds the model by up to ~0.2 at unit density ratio.
 
   The fill associates window-uniform candidates ``2 * n_ap`` at a time; the
-  first candidate to land in an empty cell fills it. Without shadowing it
-  stops once fewer than a fifth of the cells are empty (after one slice on
-  the canonical scenario), and each cell left is then filled
+  first candidate to land in an empty cell fills it. Without shadowing the
+  first batch's candidates come from the trial's fill sub-stream and every
+  config that deploys the trial's APs reads the same hits; it stops once
+  fewer than a fifth of the cells are empty (after one slice on the
+  canonical scenario), and each cell left is then filled
   locally: its twelve nearest APs' bisectors cut out a polygon that holds
   the cell (on a disc, three tangents of the window close the polygons of
   edge cells), and the first candidate drawn uniformly in the polygon
@@ -192,6 +201,9 @@ _FILL_SLICE = 2
 # (canonical torus; auto windows at lambda_hat 1 and 1000 on the torus, 1
 # and 10 on the disc), stops of 0.15-0.3 are within noise of each other,
 # 0.1 is 2-8% slower and 0.4 4-20% slower; 0.2 sits in the flat part.
+# The stop stays per config although a sweep shares the first batch's
+# slices: a stop that looked at the other configs of a group would make a
+# config's result depend on which configs run with it.
 _FILL_STOP = 0.2
 # With shadowing, a fill slice screens its candidates against the empty
 # cells' APs and their nearest AP (_Engine._screen) while fewer
@@ -225,6 +237,8 @@ _LN10 = math.log(10.0)
 # smaller still. A run's geometry store holds one chunk of a sharing group,
 # whose configs expect the same AP count: at most this many expected APs.
 _BLOCK_POINTS = 2**14
+# a cell that no shared first-batch candidate has hit yet (``_Geometry``)
+_NO_HIT = np.iinfo(np.intp).max
 # relative margin on squared distances by which the block count decides a
 # device's cell, and the local fill a draw's; anything closer is left to the
 # k-d tree
@@ -583,16 +597,27 @@ class SimSummary:
 
 
 class _Geometry:
-    """What one trial's deployed APs fix, whatever else its config says: the
-    APs' k-d tree (on a torus of side ``side``, or unbounded for None), and
-    the cell polygons that ``_Engine._cell_polygon`` has computed so far,
-    as its ``(d, lo, hi, rho)`` rows ``polygons``, cell ``c``'s at row
-    ``row[c]`` (-1 until it has one).
+    """What one trial's deployed APs and its key fix, whatever else its
+    config says: the APs' k-d tree (on a torus of side ``side``, or
+    unbounded for None), the cell polygons that ``_Engine._cell_polygon``
+    has computed so far, and the first hits of the unshadowed fill's
+    first batch.
 
-    A store maps trial indices to their geometry (``shared``). A run keeps
-    one store per chunk of trials and sharing group, so a config whose
-    trial deploys the APs another config's trial deployed reuses its tree
-    and polygons.
+    The polygons are ``(d, lo, hi, rho)`` rows ``polygons``, cell ``c``'s at
+    row ``row[c]`` (-1 until it has one).
+
+    The first batch's candidates are drawn from the trial's fill sub-stream
+    (``RngStream.substream``, made by ``_Engine._first_slice`` when a
+    config first asks for a slice), ``slices`` slices of
+    ``_FILL_SLICE * n_ap`` so far. For each cell, ``first`` is the index
+    among them of the first candidate that lands in it (``_NO_HIT`` while
+    none has), ``point`` that candidate and ``own`` its own pathloss. Only
+    these per-cell arrays are kept, not the slices.
+
+    A store maps the trial indices of one master seed to their geometry
+    (``shared``). A run keeps one store per chunk of trials and sharing
+    group, so a config whose trial deploys the APs another config's trial
+    deployed reuses its tree, polygons and first hits.
     """
 
     def __init__(self, ap: np.ndarray, side: float | None):
@@ -602,6 +627,9 @@ class _Geometry:
         self.tree = cKDTree(ap, boxsize=side)
         self.row = np.full(len(ap), -1)
         self.polygons = None
+        self.substream, self.slices = None, 0
+        self.first = np.full(len(ap), _NO_HIT)
+        self.point, self.own = np.empty((len(ap), 2)), np.empty(len(ap))
 
     @classmethod
     def shared(cls, store: dict, index: int, ap: np.ndarray, side: float | None) -> _Geometry:
@@ -621,6 +649,17 @@ class _Geometry:
         if self.polygons is not None:
             polygons = [np.concatenate(pair) for pair in zip(self.polygons, polygons)]
         self.polygons = polygons
+
+    def add_slice(self, cand: np.ndarray, serving: np.ndarray, own: np.ndarray) -> None:
+        """Record the first batch's next slice: candidates ``cand``, their
+        serving cells (of this trial) ``serving`` and own pathlosses
+        ``own``. A cell keeps its earliest hit."""
+        base = self.slices * len(cand)
+        np.minimum.at(self.first, serving, np.arange(base, base + len(cand)))
+        got = np.nonzero((self.first >= base) & (self.first != _NO_HIT))[0]
+        k = self.first[got] - base
+        self.point[got], self.own[got] = cand[k], own[k]
+        self.slices += 1
 
 
 class _Block:
@@ -837,18 +876,21 @@ class _Engine:
         Global rejection batches of ``8 * n_ap * 2**b`` window-uniform
         candidates, at most ``_FILL_BATCHES``, each drawn and associated
         ``_FILL_SLICE * n_ap`` candidates at a time until no cell is left
-        empty; the first candidate to land in a cell fills it. A slice runs
-        every trial that still draws (``_fill_slice``), and then finds the
-        first hit per cell for all of them at once. Without shadowing, a
-        trial's first batch stops before a slice once fewer than
-        ``_FILL_STOP * n_ap`` of its cells are empty, the cells still empty
-        are filled locally (``_local_fill``: draws uniform in the polygon
-        that the bisectors of each cell's nearest APs cut out, kept when
-        they land in the cell), and only the cells that step does not fill
-        go on to batches 2+. With shadowing, a slice in which fewer than
-        ``_SCREEN_MAX * n_ap`` cells are empty is screened (``_screen``).
-        A cell still empty at the batch cap gets none. Returns the
-        interferer record of the filled cells (ascending): their points, own
+        empty; the first candidate to land in an empty cell fills it.
+        Without shadowing, batch 1 comes from each trial's fill sub-stream
+        and its first hits are shared by every config that deploys the
+        trial's APs (``_first_batch``); a trial's batch 1 stops before a
+        slice once fewer than ``_FILL_STOP * n_ap`` of its cells are empty.
+        The cells still empty are then filled locally (``_local_fill``:
+        draws uniform in the polygon that the bisectors of each cell's
+        nearest APs cut out, kept when they land in the cell), and only the
+        cells that step does not fill go on to batches 2+. The other slices
+        come from the trial's stream: a slice runs every trial that still
+        draws (``_fill_slice``), and then finds the first hit per cell for
+        all of them at once. With shadowing, a slice in which fewer than
+        ``_SCREEN_MAX * n_ap`` cells are empty is screened (``_screen``). A
+        cell still empty at the batch cap gets none. Returns the interferer
+        record of the filled cells (ascending): their points, own
         pathlosses and cross pathlosses to their trial's ``a0``, which the
         k-d tree path works out from the distances once the fill is done.
         """
@@ -859,7 +901,6 @@ class _Engine:
         n = len(block.ap)
         pts, own, cross = np.empty((n, 2)), np.empty(n), np.empty(n)
         empty = np.bincount(block.trial[cells], minlength=len(block.streams))
-        stop = 1 if shadowed else _FILL_STOP * block.n_ap
 
         def fill_from(got, points, points_own):
             needed[got] = False
@@ -869,13 +910,15 @@ class _Engine:
         for batch in range(_FILL_BATCHES):
             if not empty.any():
                 break
-            if batch == 1 and not shadowed:
+            if not shadowed and batch == 0:
+                fill_from(*self._first_batch(block, needed))
+                continue
+            if not shadowed and batch == 1:
                 left = np.nonzero(needed)[0]
                 done, local_pts, local_own = self._local_fill(block, left)
                 fill_from(left[done], local_pts[done], local_own[done])
-                stop = 1
             for _ in range((8 << batch) // _FILL_SLICE):
-                active = np.nonzero(empty >= stop)[0]
+                active = np.nonzero(empty)[0]
                 if not active.size:
                     break
                 sliced = list(
@@ -893,9 +936,59 @@ class _Engine:
             cross[cells] = self._pathloss(pts[cells], block.ap[block.a0[block.trial[cells]]])
         return cells, pts[cells], own[cells], cross[cells]
 
+    def _first_batch(self, block: _Block, needed: np.ndarray):
+        """Batch 1 of the unshadowed fill, from the first hits each trial's
+        ``_Geometry`` shares: the cells marked in ``needed`` that it fills,
+        their points and their own pathlosses.
+
+        Each trial applies its own rule to the shared record: slice ``j``
+        runs while at least ``_FILL_STOP * n_ap`` of its cells are still
+        empty, that is have no first hit in slices ``0 .. j-1``, for at most
+        ``8 // _FILL_SLICE`` slices, and the cells whose first hit lies in
+        the slices it ran are filled. A slice no config has asked for yet is
+        drawn and associated then (``_first_slice``). Draws nothing from
+        the trials' streams.
+        """
+        cells = np.nonzero(needed)[0]
+        trial = block.trial[cells]
+        size = (_FILL_SLICE * block.n_ap)[trial]
+        stop = _FILL_STOP * block.n_ap
+        ran = np.zeros(len(block.streams), dtype=int)
+
+        def joined(name: str) -> np.ndarray:
+            # the geometries' per-cell arrays, joined as the block's cells are
+            return np.concatenate([getattr(g, name) for g in block.geometry])
+
+        for j in range(8 // _FILL_SLICE):
+            # a trial's empty count only falls, so a trial that stops stays
+            # stopped, and every trial still running holds slices 0 .. j-1
+            left = np.bincount(trial[joined("first")[cells] >= j * size], minlength=len(ran))
+            active = np.nonzero(left >= stop)[0]
+            if not active.size:
+                break
+            for t in active.tolist():
+                if block.geometry[t].slices == j:
+                    self._first_slice(block, t)
+            ran[active] = j + 1
+        got = cells[joined("first")[cells] < ran[trial] * size]
+        return got, joined("point")[got], joined("own")[got]
+
+    def _first_slice(self, block: _Block, t: int) -> None:
+        """Draw the next slice of trial ``t``'s shared first batch,
+        ``_FILL_SLICE * n_ap`` window-uniform candidates from its fill
+        sub-stream (made now if this is the first), associate it and add
+        it to the trial's ``_Geometry``."""
+        geometry = block.geometry[t]
+        if geometry.substream is None:
+            geometry.substream = block.streams[t].substream()
+        cand = self.window.sample(geometry.substream, _FILL_SLICE * int(block.n_ap[t]))
+        serving, cand_own = block.serve(cand, [(t, 0, len(cand))])
+        geometry.add_slice(cand, serving - block.off[t], cand_own)
+
     def _fill_slice(self, block: _Block, t: int, needed: np.ndarray, n_empty: int):
-        """One global fill slice of trial ``t``: ``_FILL_SLICE * n_ap``
-        window-uniform candidates from its stream, and for those kept their
+        """One global fill slice of trial ``t`` from its stream (every batch
+        with shadowing, batches 2+ without): ``_FILL_SLICE * n_ap``
+        window-uniform candidates, and for those kept their
         serving cells, own pathlosses and, with shadowing, cross pathlosses
         to the trial's serving cell ``a0``. With shadowing, a slice
         of a trial with fewer than ``_SCREEN_MAX * n_ap`` of the cells
@@ -1091,9 +1184,10 @@ class _Engine:
 
     def link(
         self, block: _Block, trial: np.ndarray, own: np.ndarray, cross: np.ndarray
-    ) -> list[tuple[float, float, float, bool]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fading, SINR, rate, delay and output choice of each trial's
-        typical device: ``(sinr, rate, delay, used_cloud)`` per trial.
+        typical device: arrays ``(sinr, rate, delay, used_cloud)`` with one
+        entry per trial, worked out per trial in scalar arithmetic.
 
         The interferers belong to trials ``trial`` (ascending), each
         trial's in the order its sum takes them, with own pathlosses
@@ -1105,17 +1199,20 @@ class _Engine:
         s = self.cfg.scenario
         ratio = own / cross
         bounds = block.bounds(trial)
-        out = []
-        for stream, lo, hi, load in zip(block.streams, bounds, bounds[1:], block.loads.tolist()):
+        n = len(block.streams)
+        sinr, rate, delay, used = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        parts = zip(block.streams, bounds, bounds[1:], block.loads.tolist())
+        for t, (stream, lo, hi, load) in enumerate(parts):
             h = exponential_variate(stream, hi - lo + 1)
             interference = float(np.dot(ratio[lo:hi], h[1:]))
             denom = self.snr_inv + interference
-            sinr = math.inf if denom == 0.0 else float(h[0]) / denom
+            sinr_t = math.inf if denom == 0.0 else float(h[0]) / denom
             share = self.mean_share if self.cfg.load_model == "mean_field" else float(load)
-            rate = uplink_rate(sinr, s.air.bandwidth, share)
-            delay = cloud_delay(rate, s.workload)
-            out.append((sinr, rate, delay, select_output(delay, s.workload)))
-        return out
+            rate_t = uplink_rate(sinr_t, s.air.bandwidth, share)
+            delay_t = cloud_delay(rate_t, s.workload)
+            sinr[t], rate[t], delay[t] = sinr_t, rate_t, delay_t
+            used[t] = select_output(delay_t, s.workload)
+        return sinr, rate, delay, used
 
     def _tree_loads(self, streams: list, deployed: list) -> np.ndarray:
         """Serving-cell loads of deployed trials, by associating every
@@ -1195,16 +1292,16 @@ class _Engine:
             count[slow] = self._tree_loads([streams[t] for t in slow], [deployed[t] for t in slow])
         return count
 
-    def trials(self, indices: range, store: dict) -> tuple[_Block, list, np.ndarray]:
+    def trials(self, indices: range, store: dict) -> tuple[_Block, tuple, np.ndarray]:
         """Run the trials in ``indices`` as one block: deploy, associate,
         schedule, fill (with ``full_buffer``) and link.
 
         Trial ``i`` draws from stream ``(master_seed, i)`` in that stage
-        order, with the sizes it would draw alone, so its result does not
+        order, with the sizes it would draw alone (the unshadowed fill's
+        first batch from the stream's sub-stream), so its result does not
         depend on the other trials of the block. Each trial's ``_Geometry``
         comes from ``store`` (``associate``). Returns the associated block,
-        each trial's ``link`` result, and the interferer points, joined by
-        trial.
+        the ``link`` arrays, and the interferer points, joined by trial.
         """
         streams = [RngStream(self.cfg.master_seed, i) for i in indices]
         block = self.associate(streams, [self.deploy(stream) for stream in streams], store)
@@ -1305,22 +1402,19 @@ def _simulate_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[tuple]:
     block of the group's lightest config: at most ``_BLOCK_POINTS`` expected.
     """
     engines = [_Engine(cfg) for cfg in cfgs]
-    runs = [([], []) for _ in cfgs]
+    runs = [([], [], []) for _ in cfgs]
     for group in _sharing_groups(cfgs):
         chunk = max(engines[k].block_size for k in group)
         for start in range(lo, min(hi, max(cfgs[k].trials for k in group)), chunk):
             store = {}
             for k in group:
-                engine, (links, loads) = engines[k], runs[k]
+                engine, (delays, used, loads) = engines[k], runs[k]
                 for indices in engine.blocks(start, min(start + chunk, hi, engine.cfg.trials)):
-                    block, block_links, _ = engine.trials(indices, store)
-                    links += block_links
+                    block, (_, _, block_delays, block_used), _ = engine.trials(indices, store)
+                    delays.append(block_delays)
+                    used.append(block_used)
                     loads.append(block.loads)
-    out = []
-    for links, loads in runs:
-        _, _, delays, used = zip(*links)
-        out.append((np.array(delays), np.array(used, dtype=bool), np.concatenate(loads)))
-    return out
+    return [tuple(map(np.concatenate, run)) for run in runs]
 
 
 def _load_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[np.ndarray]:
@@ -1341,7 +1435,8 @@ def simulate_trial(cfg: SimConfig, index: int) -> TrialRealization:
     i = _as_index(index, 0, cfg.trials)
     _require(i is not None, "index must be an integer in [0, {}) (got {!r})", cfg.trials, index)
     engine = _Engine(cfg)
-    block, [(sinr, rate, delay, used)], pts = engine.trials(range(i, i + 1), {})
+    block, link, pts = engine.trials(range(i, i + 1), {})
+    sinr, rate, delay, used = (x.item() for x in link)
     scale = cfg.window_radius / engine.window.radius
 
     def placed(points: np.ndarray) -> np.ndarray:

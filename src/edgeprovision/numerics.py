@@ -10,6 +10,7 @@ stream ``i`` regardless of which worker executes it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,6 +40,17 @@ class RngStream:
         self.master_seed, self.stream_id = seed, sid
         key = np.array([seed, sid], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
+
+    def substream(self) -> RngStream:
+        """A second stream of the same key: Philox with the counter's top
+        word at 1. The stream itself counts up from 0 and would need 2**192
+        blocks to get there, so the two never overlap. The substream depends
+        on the key alone, not on how far this stream has drawn, and making
+        or drawing from it leaves this stream's draws unchanged."""
+        sub = copy.copy(self)
+        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
+        sub._gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 1]))
+        return sub
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1)."""

@@ -295,8 +295,8 @@ def _link_one(engine, stream, tagged, pts, own, load):
     block = geomsim._Block([stream], [(tagged[None], tagged[None])], [None])
     block.counts, block.a0 = np.array([load]), np.array([0])
     trial = np.zeros(len(pts), dtype=np.intp)
-    [result] = engine.link(block, trial, own, engine._pathloss(pts, tagged))
-    return result
+    link = engine.link(block, trial, own, engine._pathloss(pts, tagged))
+    return tuple(x.item() for x in link)
 
 
 def test_uplink_rate_examples():
@@ -840,8 +840,8 @@ def test_early_exit_fill_matches_full_batch_rule(overrides, monkeypatch):
     # shadowing the k-d tree gives it, and batch 1 draws a slice (through
     # _Block.serve) only while at least _FILL_STOP * n_ap cells are empty.
     # On the unshadowed torus the first slice is the start of the full-batch
-    # rule's first batch (the same draws), so the cells it fills get the
-    # same points.
+    # rule's first batch when both draw from the trial's fill sub-stream
+    # (the same draws), so the cells it fills get the same points.
     engine = geomsim._Engine(small_cfg(trials=12, **overrides))
     serve, screen, local_fill = engine._serve, engine._screen, engine._local_fill
     block_serve = geomsim._Block.serve
@@ -910,8 +910,8 @@ def test_early_exit_fill_matches_full_batch_rule(overrides, monkeypatch):
         assert streams[0].uniform() == streams[1].uniform()
         if not overrides:
             assert slices
-            first = engine.window.sample(streams[2], geomsim._FILL_SLICE * len(ap))
-            old = _full_batch_fill(engine, streams[3], ap, tree, counts, a0)[0]
+            first = engine.window.sample(streams[2].substream(), geomsim._FILL_SLICE * len(ap))
+            old = _full_batch_fill(engine, streams[3].substream(), ap, tree, counts, a0)[0]
             old = old[np.argsort(tree.query(old)[1])]
             assert len(old) == len(pts)
             slice1 = (pts[:, None] == first[None]).all(-1).any(-1)
@@ -1377,6 +1377,66 @@ def test_fill_interference_matches_full_batch_rule():
             new = [interference(engine_fill, i) for i in range(n)]
             old = [interference(full_batch_fill, i) for i in range(n, 2 * n)]
             assert ks_2samp(new, old).pvalue > 0.01, (boundary, sigma_db)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_fill_interference_matches_full_batch_rule_on_a_shared_first_batch(boundary):
+    # As above, for a config whose trials find their first batch's hits
+    # already recorded by another config of its sharing group: lambda_hat 1
+    # run after lambda_hat 10 (more empty cells, so more slices) through
+    # _run_many, against the full-batch rule on independent trials. A slip
+    # in the point a config takes from the shared record (another
+    # candidate's, or one for a cell with no hit yet) changes the law. A slip
+    # in the slice count keeps it, since every first hit is uniform in its
+    # cell; it makes a result depend on the other configs, which
+    # test_a_sweep_queries_each_first_batch_slice_once catches.
+    from scipy.stats import ks_2samp
+
+    n = 400
+    cfgs = [
+        small_cfg(
+            scenario=replace(
+                canonical_validation_scenario(),
+                deployment=DeploymentConfig(lambda_ap=1.0, lambda_dev=1.0 / lambda_hat),
+            ),
+            window_radius=5.0,
+            boundary=boundary,
+            trials=n,
+        )
+        for lambda_hat in (10.0, 1.0)
+    ]
+    assert geomsim._sharing_groups(cfgs) == [[0, 1]]
+    fill, first_slice = geomsim._Engine.fill, geomsim._Engine._first_slice
+    shared, drawn = [], [0, 0]
+
+    def recording_fill(self, block):
+        cells, pts, own, cross = record = fill(self, block)
+        if self.cfg is cfgs[1]:
+            shared.extend(np.bincount(block.trial[cells], own / cross, len(block.streams)))
+        return record
+
+    def counting_first_slice(self, block, t):
+        drawn[cfgs.index(self.cfg)] += 1
+        return first_slice(self, block, t)
+
+    with mock.patch.object(geomsim._Engine, "fill", recording_fill), mock.patch.object(
+        geomsim._Engine, "_first_slice", counting_first_slice
+    ):
+        geomsim._run_many(cfgs, 1)
+    # the first config drew nearly every slice the second one used
+    assert len(shared) == n and drawn[0] > n and drawn[1] < n // 20
+    engine = geomsim._Engine(cfgs[1])
+
+    def full_batch(index):
+        stream = RngStream(CANONICAL_SEED, index)
+        block, ap, tree, counts, a0 = _staged(engine, stream)
+        pts, own, _ = _full_batch_fill(engine, stream, ap, tree, counts, a0)
+        sq = geomsim._sq_dist(pts, ap[a0], engine.side)
+        return float(np.sum(own / (sq * sq)))
+
+    old = [full_batch(i) for i in range(n, 2 * n)]
+    assert ks_2samp(shared, old).pvalue > 0.01
 
 
 class _InlinePool:
@@ -1859,6 +1919,51 @@ def test_geometry_is_shared_within_a_call_only(monkeypatch, case):
         assert distinct == sum(cfg.trials for cfg in cfgs)
     else:
         assert distinct == cfgs[0].trials
+
+
+def _counting_first_slices(monkeypatch) -> list:
+    """Record ``(trial index, slice)`` for every slice of the unshadowed
+    fill's shared first batch drawn and sent to the k-d tree from now on."""
+    first_slice, drawn = geomsim._Engine._first_slice, []
+
+    def counting(self, block, t):
+        drawn.append((block.streams[t].stream_id, block.geometry[t].slices))
+        return first_slice(self, block, t)
+
+    monkeypatch.setattr(geomsim._Engine, "_first_slice", counting)
+    return drawn
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+@pytest.mark.parametrize("points", [4, 31])
+def test_a_sweep_queries_each_first_batch_slice_once(monkeypatch, boundary, points):
+    # In an automatically sized window every lambda_hat point deploys the
+    # same APs, so the sweep draws and queries each (trial, slice) of the
+    # first batch at most once: per trial, the slices of the config that
+    # runs the most of them alone. Run in either order, with the slices of
+    # heavier configs recorded before or after a config runs, every result
+    # stays bit for bit that of the config alone.
+    cfgs = _sweep_cfgs(
+        "lambda_hat", tuple(np.logspace(-1, 3, points)), trials=6, master_seed=41,
+        boundary=boundary,
+    )
+    assert geomsim._sharing_groups(cfgs) == [list(range(points))]
+    drawn = _counting_first_slices(monkeypatch)
+    most, alone = {}, []
+    for cfg in cfgs:
+        drawn.clear()
+        alone.append(run_trials(cfg))
+        for i in range(cfg.trials):
+            ran = sorted(j for trial, j in drawn if trial == i)
+            assert ran == list(range(len(ran)))
+            most[i] = max(most.get(i, 0), len(ran))
+    drawn.clear()
+    assert geomsim._run_many(cfgs, 1) == alone
+    assert len(set(drawn)) == len(drawn)
+    assert sorted(drawn) == sorted((i, j) for i, k in most.items() for j in range(k))
+    assert 0 < len(drawn) <= 6 * 8 // geomsim._FILL_SLICE
+    assert geomsim._run_many(cfgs[::-1], 1) == alone[::-1]
 
 
 def _recording_stores(monkeypatch) -> list:

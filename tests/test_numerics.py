@@ -203,3 +203,28 @@ def test_stream_accepts_every_uint64_key_with_unchanged_draws(seed, stream_id, f
 def test_stream_repr_names_its_key():
     stream = RngStream(np.uint64(2**64 - 1), 5)
     assert repr(stream) == "RngStream(master_seed=18446744073709551615, stream_id=5)"
+
+
+@pytest.mark.parametrize("seed, stream_id", [(123, 7), (0, 0), (2**64 - 1, 2**64 - 1)])
+def test_substream_is_fixed_by_the_key_and_leaves_the_stream_unchanged(seed, stream_id):
+    # the substream is Philox on the stream's key with the counter's top
+    # word at 1, whatever the stream has drawn before
+    want = np.random.Generator(
+        np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64), counter=[0, 0, 0, 1])
+    ).random(6)
+    stream, fresh = RngStream(seed, stream_id), RngStream(seed, stream_id)
+    assert np.array_equal(stream.substream().uniform(6), want)
+    head = stream.uniform(3)
+    sub = stream.substream()
+    assert np.array_equal(sub.uniform(6), want)
+    sub.normal(50)
+    sub.integers(0, 9, size=5)
+    # making and drawing from it leave the stream's own draws as they are
+    assert np.array_equal(np.concatenate([head, stream.uniform(5)]), fresh.uniform(8))
+    assert not np.isin(want, RngStream(seed, stream_id).uniform(1000)).any()
+
+
+def test_substreams_of_other_keys_differ():
+    a = RngStream(123, 7).substream().uniform(5)
+    assert not np.array_equal(a, RngStream(123, 8).substream().uniform(5))
+    assert not np.array_equal(a, RngStream(124, 7).substream().uniform(5))
