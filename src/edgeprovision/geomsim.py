@@ -42,12 +42,12 @@ in-process call, takes a range of trial indices through every config of
 a group (``_sharing_groups``: the configs whose trials can deploy the
 same APs), a chunk of trials at a time. Within a chunk, trial ``i``'s k-d
 tree, the cell polygons the local fill computed for it and the first hits
-of the unshadowed fill's first batch are kept in a store (``_Geometry``)
+of the unshadowed fill's global slices are kept in a store (``_Geometry``)
 that a later config reuses when it deploys bit-identical APs, as every
 point of a sweep over AP density does in an automatically sized window.
-Only functions of the APs and of the trial's key are shared: the first
-batch's candidates come from the trial's fill sub-stream, not from a
-config's draws, and each config applies its own stop rule to the shared
+Only functions of the APs and of the trial's key are shared: the global
+slices' candidates come from the trial's fill sub-stream, not from a
+config's draws, and each config applies its own rule to the shared
 hits. Every config still draws and runs every trial. The store lives for
 one chunk of one call and holds at most about ``_BLOCK_POINTS`` expected
 APs.
@@ -57,7 +57,7 @@ Determinism contract: trial ``i`` always consumes the random stream keyed
 draw alone, and sums its own interference, so its result does not depend on
 the other trials of its block, and results are bit-identical whatever the
 worker count and whichever configs run together. The one exception is the
-unshadowed fill's first batch, whose candidates come from the same key's
+unshadowed fill's global slices, whose candidates come from the same key's
 sub-stream (``RngStream.substream``): a function of the trial alone, so a
 config reads the same candidates whether it draws them or a config before
 it did. The draws that fix the
@@ -77,29 +77,30 @@ assumptions rather than to the literal finite-window system:
   transmitter) that the analytic interference model assumes. Without it the
   simulated coverage exceeds the model by up to ~0.2 at unit density ratio.
 
-  The fill associates window-uniform candidates ``2 * n_ap`` at a time; the
-  first candidate to land in an empty cell fills it. Without shadowing the
-  first batch's candidates come from the trial's fill sub-stream and every
-  config that deploys the trial's APs reads the same hits; it stops once
-  fewer than a fifth of the cells are empty (after one slice on the
-  canonical scenario), and each cell left is then filled
+  The fill associates window-uniform candidates ``2 * n_ap`` at a time, in
+  at most ``_FILL_SLICES`` slices; the first candidate to land in an empty
+  cell fills it. Without shadowing every slice's candidates come from the
+  trial's fill sub-stream, and every config that deploys the trial's APs
+  reads the same hits. The first batch stops once fewer than a fifth of the
+  cells are empty (after one slice on the canonical scenario), and each
+  cell left is then filled
   locally: its twelve nearest APs' bisectors cut out a polygon that holds
   the cell (on a disc, three tangents of the window close the polygons of
   edge cells), and the first candidate drawn uniformly in the polygon
   (a triangle of the fan between the AP and the polygon's edges, picked by
   area) that lies in the window and has that AP as its nearest is kept.
   Rejection from a superset of the cell leaves the point exactly uniform in
-  the cell, as a global candidate's would be. A torus cell whose polygon
-  reaches half the side or is unbounded, or one no local draw hit, falls
-  back to further global batches, at most ``_FILL_BATCHES`` in all.
-  With shadowing, cells are not Voronoi cells, so the shadowed path uses
-  global batches only, and screens them: while fewer than ``_SCREEN_MAX``
-  of the cells are empty, a candidate first gets shadowing normals only
-  for its pairs with the empty cells' APs and with its nearest AP, and is
-  dropped when that AP's cell is not empty and beats every empty cell's
-  AP, since its serving cell is then certainly not empty. The rest get a
-  full row and an exact association, so the fill keeps the same first hit
-  per cell as drawing every row would.
+  the cell, as a global candidate's would be. A cell whose polygon is
+  unbounded (in a trial of twelve APs or fewer) or, on the torus, reaches
+  half the side, or one no local draw hit, goes on through the same shared
+  slices. With shadowing, cells are not Voronoi cells, so the shadowed path
+  uses global slices only, from the trial's stream, and screens them: while
+  fewer than ``_SCREEN_MAX`` of the cells are empty, a candidate first gets
+  shadowing normals only for its pairs with the empty cells' APs and with
+  its nearest AP, and is dropped when that AP's cell is not empty and beats
+  every empty cell's AP, since its serving cell is then certainly not empty.
+  The rest get a full row and an exact association, so the fill keeps the
+  same first hit per cell as drawing every row would.
 * ``load_model="mean_field"`` gives the typical device the mean bandwidth
   share ``bandwidth / mean_cell_load`` rather than its realized per-trial
   share. The closed forms replace the random load by its mean; validating
@@ -163,10 +164,11 @@ __all__ = [
 CANONICAL_SEED = 20260825
 # Upper limit on the trials of one run. Aggregation keeps about 25 bytes per
 # trial (17 for delay, cloud flag and load, 8 for the sorted delays), so
-# 10**7 trials stay near 250 MB; at about 1.2 ms per canonical trial
-# (unshadowed torus, window radius sqrt(50); 2 CPUs, one process) they are
-# already some 3 CPU-hours, and more precision is better bought with
-# separate seeds.
+# 10**7 trials stay near 250 MB. A canonical trial (unshadowed torus, window
+# radius sqrt(50)) takes 0.62-1.0 ms in run_trials in one process (2,000
+# trials; 2 CPUs, whose speed drifts by that much between sessions), so
+# 10**7 trials are already 1.7-2.8 CPU-hours, and more precision is better
+# bought with separate seeds.
 _MAX_TRIALS = 10**7
 # Upper limits on the size of one trial, whose points and pathloss matrices
 # are held in memory at once. Peak memory of one trial grows by about 63
@@ -185,10 +187,14 @@ _AUTO_WINDOW_APS = 150.0
 # whose range runs slow (trial costs vary, and a worker may start late) does
 # not hold up the rest, which take the ranges left.
 _RANGES_PER_WORKER = 2
+# rounds of the local fill at most
 _FILL_BATCHES = 6
 # fill candidates per AP associated between two early-exit checks
 _FILL_SLICE = 2
-# Without shadowing, batch 1 stops before a slice once fewer than
+# global fill slices of a trial at most: 504 * n_ap candidates, as many as
+# _FILL_BATCHES doubling batches of 8 * n_ap, 16 * n_ap, ... candidates hold
+_FILL_SLICES = ((8 << _FILL_BATCHES) - 8) // _FILL_SLICE
+# Without shadowing, the first batch stops before a slice once fewer than
 # _FILL_STOP * n_ap non-serving cells are empty, and the local step fills the
 # rest. A slice associates 2 * n_ap candidates, about 2 us * n_ap in all
 # (k-d tree query and bookkeeping; 1.5-2.3 us measured on 2 CPUs, about 200
@@ -201,9 +207,10 @@ _FILL_SLICE = 2
 # (canonical torus; auto windows at lambda_hat 1 and 1000 on the torus, 1
 # and 10 on the disc), stops of 0.15-0.3 are within noise of each other,
 # 0.1 is 2-8% slower and 0.4 4-20% slower; 0.2 sits in the flat part.
-# The stop stays per config although a sweep shares the first batch's
-# slices: a stop that looked at the other configs of a group would make a
-# config's result depend on which configs run with it.
+# The stop stays per config although a sweep shares the global slices: a
+# stop that looked at the other configs of a group would make a config's
+# result depend on which configs run with it. The cells the local step
+# leaves go on through the same shared slices, up to _FILL_SLICES in all.
 _FILL_STOP = 0.2
 # With shadowing, a fill slice screens its candidates against the empty
 # cells' APs and their nearest AP (_Engine._screen) while fewer
@@ -237,7 +244,7 @@ _LN10 = math.log(10.0)
 # smaller still. A run's geometry store holds one chunk of a sharing group,
 # whose configs expect the same AP count: at most this many expected APs.
 _BLOCK_POINTS = 2**14
-# a cell that no shared first-batch candidate has hit yet (``_Geometry``)
+# a cell that no shared global-slice candidate has hit yet (``_Geometry``)
 _NO_HIT = np.iinfo(np.intp).max
 # relative margin on squared distances by which the block count decides a
 # device's cell, and the local fill a draw's; anything closer is left to the
@@ -601,15 +608,16 @@ class _Geometry:
     config says: the APs' k-d tree (on a torus of side ``side``, or
     unbounded for None), the cell polygons that ``_Engine._cell_polygon``
     has computed so far, and the first hits of the unshadowed fill's
-    first batch.
+    global slices.
 
     The polygons are ``(d, lo, hi, rho)`` rows ``polygons``, cell ``c``'s at
     row ``row[c]`` (-1 until it has one).
 
-    The first batch's candidates are drawn from the trial's fill sub-stream
-    (``RngStream.substream``, made by ``_Engine._first_slice`` when a
-    config first asks for a slice), ``slices`` slices of
-    ``_FILL_SLICE * n_ap`` so far. For each cell, ``first`` is the index
+    The global slices' candidates are drawn from the trial's fill
+    sub-stream (``RngStream.substream``, made by ``_Engine._shared_slice``
+    when a config first asks for a slice), ``slices`` slices of
+    ``_FILL_SLICE * n_ap`` so far: the first batch's, then those of the
+    cells the local step leaves. For each cell, ``first`` is the index
     among them of the first candidate that lands in it (``_NO_HIT`` while
     none has), ``point`` that candidate and ``own`` its own pathloss. Only
     these per-cell arrays are kept, not the slices.
@@ -651,7 +659,7 @@ class _Geometry:
         self.polygons = polygons
 
     def add_slice(self, cand: np.ndarray, serving: np.ndarray, own: np.ndarray) -> None:
-        """Record the first batch's next slice: candidates ``cand``, their
+        """Record the next shared global slice: candidates ``cand``, their
         serving cells (of this trial) ``serving`` and own pathlosses
         ``own``. A cell keeps its earliest hit."""
         base = self.slices * len(cand)
@@ -873,93 +881,90 @@ class _Engine:
         """Saturation fill: one uniform device in every empty cell other than
         its trial's serving cell ``a0``.
 
-        Global rejection batches of ``8 * n_ap * 2**b`` window-uniform
-        candidates, at most ``_FILL_BATCHES``, each drawn and associated
-        ``_FILL_SLICE * n_ap`` candidates at a time until no cell is left
-        empty; the first candidate to land in an empty cell fills it.
-        Without shadowing, batch 1 comes from each trial's fill sub-stream
-        and its first hits are shared by every config that deploys the
-        trial's APs (``_first_batch``); a trial's batch 1 stops before a
-        slice once fewer than ``_FILL_STOP * n_ap`` of its cells are empty.
-        The cells still empty are then filled locally (``_local_fill``:
-        draws uniform in the polygon that the bisectors of each cell's
-        nearest APs cut out, kept when they land in the cell), and only the
-        cells that step does not fill go on to batches 2+. The other slices
-        come from the trial's stream: a slice runs every trial that still
-        draws (``_fill_slice``), and then finds the first hit per cell for
-        all of them at once. With shadowing, a slice in which fewer than
+        Global rejection slices of ``_FILL_SLICE * n_ap`` window-uniform
+        candidates, at most ``_FILL_SLICES`` per trial, each drawn and
+        associated until no cell is left empty; the first candidate to land
+        in an empty cell fills it. Without shadowing, every slice comes from
+        the trial's fill sub-stream and its first hits are shared by every
+        config that deploys the trial's APs (``_shared_fill``). The first
+        batch, at most ``8 // _FILL_SLICE`` slices, stops before a slice
+        once fewer than ``_FILL_STOP * n_ap`` of the trial's cells are
+        empty. The cells still empty are then filled locally
+        (``_local_fill``: draws uniform in the polygon that the bisectors of
+        each cell's nearest APs cut out, kept when they land in the cell),
+        and only the cells that step does not fill go on through the same
+        record's later slices. With shadowing, the slices come from the
+        trial's stream: a slice runs every trial that still has an empty
+        cell (``_shadowed_slice``), and then finds the first hit per cell
+        for all of them at once; a slice in which fewer than
         ``_SCREEN_MAX * n_ap`` cells are empty is screened (``_screen``). A
-        cell still empty at the batch cap gets none. Returns the interferer
+        cell still empty at the slice cap gets none. Returns the interferer
         record of the filled cells (ascending): their points, own
         pathlosses and cross pathlosses to their trial's ``a0``, which the
         k-d tree path works out from the distances once the fill is done.
         """
-        shadowed = self.sigma_scale is not None
         needed = block.counts == 0
         needed[block.a0] = False
         cells = np.nonzero(needed)[0]
         n = len(block.ap)
         pts, own, cross = np.empty((n, 2)), np.empty(n), np.empty(n)
-        empty = np.bincount(block.trial[cells], minlength=len(block.streams))
 
         def fill_from(got, points, points_own):
             needed[got] = False
             pts[got], own[got] = points, points_own
-            empty[:] -= np.bincount(block.trial[got], minlength=len(empty))
 
-        for batch in range(_FILL_BATCHES):
-            if not empty.any():
-                break
-            if not shadowed and batch == 0:
-                fill_from(*self._first_batch(block, needed))
-                continue
-            if not shadowed and batch == 1:
-                left = np.nonzero(needed)[0]
+        if self.sigma_scale is None:
+            fill_from(*self._shared_fill(block, needed, _FILL_STOP * block.n_ap, 8 // _FILL_SLICE))
+            left = np.nonzero(needed)[0]
+            if left.size:
                 done, local_pts, local_own = self._local_fill(block, left)
                 fill_from(left[done], local_pts[done], local_own[done])
-            for _ in range((8 << batch) // _FILL_SLICE):
-                active = np.nonzero(empty)[0]
-                if not active.size:
-                    break
-                sliced = list(
-                    zip(*(self._fill_slice(block, t, needed, empty[t]) for t in active))
-                )
-                cand, serving, cand_own = (np.concatenate(x) for x in sliced[:3])
-                hit = np.nonzero(needed[serving])[0]
-                got, first = np.unique(serving[hit], return_index=True)
-                take = hit[first]
-                if shadowed:
-                    cross[got] = np.concatenate(sliced[3])[take]
-                fill_from(got, cand[take], cand_own[take])
-        cells = cells[~needed[cells]]
-        if not shadowed:
+                fill_from(*self._shared_fill(block, needed, 1, _FILL_SLICES))
+            cells = cells[~needed[cells]]
             cross[cells] = self._pathloss(pts[cells], block.ap[block.a0[block.trial[cells]]])
+            return cells, pts[cells], own[cells], cross[cells]
+        empty = np.bincount(block.trial[cells], minlength=len(block.streams))
+        for _ in range(_FILL_SLICES):
+            active = np.nonzero(empty)[0]
+            if not active.size:
+                break
+            sliced = zip(*(self._shadowed_slice(block, t, needed, empty[t]) for t in active))
+            cand, serving, cand_own, cand_cross = (np.concatenate(x) for x in sliced)
+            hit = np.nonzero(needed[serving])[0]
+            got, first = np.unique(serving[hit], return_index=True)
+            take = hit[first]
+            cross[got] = cand_cross[take]
+            fill_from(got, cand[take], cand_own[take])
+            empty -= np.bincount(block.trial[got], minlength=len(empty))
+        cells = cells[~needed[cells]]
         return cells, pts[cells], own[cells], cross[cells]
 
-    def _first_batch(self, block: _Block, needed: np.ndarray):
-        """Batch 1 of the unshadowed fill, from the first hits each trial's
-        ``_Geometry`` shares: the cells marked in ``needed`` that it fills,
-        their points and their own pathlosses.
+    def _shared_fill(self, block: _Block, needed: np.ndarray, stop, slices: int):
+        """The unshadowed fill's global slices, from the first hits each
+        trial's ``_Geometry`` shares: the cells marked in ``needed`` that
+        they fill, their points and their own pathlosses.
 
-        Each trial applies its own rule to the shared record: slice ``j``
-        runs while at least ``_FILL_STOP * n_ap`` of its cells are still
-        empty, that is have no first hit in slices ``0 .. j-1``, for at most
-        ``8 // _FILL_SLICE`` slices, and the cells whose first hit lies in
-        the slices it ran are filled. A slice no config has asked for yet is
-        drawn and associated then (``_first_slice``). Draws nothing from
-        the trials' streams.
+        Each trial applies this rule to the shared record: slice ``j`` runs
+        while at least ``stop`` of the trial's marked cells (a number, or
+        an array by trial) are still empty, that is have no first hit in
+        slices ``0 .. j-1``, for at most ``slices`` slices, and the marked
+        cells whose first hit lies in the slices it ran are filled. ``fill``
+        calls it for the first batch, then with ``stop`` 1 and the slice cap
+        for the cells the local step leaves; those have no hit in the
+        slices the first batch ran, so they take their first hit after them.
+        A slice no config has asked for yet is drawn and associated then
+        (``_shared_slice``). Draws nothing from the trials' streams.
         """
         cells = np.nonzero(needed)[0]
         trial = block.trial[cells]
         size = (_FILL_SLICE * block.n_ap)[trial]
-        stop = _FILL_STOP * block.n_ap
         ran = np.zeros(len(block.streams), dtype=int)
 
         def joined(name: str) -> np.ndarray:
             # the geometries' per-cell arrays, joined as the block's cells are
             return np.concatenate([getattr(g, name) for g in block.geometry])
 
-        for j in range(8 // _FILL_SLICE):
+        for j in range(slices):
             # a trial's empty count only falls, so a trial that stops stays
             # stopped, and every trial still running holds slices 0 .. j-1
             left = np.bincount(trial[joined("first")[cells] >= j * size], minlength=len(ran))
@@ -968,13 +973,13 @@ class _Engine:
                 break
             for t in active.tolist():
                 if block.geometry[t].slices == j:
-                    self._first_slice(block, t)
+                    self._shared_slice(block, t)
             ran[active] = j + 1
         got = cells[joined("first")[cells] < ran[trial] * size]
         return got, joined("point")[got], joined("own")[got]
 
-    def _first_slice(self, block: _Block, t: int) -> None:
-        """Draw the next slice of trial ``t``'s shared first batch,
+    def _shared_slice(self, block: _Block, t: int) -> None:
+        """Draw the next slice of trial ``t``'s shared global fill slices,
         ``_FILL_SLICE * n_ap`` window-uniform candidates from its fill
         sub-stream (made now if this is the first), associate it and add
         it to the trial's ``_Geometry``."""
@@ -985,22 +990,18 @@ class _Engine:
         serving, cand_own = block.serve(cand, [(t, 0, len(cand))])
         geometry.add_slice(cand, serving - block.off[t], cand_own)
 
-    def _fill_slice(self, block: _Block, t: int, needed: np.ndarray, n_empty: int):
-        """One global fill slice of trial ``t`` from its stream (every batch
-        with shadowing, batches 2+ without): ``_FILL_SLICE * n_ap``
-        window-uniform candidates, and for those kept their
-        serving cells, own pathlosses and, with shadowing, cross pathlosses
-        to the trial's serving cell ``a0``. With shadowing, a slice
-        of a trial with fewer than ``_SCREEN_MAX * n_ap`` of the cells
-        marked in ``needed`` is screened (``_screen``): only the candidates
-        that may land in one of them are kept, and get a full row of
-        shadowing normals, which picks the same hits as drawing the whole
-        block."""
+    def _shadowed_slice(self, block: _Block, t: int, needed: np.ndarray, n_empty: int):
+        """One global fill slice of shadowed trial ``t`` from its stream:
+        ``_FILL_SLICE * n_ap`` window-uniform candidates, and for those kept
+        their serving cells, own pathlosses and cross pathlosses to the
+        trial's serving cell ``a0``. A slice of a trial with fewer than
+        ``_SCREEN_MAX * n_ap`` of the cells marked in ``needed`` is screened
+        (``_screen``): only the candidates that may land in one of them are
+        kept, and get a full row of shadowing normals, which picks the same
+        hits as drawing the whole block."""
         stream, own_cells = block.streams[t], block.cells(t)
         ap, base = block.ap[own_cells], own_cells.start
         cand = self.window.sample(stream, _FILL_SLICE * len(ap))
-        if self.sigma_scale is None:
-            return cand, *block.serve(cand, [(t, 0, len(cand))])
         if n_empty < _SCREEN_MAX * len(ap):
 
             def drawn(rows, cols):
@@ -1298,7 +1299,7 @@ class _Engine:
 
         Trial ``i`` draws from stream ``(master_seed, i)`` in that stage
         order, with the sizes it would draw alone (the unshadowed fill's
-        first batch from the stream's sub-stream), so its result does not
+        global slices from the stream's sub-stream), so its result does not
         depend on the other trials of the block. Each trial's ``_Geometry``
         comes from ``store`` (``associate``). Returns the associated block,
         the ``link`` arrays, and the interferer points, joined by trial.

@@ -3,7 +3,8 @@
 ``OUTPUTS`` maps a name to a function returning the bytes of one output:
 the ``validate --trials 300`` report as text and as JSON, short simulated
 sweep CSVs (over lambda_hat, and over r_min, whose points all deploy the
-same trials), ``run_trials`` summaries, ``run_loads`` arrays, every field of
+same trials, once in a window of about 9 APs where every fill slice is
+shared), ``run_trials`` summaries, ``run_loads`` arrays, every field of
 ``simulate_trial`` realizations, the CSVs of the benchmark's 24
 analytic-only ``provision`` sweeps, and those of its four base-0 sweeps
 at ``snr: 1`` (the closed forms' noise term). ``tests/fingerprints.json``
@@ -83,7 +84,9 @@ def _sweep(workers: int, axis="lambda_hat", grid=(0.1, 1.0, 10.0, 1000.0), **set
         sim=SimSettings(trials=12, master_seed=5, **settings),
     )
     buf = io.StringIO()
-    emit_csv(run_sweep(spec, workers=workers), buf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        emit_csv(run_sweep(spec, workers=workers), buf)
     return buf.getvalue().encode()
 
 
@@ -159,6 +162,11 @@ for _workers in (1, 2):
             lambda w=_workers, s=_settings: _sweep(w, **s)
         )
 OUTPUTS["sweep_r_min_torus_workers1"] = lambda: _sweep(1, "r_min", (0.0625, 0.125, 0.5))
+# a window of about 9 expected APs: most trials hold 12 APs or fewer, so every
+# cell is filled from the shared global slices, and every point shares them all
+OUTPUTS["sweep_r_min_torus_few_aps_workers1"] = lambda: _sweep(
+    1, "r_min", (0.0625, 0.125, 0.5), window_radius=1.5
+)
 for _name, _settings in (
     ("no_full_buffer", {"full_buffer": False}),
     ("realized", {"load_model": "realized"}),

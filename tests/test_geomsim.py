@@ -1343,7 +1343,7 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
 @pytest.mark.filterwarnings("ignore:window holds only")
 def test_fill_interference_matches_full_batch_rule():
     # Per-trial total interference at the tagged AP from every fill point:
-    # global slices, local draws and fallback batches under the engine's
+    # global slices, local draws and fallback slices under the engine's
     # rule (screened slices with 8 dB shadowing), global batches only under
     # the earlier one, on the torus and on the disc. Both place each point
     # uniformly in its cell, so the totals share one law. The engine runs on
@@ -1407,7 +1407,7 @@ def test_fill_interference_matches_full_batch_rule_on_a_shared_first_batch(bound
         for lambda_hat in (10.0, 1.0)
     ]
     assert geomsim._sharing_groups(cfgs) == [[0, 1]]
-    fill, first_slice = geomsim._Engine.fill, geomsim._Engine._first_slice
+    fill, shared_slice = geomsim._Engine.fill, geomsim._Engine._shared_slice
     shared, drawn = [], [0, 0]
 
     def recording_fill(self, block):
@@ -1416,12 +1416,12 @@ def test_fill_interference_matches_full_batch_rule_on_a_shared_first_batch(bound
             shared.extend(np.bincount(block.trial[cells], own / cross, len(block.streams)))
         return record
 
-    def counting_first_slice(self, block, t):
+    def counting_shared_slice(self, block, t):
         drawn[cfgs.index(self.cfg)] += 1
-        return first_slice(self, block, t)
+        return shared_slice(self, block, t)
 
     with mock.patch.object(geomsim._Engine, "fill", recording_fill), mock.patch.object(
-        geomsim._Engine, "_first_slice", counting_first_slice
+        geomsim._Engine, "_shared_slice", counting_shared_slice
     ):
         geomsim._run_many(cfgs, 1)
     # the first config drew nearly every slice the second one used
@@ -1437,6 +1437,85 @@ def test_fill_interference_matches_full_batch_rule_on_a_shared_first_batch(bound
 
     old = [full_batch(i) for i in range(n, 2 * n)]
     assert ks_2samp(shared, old).pvalue > 0.01
+
+
+def _few_ap_trials(engine, start, n):
+    """``_staged`` of the first ``n`` trials from index ``start`` on whose
+    APs number ``_FILL_NEIGHBOURS`` or fewer, with their streams."""
+    found, index = [], start
+    while len(found) < n:
+        stream = RngStream(CANONICAL_SEED, index)
+        staged = _staged(engine, stream)
+        if len(staged[1]) <= geomsim._FILL_NEIGHBOURS:
+            found.append((stream, staged))
+        index += 1
+    return found
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_fallback_on_the_shared_record_matches_full_batch_rule(boundary):
+    # In a window of radius 1.5 (about 9 expected APs on the torus, 7 on the
+    # disc), a trial with 12 APs or fewer bounds no cell polygon, so the
+    # local step fills nothing and every cell the first batch leaves is
+    # filled from the shared record's later slices. On such trials: one
+    # point per empty non-serving cell, in that cell, with the k-d tree's
+    # own pathloss, and a per-trial fill interference in the law of the
+    # full-batch rule on independent trials.
+    from scipy.stats import ks_2samp
+
+    n = 400
+    engine = geomsim._Engine(small_cfg(window_radius=1.5, boundary=boundary))
+    shared_fill, local_fill, filled = engine._shared_fill, engine._local_fill, [0, 0]
+
+    def recording_shared_fill(block, needed, stop, slices):
+        got = shared_fill(block, needed, stop, slices)
+        filled[slices == geomsim._FILL_SLICES] += len(got[0])
+        return got
+
+    def recording_local_fill(block, cells):
+        done, pts, own = local_fill(block, cells)
+        assert not done.any()
+        return done, pts, own
+
+    engine._shared_fill, engine._local_fill = recording_shared_fill, recording_local_fill
+    new = []
+    for _, (block, ap, tree, counts, a0) in _few_ap_trials(engine, 0, n):
+        cells, pts, own, cross = engine.fill(block)
+        empty = np.nonzero(counts == 0)[0]
+        assert np.array_equal(cells, empty[empty != a0])
+        dist, near = tree.query(pts)
+        assert np.array_equal(near, cells) and np.array_equal(own, dist**4)
+        new.append(float(np.sum(own / cross)))
+    assert filled[0] > 0 and filled[1] > n // 4
+    old = []
+    for stream, (_, ap, tree, counts, a0) in _few_ap_trials(engine, 10 * n, n):
+        pts, own, _ = _full_batch_fill(engine, stream.substream(), ap, tree, counts, a0)
+        sq = geomsim._sq_dist(pts, ap[a0], engine.side)
+        old.append(float(np.sum(own / (sq * sq))))
+    assert ks_2samp(new, old).pvalue > 0.01
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_a_cell_no_slice_hits_by_the_cap_gets_no_device(monkeypatch, boundary):
+    # With the cap at five slices, some cells of a few-AP trial have no hit
+    # in the shared record: exactly those stay empty, and every cell filled
+    # holds a point of its own
+    monkeypatch.setattr(geomsim, "_FILL_SLICES", 8 // geomsim._FILL_SLICE + 1)
+    engine = geomsim._Engine(small_cfg(window_radius=1.5, boundary=boundary))
+    missed = 0
+    for _, (block, ap, tree, counts, a0) in _few_ap_trials(engine, 0, 200):
+        cells, pts, own, _ = engine.fill(block)
+        empty = np.nonzero(counts == 0)[0]
+        empty = empty[empty != a0]
+        hit = block.geometry[0].first[empty] != geomsim._NO_HIT
+        assert block.geometry[0].slices <= geomsim._FILL_SLICES
+        assert np.array_equal(cells, empty[hit])
+        dist, near = tree.query(pts)
+        assert np.array_equal(near, cells) and np.array_equal(own, dist**4)
+        missed += int((~hit).sum())
+    assert missed > 0
 
 
 class _InlinePool:
@@ -1921,16 +2000,16 @@ def test_geometry_is_shared_within_a_call_only(monkeypatch, case):
         assert distinct == cfgs[0].trials
 
 
-def _counting_first_slices(monkeypatch) -> list:
+def _counting_shared_slices(monkeypatch) -> list:
     """Record ``(trial index, slice)`` for every slice of the unshadowed
-    fill's shared first batch drawn and sent to the k-d tree from now on."""
-    first_slice, drawn = geomsim._Engine._first_slice, []
+    fill's shared global slices drawn and sent to the k-d tree from now on."""
+    shared_slice, drawn = geomsim._Engine._shared_slice, []
 
     def counting(self, block, t):
         drawn.append((block.streams[t].stream_id, block.geometry[t].slices))
-        return first_slice(self, block, t)
+        return shared_slice(self, block, t)
 
-    monkeypatch.setattr(geomsim._Engine, "_first_slice", counting)
+    monkeypatch.setattr(geomsim._Engine, "_shared_slice", counting)
     return drawn
 
 
@@ -1939,17 +2018,17 @@ def _counting_first_slices(monkeypatch) -> list:
 @pytest.mark.parametrize("points", [4, 31])
 def test_a_sweep_queries_each_first_batch_slice_once(monkeypatch, boundary, points):
     # In an automatically sized window every lambda_hat point deploys the
-    # same APs, so the sweep draws and queries each (trial, slice) of the
-    # first batch at most once: per trial, the slices of the config that
-    # runs the most of them alone. Run in either order, with the slices of
-    # heavier configs recorded before or after a config runs, every result
-    # stays bit for bit that of the config alone.
+    # same APs, so the sweep draws and queries each shared (trial, slice) at
+    # most once: per trial, the slices of the config that runs the most of
+    # them alone. Run in either order, with the slices of heavier configs
+    # recorded before or after a config runs, every result stays bit for
+    # bit that of the config alone.
     cfgs = _sweep_cfgs(
         "lambda_hat", tuple(np.logspace(-1, 3, points)), trials=6, master_seed=41,
         boundary=boundary,
     )
     assert geomsim._sharing_groups(cfgs) == [list(range(points))]
-    drawn = _counting_first_slices(monkeypatch)
+    drawn = _counting_shared_slices(monkeypatch)
     most, alone = {}, []
     for cfg in cfgs:
         drawn.clear()
@@ -1964,6 +2043,51 @@ def test_a_sweep_queries_each_first_batch_slice_once(monkeypatch, boundary, poin
     assert sorted(drawn) == sorted((i, j) for i, k in most.items() for j in range(k))
     assert 0 < len(drawn) <= 6 * 8 // geomsim._FILL_SLICE
     assert geomsim._run_many(cfgs[::-1], 1) == alone[::-1]
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_a_sweep_queries_each_fallback_slice_once(monkeypatch, boundary):
+    # In a window of radius 1.5 most trials hold 12 APs or fewer, so the
+    # cells the first batch leaves go on through the shared record's later
+    # slices. An r_min grid deploys the same trials at every point, so the
+    # sweep draws and queries each (trial, slice) at most once, fallback
+    # slices included: the slices of any one config alone. Every result
+    # stays bit for bit that of the config alone, in either config order,
+    # in process and over three inline workers.
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfgs = _sweep_cfgs(
+        "r_min", (0.0625, 0.125, 0.5), trials=12, master_seed=43, boundary=boundary,
+        window_radius=1.5,
+    )
+    assert geomsim._sharing_groups(cfgs) == [[0, 1, 2]]
+    drawn = _counting_shared_slices(monkeypatch)
+    shared_fill, fallback = geomsim._Engine._shared_fill, []
+
+    def recording(self, block, needed, stop, slices):
+        before = len(drawn)
+        got = shared_fill(self, block, needed, stop, slices)
+        if slices == geomsim._FILL_SLICES:
+            fallback.extend(drawn[before:])
+        return got
+
+    monkeypatch.setattr(geomsim._Engine, "_shared_fill", recording)
+    alone, lone = [], set()
+    for cfg in cfgs:
+        drawn.clear()
+        alone.append(run_trials(cfg))
+        assert len(set(drawn)) == len(drawn)
+        lone = lone or set(drawn)
+        assert set(drawn) == lone
+    assert fallback
+    for workers in (1, 3):
+        for order in (slice(None), slice(None, None, -1)):
+            drawn.clear()
+            assert geomsim._run_many(cfgs[order], workers) == alone[order]
+            assert len(set(drawn)) == len(drawn) and set(drawn) == lone
+    assert _InlinePool.sizes == [3, 3]
 
 
 def _recording_stores(monkeypatch) -> list:
