@@ -24,7 +24,8 @@ Trials run in blocks of about ``_BLOCK_POINTS`` expected APs and devices
 trial is deployed and associated on its own k-d tree, the stages keep the
 block's APs, devices and fill candidates in flat arrays, joined end to end,
 and do their bookkeeping (counting loads, grouping devices by cell, finding
-each cell's first fill hit, the local fill's polygons) once per block. The
+each cell's first fill hit, the local fill's polygons and draws) once per
+block. The
 block (``_Block``) is the one record of its trials: associate sets every
 device's serving cell, own pathloss and cross pathloss to its trial's
 serving cell on it, with every cell's load; schedule and fill each return
@@ -41,26 +42,27 @@ Runs are range-major (``_simulate_range``): each pool task, or the one
 in-process call, takes a range of trial indices through every config of
 a group (``_sharing_groups``: the configs whose trials can deploy the
 same APs), a chunk of trials at a time. Within a chunk, trial ``i``'s k-d
-tree, the cell polygons the local fill computed for it and the first hits
-of the unshadowed fill's global slices are kept in a store (``_Geometry``)
-that a later config reuses when it deploys bit-identical APs, as every
-point of a sweep over AP density does in an automatically sized window.
-Only functions of the APs and of the trial's key are shared: the global
-slices' candidates come from the trial's fill sub-stream, not from a
-config's draws, and each config applies its own rule to the shared
-hits. Every config still draws and runs every trial. The store lives for
-one chunk of one call and holds at most about ``_BLOCK_POINTS`` expected
-APs.
+tree and the per-cell record of its unshadowed fill (each cell's local
+point or miss, and the first hits of the global slices) are kept in a
+store (``_Geometry``) that a later config reuses when it deploys
+bit-identical APs, as every point of a sweep over AP density does in an
+automatically sized window. Only functions of the APs and of the trial's
+key are shared: every candidate of the unshadowed fill, local or global,
+comes from the trial's fill sub-stream, not from a config's draws, and
+each config applies its own rule to the shared record. Every config still
+draws and runs every trial. The store lives for one chunk of one call and
+holds at most about ``_BLOCK_POINTS`` expected APs.
 
 Determinism contract: trial ``i`` always consumes the random stream keyed
 ``(master_seed, i)``, drawing in that stage order with the sizes it would
 draw alone, and sums its own interference, so its result does not depend on
 the other trials of its block, and results are bit-identical whatever the
 worker count and whichever configs run together. The one exception is the
-unshadowed fill's global slices, whose candidates come from the same key's
-sub-stream (``RngStream.substream``): a function of the trial alone, so a
-config reads the same candidates whether it draws them or a config before
-it did. The draws that fix the
+unshadowed fill, which draws nothing from that stream: its candidates, the
+local step's table first and then the global slices, come from the same
+key's sub-stream (``RngStream.substream``), a function of the trial alone,
+so a config reads the same candidates whether it draws them or a config
+before it did. The draws that fix the
 load (AP count and positions, device count and positions, shadowing) all
 come before scheduling, so ``run_loads`` runs only deploy and associate and
 still returns the loads ``run_trials`` sees.
@@ -79,21 +81,21 @@ assumptions rather than to the literal finite-window system:
 
   The fill associates window-uniform candidates ``2 * n_ap`` at a time, in
   at most ``_FILL_SLICES`` slices; the first candidate to land in an empty
-  cell fills it. Without shadowing every slice's candidates come from the
-  trial's fill sub-stream, and every config that deploys the trial's APs
-  reads the same hits. The first batch stops once fewer than a fifth of the
-  cells are empty (after one slice on the canonical scenario), and each
-  cell left is then filled
-  locally: its twelve nearest APs' bisectors cut out a polygon that holds
-  the cell (on a disc, three tangents of the window close the polygons of
-  edge cells), and the first candidate drawn uniformly in the polygon
-  (a triangle of the fan between the AP and the polygon's edges, picked by
-  area) that lies in the window and has that AP as its nearest is kept.
-  Rejection from a superset of the cell leaves the point exactly uniform in
-  the cell, as a global candidate's would be. A cell whose polygon is
-  unbounded (in a trial of twelve APs or fewer) or, on the torus, reaches
-  half the side, or one no local draw hit, goes on through the same shared
-  slices. With shadowing, cells are not Voronoi cells, so the shadowed path
+  cell fills it. Without shadowing every candidate comes from the trial's
+  fill sub-stream, and every config that deploys the trial's APs reads the
+  same record. The first batch stops once fewer than a fifth of the cells
+  are empty (after one slice on the canonical scenario), and each cell left
+  is then filled locally: its twelve nearest APs' bisectors cut out a
+  polygon that holds the cell (on a disc, three tangents of the window
+  close the polygons of edge cells), and of up to ``_LOCAL_DRAWS``
+  candidates drawn uniformly in the polygon (a triangle of the fan between
+  the AP and the polygon's edges, picked by area) the first that lies in
+  the window and has that AP as its nearest is kept. Rejection from a
+  superset of the cell leaves the point exactly uniform in the cell, as a
+  global candidate's would be. A cell whose polygon is unbounded (in a
+  trial of twelve APs or fewer) or, on the torus, reaches half the side,
+  or one that all its local candidates missed, goes on through the same
+  shared slices. With shadowing, cells are not Voronoi cells, so the shadowed path
   uses global slices only, from the trial's stream, and screens them: while
   fewer than ``_SCREEN_MAX`` of the cells are empty, a candidate first gets
   shadowing normals only for its pairs with the empty cells' APs and with
@@ -187,13 +189,18 @@ _AUTO_WINDOW_APS = 150.0
 # whose range runs slow (trial costs vary, and a worker may start late) does
 # not hold up the rest, which take the ranges left.
 _RANGES_PER_WORKER = 2
-# rounds of the local fill at most
-_FILL_BATCHES = 6
+# Local fill candidates per cell, uniform in the cell's polygon: one per
+# pass, from a table at the head of the trial's fill sub-stream (_Geometry).
+# Under 1% of the first candidates are rejected on the canonical scenario
+# (0.6%), so few cells miss all four: 19 of the 45,000 cells the local step
+# got in 2,000 canonical trials, which the shared fallback slices then fill.
+_LOCAL_DRAWS = 4
 # fill candidates per AP associated between two early-exit checks
 _FILL_SLICE = 2
-# global fill slices of a trial at most: 504 * n_ap candidates, as many as
-# _FILL_BATCHES doubling batches of 8 * n_ap, 16 * n_ap, ... candidates hold
-_FILL_SLICES = ((8 << _FILL_BATCHES) - 8) // _FILL_SLICE
+# Global fill slices of a trial at most: 504 * n_ap candidates. A cell with a
+# tenth of the mean cell area misses all of them with probability about
+# exp(-50.4); one still empty at the cap gets no device.
+_FILL_SLICES = 252
 # Without shadowing, the first batch stops before a slice once fewer than
 # _FILL_STOP * n_ap non-serving cells are empty, and the local step fills the
 # rest. A slice associates 2 * n_ap candidates, about 2 us * n_ap in all
@@ -207,10 +214,11 @@ _FILL_SLICES = ((8 << _FILL_BATCHES) - 8) // _FILL_SLICE
 # (canonical torus; auto windows at lambda_hat 1 and 1000 on the torus, 1
 # and 10 on the disc), stops of 0.15-0.3 are within noise of each other,
 # 0.1 is 2-8% slower and 0.4 4-20% slower; 0.2 sits in the flat part.
-# The stop stays per config although a sweep shares the global slices: a
-# stop that looked at the other configs of a group would make a config's
-# result depend on which configs run with it. The cells the local step
-# leaves go on through the same shared slices, up to _FILL_SLICES in all.
+# A sweep shares both the global slices and the local step's outcome per
+# cell, yet the stop stays per config: a stop that looked at the other
+# configs of a group would make a config's result depend on which configs
+# run with it. The cells the local step leaves go on through the same shared
+# slices, up to _FILL_SLICES in all.
 _FILL_STOP = 0.2
 # With shadowing, a fill slice screens its candidates against the empty
 # cells' APs and their nearest AP (_Engine._screen) while fewer
@@ -606,26 +614,29 @@ class SimSummary:
 class _Geometry:
     """What one trial's deployed APs and its key fix, whatever else its
     config says: the APs' k-d tree (on a torus of side ``side``, or
-    unbounded for None), the cell polygons that ``_Engine._cell_polygon``
-    has computed so far, and the first hits of the unshadowed fill's
-    global slices.
+    unbounded for None) and the per-cell record of the unshadowed fill,
+    whose candidates all come from the trial's fill sub-stream
+    (``RngStream.substream``).
 
-    The polygons are ``(d, lo, hi, rho)`` rows ``polygons``, cell ``c``'s at
-    row ``row[c]`` (-1 until it has one).
-
-    The global slices' candidates are drawn from the trial's fill
-    sub-stream (``RngStream.substream``, made by ``_Engine._shared_slice``
-    when a config first asks for a slice), ``slices`` slices of
-    ``_FILL_SLICE * n_ap`` so far: the first batch's, then those of the
-    cells the local step leaves. For each cell, ``first`` is the index
-    among them of the first candidate that lands in it (``_NO_HIT`` while
-    none has), ``point`` that candidate and ``own`` its own pathloss. Only
-    these per-cell arrays are kept, not the slices.
+    The sub-stream is made the first time the fill asks for it
+    (``record``), by a global slice or by the local step, and at once
+    draws the local step's table ``table``: three uniforms for each of
+    ``_LOCAL_DRAWS`` candidates per cell. The global slices follow,
+    ``_FILL_SLICE * n_ap`` window-uniform candidates each, ``slices`` of
+    them drawn so far. Every draw thus has a fixed place in the
+    sub-stream, whichever config or step asks first. For each cell,
+    ``first`` is the index among the slices' candidates of the first that
+    lands in it (``_NO_HIT`` while none has), ``point`` that candidate and
+    ``own`` its own pathloss; ``local_point`` and ``local_own``, allocated
+    with the sub-stream, are the local step's point and its own pathloss
+    (``_Engine._local_fill``), ``local_own`` being nan for a cell not tried
+    yet and inf for one that all its candidates missed. Only these per-cell
+    arrays are kept, not the slices or the cell polygons.
 
     A store maps the trial indices of one master seed to their geometry
     (``shared``). A run keeps one store per chunk of trials and sharing
     group, so a config whose trial deploys the APs another config's trial
-    deployed reuses its tree, polygons and first hits.
+    deployed reuses its tree and its fill record.
     """
 
     def __init__(self, ap: np.ndarray, side: float | None):
@@ -633,8 +644,6 @@ class _Geometry:
 
         self.ap, self.side = ap, side
         self.tree = cKDTree(ap, boxsize=side)
-        self.row = np.full(len(ap), -1)
-        self.polygons = None
         self.substream, self.slices = None, 0
         self.first = np.full(len(ap), _NO_HIT)
         self.point, self.own = np.empty((len(ap), 2)), np.empty(len(ap))
@@ -649,14 +658,16 @@ class _Geometry:
             geometry = store[index] = cls(ap, side)
         return geometry
 
-    def keep(self, cells: np.ndarray, polygons: list) -> None:
-        """Add the ``(d, lo, hi, rho)`` rows ``polygons`` of ``cells`` (none
-        kept yet, distinct)."""
-        start = 0 if self.polygons is None else len(self.polygons[3])
-        self.row[cells] = np.arange(start, start + len(cells))
-        if self.polygons is not None:
-            polygons = [np.concatenate(pair) for pair in zip(self.polygons, polygons)]
-        self.polygons = polygons
+    def record(self, stream: RngStream) -> _Geometry:
+        """This geometry, its fill sub-stream made on the first call, from
+        the trial stream ``stream`` (wherever it has drawn to), with the
+        table drawn and the local step's arrays allocated."""
+        if self.substream is None:
+            n = len(self.ap)
+            self.substream = stream.substream()
+            self.table = self.substream.uniform((n, _LOCAL_DRAWS, 3))
+            self.local_point, self.local_own = np.empty((n, 2)), np.full(n, np.nan)
+        return self
 
     def add_slice(self, cand: np.ndarray, serving: np.ndarray, own: np.ndarray) -> None:
         """Record the next shared global slice: candidates ``cand``, their
@@ -780,6 +791,13 @@ class _Engine:
             pathloss *= np.exp(gain, out=gain)
         return pathloss
 
+    def _displaced(self, points: np.ndarray, origin: np.ndarray) -> np.ndarray:
+        """``points - origin`` (broadcast), the minimum image on the torus."""
+        x = points - origin
+        if self.torus:
+            x -= self.side * np.round(x / self.side)
+        return x
+
     def _serve(self, points: np.ndarray, ap: np.ndarray, normals: np.ndarray):
         """Shadowed association of one trial's points from the normals of
         every point-AP pair: serving index into ``ap``, own pathloss and
@@ -884,16 +902,17 @@ class _Engine:
         Global rejection slices of ``_FILL_SLICE * n_ap`` window-uniform
         candidates, at most ``_FILL_SLICES`` per trial, each drawn and
         associated until no cell is left empty; the first candidate to land
-        in an empty cell fills it. Without shadowing, every slice comes from
-        the trial's fill sub-stream and its first hits are shared by every
-        config that deploys the trial's APs (``_shared_fill``). The first
-        batch, at most ``8 // _FILL_SLICE`` slices, stops before a slice
-        once fewer than ``_FILL_STOP * n_ap`` of the trial's cells are
+        in an empty cell fills it. Without shadowing, nothing is drawn from
+        the trial's stream: every candidate comes from its fill sub-stream,
+        through the per-cell record that every config deploying the trial's
+        APs shares (``_Geometry.record``). The first batch of slices
+        (``_shared_fill``), at most ``8 // _FILL_SLICE``, stops before a
+        slice once fewer than ``_FILL_STOP * n_ap`` of the trial's cells are
         empty. The cells still empty are then filled locally
-        (``_local_fill``: draws uniform in the polygon that the bisectors of
-        each cell's nearest APs cut out, kept when they land in the cell),
-        and only the cells that step does not fill go on through the same
-        record's later slices. With shadowing, the slices come from the
+        (``_local_fill``: candidates uniform in the polygon that the
+        bisectors of each cell's nearest APs cut out, kept when they land in
+        the cell), and only the cells that step does not fill go on through
+        the record's later slices. With shadowing, the slices come from the
         trial's stream: a slice runs every trial that still has an empty
         cell (``_shadowed_slice``), and then finds the first hit per cell
         for all of them at once; a slice in which fewer than
@@ -981,11 +1000,8 @@ class _Engine:
     def _shared_slice(self, block: _Block, t: int) -> None:
         """Draw the next slice of trial ``t``'s shared global fill slices,
         ``_FILL_SLICE * n_ap`` window-uniform candidates from its fill
-        sub-stream (made now if this is the first), associate it and add
-        it to the trial's ``_Geometry``."""
-        geometry = block.geometry[t]
-        if geometry.substream is None:
-            geometry.substream = block.streams[t].substream()
+        sub-stream, associate it and add it to the trial's fill record."""
+        geometry = block.geometry[t].record(block.streams[t])
         cand = self.window.sample(geometry.substream, _FILL_SLICE * int(block.n_ap[t]))
         serving, cand_own = block.serve(cand, [(t, 0, len(cand))])
         geometry.add_slice(cand, serving - block.off[t], cand_own)
@@ -1055,30 +1071,11 @@ class _Engine:
         pathloss[:, empty] = empty_pl[keep]
         return kept, self._least(pathloss)
 
-    def _cell_polygon(self, block: _Block, cells: np.ndarray) -> list[np.ndarray]:
-        """The polygon around each cell in ``cells`` (at least one, ascending
-        by trial; a cell may repeat) that holds the whole cell (the part in
-        the window): ``d``, ``lo``, ``hi`` and ``rho`` as
-        ``_bisector_polygon`` gives them (see ``_new_polygons``).
-
-        Each trial's ``_Geometry`` keeps the rows computed for it, so only
-        the cells it has none for yet are computed, and they are kept for
-        the next config that asks.
-        """
-        parts = [
-            (block.geometry[t], cells[lo:hi] - block.off[t])
-            for t, lo, hi in block.parts(block.trial[cells])
-        ]
-        new = np.unique(cells[np.concatenate([g.row[c] < 0 for g, c in parts])])
-        if new.size:
-            rows = self._new_polygons(block, new)
-            for t, lo, hi in block.parts(block.trial[new]):
-                block.geometry[t].keep(new[lo:hi] - block.off[t], [r[lo:hi] for r in rows])
-        at = [(g.polygons, g.row[c]) for g, c in parts]
-        return [np.concatenate([p[k][rows] for p, rows in at]) for k in range(4)]
-
     def _new_polygons(self, block: _Block, cells: np.ndarray):
-        """``_cell_polygon`` of ``cells``, computed.
+        """The polygon around each cell in ``cells`` (at least one,
+        ascending by trial) that holds the whole cell (the part in the
+        window): ``d``, ``lo``, ``hi`` and ``rho`` as ``_bisector_polygon``
+        gives them.
 
         ``d`` holds the displacements of the AP's ``_FILL_NEIGHBOURS``
         nearest APs of its trial (minimum image on the torus): a point of
@@ -1104,10 +1101,8 @@ class _Engine:
         for t, lo, hi in block.parts(block.trial[cells]):
             if block.n_ap[t] > k:
                 nb[lo:hi] = block.geometry[t].tree.query(p[lo:hi], k=k + 1)[1][:, 1:] + block.off[t]
-        d = block.ap[nb] - p[:, None]
-        if self.torus:
-            d -= self.side * np.round(d / self.side)
-        else:
+        d = self._displaced(block.ap[nb], p[:, None])
+        if not self.torus:
             phi = np.arctan2(p[:, 1], p[:, 0])[:, None] + _DISC_TANGENTS
             u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
             gap = self.window.radius - (u * p[:, None]).sum(axis=-1)
@@ -1121,67 +1116,68 @@ class _Engine:
     def _local_fill(
         self, block: _Block, cells: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One point uniform in each cell in ``cells`` (ascending by trial;
-        a cell may repeat), with its own pathloss; unshadowed association
-        only.
+        """One point uniform in each cell in ``cells`` (distinct, ascending
+        by trial), with its own pathloss; unshadowed association only.
 
-        Candidates are uniform in the cell's polygon (``_cell_polygon``,
-        ``_polygon_points``), three uniforms each from the cell's trial's
-        stream. Round ``r`` draws ``2**r`` of them per cell still to fill,
-        one in the first round, for at most ``_FILL_BATCHES`` rounds, so a
-        cell whose polygon is much larger than the cell does not hold up the
-        others for many rounds. A round joins every trial's cells: each
-        trial draws its uniforms, and the polygon points and hits are found
-        for all of them at once. The first candidate that lies in the window
-        and has that AP as its nearest is kept. The polygon's nearest APs
-        decide that for almost every candidate (``_verdict``); only the
-        candidates they leave undecided go to their trial's k-d tree. Since
-        the polygon holds the whole cell, the kept point is exactly uniform
-        in the cell. Its own pathloss is ``dist**4`` from the same
-        element-wise distance as the k-d tree's. Returns a mask of the
-        cells that got a point (False where the polygon is not bounded or no
-        round hit the cell), the points and their own pathlosses.
+        Each cell's outcome is a function of its trial's APs and key alone,
+        so it is kept in the trial's fill record (``_Geometry.record``), and
+        only the cells no config has tried yet are worked out, all at once.
+        Their polygons (``_new_polygons``) are not kept. Pass ``k`` takes,
+        for every cell still without a point, the ``k``-th of its
+        ``_LOCAL_DRAWS`` candidates in the record's table and places it
+        uniformly in the cell's polygon (``_polygon_points``). The first
+        candidate that lies in the window and has that AP as its nearest is
+        kept. The polygon's nearest APs decide that for almost every
+        candidate (``_verdict``); only the candidates they leave undecided
+        go to their trial's k-d tree. The candidates are independent of the
+        devices and of the global slices, and the polygon holds the whole
+        cell, so the kept point is exactly uniform in the cell. Its own
+        pathloss is ``dist**4`` from the same element-wise distance as the
+        k-d tree's. Returns a mask of the cells that got a point (False
+        where the polygon is not bounded or every candidate missed), the
+        points and their own pathlosses.
         """
-        d, lo, hi, rho = self._cell_polygon(block, cells)
-        todo = np.nonzero(np.isfinite(rho))[0]
-        done = np.zeros(len(cells), dtype=bool)
+        parts = [
+            (block.geometry[t].record(block.streams[t]), cells[lo:hi] - block.off[t], slice(lo, hi))
+            for t, lo, hi in block.parts(block.trial[cells])
+        ]
         pts, own = np.empty((len(cells), 2)), np.empty(len(cells))
-        d, lo, hi = d[todo], lo[todo], hi[todo]
-        # the APs among the polygon's neighbours (a disc adds three mirrors)
-        near = d[:, :_FILL_NEIGHBOURS]
-        reach = (near * near).sum(axis=-1).max(axis=-1)
-        live = np.arange(todo.size)
-        for r in range(_FILL_BATCHES):
-            if not live.size:
-                break
-            m = 1 << r
-            rows = np.repeat(live, m)
-            owner = cells[todo[rows]]
-            parts = block.parts(block.trial[owner])
-            u = np.concatenate([block.streams[t].uniform((b - a, 3)) for t, a, b in parts])
-            x = _polygon_points(d[rows], lo[rows], hi[rows], u)
-            cand = block.ap[owner] + x
-            if self.torus:
-                cand %= self.side
-                in_window = True
-            else:
-                in_window = (cand * cand).sum(axis=-1) <= self.window.radius**2
-            _, hit, undecided = _verdict(x, near[rows], reach[rows], self.side)
-            hit &= in_window
-            ask = np.nonzero(undecided & in_window)[0]
-            if ask.size:
-                serving = block.serve(cand[ask], block.parts(block.trial[owner[ask]]))[0]
-                hit[ask] = serving == owner[ask]
-            hit = hit.reshape(live.size, m)
-            first = hit.argmax(axis=1)
-            won = np.nonzero(hit[np.arange(live.size), first])[0]
-            take = won * m + first[won]
-            got = todo[live[won]]
-            done[got] = True
-            pts[got] = cand[take]
-            own[got] = np.sqrt(_sq_dist(cand[take], block.ap[owner[take]], self.side)) ** 4
-            live = np.delete(live, won)
-        return done, pts, own
+        table = np.empty((len(cells), _LOCAL_DRAWS, 3))
+        for record, own_cells, rows in parts:
+            pts[rows], own[rows] = record.local_point[own_cells], record.local_own[own_cells]
+            table[rows] = record.table[own_cells]
+        new = np.nonzero(np.isnan(own))[0]
+        if new.size:
+            d, lo, hi, rho = self._new_polygons(block, cells[new])
+            own[new] = np.inf
+            # the APs among the polygon's neighbours (a disc adds three mirrors)
+            near = d[:, :_FILL_NEIGHBOURS]
+            reach = (near * near).sum(axis=-1).max(axis=-1)
+            live = np.nonzero(np.isfinite(rho))[0]
+            for k in range(_LOCAL_DRAWS):
+                if not live.size:
+                    break
+                owner = cells[new[live]]
+                x = _polygon_points(d[live], lo[live], hi[live], table[new[live], k])
+                cand = block.ap[owner] + x
+                if self.torus:
+                    cand %= self.side
+                    in_window = True
+                else:
+                    in_window = (cand * cand).sum(axis=-1) <= self.window.radius**2
+                _, hit, undecided = _verdict(x, near[live], reach[live], self.side)
+                hit &= in_window
+                ask = np.nonzero(undecided & in_window)[0]
+                if ask.size:
+                    serving = block.serve(cand[ask], block.parts(block.trial[owner[ask]]))[0]
+                    hit[ask] = serving == owner[ask]
+                got = new[live[hit]]
+                pts[got] = cand[hit]
+                own[got] = np.sqrt(_sq_dist(cand[hit], block.ap[owner[hit]], self.side)) ** 4
+                live = live[~hit]
+            for record, own_cells, rows in parts:
+                record.local_point[own_cells], record.local_own[own_cells] = pts[rows], own[rows]
+        return np.isfinite(own), pts, own
 
     def link(
         self, block: _Block, trial: np.ndarray, own: np.ndarray, cross: np.ndarray
@@ -1258,23 +1254,16 @@ class _Engine:
         aps, devs = np.zeros(ap_ok.shape + (2,)), np.zeros(dev_ok.shape + (2,))
         aps[ap_ok], devs[dev_ok] = (np.concatenate(points) for points in zip(*deployed))
         rows = np.arange(len(deployed))
-
-        def displaced(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
-            x = points - origin
-            if self.torus:
-                x -= self.side * np.round(x / self.side)
-            return x
-
         a0 = np.argmin(np.where(ap_ok, _sq_dist(aps, self.center, self.side), np.inf), axis=1)
         origin = aps[rows, a0][:, None]
         sq = np.where(ap_ok, _sq_dist(aps, origin, self.side), np.inf)
         sq[rows, a0] = np.inf
         nb = np.argpartition(sq, k - 1, axis=1)[:, :k]
         reach = sq[rows[:, None], nb].max(axis=1)
-        d = displaced(aps[rows[:, None], nb], origin)
+        d = self._displaced(aps[rows[:, None], nb], origin)
         # an unbounded polygon keeps every device
         rho = np.nan_to_num(_bisector_polygon(d)[2], nan=np.inf)
-        x = displaced(devs, origin)
+        x = self._displaced(devs, origin)
         sx = (x * x).sum(axis=-1)
         count = np.zeros(len(deployed), dtype=np.int64)
         # the devices inside the polygon's radius
@@ -1298,8 +1287,8 @@ class _Engine:
         schedule, fill (with ``full_buffer``) and link.
 
         Trial ``i`` draws from stream ``(master_seed, i)`` in that stage
-        order, with the sizes it would draw alone (the unshadowed fill's
-        global slices from the stream's sub-stream), so its result does not
+        order, with the sizes it would draw alone (the unshadowed fill from
+        the stream's sub-stream), so its result does not
         depend on the other trials of the block. Each trial's ``_Geometry``
         comes from ``store`` (``associate``). Returns the associated block,
         the ``link`` arrays, and the interferer points, joined by trial.
@@ -1366,7 +1355,7 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     wanted = n * _RANGES_PER_WORKER
     ranges = []
     for group in _sharing_groups(cfgs):
-        splits = -(-wanted // min(wanted, max(cfgs[k].trials for k in group)))
+        splits = -(-wanted // max(cfgs[k].trials for k in group))
         for part in map(np.ndarray.tolist, np.array_split(group, min(splits, len(group)))):
             trials = max(cfgs[k].trials for k in part)
             bounds = np.linspace(0, trials, min(trials, wanted) + 1, dtype=int).tolist()

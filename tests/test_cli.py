@@ -474,11 +474,17 @@ def test_validate_human_output_mentions_checks(capsys):
     assert out.splitlines()[-1] == "overall: " + ("PASS" if report["pass"] else "FAIL")
 
 
-@pytest.mark.parametrize("trials", [40, 300])  # a failing and a passing report
-def test_validate_text_has_one_line_per_check(capsys, monkeypatch, trials):
-    report = run_validation(trials=trials)
-    checks = list(geomsim._report_checks(report["checks"]))
-    assert [label for label, _ in checks] == [
+@pytest.mark.parametrize("passing", [False, True], ids=["failing", "passing"])
+def test_validate_text_has_one_line_per_check(capsys, monkeypatch, passing):
+    # The text rendering of a report: one line per check, in report order,
+    # then the verdict. Whether a short real run passes is seed luck (at
+    # 300 trials the KS distance's sampling noise, about 0.87/sqrt(300) =
+    # 0.05, is as large as its tolerance), so the reports are built from
+    # check values on either side of each tolerance; one real run pins the
+    # labels and their order.
+    real = run_validation(trials=40)
+    labels = [label for label, _ in geomsim._report_checks(real["checks"])]
+    assert labels == [
         "delay_cdf_ks",
         "cloud_use_abs_error",
         "mse_abs_error",
@@ -486,14 +492,28 @@ def test_validate_text_has_one_line_per_check(capsys, monkeypatch, trials):
         "mean_load_rel_error[lambda_hat_1]",
         "mean_load_rel_error[lambda_hat_2]",
     ]
-    assert report["pass"] is all(c["pass"] for _, c in checks)
-    assert report["pass"] is (trials == 300)
+
+    def made(check, scale):
+        return geomsim._check(scale * check["tolerance"], check["tolerance"])
+
+    # every check at half its tolerance; the failing report's KS check at twice it
+    checks = {
+        name: made(entry, 0.5) if "pass" in entry else {k: made(c, 0.5) for k, c in entry.items()}
+        for name, entry in real["checks"].items()
+    }
+    if not passing:
+        checks["delay_cdf_ks"] = made(checks["delay_cdf_ks"], 2.0)
+    report = {**real, "checks": checks, "pass": passing}
+    rendered = list(geomsim._report_checks(checks))
+    assert [label for label, _ in rendered] == labels
+    assert [c["pass"] for _, c in rendered] == [passing] + [True] * 5
     monkeypatch.setattr(geomsim, "run_validation", lambda **kwargs: report)
     code, out, _ = run_cli(capsys, "validate")
-    assert code == (0 if report["pass"] else 1)
+    assert code == (0 if passing else 1)
     lines = out.splitlines()
-    assert len(lines) == len(checks) + 2
-    for line, (label, c) in zip(lines[1:-1], checks):
+    assert len(lines) == len(labels) + 2
+    assert lines[-1] == "overall: " + ("PASS" if passing else "FAIL")
+    for line, (label, c) in zip(lines[1:-1], rendered):
         verdict = "PASS" if c["pass"] else "FAIL"
         assert line == f"  {label}: {c['value']:.6g} (tolerance {c['tolerance']:.6g}) {verdict}"
 

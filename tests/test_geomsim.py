@@ -841,7 +841,8 @@ def test_early_exit_fill_matches_full_batch_rule(overrides, monkeypatch):
     # _Block.serve) only while at least _FILL_STOP * n_ap cells are empty.
     # On the unshadowed torus the first slice is the start of the full-batch
     # rule's first batch when both draw from the trial's fill sub-stream
-    # (the same draws), so the cells it fills get the same points.
+    # past the local step's table (the same draws), so the cells it fills
+    # get the same points.
     engine = geomsim._Engine(small_cfg(trials=12, **overrides))
     serve, screen, local_fill = engine._serve, engine._screen, engine._local_fill
     block_serve = geomsim._Block.serve
@@ -903,15 +904,19 @@ def test_early_exit_fill_matches_full_batch_rule(overrides, monkeypatch):
             assert np.array_equal(own, [served[tuple(p)][1] for p in pts])
             assert np.array_equal(cross, [served[tuple(p)][2][a0] for p in pts])
         assert np.array_equal(cells, empty)
-        # replay: the same fill, and the stream continues from the same place
+        # replay: the same fill, and the stream continues from the same place;
+        # without shadowing the fill draws nothing from it
         again = engine.fill(staged[1][0])[1:]
         assert np.array_equal(pts, again[0]) and np.array_equal(own, again[1])
         assert np.array_equal(cross, again[2])
-        assert streams[0].uniform() == streams[1].uniform()
+        after = streams[0].uniform()
+        assert after == streams[1].uniform()
+        if engine.sigma_scale is None:
+            assert after == streams[2].uniform()
         if not overrides:
             assert slices
-            first = engine.window.sample(streams[2].substream(), geomsim._FILL_SLICE * len(ap))
-            old = _full_batch_fill(engine, streams[3].substream(), ap, tree, counts, a0)[0]
+            first = engine.window.sample(_past_table(streams[2], ap), geomsim._FILL_SLICE * len(ap))
+            old = _full_batch_fill(engine, _past_table(streams[3], ap), ap, tree, counts, a0)[0]
             old = old[np.argsort(tree.query(old)[1])]
             assert len(old) == len(pts)
             slice1 = (pts[:, None] == first[None]).all(-1).any(-1)
@@ -919,14 +924,23 @@ def test_early_exit_fill_matches_full_batch_rule(overrides, monkeypatch):
             assert np.array_equal(pts[slice1], old[slice1])
 
 
+def _past_table(stream, ap):
+    """The fill sub-stream of trial stream ``stream`` with APs ``ap``, past
+    the local step's table: where its global slices start."""
+    sub = stream.substream()
+    sub.uniform((len(ap), geomsim._LOCAL_DRAWS, 3))
+    return sub
+
+
 def _full_batch_fill(engine, stream, ap, tree, counts, a0):
     """The earlier saturation-fill rule: global batches only, each drawn and
-    associated whole, its first hit per empty cell kept, by cell."""
+    associated whole, its first hit per empty cell kept, by cell: six
+    doubling batches of 8 * n_ap, 16 * n_ap, ... candidates."""
     n_ap = len(ap)
     need = np.nonzero(counts == 0)[0]
     need = need[need != a0]
     pts, own, cross = [np.empty((0, 2))], [np.empty(0)], [np.empty(0)]
-    for batch in range(geomsim._FILL_BATCHES):
+    for batch in range(6):
         if not need.size:
             break
         m = (8 << batch) * n_ap
@@ -969,7 +983,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     block = engine.associate([stream], [(ap, dev)])
     tree = block.geometry[0].tree
     cells = np.arange(len(ap))
-    rho = engine._cell_polygon(block, cells)[3]
+    rho = engine._new_polygons(block, cells)[3]
     bounded = np.isfinite(rho)
     if len(ap) > geomsim._FILL_NEIGHBOURS:
         assert bounded.mean() > 0.5
@@ -997,7 +1011,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     dist, near = tree.query(pts)
     assert np.array_equal(near, cells[done])
     assert np.array_equal(own, dist**4)
-    d = engine._cell_polygon(block, cells[done])[0]
+    d = engine._new_polygons(block, cells[done])[0]
     x = pts - ap[cells[done]]
     if boundary == "torus":
         x -= engine.side * np.round(x / engine.side)
@@ -1023,7 +1037,7 @@ def _max_gap(d):
 
 
 def _vertex_radius(d):
-    """Reference for the radius of ``_Engine._cell_polygon`` from a cell's bisector
+    """Reference for the radius of ``_Engine._new_polygons`` from a cell's bisector
     displacements ``d`` (K, 2): the largest norm among the pairwise
     bisector intersections that satisfy every half-plane, nan when the
     directions leave an angular gap of pi or more (unbounded polygon)."""
@@ -1072,7 +1086,7 @@ def test_fill_leaves_no_cell_empty_and_bounds_disc_edge_cells(seed, boundary, lo
     # boundedness: the window's tangents bound every disc cell, including
     # the edge cells whose nearest APs all lie on one side of them
     cells = np.arange(len(ap))
-    rho = engine._cell_polygon(block, cells)[3]
+    rho = engine._new_polygons(block, cells)[3]
     assert np.all(np.isfinite(rho))
     _, nb = tree.query(ap, k=geomsim._FILL_NEIGHBOURS + 1)
     edge = _max_gap(ap[nb[:, 1:]] - ap[:, None]) >= math.pi
@@ -1202,7 +1216,7 @@ def test_cell_radius_matches_pairwise_vertex_reference(boundary):
         ap, dev = engine.deploy(stream)
         block = engine.associate([stream], [(ap, dev)])
         tree = block.geometry[0].tree
-        rho = engine._cell_polygon(block, np.arange(len(ap)))[3]
+        rho = engine._new_polygons(block, np.arange(len(ap)))[3]
         for cell, p in enumerate(ap):
             d = ap[tree.query(p, k=k + 1)[1][1:]] - p
             if boundary == "torus":
@@ -1228,7 +1242,7 @@ def test_local_fill_matches_rejection_sampling_in_law():
     ap, dev = engine.deploy(stream)
     block = engine.associate([stream], [(ap, dev)])
     tree = block.geometry[0].tree
-    bounded = np.isfinite(engine._cell_polygon(block, np.arange(len(ap)))[3])
+    bounded = np.isfinite(engine._new_polygons(block, np.arange(len(ap)))[3])
     # the bounded cell with the largest share of its area beyond 90% of its
     # farthest point from the AP, as a dense probe sees them
     dist, near = tree.query(engine.window.sample(RngStream(1, 0), 100_000))
@@ -1242,9 +1256,25 @@ def test_local_fill_matches_rejection_sampling_in_law():
     dist, near = tree.query(engine.window.sample(RngStream(2, 0), 1_200_000))
     reference = dist[near == cell] ** 4
     assert reference.size > 5000
-    done, _, own = engine._local_fill(_one(RngStream(3, 0), ap, engine.side), np.full(8000, cell))
+    done, _, own = _local_trials(engine, ap, cell)
     assert done.all()
     assert ks_2samp(own, reference).pvalue > 1e-3
+
+
+def _local_trials(engine, ap, cell, n=8000):
+    """``_local_fill`` of cell ``cell`` of the APs ``ap`` in ``n`` trials
+    with those APs, keyed (3, 0) to (3, n - 1): independent draws of the
+    local step, in blocks of 1,000 trials to bound the memory."""
+    got = []
+    for start in range(0, n, 1000):
+        ids = range(start, min(start + 1000, n))
+        block = geomsim._Block(
+            [RngStream(3, i) for i in ids],
+            [(ap, np.empty((0, 2)))] * len(ids),
+            [geomsim._Geometry(ap, engine.side) for _ in ids],
+        )
+        got.append(engine._local_fill(block, block.off[:-1] + cell))
+    return [np.concatenate(x) for x in zip(*got)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1300,7 +1330,9 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
     # draws are rejected: a disc edge cell, whose polygon reaches past the
     # window, and a torus cell cut by an AP beyond its twelve nearest.
     # Their own pathlosses follow those of window-uniform points in the
-    # cell.
+    # cell. About 13% of the candidates are rejected in both, so a cell
+    # misses all its four with probability about 0.13**4 (2 in 8,000) and is
+    # left to the fallback slices.
     from scipy.stats import ks_2samp
 
     from scipy.spatial import cKDTree
@@ -1311,7 +1343,7 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
         ap, dev = engine.deploy(stream)
         block = engine.associate([stream], [(ap, dev)])
         tree = block.geometry[0].tree
-        rho = engine._cell_polygon(block, np.arange(len(ap)))[3]
+        rho = engine._new_polygons(block, np.arange(len(ap)))[3]
         cell = int(np.argmax(np.hypot(ap[:, 0], ap[:, 1]) + rho))
         assert np.hypot(*ap[cell]) + rho[cell] > engine.window.radius
     else:
@@ -1330,14 +1362,18 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
         return fan(d, lo, hi, u)
 
     monkeypatch.setattr(geomsim, "_polygon_points", recording_fan)
-    done, pts, own = engine._local_fill(_one(RngStream(3, 0), ap, engine.side), np.full(8000, cell))
-    assert done.all()
+    done, pts, own = _local_trials(engine, ap, cell)
+    assert np.count_nonzero(~done) <= 8 and np.all(own[~done] == np.inf)
     assert sum(drawn) > 8000 * 1.05
+    pts, own = pts[done], own[done]
     assert ks_2samp(own, reference).pvalue > 1e-3
     # the points the polygon's neighbours certify, and those the k-d tree
-    # decides, are all in the cell, with the tree's own pathloss
+    # decides, are all in the cell (the part in the window), with the
+    # tree's own pathloss
     dist, near = tree.query(pts)
     assert np.all(near == cell) and np.array_equal(own, dist**4)
+    if case == "disc-edge":
+        assert np.all((pts * pts).sum(axis=1) <= engine.window.radius**2)
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -2087,6 +2123,70 @@ def test_a_sweep_queries_each_fallback_slice_once(monkeypatch, boundary):
             drawn.clear()
             assert geomsim._run_many(cfgs[order], workers) == alone[order]
             assert len(set(drawn)) == len(drawn) and set(drawn) == lone
+    assert _InlinePool.sizes == [3, 3]
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_a_sweep_computes_each_local_point_once(monkeypatch, boundary):
+    # In an automatically sized window every lambda_hat point deploys the
+    # same APs, and a cell's local outcome is a function of its trial alone,
+    # so the sweep computes each (trial, cell)'s polygon and local point at
+    # most once, whichever config asks first, and places fewer local
+    # candidates than the configs alone do together. At lambda_hat 0.2 the
+    # first batch runs no slice, so its local step makes the fill
+    # sub-stream; it runs before lambda_hat 10, whose slices then follow the
+    # local table, and, in the reverse order, after it. Every result stays
+    # bit for bit that of the config alone, in process and over three
+    # inline workers.
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfgs = _sweep_cfgs("lambda_hat", (0.2, 1.0, 10.0), trials=6, master_seed=47, boundary=boundary)
+    assert geomsim._sharing_groups(cfgs) == [[0, 1, 2]]
+    new_polygons, computed = geomsim._Engine._new_polygons, []
+
+    def counting(self, block, cells):
+        trial = block.trial[cells]
+        ids = [block.streams[t].stream_id for t in trial]
+        computed.extend(zip(ids, (cells - block.off[trial]).tolist()))
+        return new_polygons(self, block, cells)
+
+    monkeypatch.setattr(geomsim._Engine, "_new_polygons", counting)
+    fan, placed = geomsim._polygon_points, []
+
+    def placing(d, lo, hi, u):
+        placed.append(len(u))
+        return fan(d, lo, hi, u)
+
+    monkeypatch.setattr(geomsim, "_polygon_points", placing)
+    drawn = _counting_shared_slices(monkeypatch)
+    shared_fill, first_batch = geomsim._Engine._shared_fill, []
+
+    def recording(self, block, needed, stop, slices):
+        before = len(drawn)
+        got = shared_fill(self, block, needed, stop, slices)
+        if slices < geomsim._FILL_SLICES:
+            first_batch.extend(drawn[before:])
+        return got
+
+    monkeypatch.setattr(geomsim._Engine, "_shared_fill", recording)
+    alone, lone = [], set()
+    for cfg in cfgs:
+        computed.clear()
+        first_batch.clear()
+        alone.append(run_trials(cfg))
+        assert computed and len(set(computed)) == len(computed)
+        assert (not first_batch) == (cfg is cfgs[0])
+        lone |= set(computed)
+    placed_alone = sum(placed)
+    for workers in (1, 3):
+        for order in (slice(None), slice(None, None, -1)):
+            computed.clear()
+            placed.clear()
+            assert geomsim._run_many(cfgs[order], workers) == alone[order]
+            assert len(set(computed)) == len(computed) and set(computed) == lone
+            assert sum(placed) < placed_alone and sum(placed) <= geomsim._LOCAL_DRAWS * len(lone)
     assert _InlinePool.sizes == [3, 3]
 
 
