@@ -10,7 +10,8 @@ the scenario, with its default and its rules; ``SimConfig`` is those
 settings plus a scenario. A sweep carries one ``SimSettings`` and builds a
 ``SimConfig`` at each grid point.
 
-A trial runs five stages, each drawing from the trial's stream in turn:
+A trial runs five stages, each drawing from the trial's stream in turn
+(in the parts the determinism contract below lays out):
 
 1. *deploy*: AP count and positions, then device count and positions;
 2. *associate*: shadowing of every device-AP pair (when enabled), then
@@ -41,31 +42,46 @@ scales its points back to the configured window.
 Runs are range-major (``_simulate_range``): each pool task, or the one
 in-process call, takes a range of trial indices through every config of
 a group (``_sharing_groups``: the configs whose trials can deploy the
-same APs), a chunk of trials at a time. Within a chunk, trial ``i``'s k-d
-tree and the per-cell record of its unshadowed fill (each cell's local
-point or miss, and the first hits of the global slices) are kept in a
-store (``_Geometry``) that a later config reuses when it deploys
-bit-identical APs, as every point of a sweep over AP density does in an
-automatically sized window. Only functions of the APs and of the trial's
-key are shared: every candidate of the unshadowed fill, local or global,
-comes from the trial's fill sub-stream, not from a config's draws, and
-each config applies its own rule to the shared record. Every config still
-draws and runs every trial. The store lives for one chunk of one call and
-holds at most about ``_BLOCK_POINTS`` expected APs.
+same APs), a chunk of trials at a time. Within a chunk, trial ``i``'s
+geometry (``_Geometry``) is kept in a store that a later config reuses
+when it deploys bit-identical APs, as every point of a sweep over AP
+density does in an automatically sized window. The geometry holds the
+k-d tree, the per-cell record of the unshadowed fill (each cell's local
+point or miss, and the first hits of the global slices) and the record
+of the devices associated so far (each one's serving cell, own and cross
+pathloss). Only functions of the APs and of the trial's key are shared:
+every candidate of the unshadowed fill, local or global, comes from the
+trial's fill sub-stream, and device j's position is the same in every
+config that deploys it, so a config with fewer devices reads the
+record's first ones and one with more associates only the rest. Each
+config applies its own rule to the shared records. Every config still
+draws and runs every trial. The store lives for one chunk of one call;
+a chunk holds at most about ``_BLOCK_POINTS`` expected APs, and at most
+``_CHUNK_BLOCKS * _BLOCK_POINTS`` expected APs and devices of the group's
+heaviest config (``_chunk_size``).
 
 Determinism contract: trial ``i`` always consumes the random stream keyed
 ``(master_seed, i)``, drawing in that stage order with the sizes it would
 draw alone, and sums its own interference, so its result does not depend on
 the other trials of its block, and results are bit-identical whatever the
-worker count and whichever configs run together. The one exception is the
-unshadowed fill, which draws nothing from that stream: its candidates, the
-local step's table first and then the global slices, come from the same
-key's sub-stream (``RngStream.substream``), a function of the trial alone,
-so a config reads the same candidates whether it draws them or a config
-before it did. The draws that fix the
-load (AP count and positions, device count and positions, shadowing) all
-come before scheduling, so ``run_loads`` runs only deploy and associate and
-still returns the loads ``run_trials`` sees.
+worker count and whichever configs run together. The key's Philox counter
+space is cut into parts, each far too long to reach the next
+(``RngStream.seek``):
+
+* part 0: the AP count, the AP positions and the device count;
+* part 1: the unshadowed fill's sub-stream (``RngStream.substream``), the
+  local step's table first and then the global slices, so a config reads
+  the same candidates whether it draws them or a config before it did;
+* part 2: the device positions, then every later draw of the trial in
+  stage order (shadowing normals, schedule picks, shadowed fill slices,
+  fades).
+
+The device positions thus start at a fixed place whatever the counts
+drew, and both windows' ``sample`` is prefix-nested, so device j's
+position is a function of ``(master_seed, i, j)`` alone. The draws that
+fix the load (AP count and positions, device count and positions,
+shadowing) all come before scheduling, so ``run_loads`` runs only deploy
+and associate and still returns the loads ``run_trials`` sees.
 Without shadowing it does not even associate every device: it counts the
 typical cell's devices for a block of trials at once, inside the polygon
 its neighbours' bisectors cut out (``_Engine.typical_loads``), and leaves
@@ -252,6 +268,16 @@ _LN10 = math.log(10.0)
 # smaller still. A run's geometry store holds one chunk of a sharing group,
 # whose configs expect the same AP count: at most this many expected APs.
 _BLOCK_POINTS = 2**14
+# A sharing group's chunk (_chunk_size) holds at most this many blocks'
+# worth of the expected APs and devices of its heaviest config: its store
+# keeps that config's device records for every trial of the chunk. On a
+# lambda_hat 0.01-1000 sweep in auto windows (11 points, 108 trials, seed
+# 5, in-process; 2 CPUs, numpy 2.4), a chunk as large as the lightest
+# config's block (108 trials) held up to 15,000 devices for each of them
+# and raised peak RSS from 77 to 140 MB; capped at 8 blocks (8 trials
+# there), it read 78 MB. The density_sweep workload's heaviest point
+# (lambda_hat 0.1) still takes its 64 trials in one chunk of 79.
+_CHUNK_BLOCKS = 8
 # a cell that no shared global-slice candidate has hit yet (``_Geometry``)
 _NO_HIT = np.iinfo(np.intp).max
 # relative margin on squared distances by which the block count decides a
@@ -287,6 +313,9 @@ class TorusWindow:
         return np.array([self.radius, self.radius])
 
     def sample(self, stream: RngStream, n: int) -> np.ndarray:
+        """``n`` points uniform in the square, point j from uniforms 2j and
+        2j + 1, so that ``n`` points are the first ``n`` of any larger draw
+        from the same place in the stream."""
         return stream.uniform((n, 2)) * self.side
 
 
@@ -308,8 +337,12 @@ class DiscWindow:
         return np.zeros(2)
 
     def sample(self, stream: RngStream, n: int) -> np.ndarray:
-        r = self.radius * np.sqrt(stream.uniform(n))
-        theta = 2.0 * math.pi * stream.uniform(n)
+        """``n`` points uniform in the disc, point j from uniforms 2j (its
+        radius) and 2j + 1 (its angle), so that ``n`` points are the first
+        ``n`` of any larger draw from the same place in the stream."""
+        u = stream.uniform((n, 2))
+        r = self.radius * np.sqrt(u[:, 0])
+        theta = 2.0 * math.pi * u[:, 1]
         return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
@@ -614,9 +647,10 @@ class SimSummary:
 class _Geometry:
     """What one trial's deployed APs and its key fix, whatever else its
     config says: the APs' k-d tree (on a torus of side ``side``, or
-    unbounded for None) and the per-cell record of the unshadowed fill,
+    unbounded for None), the per-cell record of the unshadowed fill,
     whose candidates all come from the trial's fill sub-stream
-    (``RngStream.substream``).
+    (``RngStream.substream``), and the record of its devices' unshadowed
+    association (``devices``).
 
     The sub-stream is made the first time the fill asks for it
     (``record``), by a global slice or by the local step, and at once
@@ -633,10 +667,18 @@ class _Geometry:
     yet and inf for one that all its candidates missed. Only these per-cell
     arrays are kept, not the slices or the cell polygons.
 
+    The device record holds the devices associated so far, ``dev`` (None
+    before the first), the typical device at index 0, with each one's
+    serving cell ``dev_cell``, own pathloss ``dev_own`` and cross pathloss
+    ``dev_cross`` to the typical device's cell. A config's devices are a
+    prefix of a config's with more (``_Engine.deploy``), so the record
+    grows to the most devices any config deploys, and each is associated
+    once.
+
     A store maps the trial indices of one master seed to their geometry
     (``shared``). A run keeps one store per chunk of trials and sharing
     group, so a config whose trial deploys the APs another config's trial
-    deployed reuses its tree and its fill record.
+    deployed reuses its tree, its fill record and its device record.
     """
 
     def __init__(self, ap: np.ndarray, side: float | None):
@@ -647,6 +689,7 @@ class _Geometry:
         self.substream, self.slices = None, 0
         self.first = np.full(len(ap), _NO_HIT)
         self.point, self.own = np.empty((len(ap), 2)), np.empty(len(ap))
+        self.dev = None
 
     @classmethod
     def shared(cls, store: dict, index: int, ap: np.ndarray, side: float | None) -> _Geometry:
@@ -679,6 +722,45 @@ class _Geometry:
         k = self.first[got] - base
         self.point[got], self.own[got] = cand[k], own[k]
         self.slices += 1
+
+    def devices(self, dev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unshadowed association of the trial's devices ``dev``, the
+        typical device first: each one's serving cell (of this trial), own
+        pathloss ``dist**4`` and cross pathloss to the typical device's cell
+        ``a0``, from the device record.
+
+        The record holds the devices associated so far, ``dev`` with their
+        ``dev_cell``, ``dev_own`` and ``dev_cross``. When it agrees with
+        ``dev`` over their common length (``np.array_equal``), it returns
+        its first ``len(dev)`` entries, after associating and appending the
+        devices past its end, if any; otherwise it associates every device
+        and is replaced. Deploy makes a trial's devices prefix-nested, so a
+        sweep's configs find the record in agreement and each (trial,
+        device) goes to the k-d tree once. A first call stores its arrays
+        as they are. Draws nothing."""
+        held = 0 if self.dev is None else len(self.dev)
+        common = min(held, len(dev))
+        if held and np.array_equal(self.dev[:common], dev[:common]):
+            if held < len(dev):
+                new = self._associate(dev[held:], self.dev_cell[0])
+                self.dev = np.concatenate([self.dev, dev[held:]])
+                self.dev_cell, self.dev_own, self.dev_cross = (
+                    np.concatenate(pair)
+                    for pair in zip((self.dev_cell, self.dev_own, self.dev_cross), new)
+                )
+        else:
+            self.dev = dev
+            self.dev_cell, self.dev_own, self.dev_cross = self._associate(dev)
+        n = len(dev)
+        return self.dev_cell[:n], self.dev_own[:n], self.dev_cross[:n]
+
+    def _associate(self, points: np.ndarray, a0: int | None = None):
+        """Each of ``points``' nearest AP (k-d tree), own pathloss and
+        cross pathloss to AP ``a0`` (the first point's nearest when None)."""
+        dist, cell = self.tree.query(points)
+        cross = _sq_dist(points, self.ap[cell[0] if a0 is None else a0], self.side)
+        cross *= cross
+        return cell, dist**4, cross
 
 
 class _Block:
@@ -727,10 +809,12 @@ class _Block:
         return slice(int(self.off[t]), int(self.off[t + 1]))
 
     def serve(self, points: np.ndarray, parts: list) -> tuple[np.ndarray, np.ndarray]:
-        """Unshadowed association of joined ``points``, trial ``t``'s at
-        ``[lo, hi)`` for each ``(t, lo, hi)`` in ``parts``: each point's
-        nearest AP of its trial (one k-d tree query per trial), as a cell of
-        the block, and its own pathloss ``dist**4``. Draws nothing."""
+        """Unshadowed association of joined fill candidates ``points``,
+        trial ``t``'s at ``[lo, hi)`` for each ``(t, lo, hi)`` in
+        ``parts``: each point's nearest AP of its trial (one k-d tree query
+        per trial), as a cell of the block, and its own pathloss
+        ``dist**4``. The devices go through their trial's device record
+        instead (``_Geometry.devices``). Draws nothing."""
         serving = np.empty(len(points), dtype=np.intp)
         dist = np.empty(len(points))
         for t, lo, hi in parts:
@@ -815,7 +899,15 @@ class _Engine:
         the window center. The AP count is Poisson conditioned on being
         positive: a Poisson draw of 0 is replaced by a zero-truncated Poisson
         count, by inverse CDF from one uniform, not redrawn (which takes
-        about 1/mean draws when the mean is tiny)."""
+        about 1/mean draws when the mean is tiny).
+
+        The AP count, the AP positions and the device count come from the
+        start of ``stream`` (part 0). The device positions start part 2
+        (``RngStream.seek``), and every later draw of the trial follows
+        them there. How many uniforms the counts take depends on their
+        means, but the device positions do not: device j's position is a
+        function of the trial's key and j alone, so a config with n
+        devices deploys the first n of any config with more."""
         mean = self.expected_aps
         n_ap = stream.poisson(mean)
         if n_ap == 0:
@@ -829,6 +921,7 @@ class _Engine:
                 cdf += term
         ap = self.window.sample(stream, n_ap)
         n_dev = stream.poisson(self.expected_devs)
+        stream.seek(2)
         dev = np.empty((n_dev + 1, 2))
         dev[0] = self.center
         dev[1:] = self.window.sample(stream, n_dev)
@@ -842,11 +935,12 @@ class _Engine:
         Each trial takes its ``_Geometry`` from ``store`` (a new store when
         None), keyed by its stream id, the trial index, so it builds its AP
         k-d tree only when the store has none for its APs (the shadowed fill
-        screens with the tree too). Without shadowing the block serves every
-        device at once (``_Block.serve``), and the cross pathlosses follow
-        from the distances; with it, each trial in turn draws its normals
-        and serves its devices (``_serve``), its pathloss matrix freed
-        before the next is built.
+        screens with the tree too). Without shadowing each trial's serving
+        cells, own and cross pathlosses come from its geometry's device
+        record (``_Geometry.devices``), which sends to the k-d tree only the
+        devices no config of the store has associated yet; with shadowing,
+        each trial in turn draws its normals and serves its devices
+        (``_serve``), its pathloss matrix freed before the next is built.
         """
         store = {} if store is None else store
         geometry = [
@@ -856,21 +950,20 @@ class _Engine:
         block = _Block(streams, deployed, geometry)
         dev = block.dev
         starts = np.cumsum([0] + [len(d) for _, d in deployed])
-        parts = list(zip(range(len(deployed)), starts[:-1], starts[1:]))
         if self.sigma_scale is None:
-            serving, own = block.serve(dev, parts)
-            block.a0 = serving[starts[:-1]]
-            cross = self._pathloss(dev, np.repeat(block.ap[block.a0], np.diff(starts), axis=0))
+            rows = [g.devices(d) for g, (_, d) in zip(geometry, deployed)]
+            cell, own, cross = (np.concatenate(x) for x in zip(*rows))
+            serving = cell + np.repeat(block.off[:-1], np.diff(starts))
         else:
             serving = np.empty(len(dev), dtype=np.intp)
             own, cross = np.empty(len(dev)), np.empty(len(dev))
-            for (t, lo, hi), (ap, _) in zip(parts, deployed):
+            for t, (lo, hi, (ap, _)) in enumerate(zip(starts, starts[1:], deployed)):
                 cell, own[lo:hi], pathloss = self._serve(
                     dev[lo:hi], ap, streams[t].normal((hi - lo, len(ap)))
                 )
                 serving[lo:hi] = cell + block.off[t]
                 cross[lo:hi] = pathloss[:, cell[0]]
-            block.a0 = serving[starts[:-1]]
+        block.a0 = serving[starts[:-1]]
         block.serving, block.own, block.cross = serving, own, cross
         block.counts = np.bincount(serving, minlength=len(block.ap))
         return block
@@ -1384,17 +1477,15 @@ def _simulate_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[tuple]:
     per config.
 
     Each group of ``_sharing_groups`` runs on its own, a chunk of trials at
-    a time, each chunk through every config of the group in turn, in the
-    blocks of ``_Engine.blocks`` (``_Engine.trials``). A chunk is as many
-    trials as the group's largest block. The chunk's trials share one
-    ``_Geometry`` store, dropped when the chunk is done. The group's configs
-    expect the same AP count, so the store holds about as many APs as the
-    block of the group's lightest config: at most ``_BLOCK_POINTS`` expected.
+    a time (``_chunk_size``), each chunk through every config of the group
+    in turn, in the blocks of ``_Engine.blocks`` (``_Engine.trials``). The
+    chunk's trials share one ``_Geometry`` store, dropped when the chunk is
+    done.
     """
     engines = [_Engine(cfg) for cfg in cfgs]
     runs = [([], [], []) for _ in cfgs]
     for group in _sharing_groups(cfgs):
-        chunk = max(engines[k].block_size for k in group)
+        chunk = _chunk_size([engines[k] for k in group])
         for start in range(lo, min(hi, max(cfgs[k].trials for k in group)), chunk):
             store = {}
             for k in group:
@@ -1405,6 +1496,21 @@ def _simulate_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[tuple]:
                     used.append(block_used)
                     loads.append(block.loads)
     return [tuple(map(np.concatenate, run)) for run in runs]
+
+
+def _chunk_size(engines: list[_Engine]) -> int:
+    """Trials in one chunk of the sharing group whose configs run on
+    ``engines``: the group's largest block, but at most as many trials as
+    hold ``_CHUNK_BLOCKS * _BLOCK_POINTS`` expected APs and devices of its
+    heaviest config, and at least one.
+
+    The group's configs expect the same AP count, so a chunk's store holds
+    about as many APs as the block of the lightest config, at most
+    ``_BLOCK_POINTS`` expected. Its device records hold the devices of the
+    heaviest config for every trial of the chunk, which the cap bounds."""
+    heaviest = max(1.0 + e.expected_aps + e.expected_devs for e in engines)
+    cap = max(1, int(_CHUNK_BLOCKS * _BLOCK_POINTS / heaviest))
+    return min(max(e.block_size for e in engines), cap)
 
 
 def _load_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[np.ndarray]:

@@ -20,6 +20,10 @@ import numpy as np
 from .analytic import _as_index, _require_finite
 from .errors import BracketError, ModelDomainError
 
+# Philox's buffer of a stream that has drawn nothing from its current block
+# (RngStream.seek); the state setter copies it.
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
 
 class RngStream:
     """Deterministic random stream keyed by ``(master_seed, stream_id)``.
@@ -38,8 +42,24 @@ class RngStream:
                 f"(got {master_seed!r}, {stream_id!r})"
             )
         self.master_seed, self.stream_id = seed, sid
-        key = np.array([seed, sid], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._key = np.array([seed, sid], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=self._key))
+
+    def seek(self, part: int) -> None:
+        """Move this stream to the start of part ``part`` of its key: the
+        Philox counter becomes ``(0, 0, 0, part)`` and the buffered bits are
+        dropped, however far the stream has drawn. Part 0 is where the
+        stream starts and part 1 its ``substream``; each part would need
+        2**192 blocks to reach the next. One state assignment, about 1.2 us
+        (a new Philox costs about 9 us; timeit, 2 CPUs)."""
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, part), "key": self._key},
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def substream(self) -> RngStream:
         """A second stream of the same key: Philox with the counter's top
@@ -48,8 +68,7 @@ class RngStream:
         on the key alone, not on how far this stream has drawn, and making
         or drawing from it leaves this stream's draws unchanged."""
         sub = copy.copy(self)
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        sub._gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 1]))
+        sub._gen = np.random.Generator(np.random.Philox(key=self._key, counter=[0, 0, 0, 1]))
         return sub
 
     def uniform(self, size=None):

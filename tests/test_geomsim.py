@@ -71,6 +71,21 @@ def test_disc_window_geometry():
     np.testing.assert_array_equal(win.center, [0.0, 0.0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    a=st.integers(0, 40),
+    b=st.integers(0, 40),
+    window=st.sampled_from([TorusWindow(0.5), TorusWindow(3.0), DiscWindow(1.0), DiscWindow(7.5)]),
+)
+def test_window_samples_are_prefix_nested(seed, a, b, window):
+    # a points then b points from one place in a stream are the a + b
+    # points drawn at once there
+    first, second = RngStream(seed, 0), RngStream(seed, 0)
+    split = np.concatenate([window.sample(first, a), window.sample(first, b)])
+    assert np.array_equal(split, window.sample(second, a + b))
+
+
 @pytest.mark.parametrize("window", [TorusWindow, DiscWindow])
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, True])
 def test_windows_reject_a_bad_radius(window, radius):
@@ -108,6 +123,25 @@ def test_deploy_deterministic():
     np.testing.assert_array_equal(ap_a, ap_b)
     np.testing.assert_array_equal(dev_a, dev_b)
     assert streams[0].uniform() == streams[1].uniform()
+
+
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_configs_of_one_group_deploy_nested_devices(boundary):
+    # How many draws the device count takes depends on its mean, but the
+    # device positions start part 2 of the trial's stream, so two configs of
+    # one group deploy the same APs and devices that agree on their common
+    # prefix
+    cfgs = _sweep_cfgs("lambda_hat", (0.5, 2.0), trials=20, master_seed=61, boundary=boundary)
+    assert geomsim._sharing_groups(cfgs) == [[0, 1]]
+    many, few = (geomsim._Engine(cfg) for cfg in cfgs)
+    for i in range(20):
+        (ap_a, dev_a), (ap_b, dev_b) = many.deploy(RngStream(61, i)), few.deploy(RngStream(61, i))
+        assert np.array_equal(ap_a, ap_b)
+        assert len(dev_a) > len(dev_b) > 1
+        assert np.array_equal(dev_a[: len(dev_b)], dev_b)
+        at_part_two = RngStream(61, i)
+        at_part_two.seek(2)
+        assert np.array_equal(dev_b[1:], few.window.sample(at_part_two, len(dev_b) - 1))
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
@@ -1377,6 +1411,31 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")
+def test_the_last_local_candidate_is_tested_before_it_is_kept(monkeypatch):
+    # With one local candidate per cell, every candidate is the last: on a
+    # disc edge cell, whose polygon reaches past the window, about one in
+    # eight misses. Each kept point lies in the window and in the cell, with
+    # the k-d tree's own pathloss; each miss keeps no point (own pathloss
+    # inf) and is left to the fallback slices.
+    monkeypatch.setattr(geomsim, "_LOCAL_DRAWS", 1)
+    engine = geomsim._Engine(small_cfg(boundary="disc"))
+    stream = RngStream(CANONICAL_SEED, 0)
+    ap, dev = engine.deploy(stream)
+    block = engine.associate([stream], [(ap, dev)])
+    tree = block.geometry[0].tree
+    rho = engine._new_polygons(block, np.arange(len(ap)))[3]
+    cell = int(np.argmax(np.hypot(ap[:, 0], ap[:, 1]) + rho))
+    assert np.hypot(*ap[cell]) + rho[cell] > engine.window.radius
+    done, pts, own = _local_trials(engine, ap, cell, n=2000)
+    assert 0.05 < np.mean(~done) < 0.3
+    assert np.all(own[~done] == np.inf)
+    pts, own = pts[done], own[done]
+    assert np.all((pts * pts).sum(axis=1) <= engine.window.radius**2)
+    dist, near = tree.query(pts)
+    assert np.all(near == cell) and np.array_equal(own, dist**4)
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
 def test_fill_interference_matches_full_batch_rule():
     # Per-trial total interference at the tagged AP from every fill point:
     # global slices, local draws and fallback slices under the engine's
@@ -1960,11 +2019,15 @@ def _sweep_cfgs(axis, grid, **settings):
 
 
 # a lambda_hat grid in an automatically sized window, whose points deploy
-# the same APs; an r_min grid, whose points deploy the same trials (plus a
-# config with fewer trials); a lambda_hat grid in a fixed window, whose
-# points draw different AP counts
+# the same APs and prefix-nested devices (at lambda_hat 30, about 5 devices,
+# the device count takes a number of uniforms that varies with the count,
+# so devices drawn right after it would not be nested); an r_min grid, whose
+# points deploy the same trials (plus a config with fewer trials); a
+# lambda_hat grid in a fixed window, whose points draw different AP counts
 _SHARING_CASES = {
-    "lambda_hat_auto": lambda **s: _sweep_cfgs("lambda_hat", (0.1, 1.0, 10.0, 1000.0), **s),
+    "lambda_hat_auto": lambda **s: _sweep_cfgs(
+        "lambda_hat", (0.1, 1.0, 10.0, 30.0, 1000.0), **s
+    ),
     "r_min": lambda **s: _sweep_cfgs("r_min", (0.0625, 0.125, 0.5), **s)
     + [replace(_sweep_cfgs("r_min", (0.25,), **s)[0], trials=3)],
     "lambda_hat_fixed": lambda **s: _sweep_cfgs(
@@ -2190,6 +2253,61 @@ def test_a_sweep_computes_each_local_point_once(monkeypatch, boundary):
     assert _InlinePool.sizes == [3, 3]
 
 
+def _counting_devices(monkeypatch) -> dict:
+    """Count, by trial index, the device points that the device records of
+    the trials' geometries send to the k-d tree from now on."""
+    shared, associate = geomsim._Geometry.shared.__func__, geomsim._Geometry._associate
+    # every geometry made, kept alive so that no id is reused
+    owner, sent = {}, {}
+
+    def sharing(cls, store, index, ap, side):
+        geometry = shared(cls, store, index, ap, side)
+        owner[id(geometry)] = (geometry, index)
+        return geometry
+
+    def counting(self, points, a0=None):
+        index = owner[id(self)][1]
+        sent[index] = sent.get(index, 0) + len(points)
+        return associate(self, points, a0)
+
+    monkeypatch.setattr(geomsim._Geometry, "shared", classmethod(sharing))
+    monkeypatch.setattr(geomsim._Geometry, "_associate", counting)
+    return sent
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+@pytest.mark.parametrize("boundary", ["torus", "disc"])
+def test_a_sweep_associates_each_device_once(monkeypatch, boundary):
+    # A lambda_hat grid in an automatically sized window and an r_min grid
+    # deploy each trial's APs and prefix-nested devices at every point, so
+    # the sweep sends each (trial, device) to the k-d tree once: per trial,
+    # the devices of the config with the most, typical device included. In
+    # the reverse order the lambda_hat configs append to the record. Every
+    # result stays bit for bit that of the config alone, in process and
+    # over three inline workers.
+    monkeypatch.setattr(geomsim.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    sweeps = [
+        _sweep_cfgs("lambda_hat", (0.2, 1.0, 10.0), trials=6, master_seed=53, boundary=boundary),
+        _sweep_cfgs("r_min", (0.0625, 0.125, 0.5), trials=6, master_seed=53, boundary=boundary),
+    ]
+    sent = _counting_devices(monkeypatch)
+    for cfgs in sweeps:
+        assert geomsim._sharing_groups(cfgs) == [[0, 1, 2]]
+        engines = [geomsim._Engine(cfg) for cfg in cfgs]
+        most = {
+            i: max(len(e.deploy(RngStream(53, i))[1]) for e in engines) for i in range(6)
+        }
+        alone = [run_trials(cfg) for cfg in cfgs]
+        for workers in (1, 3):
+            for order in (slice(None), slice(None, None, -1)):
+                sent.clear()
+                assert geomsim._run_many(cfgs[order], workers) == alone[order]
+                assert sent == most
+    assert _InlinePool.sizes == [3, 3, 3, 3]
+
+
 def _recording_stores(monkeypatch) -> list:
     """Record, after every block ``_Engine.trials`` runs, its store and the
     trial indices and AP count the store then holds."""
@@ -2213,7 +2331,7 @@ def test_geometry_store_holds_at_most_one_chunk(monkeypatch, block_trials):
     assert geomsim._sharing_groups(cfgs) == [[0, 1, 2]]
     points = max(1.0 + e.expected_aps + e.expected_devs for e in map(geomsim._Engine, cfgs))
     monkeypatch.setattr(geomsim, "_BLOCK_POINTS", (block_trials + 0.5) * points)
-    chunk = max(geomsim._Engine(cfg).block_size for cfg in cfgs)
+    chunk = geomsim._chunk_size([geomsim._Engine(cfg) for cfg in cfgs])
     assert chunk >= block_trials
     seen = _recording_stores(monkeypatch)
     geomsim._run_many(cfgs, 1)
@@ -2237,10 +2355,42 @@ def test_geometry_store_of_a_mixed_run_stays_near_the_block_budget(monkeypatch):
     budget = 2.5 * (1.0 + engines[1].expected_aps + engines[1].expected_devs)
     monkeypatch.setattr(geomsim, "_BLOCK_POINTS", budget)
     assert [e.block_size for e in engines] == [84, 2]
+    assert [geomsim._chunk_size([e]) for e in engines] == [84, 2]
     seen = _recording_stores(monkeypatch)
     geomsim._run_many(cfgs, 1)
     assert len(seen) == 1 + 3
     assert max(aps for _, _, aps in seen) <= budget
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_geometry_store_of_a_sweep_with_many_devices_stays_under_its_chunk_bound(monkeypatch):
+    # In an automatically sized window a lambda_hat sweep is one group, and
+    # its store keeps the heaviest config's devices for every trial of a
+    # chunk. The lightest config's block would hold 22 trials of those, so
+    # the chunk is capped at 16, whose APs and devices stay under
+    # _CHUNK_BLOCKS * _BLOCK_POINTS
+    cfgs = _sweep_cfgs("lambda_hat", (0.1, 1.0, 1000.0), trials=40, master_seed=59)
+    assert geomsim._sharing_groups(cfgs) == [[0, 1, 2]]
+    engines = [geomsim._Engine(cfg) for cfg in cfgs]
+    heaviest = 1.0 + engines[0].expected_aps + engines[0].expected_devs
+    monkeypatch.setattr(geomsim, "_BLOCK_POINTS", 2.1 * heaviest)
+    assert [e.block_size for e in engines] == [2, 11, 22]
+    chunk = geomsim._chunk_size(engines)
+    assert chunk == 16
+    run, seen = geomsim._Engine.trials, []
+
+    def recording(self, indices, store):
+        result = run(self, indices, store)
+        held = sum(len(g.ap) + len(g.dev) for g in store.values())
+        seen.append((store, set(store), held))
+        return result
+
+    monkeypatch.setattr(geomsim._Engine, "trials", recording)
+    geomsim._run_many(cfgs, 1)
+    assert len({id(store) for store, _, _ in seen}) == -(-40 // chunk)
+    assert all(len(trials) <= chunk for _, trials, _ in seen)
+    most = max(points for _, _, points in seen)
+    assert chunk * (heaviest - 1.0) * 0.9 < most <= geomsim._CHUNK_BLOCKS * geomsim._BLOCK_POINTS
 
 
 @pytest.mark.filterwarnings("ignore:window holds only")

@@ -228,3 +228,41 @@ def test_substreams_of_other_keys_differ():
     a = RngStream(123, 7).substream().uniform(5)
     assert not np.array_equal(a, RngStream(123, 8).substream().uniform(5))
     assert not np.array_equal(a, RngStream(124, 7).substream().uniform(5))
+
+
+def _philox_at(seed, stream_id, part):
+    """A fresh generator on the key ``(seed, stream_id)`` with its counter at
+    the start of part ``part``."""
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, part]))
+
+
+@pytest.mark.parametrize("part", [0, 1, 2, 5])
+@pytest.mark.parametrize("drawn", ["nothing", "poisson", "partial_buffer", "uint32"])
+def test_seek_starts_the_part_whatever_the_stream_drew(drawn, part):
+    # Philox draws 64-bit words four to a block and may keep half a word for
+    # a 32-bit draw; seek drops both, so the stream draws what a fresh
+    # Philox at counter (0, 0, 0, part) draws
+    stream = RngStream(123, 7)
+    if drawn == "poisson":
+        stream.poisson(4.0)
+    elif drawn == "partial_buffer":
+        stream.uniform(1)
+    elif drawn == "uint32":
+        stream.integers(0, 5)
+        assert stream._gen.bit_generator.state["has_uint32"] == 1
+    stream.seek(part)
+    want = _philox_at(123, 7, part)
+    assert stream.uniform(3).tolist() == want.random(3).tolist()
+    assert stream.integers(0, 5, size=3).tolist() == want.integers(0, 5, size=3).tolist()
+    assert stream.normal(3).tolist() == want.standard_normal(3).tolist()
+    assert stream.poisson(4.0) == int(want.poisson(4.0))
+
+
+def test_seek_to_part_one_draws_the_substream():
+    stream = RngStream(2**64 - 1, 3)
+    want = stream.substream().uniform(4)
+    stream.normal(7)
+    stream.seek(1)
+    assert np.array_equal(stream.uniform(4), want)
+
