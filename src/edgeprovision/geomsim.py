@@ -39,13 +39,16 @@ through the expected AP and device counts. The link uses only ratios of
 pathlosses, which do not depend on the scale, so only ``simulate_trial``
 scales its points back to the configured window.
 
-Runs are range-major (``_simulate_range``): each pool task, or the one
-in-process call, takes a range of trial indices through every config of
-a group (``_sharing_groups``: the configs whose trials can deploy the
-same APs), a chunk of trials at a time. Within a chunk, trial ``i``'s
-geometry (``_Geometry``) is kept in a store that a later config reuses
-when it deploys bit-identical APs, as every point of a sweep over AP
-density does in an automatically sized window. The geometry holds the
+Runs are range-major (``_simulate_range``): ``_map_ranges`` decides the
+groups once per run (``_sharing_groups``: the configs with the same
+boundary, master seed and expected AP count, which is the Poisson mean
+the AP count is drawn from, so all of them deploy bit-identical APs for
+trial ``i``, as every point of a sweep over AP density does in an
+automatically sized window). Each pool task, or each in-process call,
+takes a range of trial indices through every config of one group, a
+chunk of trials at a time. Within a chunk, trial ``i``'s geometry
+(``_Geometry``) is kept in a store that every later config of the group
+reuses as it is, with no check of the APs. The geometry holds the
 k-d tree, the per-cell record of the unshadowed fill (each cell's local
 point or miss, and the first hits of the global slices) and the record
 of the devices associated so far (each one's serving cell, own and cross
@@ -607,6 +610,15 @@ def _auto_radius(dep: DeploymentConfig, boundary: str) -> float:
     return math.sqrt(area / math.pi)
 
 
+def _expected_aps(cfg: SimConfig) -> float:
+    """Expected AP count of ``cfg``'s window, to 12 significant digits: the
+    mean of every trial's AP count (``_Engine.expected_aps``) and the key of
+    its sharing group (``_sharing_groups``). The rounding keeps the last
+    bits of an automatically sized window's area out of both, so that every
+    config of a group draws its trials' APs from the same mean."""
+    return float(f"{cfg.scenario.deployment.lambda_ap * cfg.window.area:.12g}")
+
+
 @dataclass(frozen=True, eq=False)
 class TrialRealization:
     """One sampled network snapshot and its derived link quantities.
@@ -667,18 +679,19 @@ class _Geometry:
     yet and inf for one that all its candidates missed. Only these per-cell
     arrays are kept, not the slices or the cell polygons.
 
-    The device record holds the devices associated so far, ``dev`` (None
-    before the first), the typical device at index 0, with each one's
-    serving cell ``dev_cell``, own pathloss ``dev_own`` and cross pathloss
+    The device record holds, for the devices associated so far (the
+    typical device first), each one's serving cell ``dev_cell`` (None
+    before the first), own pathloss ``dev_own`` and cross pathloss
     ``dev_cross`` to the typical device's cell. A config's devices are a
     prefix of a config's with more (``_Engine.deploy``), so the record
     grows to the most devices any config deploys, and each is associated
     once.
 
-    A store maps the trial indices of one master seed to their geometry
-    (``shared``). A run keeps one store per chunk of trials and sharing
-    group, so a config whose trial deploys the APs another config's trial
-    deployed reuses its tree, its fill record and its device record.
+    A store maps the trial indices of one sharing group (``_sharing_groups``)
+    to their geometry. Every config of a group deploys the same APs for
+    trial ``i``, so a config reuses the tree, the fill record and the
+    device record that the group's first config to run trial ``i`` built.
+    A run keeps one store per chunk of trials and group.
     """
 
     def __init__(self, ap: np.ndarray, side: float | None):
@@ -689,17 +702,7 @@ class _Geometry:
         self.substream, self.slices = None, 0
         self.first = np.full(len(ap), _NO_HIT)
         self.point, self.own = np.empty((len(ap), 2)), np.empty(len(ap))
-        self.dev = None
-
-    @classmethod
-    def shared(cls, store: dict, index: int, ap: np.ndarray, side: float | None) -> _Geometry:
-        """Trial ``index``'s geometry in ``store`` when it has these APs
-        (``np.array_equal``) and side; otherwise a new one, which replaces
-        it in ``store``."""
-        geometry = store.get(index)
-        if geometry is None or geometry.side != side or not np.array_equal(geometry.ap, ap):
-            geometry = store[index] = cls(ap, side)
-        return geometry
+        self.dev_cell = None
 
     def record(self, stream: RngStream) -> _Geometry:
         """This geometry, its fill sub-stream made on the first call, from
@@ -729,28 +732,20 @@ class _Geometry:
         pathloss ``dist**4`` and cross pathloss to the typical device's cell
         ``a0``, from the device record.
 
-        The record holds the devices associated so far, ``dev`` with their
-        ``dev_cell``, ``dev_own`` and ``dev_cross``. When it agrees with
-        ``dev`` over their common length (``np.array_equal``), it returns
+        Deploy makes the devices of a group's configs prefix-nested, so the
+        record's entries are those of ``dev``'s first devices: it returns
         its first ``len(dev)`` entries, after associating and appending the
-        devices past its end, if any; otherwise it associates every device
-        and is replaced. Deploy makes a trial's devices prefix-nested, so a
-        sweep's configs find the record in agreement and each (trial,
-        device) goes to the k-d tree once. A first call stores its arrays
-        as they are. Draws nothing."""
-        held = 0 if self.dev is None else len(self.dev)
-        common = min(held, len(dev))
-        if held and np.array_equal(self.dev[:common], dev[:common]):
-            if held < len(dev):
-                new = self._associate(dev[held:], self.dev_cell[0])
-                self.dev = np.concatenate([self.dev, dev[held:]])
-                self.dev_cell, self.dev_own, self.dev_cross = (
-                    np.concatenate(pair)
-                    for pair in zip((self.dev_cell, self.dev_own, self.dev_cross), new)
-                )
-        else:
-            self.dev = dev
+        devices past its end, if any. Each (trial, device) of a group thus
+        goes to the k-d tree once. A first call stores its arrays as they
+        are. Draws nothing."""
+        if self.dev_cell is None:
             self.dev_cell, self.dev_own, self.dev_cross = self._associate(dev)
+        elif len(self.dev_cell) < len(dev):
+            new = self._associate(dev[len(self.dev_cell) :], self.dev_cell[0])
+            self.dev_cell, self.dev_own, self.dev_cross = (
+                np.concatenate(pair)
+                for pair in zip((self.dev_cell, self.dev_own, self.dev_cross), new)
+            )
         n = len(dev)
         return self.dev_cell[:n], self.dev_own[:n], self.dev_cross[:n]
 
@@ -847,7 +842,7 @@ class _Engine:
         self.window = TorusWindow(0.5) if self.torus else DiscWindow(1.0)
         self.side = self.window.side if self.torus else None
         self.center = self.window.center
-        self.expected_aps = s.deployment.lambda_ap * cfg.window.area
+        self.expected_aps = _expected_aps(cfg)
         self.expected_devs = s.deployment.lambda_dev * cfg.window.area
         self.snr_inv = 1.0 / s.air.snr
         self.mean_share = mean_cell_load(s.deployment)
@@ -927,26 +922,28 @@ class _Engine:
         dev[1:] = self.window.sample(stream, n_dev)
         return ap, dev
 
-    def associate(self, streams: list, deployed: list, store: dict | None = None) -> _Block:
+    def associate(self, streams: list, deployed: list, store: dict) -> _Block:
         """The ``_Block`` of the deployed ``(ap, dev)`` trials, whose streams
         are ``streams``, with the minimum-pathloss association of every
         device set on it.
 
-        Each trial takes its ``_Geometry`` from ``store`` (a new store when
-        None), keyed by its stream id, the trial index, so it builds its AP
-        k-d tree only when the store has none for its APs (the shadowed fill
-        screens with the tree too). Without shadowing each trial's serving
-        cells, own and cross pathlosses come from its geometry's device
-        record (``_Geometry.devices``), which sends to the k-d tree only the
-        devices no config of the store has associated yet; with shadowing,
-        each trial in turn draws its normals and serves its devices
-        (``_serve``), its pathloss matrix freed before the next is built.
+        ``store`` maps trial indices to the ``_Geometry`` that configs of
+        this config's sharing group (``_sharing_groups``) built, or is empty.
+        Each trial takes its geometry from there, keyed by its stream id, the
+        trial index, or builds it there, with its AP k-d tree (the shadowed
+        fill screens with the tree too). Without shadowing each trial's
+        serving cells, own and cross pathlosses come from its geometry's
+        device record (``_Geometry.devices``), which sends to the k-d tree
+        only the devices no config of the store has associated yet; with
+        shadowing, each trial in turn draws its normals and serves its
+        devices (``_serve``), its pathloss matrix freed before the next is
+        built.
         """
-        store = {} if store is None else store
-        geometry = [
-            _Geometry.shared(store, stream.stream_id, ap, self.side)
-            for stream, (ap, _) in zip(streams, deployed)
-        ]
+        geometry = []
+        for stream, (ap, _) in zip(streams, deployed):
+            if stream.stream_id not in store:
+                store[stream.stream_id] = _Geometry(ap, self.side)
+            geometry.append(store[stream.stream_id])
         block = _Block(streams, deployed, geometry)
         dev = block.dev
         starts = np.cumsum([0] + [len(d) for _, d in deployed])
@@ -1307,7 +1304,7 @@ class _Engine:
     def _tree_loads(self, streams: list, deployed: list) -> np.ndarray:
         """Serving-cell loads of deployed trials, by associating every
         device."""
-        return self.associate(streams, deployed).loads
+        return self.associate(streams, deployed, {}).loads
 
     def typical_loads(self, indices: range) -> np.ndarray:
         """Serving-cell loads of the trials in ``indices``, equal to
@@ -1404,16 +1401,14 @@ def _pool_size(workers: int, trials: int) -> int:
 
 
 def _sharing_groups(cfgs: list[SimConfig]) -> list[list[int]]:
-    """Indices of ``cfgs`` grouped by what a trial's APs depend on: the
-    boundary, the master seed and the expected AP count (to 12 significant
-    digits, so that the rounding of an automatically sized window does not
-    split a group). Configs of different groups deploy the same APs only by
-    chance, so a run shares geometry within a group only."""
+    """Indices of ``cfgs`` grouped by what ``_Engine.deploy`` draws a trial's
+    APs from: the boundary, the master seed and the expected AP count
+    (``_expected_aps``, the Poisson mean itself). Every config of a group
+    thus deploys bit-identical APs for trial ``i``, and a run shares
+    geometry within a group only (``_map_ranges``)."""
     groups: dict[tuple, list[int]] = {}
     for k, cfg in enumerate(cfgs):
-        expected = cfg.scenario.deployment.lambda_ap * cfg.window.area
-        key = (cfg.boundary, cfg.master_seed, float(f"{expected:.12g}"))
-        groups.setdefault(key, []).append(k)
+        groups.setdefault((cfg.boundary, cfg.master_seed, _expected_aps(cfg)), []).append(k)
     return list(groups.values())
 
 
@@ -1422,15 +1417,16 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     cover every trial of every config; one list of results per config, in
     trial order.
 
-    ``fn`` runs trials [lo, hi) of every config in ``configs`` (each up to
-    its own trial count) and returns one result per config, in order. With
-    ``n = _pool_size(workers, total trial count)`` above one, a single
-    process pool of ``n`` processes runs every range, all submitted at once:
-    each group of ``_sharing_groups`` is cut into ``n * _RANGES_PER_WORKER``
-    ranges (at most one per trial), and a group with fewer trials than that
-    has its configs split too, so that small runs keep every worker busy.
-    If a range raises, the ranges not yet started are cancelled. Otherwise
-    one in-process call runs every trial of every config.
+    ``fn`` runs trials [lo, hi) of every config in ``configs``, all of one
+    group of ``_sharing_groups`` (each up to its own trial count), and
+    returns one result per config, in order. With ``n =
+    _pool_size(workers, total trial count)``, each group is cut into
+    ``wanted`` ranges (at most one per trial): one when ``n`` is one, which
+    runs in process, range after range. Otherwise ``wanted`` is ``n *
+    _RANGES_PER_WORKER``, a group with fewer trials than that has its
+    configs split too, so that small runs keep every worker busy, and a
+    single process pool of ``n`` processes runs every range, all submitted
+    at once. If a range raises, the ranges not yet started are cancelled.
 
     ``workers`` must be an integer >= 1, else ModelDomainError is raised
     before any trial runs. SciPy's k-d tree is imported here, before the
@@ -1440,12 +1436,7 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
     never loads them.
     """
     n = _pool_size(_worker_count(workers), sum(cfg.trials for cfg in cfgs))
-    if n == 1:
-        return [[part] for part in fn(cfgs, 0, max(cfg.trials for cfg in cfgs))]
-    import scipy.spatial  # noqa: F401
-    from concurrent.futures import ProcessPoolExecutor
-
-    wanted = n * _RANGES_PER_WORKER
+    wanted = 1 if n == 1 else n * _RANGES_PER_WORKER
     ranges = []
     for group in _sharing_groups(cfgs):
         splits = -(-wanted // max(cfgs[k].trials for k in group))
@@ -1456,14 +1447,20 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
                 ([k for k in part if cfgs[k].trials > lo], lo, hi)
                 for lo, hi in zip(bounds, bounds[1:])
             ]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        futures = [pool.submit(fn, [cfgs[k] for k in ks], lo, hi) for ks, lo, hi in ranges]
-        try:
-            results = [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
+    if n == 1:
+        results = [fn([cfgs[k] for k in ks], lo, hi) for ks, lo, hi in ranges]
+    else:
+        import scipy.spatial  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            futures = [pool.submit(fn, [cfgs[k] for k in ks], lo, hi) for ks, lo, hi in ranges]
+            try:
+                results = [f.result() for f in futures]
+            except BaseException:
+                for f in futures:
+                    f.cancel()
+                raise
     out = [[] for _ in cfgs]
     for (ks, _, _), parts in zip(ranges, results):
         for k, part in zip(ks, parts):
@@ -1474,27 +1471,25 @@ def _map_ranges(fn, cfgs: list[SimConfig], workers: int) -> list[list]:
 def _simulate_range(cfgs: list[SimConfig], lo: int, hi: int) -> list[tuple]:
     """Delays, output choices and loads of each config's trials in [lo, hi)
     (up to its trial count; each config must have some there), one triple
-    per config.
+    per config. ``cfgs`` must be configs of one group of
+    ``_sharing_groups`` (``_map_ranges`` plans the ranges so).
 
-    Each group of ``_sharing_groups`` runs on its own, a chunk of trials at
-    a time (``_chunk_size``), each chunk through every config of the group
-    in turn, in the blocks of ``_Engine.blocks`` (``_Engine.trials``). The
-    chunk's trials share one ``_Geometry`` store, dropped when the chunk is
-    done.
+    The trials run a chunk at a time (``_chunk_size``), each chunk through
+    every config in turn, in the blocks of ``_Engine.blocks``
+    (``_Engine.trials``). The chunk's trials share one ``_Geometry`` store,
+    dropped when the chunk is done.
     """
     engines = [_Engine(cfg) for cfg in cfgs]
     runs = [([], [], []) for _ in cfgs]
-    for group in _sharing_groups(cfgs):
-        chunk = _chunk_size([engines[k] for k in group])
-        for start in range(lo, min(hi, max(cfgs[k].trials for k in group)), chunk):
-            store = {}
-            for k in group:
-                engine, (delays, used, loads) = engines[k], runs[k]
-                for indices in engine.blocks(start, min(start + chunk, hi, engine.cfg.trials)):
-                    block, (_, _, block_delays, block_used), _ = engine.trials(indices, store)
-                    delays.append(block_delays)
-                    used.append(block_used)
-                    loads.append(block.loads)
+    chunk = _chunk_size(engines)
+    for start in range(lo, min(hi, max(cfg.trials for cfg in cfgs)), chunk):
+        store = {}
+        for engine, (delays, used, loads) in zip(engines, runs):
+            for indices in engine.blocks(start, min(start + chunk, hi, engine.cfg.trials)):
+                block, (_, _, block_delays, block_used), _ = engine.trials(indices, store)
+                delays.append(block_delays)
+                used.append(block_used)
+                loads.append(block.loads)
     return [tuple(map(np.concatenate, run)) for run in runs]
 
 

@@ -162,6 +162,11 @@ for _workers in (1, 2):
             lambda w=_workers, s=_settings: _sweep(w, **s)
         )
 OUTPUTS["sweep_r_min_torus_workers1"] = lambda: _sweep(1, "r_min", (0.0625, 0.125, 0.5))
+# a fixed window: each point expects a different AP count, so each runs in
+# its own sharing group, and one in-process run goes through several groups
+OUTPUTS["sweep_torus_fixed_window_workers1"] = lambda: _sweep(
+    1, grid=(0.1, 1.0, 10.0), window_radius=4.0
+)
 # a window of about 9 expected APs: most trials hold 12 APs or fewer, so every
 # cell is filled from the shared global slices, and every point shares them all
 OUTPUTS["sweep_r_min_torus_few_aps_workers1"] = lambda: _sweep(

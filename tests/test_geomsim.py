@@ -198,7 +198,7 @@ def test_deploy_ap_count_follows_the_zero_truncated_poisson_law():
 def test_associate_stage_picks_min_pathloss():
     engine = geomsim._Engine(small_cfg(boundary="disc"))
     ap = np.array([[1.0, 0.0], [2.0, 0.0]])
-    block = engine.associate([RngStream(0, 0)], [(ap, np.zeros((1, 2)))])
+    block = engine.associate([RngStream(0, 0)], [(ap, np.zeros((1, 2)))], {})
     assert isinstance(block, geomsim._Block)
     assert block.serving.tolist() == block.a0.tolist() == [0]
     assert block.own.tolist() == [1.0]  # distance 1 -> pathloss 1**4
@@ -206,7 +206,7 @@ def test_associate_stage_picks_min_pathloss():
     # unshadowed: the cross pathloss is dist**4 to a0's AP, here the own one
     assert block.cross.tolist() == [1.0]
     # a second device, at 1.5 from the far AP and 2.5 from a0's
-    block = engine.associate([RngStream(0, 0)], [(ap, np.array([[0.0, 0.0], [3.5, 0.0]]))])
+    block = engine.associate([RngStream(0, 0)], [(ap, np.array([[0.0, 0.0], [3.5, 0.0]]))], {})
     assert block.serving.tolist() == [0, 1] and block.loads.tolist() == [1]
     assert block.own.tolist() == [1.0, 1.5**4]
     assert block.cross.tolist() == [1.0, 2.5**4]
@@ -222,7 +222,7 @@ def test_schedule_and_fill_return_one_interferer_record(boundary, sigma_db):
     cfg = small_cfg(window_radius=4.0, boundary=boundary, shadowing_sigma_db=sigma_db)
     engine = geomsim._Engine(cfg)
     streams = [RngStream(CANONICAL_SEED, i) for i in range(4)]
-    block = engine.associate(streams, [engine.deploy(s) for s in streams])
+    block = engine.associate(streams, [engine.deploy(s) for s in streams], {})
     records = [engine.schedule(block), engine.fill(block)]
     assert len(records[0]) == len(records[1]) == 4
     for cells, pts, own, cross in records:
@@ -845,7 +845,7 @@ def _staged(engine, stream):
     """Deploy, associate and schedule one trial as a block of one: the fill
     stage's inputs, the block, and its APs, k-d tree and serving cell."""
     ap, dev = engine.deploy(stream)
-    block = engine.associate([stream], [(ap, dev)])
+    block = engine.associate([stream], [(ap, dev)], {})
     engine.schedule(block)
     return block, ap, block.geometry[0].tree, block.counts, int(block.a0[0])
 
@@ -1014,7 +1014,7 @@ def test_local_fill_bounds_its_cells_and_draws_inside_them(seed, boundary, lam_a
     engine = geomsim._Engine(cfg)
     stream = RngStream(seed, 0)
     ap, dev = engine.deploy(stream)
-    block = engine.associate([stream], [(ap, dev)])
+    block = engine.associate([stream], [(ap, dev)], {})
     tree = block.geometry[0].tree
     cells = np.arange(len(ap))
     rho = engine._new_polygons(block, cells)[3]
@@ -1248,7 +1248,7 @@ def test_cell_radius_matches_pairwise_vertex_reference(boundary):
     for index in range(3):
         stream = RngStream(CANONICAL_SEED, index)
         ap, dev = engine.deploy(stream)
-        block = engine.associate([stream], [(ap, dev)])
+        block = engine.associate([stream], [(ap, dev)], {})
         tree = block.geometry[0].tree
         rho = engine._new_polygons(block, np.arange(len(ap)))[3]
         for cell, p in enumerate(ap):
@@ -1274,7 +1274,7 @@ def test_local_fill_matches_rejection_sampling_in_law():
     engine = geomsim._Engine(small_cfg())
     stream = RngStream(CANONICAL_SEED, 0)
     ap, dev = engine.deploy(stream)
-    block = engine.associate([stream], [(ap, dev)])
+    block = engine.associate([stream], [(ap, dev)], {})
     tree = block.geometry[0].tree
     bounded = np.isfinite(engine._new_polygons(block, np.arange(len(ap)))[3])
     # the bounded cell with the largest share of its area beyond 90% of its
@@ -1375,7 +1375,7 @@ def test_local_fill_matches_rejection_sampling_in_law_where_draws_are_rejected(
         engine = geomsim._Engine(small_cfg(boundary="disc"))
         stream = RngStream(CANONICAL_SEED, 0)
         ap, dev = engine.deploy(stream)
-        block = engine.associate([stream], [(ap, dev)])
+        block = engine.associate([stream], [(ap, dev)], {})
         tree = block.geometry[0].tree
         rho = engine._new_polygons(block, np.arange(len(ap)))[3]
         cell = int(np.argmax(np.hypot(ap[:, 0], ap[:, 1]) + rho))
@@ -1421,7 +1421,7 @@ def test_the_last_local_candidate_is_tested_before_it_is_kept(monkeypatch):
     engine = geomsim._Engine(small_cfg(boundary="disc"))
     stream = RngStream(CANONICAL_SEED, 0)
     ap, dev = engine.deploy(stream)
-    block = engine.associate([stream], [(ap, dev)])
+    block = engine.associate([stream], [(ap, dev)], {})
     tree = block.geometry[0].tree
     rho = engine._new_polygons(block, np.arange(len(ap)))[3]
     cell = int(np.argmax(np.hypot(ap[:, 0], ap[:, 1]) + rho))
@@ -2256,21 +2256,21 @@ def test_a_sweep_computes_each_local_point_once(monkeypatch, boundary):
 def _counting_devices(monkeypatch) -> dict:
     """Count, by trial index, the device points that the device records of
     the trials' geometries send to the k-d tree from now on."""
-    shared, associate = geomsim._Geometry.shared.__func__, geomsim._Geometry._associate
-    # every geometry made, kept alive so that no id is reused
+    init, associate = geomsim._Block.__init__, geomsim._Geometry._associate
+    # every geometry a block holds, kept alive so that no id is reused
     owner, sent = {}, {}
 
-    def sharing(cls, store, index, ap, side):
-        geometry = shared(cls, store, index, ap, side)
-        owner[id(geometry)] = (geometry, index)
-        return geometry
+    def blocking(self, streams, deployed, geometry):
+        init(self, streams, deployed, geometry)
+        for stream, g in zip(streams, geometry):
+            owner[id(g)] = (g, stream.stream_id)
 
     def counting(self, points, a0=None):
         index = owner[id(self)][1]
         sent[index] = sent.get(index, 0) + len(points)
         return associate(self, points, a0)
 
-    monkeypatch.setattr(geomsim._Geometry, "shared", classmethod(sharing))
+    monkeypatch.setattr(geomsim._Block, "__init__", blocking)
     monkeypatch.setattr(geomsim._Geometry, "_associate", counting)
     return sent
 
@@ -2381,7 +2381,7 @@ def test_geometry_store_of_a_sweep_with_many_devices_stays_under_its_chunk_bound
 
     def recording(self, indices, store):
         result = run(self, indices, store)
-        held = sum(len(g.ap) + len(g.dev) for g in store.values())
+        held = sum(len(g.ap) + len(g.dev_cell) for g in store.values())
         seen.append((store, set(store), held))
         return result
 
@@ -2396,8 +2396,8 @@ def test_geometry_store_of_a_sweep_with_many_devices_stays_under_its_chunk_bound
 @pytest.mark.filterwarnings("ignore:window holds only")
 def test_sharing_groups_key_on_what_deploys_the_aps():
     auto = _sweep_cfgs("lambda_hat", tuple(np.logspace(-1, 3, 31)), trials=2, master_seed=3)
-    # the auto window's AP counts differ in their last bits, not in their groups
-    assert len({geomsim._Engine(cfg).expected_aps for cfg in auto}) > 1
+    # the auto window's AP counts are one float, the group's key
+    assert len({geomsim._Engine(cfg).expected_aps for cfg in auto}) == 1
     assert geomsim._sharing_groups(auto) == [list(range(31))]
     others = [
         replace(auto[0], master_seed=4),
@@ -2406,6 +2406,43 @@ def test_sharing_groups_key_on_what_deploys_the_aps():
         replace(auto[5], shadowing_sigma_db=8.0, trials=9),
     ]
     assert geomsim._sharing_groups(auto[:2] + others) == [[0, 1, 5], [2], [3], [4]]
+
+
+@pytest.mark.filterwarnings("ignore:window holds only")
+def test_a_sharing_group_deploys_the_same_aps_by_construction():
+    # A run's geometry store takes a trial's APs and device record from the
+    # group's first config, unchecked. It may: every config of a group draws
+    # its AP count from the group's key, one expected AP count, so for each
+    # trial the group deploys bit-identical APs and devices that agree over
+    # their common length. The auto-window lambda_hat grid on the torus, the
+    # r_min grid and its shadowed point all expect the same count.
+    grid = tuple(np.logspace(-1, 3, 13))
+    auto = {
+        b: _sweep_cfgs("lambda_hat", grid, trials=6, master_seed=43, boundary=b)
+        for b in ("torus", "disc")
+    }
+    cfgs = [
+        *auto["torus"],
+        *auto["disc"],
+        *_sweep_cfgs("r_min", (0.0625, 0.125, 0.5), trials=6, master_seed=43),
+        replace(auto["torus"][4], shadowing_sigma_db=8.0),
+        *_sweep_cfgs("lambda_hat", (0.5, 1.0, 2.0), window_radius=4.0, trials=6, master_seed=43),
+    ]
+    groups = geomsim._sharing_groups(cfgs)
+    assert [len(g) for g in groups] == [17, 13, 1, 1, 1]
+    engines = [geomsim._Engine(cfg) for cfg in cfgs]
+    keys = [
+        {(cfgs[k].boundary, cfgs[k].master_seed, engines[k].expected_aps) for k in group}
+        for group in groups
+    ]
+    assert all(len(key) == 1 for key in keys) and len(set().union(*keys)) == len(groups)
+    for group in groups:
+        for i in range(6):
+            deployed = [engines[k].deploy(RngStream(43, i)) for k in group]
+            longest = max((dev for _, dev in deployed), key=len)
+            for ap, dev in deployed:
+                assert np.array_equal(ap, deployed[0][0])
+                assert np.array_equal(dev, longest[: len(dev)])
 
 
 class _SubmissionPool(_InlinePool):
